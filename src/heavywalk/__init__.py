@@ -35,7 +35,6 @@ from .increments import (
     step,
 )
 from .specialfn import (
-    KappaArgs,
     closed_form_integrals,
     digamma,
     gamma_real,
@@ -44,7 +43,6 @@ from .specialfn import (
     kappa0,
     kappa1,
     kappa2,
-    log_gamma,
 )
 from .classify import Classification, NuStarResult, classify, moment_exponent, nu_star
 from .lyapunov import (

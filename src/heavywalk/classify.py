@@ -190,7 +190,7 @@ def classify(spec: ChainSpec) -> Classification:
                        nu=ns.nu_star)
 
     t, d = spec.tail, spec.drift
-    exp = spec.tail.beta if spec.regime == "line_in" else spec.tail.alpha
+    exp = spec.heavy_exponent
     crit_gamma = exp - 1.0
     directional = TRANSIENT if spec.regime == "half_line" else TRANSIENT_DIRECTIONAL
     oscillatory = TRANSIENT if spec.regime == "half_line" else TRANSIENT_OSCILLATORY

@@ -22,21 +22,24 @@ from .classify import classify, nu_star
 from .errors import ConfigError, HeavywalkError, NoRootError
 from .increments import ChainSpec
 from .lyapunov import verify_expansion
-from .montecarlo import (SimConfig, _simulate_batch, _summaries_from_batch,
-                         phase_diagnostic, survival_curve, survival_grid)
+from .montecarlo import SimConfig, _simulate_batch, survival_curve, survival_grid
 from .selftest import run_selftest
 
 _SPEC_KEYS = ("regime", "alpha", "beta", "c", "gamma", "b", "p_heavy", "x0", "plane")
+_PLANE_KEYS = ("p_radial", "c_radial", "c_transverse")
 
 
 def load_config(path: str) -> dict:
     try:
         with open(path) as fh:
-            return json.load(fh)
+            cfg = json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
     except json.JSONDecodeError as ex:
         raise ConfigError(f"{path}:{ex.lineno}:{ex.colno}: {ex.msg}")
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"{path}: the config must be a JSON object")
+    return cfg
 
 
 def spec_from_config(cfg: dict) -> ChainSpec:
@@ -44,9 +47,7 @@ def spec_from_config(cfg: dict) -> ChainSpec:
         raise ConfigError("missing required field", field="regime")
     try:
         return ChainSpec.from_json({k: cfg[k] for k in _SPEC_KEYS if k in cfg})
-    except (KeyError, TypeError, ValueError) as ex:
-        raise ConfigError(str(ex), field="spec")
-    except HeavywalkError as ex:
+    except (KeyError, TypeError, ValueError, HeavywalkError) as ex:
         raise ConfigError(str(ex), field="spec")
 
 
@@ -65,7 +66,7 @@ def sim_from_config(cfg: dict, spec: ChainSpec, seed: int, workers: int) -> SimC
                          master_seed=seed, workers=workers)
     except KeyError as ex:
         raise ConfigError(f"missing field {ex}", field="sim")
-    except HeavywalkError as ex:
+    except (TypeError, ValueError, HeavywalkError) as ex:
         raise ConfigError(str(ex), field="sim")
 
 
@@ -106,8 +107,8 @@ def cmd_drift_verify(cfg: dict, out: Path, seed: int, workers: int) -> int:
         nu = float(d["nu"])
         grid = np.geomspace(float(d.get("x_min", 1e2)), float(d.get("x_max", 1e5)),
                             int(d.get("points", 4)))
-    except KeyError as ex:
-        raise ConfigError(f"missing field {ex}", field="drift_verify")
+    except (KeyError, TypeError, ValueError) as ex:
+        raise ConfigError(f"missing or malformed field: {ex}", field="drift_verify")
     rep = verify_expansion(spec, i, nu, list(grid))
     path = out / "drift_report.csv"
     with open(path, "w", newline="") as fh:
@@ -125,26 +126,27 @@ def cmd_drift_verify(cfg: dict, out: Path, seed: int, workers: int) -> int:
 def cmd_simulate(cfg: dict, out: Path, seed: int, workers: int) -> int:
     spec = spec_from_config(cfg)
     sim = sim_from_config(cfg, spec, seed, workers)
-    m_level = float(cfg.get("m_level", math.inf))
+    try:
+        m_level = float(cfg.get("m_level", math.inf))
+    except (TypeError, ValueError) as ex:
+        raise ConfigError(str(ex), field="m_level")
     batch = _simulate_batch(sim, m_level)
-    plane = batch["plane"]
 
+    cols = {"index": batch["index"], "tau": batch["tau"], "censored": batch["tau"] < 0,
+            "max_excursion": batch["max"], "min_excursion": batch["min"],
+            "final_x": batch["final_x"]}
+    if batch["plane"]:
+        cols["final_y"] = batch["final_y"]
+    cols.update(crossed_pos=batch["crossed_pos"], crossed_neg=batch["crossed_neg"],
+                first_exit=batch["first_exit"], last_sign_change=batch["last_flip"])
     traj_path = out / "trajectories.csv"
     with open(traj_path, "w", newline="") as fh:
         w = csv.writer(fh)
-        head = ["index", "tau", "censored", "max_excursion", "min_excursion", "final_x"]
-        if plane:
-            head.append("final_y")
-        head += ["crossed_pos", "crossed_neg", "first_exit", "last_sign_change"]
-        w.writerow(head)
-        for s in _summaries_from_batch(batch):
-            row = [s.index, -1 if s.tau is None else s.tau, int(s.censored),
-                   s.max_excursion, s.min_excursion]
-            row += list(s.final) if plane else [s.final]
-            row += [int(s.crossed_pos), int(s.crossed_neg),
-                    -1 if s.first_exit is None else s.first_exit,
-                    -1 if s.last_sign_change is None else s.last_sign_change]
-            w.writerow(row)
+        w.writerow(list(cols))
+        # tolist() yields Python ints and floats, which csv writes as str and
+        # repr; flags are written as 0/1
+        w.writerows(zip(*(c.astype(np.int64).tolist() if c.dtype == bool else c.tolist()
+                          for c in cols.values())))
 
     grid = survival_grid(sim.horizon)
     surv = survival_curve(batch, grid)
@@ -179,34 +181,37 @@ def cmd_phase_diagram(cfg: dict, out: Path, seed: int, workers: int) -> int:
                           field="grid")
     if isinstance(axes, dict):
         axes = [axes]
-    if len(axes) > 2:
-        raise ConfigError("at most two sweep axes", field="grid")
-    for ax in axes:
-        for k in ("param", "min", "max", "steps"):
-            if k not in ax:
-                raise ConfigError(f"axis missing {k!r}", field="grid")
-        if int(ax["steps"]) < 2:
+    if not isinstance(axes, list) or len(axes) > 2:
+        raise ConfigError("one sweep axis, or a list of at most two", field="grid")
+    sweepable = {"alpha", "beta", "c", "gamma", "b", "p_heavy", "x0", *_PLANE_KEYS}
+    try:
+        grids = [np.linspace(float(ax["min"]), float(ax["max"]), int(ax["steps"])) for ax in axes]
+        names = [str(ax["param"]) for ax in axes]
+    except KeyError as ex:
+        raise ConfigError(f"axis missing {ex}", field="grid")
+    except (TypeError, ValueError) as ex:
+        raise ConfigError(f"malformed axis: {ex}", field="grid")
+    for name, g in zip(names, grids):
+        if len(g) < 2:
             raise ConfigError("steps must be >= 2", field="grid")
-
-    base = {k: cfg[k] for k in _SPEC_KEYS if k in cfg}
-    sweepable = {"alpha", "beta", "c", "gamma", "b", "p_heavy", "x0",
-                 "p_radial", "c_radial", "c_transverse", "beta_light"}
-    for ax in axes:
-        if ax["param"] not in sweepable:
-            raise ConfigError(f"unknown sweep parameter {ax['param']!r}; "
+        if name not in sweepable:
+            raise ConfigError(f"unknown sweep parameter {name!r}; "
                               f"expected one of {sorted(sweepable)}", field="grid")
 
-    def apply(point: dict) -> dict:
+    base = {k: cfg[k] for k in _SPEC_KEYS if k in cfg}
+
+    def spec_at(point: dict) -> ChainSpec:
         obj = json.loads(json.dumps(base))
         for name, val in point.items():
-            if name in ("p_radial", "c_radial", "c_transverse", "beta_light"):
+            if name in _PLANE_KEYS:
                 obj.setdefault("plane", {})[name] = val
             else:
                 obj[name] = val
-        return obj
+        try:
+            return ChainSpec.from_json(obj)
+        except (KeyError, TypeError, ValueError) as ex:
+            raise ConfigError(f"cannot build a spec at {point}: {ex!r}", field="grid")
 
-    grids = [np.linspace(float(ax["min"]), float(ax["max"]), int(ax["steps"])) for ax in axes]
-    names = [ax["param"] for ax in axes]
     points = [dict(zip(names, [float(v)])) for v in grids[0]] if len(axes) == 1 else [
         {names[0]: float(v0), names[1]: float(v1)} for v0 in grids[0] for v1 in grids[1]]
 
@@ -216,10 +221,11 @@ def cmd_phase_diagram(cfg: dict, out: Path, seed: int, workers: int) -> int:
         w.writerow(names + ["phase", "q_crit"])
         for pt in points:
             try:
-                spec = ChainSpec.from_json(apply(pt))
-                cl = classify(spec)
+                cl = classify(spec_at(pt))
                 row = [pt[n] for n in names] + [cl.phase,
                                                 "" if cl.moment_exponent is None else cl.moment_exponent]
+            except ConfigError:
+                raise
             except HeavywalkError as ex:
                 row = [pt[n] for n in names] + [f"error:{type(ex).__name__}", ""]
             w.writerow(row)
@@ -267,9 +273,12 @@ def main(argv=None) -> int:
         cfg = load_config(args.config) if args.config else {}
         if args.command != "selftest" and not cfg:
             raise ConfigError("--config is required for this command")
-        seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
-        workers = args.workers if args.workers is not None else int(cfg.get("workers", 1))
-        out = Path(args.out if args.out is not None else cfg.get("out", "."))
+        try:
+            seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
+            workers = args.workers if args.workers is not None else int(cfg.get("workers", 1))
+            out = Path(args.out if args.out is not None else cfg.get("out", "."))
+        except (TypeError, ValueError) as ex:
+            raise ConfigError(f"seed, workers and out: {ex}")
         out.mkdir(parents=True, exist_ok=True)
         return _COMMANDS[args.command](cfg, out, seed, workers)
     except ConfigError as ex:

@@ -46,7 +46,6 @@ class PlaneParams:
     p_radial: float
     c_radial: float
     c_transverse: float
-    beta_light: Optional[float] = None
 
 
 @dataclass(frozen=True)
@@ -57,10 +56,6 @@ class HeavyPareto:
     exponent: float
     scale: float
 
-    @property
-    def mean_abs(self) -> float:
-        return self.scale * self.exponent / (self.exponent - 1.0)
-
 
 @dataclass(frozen=True)
 class BoundedUniform:
@@ -68,10 +63,6 @@ class BoundedUniform:
 
     sign: int
     width: float
-
-    @property
-    def mean_abs(self) -> float:
-        return 0.5 * self.width
 
 
 Component = Union[HeavyPareto, BoundedUniform]
@@ -130,8 +121,6 @@ class ChainSpec:
                 raise DomainError("p_radial must be in (0,1)")
             if pl.c_radial <= 0.0 or pl.c_transverse <= 0.0:
                 raise DomainError("plane tail constants must be positive")
-            if pl.beta_light is not None and pl.beta_light <= t.alpha:
-                raise DomainError("beta_light must exceed alpha")
             if d.b != 0.0:
                 raise DomainError("plane regime is zero-drift (b must be 0)")
             if self.p_heavy >= 0.5:
@@ -201,6 +190,10 @@ class ChainSpec:
         m_h = y0 * e / (e - 1.0)
         return (mu - self.heavy_sign(x) * p * m_h) / (1.0 - p)
 
+    def light_width(self, x):
+        """Signed width of the light uniform at state x: twice its mean."""
+        return 2.0 * self.light_mean(x)
+
     def light_magnitude(self, x):
         """Mean of the light component measured along its legal direction
         (opposite the heavy side); must be positive for a feasible law."""
@@ -252,8 +245,6 @@ class ChainSpec:
                 "c_radial": self.plane.c_radial,
                 "c_transverse": self.plane.c_transverse,
             }
-            if self.plane.beta_light is not None:
-                out["plane"]["beta_light"] = self.plane.beta_light
         return out
 
     @staticmethod
@@ -265,7 +256,6 @@ class ChainSpec:
                 p_radial=float(p["p_radial"]),
                 c_radial=float(p["c_radial"]),
                 c_transverse=float(p["c_transverse"]),
-                beta_light=float(p["beta_light"]) if p.get("beta_light") is not None else None,
             )
         return ChainSpec(
             regime=obj["regime"],
@@ -306,9 +296,8 @@ class IncrementLaw:
                 continue
             if isinstance(k, HeavyPareto):
                 acc += comp.weight * (1.0 if y < k.scale else (k.scale / y) ** k.exponent)
-            else:
-                if k.width > 0.0 and y < k.width:
-                    acc += comp.weight * (1.0 - y / k.width)
+            elif k.width > 0.0 and y < k.width:
+                acc += comp.weight * (1.0 - y / k.width)
         return acc
 
     def mirrored(self) -> "IncrementLaw":
@@ -356,22 +345,22 @@ def build_law(spec: ChainSpec, x: float) -> IncrementLaw:
     p = spec.p_heavy
     e = spec.heavy_exponent
     y0 = spec.heavy_scale()
-    lm = float(spec.light_mean(x))
+    lw = float(spec.light_width(x))
     mean = float(spec.drift_target(x))
     if spec.regime == "line_balanced":
         comps = (
             LawComponent(HeavyPareto(+1, e, y0), p),
             LawComponent(HeavyPareto(-1, e, y0), p),
-            LawComponent(BoundedUniform(-1 if lm < 0 else +1, 2.0 * abs(lm)), 1.0 - 2.0 * p),
+            LawComponent(BoundedUniform(-1 if lw < 0 else +1, abs(lw)), 1.0 - 2.0 * p),
         )
         return IncrementLaw(comps, mean)
     hs = int(spec.heavy_sign(x))
-    m = -hs * lm
-    if m <= 0.0:
-        raise InfeasibleDrift(f"required light-component mean {m:.6g} <= 0 at x={x!r}", x=x)
+    width = -hs * lw
+    if width <= 0.0:
+        raise InfeasibleDrift(f"required light-component mean {width / 2.0:.6g} <= 0 at x={x!r}", x=x)
     comps = (
         LawComponent(HeavyPareto(hs, e, y0), p),
-        LawComponent(BoundedUniform(-hs, 2.0 * m), 1.0 - p),
+        LawComponent(BoundedUniform(-hs, width), 1.0 - p),
     )
     return IncrementLaw(comps, mean)
 

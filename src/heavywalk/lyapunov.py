@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import DivergentError, DomainError
-from .increments import BoundedUniform, ChainSpec, HeavyPareto, IncrementLaw, build_law
+from .increments import ChainSpec, HeavyPareto, IncrementLaw, build_law
 from .specialfn import integrate_adaptive, integrate_decaying_tail, kappa0, kappa1, kappa2
 from .classify import classify as _classify_phase
 
@@ -135,11 +135,6 @@ def _check_regime_i(spec: ChainSpec, i: int) -> None:
         raise DomainError("line regimes use the i=1 or i=2 test functions")
 
 
-def expansion_exponent(spec: ChainSpec) -> float:
-    """Tail exponent governing the fluctuation term x^(nu - exponent)."""
-    return spec.tail.beta if spec.regime == "line_in" else spec.tail.alpha
-
-
 def expansion_coefficient(spec: ChainSpec, i: int, nu: float) -> float:
     """Coefficient K of the |x|^(nu - exponent) fluctuation term of D_i."""
     _check_regime_i(spec, i)
@@ -162,16 +157,14 @@ def _check_lemma_range(spec: ChainSpec, i: int, nu: float) -> None:
         lo = t.alpha - t.beta if t.beta is not None else -math.inf
         if not (lo < nu < t.alpha):
             raise DomainError(f"expansion requires {lo:.3g} < nu < alpha, got nu={nu}")
-    elif spec.regime == "line_in":
+    else:
         # i=2 extends to (-1, 0) since the pure-Pareto tails satisfy the rate
         # condition with error exactly zero
         lo = 0.0 if i == 1 else -1.0
-        if not (lo < nu < t.beta):
-            raise DomainError(f"expansion (i={i}) requires {lo} < nu < beta, got nu={nu}")
-    else:
-        lo = 0.0 if i == 1 else -1.0
-        if not (lo < nu < t.alpha):
-            raise DomainError(f"expansion (i={i}) requires {lo} < nu < alpha, got nu={nu}")
+        e = spec.heavy_exponent
+        if not (lo < nu < e):
+            raise DomainError(f"expansion (i={i}) requires {lo} < nu < {e} (tail exponent), "
+                              f"got nu={nu}")
 
 
 def drift_predicted(spec: ChainSpec, i: int, nu: float, x: float) -> float:
@@ -189,7 +182,7 @@ def drift_predicted(spec: ChainSpec, i: int, nu: float, x: float) -> float:
     ax = abs(x)
     sgn = math.copysign(1.0, x)
     drift_part = nu * (sgn if i == 2 else 1.0) * ax ** (nu - 1.0) * mu
-    return drift_part + expansion_coefficient(spec, i, nu) * ax ** (nu - expansion_exponent(spec))
+    return drift_part + expansion_coefficient(spec, i, nu) * ax ** (nu - spec.heavy_exponent)
 
 
 @dataclass
@@ -224,7 +217,7 @@ def verify_expansion(spec: ChainSpec, i: int, nu: float, x_grid: Sequence[float]
         zeros = [0.0] * len(xs)
         return DriftReport(i, nu, xs, zeros, zeros, zeros, 0.0, True)
     k_coef = expansion_coefficient(spec, i, nu)
-    e = expansion_exponent(spec)
+    e = spec.heavy_exponent
     numeric, predicted, nerr = [], [], []
     for x in xs:
         scale = abs(x) ** (nu - e)

@@ -4,23 +4,30 @@ Trajectories are independent units of work: trajectory k draws its uniforms
 from the counter stream (master_seed, k), so any partition of the index
 range over workers produces bit-identical results.  The engine runs chunks
 of trajectories in vectorized lockstep; the scalar step() path in
-`increments` consumes the same streams and produces the same states.
+`increments` consumes the same streams and agrees with it: the same return
+times, and states equal to rounding (vectorized and scalar powers may differ
+in the last bit).
 """
 
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from .errors import DomainError, InsufficientDataError
-from .increments import ChainSpec
+from .increments import (_U_MIN, ChainSpec, HeavyPareto, IncrementLaw, plane_radial_law,
+                         plane_transverse_law)
 from .rng import seed_key, uniform_array
 
-_U_MIN = 2.0 ** -53
+# a uniform's counter fills the low 32 bits of its stream word
+# (rng.uniform_at), and the trajectory index the high 32
+_COUNTER_SPAN = 2 ** 32
 
 
 @dataclass(frozen=True)
@@ -40,6 +47,10 @@ class SimConfig:
             raise DomainError("n_traj must be >= 1")
         if self.workers < 1:
             raise DomainError("workers must be >= 1")
+        if self.draws_per_step * self.horizon > _COUNTER_SPAN:
+            raise DomainError(f"{self.spec.regime} horizon must be <= {_COUNTER_SPAN // self.draws_per_step}")
+        if self.n_traj > _COUNTER_SPAN:
+            raise DomainError("n_traj must be <= 2^32")
         if self.spec.regime == "plane":
             s = self.start
             if np.isscalar(s):
@@ -47,6 +58,13 @@ class SimConfig:
                 object.__setattr__(self, "start", (float(s), 0.0))
             elif len(s) != 2:
                 raise DomainError("plane start must be a radius or an (x, y) pair")
+        elif not np.isscalar(self.start):
+            raise DomainError(f"{self.spec.regime} start must be a number")
+
+    @property
+    def draws_per_step(self) -> int:
+        """Uniforms per step: the plane first picks radial or transverse."""
+        return 3 if self.spec.regime == "plane" else 2
 
     def to_json(self) -> dict:
         return {
@@ -98,212 +116,160 @@ class PhaseDiagnostic:
 
 
 # ---------------------------------------------------------------------------
-# vectorized chunk kernels
+# vectorized chunk kernel
 # ---------------------------------------------------------------------------
 
-def _scalar_chunk(spec: ChainSpec, start: float, a: float, horizon: int,
-                  key: int, idx_lo: int, idx_hi: int, m_level: float) -> dict:
-    n = idx_hi - idx_lo
-    idx = np.arange(idx_lo, idx_hi, dtype=np.int64)
+def _mixture(u1: np.ndarray, u2: np.ndarray, p: float, scale, exponent: float, light,
+             two_sided: bool) -> np.ndarray:
+    """Increments of the canonical mixture, the order build_law and the plane
+    laws use: a Pareto side of weight p with signed support point `scale`,
+    then (two_sided) its mirror image with weight p, then a uniform on
+    (0, light), `light` a signed width, with the remaining weight.  u1 picks
+    the component and u2 (clipped away from 0) inverts its CDF."""
+    pareto = scale * u2 ** (-1.0 / exponent)
+    if two_sided:
+        return np.where(u1 < p, pareto, np.where(u1 < p + p, -pareto, light * u2))
+    return np.where(u1 < p, pareto, light * u2)
+
+
+def _law_constants(law: IncrementLaw) -> tuple:
+    """_mixture's constants for a state-independent law."""
+    heavy, light = law.components[0], law.components[-1].kind
+    return (heavy.weight, heavy.kind.sign * heavy.kind.scale, heavy.kind.exponent,
+            light.sign * light.width, isinstance(law.components[1].kind, HeavyPareto))
+
+
+def _chunk(cfg: SimConfig, m_level: float, lo: int, hi: int) -> dict:
+    """Trajectories lo..hi-1 of cfg in vectorized lockstep.
+
+    The tracked level is x on the line and the radius in the plane; step n
+    draws the uniforms with counters draws_per_step * (n - 1) + j.  Sign
+    flips and crossings of -m_level exist only on the whole line, and
+    crossings of +m_level only off the plane."""
+    spec, a = cfg.spec, cfg.a
+    key = seed_key(cfg.master_seed)
+    dps = cfg.draws_per_step
+    n = hi - lo
+    idx = np.arange(lo, hi, dtype=np.int64)
+    plane = spec.regime == "plane"
     half = spec.regime == "half_line"
-    x = np.full(n, float(start))
+    signed = not (plane or half)
+    if plane:
+        px = np.full(n, float(cfg.start[0]))
+        py = np.full(n, float(cfg.start[1]))
+        level = np.hypot(px, py)
+        radial_law = _law_constants(plane_radial_law(spec))
+        transverse_law = _law_constants(plane_transverse_law(spec))
+    else:
+        x = np.full(n, float(cfg.start))
+        level = x
+        p, y0, e = spec.p_heavy, spec.heavy_scale(), spec.heavy_exponent
+        two_sided = spec.regime == "line_balanced"
     tau = np.full(n, -1, dtype=np.int64)
-    maxx = x.copy()
-    minx = x.copy()
-    final = x.copy()
+    maxl = level.copy()
+    minl = level.copy()
     crossed_pos = np.zeros(n, dtype=bool)
     crossed_neg = np.zeros(n, dtype=bool)
     first_exit = np.full(n, -1, dtype=np.int64)
     last_flip = np.full(n, -1, dtype=np.int64)
 
-    returned0 = (x <= a) if half else (np.abs(x) <= a)
+    returned0 = (np.abs(level) if signed else level) <= a
     tau[returned0] = 0
     act = np.nonzero(~returned0)[0]
 
-    p = spec.p_heavy
-    e = spec.heavy_exponent
-    y0 = spec.heavy_scale()
-    inv_e = -1.0 / e
-    balanced = spec.regime == "line_balanced"
-    two_p = p + p
-
-    for nstep in range(1, horizon + 1):
+    for nstep in range(1, cfg.horizon + 1):
         if act.size == 0:
             break
         gid = idx[act]
-        u1 = uniform_array(key, gid, 2 * (nstep - 1))
-        u2 = np.maximum(uniform_array(key, gid, 2 * nstep - 1), _U_MIN)
-        xa = x[act]
-        pareto = y0 * u2 ** inv_e
-        lm = spec.light_mean(xa)
-        if balanced:
-            light = np.where(lm < 0.0, -1.0, 1.0) * (2.0 * np.abs(lm)) * u2
-            theta = np.where(u1 < p, pareto, np.where(u1 < two_p, -pareto, light))
+        base = dps * (nstep - 1)
+        u = [uniform_array(key, gid, base + j) for j in range(dps)]
+        u1, u2 = u[-2], np.maximum(u[-1], _U_MIN)
+        if plane:
+            radial = u[0] < spec.plane.p_radial
+            th_r = _mixture(u1, u2, *radial_law)
+            th_t = _mixture(u1, u2, *transverse_law)
+            xa, ya = px[act], py[act]
+            ra = np.hypot(xa, ya)
+            safe = np.where(ra > 0.0, ra, 1.0)
+            ux = np.where(ra > 0.0, xa / safe, 1.0)
+            uy = np.where(ra > 0.0, ya / safe, 0.0)
+            # transverse unit vector: u rotated a quarter turn anticlockwise
+            dx = np.where(radial, ux, -uy)
+            dy = np.where(radial, uy, ux)
+            theta = np.where(radial, th_r, th_t)
+            xn = xa + dx * theta
+            yn = ya + dy * theta
+            px[act] = xn
+            py[act] = yn
+            vn = dist = np.hypot(xn, yn)
         else:
-            hs = spec.heavy_sign(xa)
-            width = -2.0 * hs * lm
-            theta = np.where(u1 < p, hs * pareto, -hs * width * u2)
-        xn = xa + theta
-        if half:
-            xn = np.maximum(xn, 0.0)
-        maxx[act] = np.maximum(maxx[act], xn)
-        minx[act] = np.minimum(minx[act], xn)
-        if not half:
+            xa = x[act]
+            scale = y0 if two_sided else spec.heavy_sign(xa) * y0
+            xn = xa + _mixture(u1, u2, p, scale, e, spec.light_width(xa), two_sided)
+            if half:
+                xn = np.maximum(xn, 0.0)
+            x[act] = xn
+            vn = xn
+            dist = np.abs(xn) if signed else xn
+        maxl[act] = np.maximum(maxl[act], vn)
+        minl[act] = np.minimum(minl[act], vn)
+        if signed:
             flipped = (xn >= 0.0) != (xa >= 0.0)
             if flipped.any():
-                lf = last_flip[act]
-                lf[flipped] = nstep
-                last_flip[act] = lf
-            out = np.abs(xn) > m_level
-        else:
-            out = xn > m_level
+                last_flip[act[flipped]] = nstep
+        out = dist > m_level
         if out.any():
-            fe = first_exit[act]
-            fresh = out & (fe < 0)
-            fe[fresh] = nstep
-            first_exit[act] = fe
-            cp = crossed_pos[act]
-            cp |= xn > m_level
-            crossed_pos[act] = cp
-            if not half:
-                cn = crossed_neg[act]
-                cn |= xn < -m_level
-                crossed_neg[act] = cn
-        ret = (xn <= a) if half else (np.abs(xn) <= a)
-        x[act] = xn
-        if ret.any():
-            hit = act[ret]
-            tau[hit] = nstep
-            final[hit] = xn[ret]
-            act = act[~ret]
-    cens = tau < 0
-    final[cens] = x[cens]
-    return {
-        "index": idx, "tau": tau, "max": maxx, "min": minx, "final_x": final,
-        "crossed_pos": crossed_pos, "crossed_neg": crossed_neg,
-        "first_exit": first_exit, "last_flip": last_flip,
-    }
-
-
-def _plane_chunk(spec: ChainSpec, start: tuple, a: float, horizon: int,
-                 key: int, idx_lo: int, idx_hi: int, m_level: float) -> dict:
-    n = idx_hi - idx_lo
-    idx = np.arange(idx_lo, idx_hi, dtype=np.int64)
-    px = np.full(n, float(start[0]))
-    py = np.full(n, float(start[1]))
-    r = np.hypot(px, py)
-    tau = np.full(n, -1, dtype=np.int64)
-    maxr = r.copy()
-    minr = r.copy()
-    first_exit = np.full(n, -1, dtype=np.int64)
-    tau[r <= a] = 0
-    act = np.nonzero(r > a)[0]
-
-    pl = spec.plane
-    alpha = spec.tail.alpha
-    inv_a = -1.0 / alpha
-    p = spec.p_heavy
-    two_p = p + p
-    y0_r = spec.heavy_scale(pl.c_radial, alpha)
-    y0_t = spec.heavy_scale(pl.c_transverse, alpha)
-    width_r = 2.0 * p * y0_r * alpha / (alpha - 1.0) / (1.0 - p)
-
-    for nstep in range(1, horizon + 1):
-        if act.size == 0:
-            break
-        gid = idx[act]
-        base = 3 * (nstep - 1)
-        u0 = uniform_array(key, gid, base)
-        u1 = uniform_array(key, gid, base + 1)
-        u2 = np.maximum(uniform_array(key, gid, base + 2), _U_MIN)
-        radial = u0 < pl.p_radial
-        th_r = np.where(u1 < p, y0_r * u2 ** inv_a, -width_r * u2)
-        par_t = y0_t * u2 ** inv_a
-        th_t = np.where(u1 < p, par_t, np.where(u1 < two_p, -par_t, 0.0))
-        xa, ya = px[act], py[act]
-        ra = np.hypot(xa, ya)
-        safe = np.where(ra > 0.0, ra, 1.0)
-        ux = np.where(ra > 0.0, xa / safe, 1.0)
-        uy = np.where(ra > 0.0, ya / safe, 0.0)
-        # transverse unit vector: u rotated a quarter turn anticlockwise
-        dx = np.where(radial, ux, -uy)
-        dy = np.where(radial, uy, ux)
-        theta = np.where(radial, th_r, th_t)
-        xn = xa + dx * theta
-        yn = ya + dy * theta
-        rn = np.hypot(xn, yn)
-        maxr[act] = np.maximum(maxr[act], rn)
-        minr[act] = np.minimum(minr[act], rn)
-        out = rn > m_level
-        if out.any():
-            fe = first_exit[act]
-            fresh = out & (fe < 0)
-            fe[fresh] = nstep
-            first_exit[act] = fe
-        px[act] = xn
-        py[act] = yn
-        ret = rn <= a
+            first_exit[act[out & (first_exit[act] < 0)]] = nstep
+            if not plane:
+                crossed_pos[act] |= vn > m_level
+            if signed:
+                crossed_neg[act] |= vn < -m_level
+        ret = dist <= a
         if ret.any():
             tau[act[ret]] = nstep
             act = act[~ret]
-    return {
-        "index": idx, "tau": tau, "max": maxr, "min": minr,
-        "final_x": px, "final_y": py,
-        "crossed_pos": np.zeros(n, dtype=bool), "crossed_neg": np.zeros(n, dtype=bool),
-        "first_exit": first_exit, "last_flip": np.full(n, -1, dtype=np.int64),
-    }
-
-
-def _chunk_worker(args) -> dict:
-    spec, start, a, horizon, key, lo, hi, m_level, plane = args
+    batch = {"index": idx, "tau": tau, "max": maxl, "min": minl, "final_x": px if plane else x,
+             "crossed_pos": crossed_pos, "crossed_neg": crossed_neg,
+             "first_exit": first_exit, "last_flip": last_flip}
     if plane:
-        return _plane_chunk(spec, start, a, horizon, key, lo, hi, m_level)
-    return _scalar_chunk(spec, start, a, horizon, key, lo, hi, m_level)
+        batch["final_y"] = py
+    return batch
 
 
 def _simulate_batch(cfg: SimConfig, m_level: float = math.inf) -> dict:
-    """Run all trajectories, merging per-chunk arrays in index order."""
-    key = seed_key(cfg.master_seed)
-    plane = cfg.spec.regime == "plane"
-    w = min(cfg.workers, cfg.n_traj)
+    """Run all trajectories, merging per-chunk arrays in index order.
+
+    Results do not depend on the partition, so chunks never outnumber the
+    cores: more worker processes than cores only add overhead."""
+    w = min(cfg.workers, cfg.n_traj, os.cpu_count() or 1)
     bounds = [cfg.n_traj * i // w for i in range(w + 1)]
-    jobs = [(cfg.spec, cfg.start, cfg.a, cfg.horizon, key, bounds[i], bounds[i + 1],
-             m_level, plane) for i in range(w) if bounds[i + 1] > bounds[i]]
-    if len(jobs) <= 1 or cfg.workers == 1:
-        parts = [_chunk_worker(j) for j in jobs]
+    kernel = partial(_chunk, cfg, m_level)
+    if w == 1:
+        parts = [kernel(0, cfg.n_traj)]
     else:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as ex:
-            parts = list(ex.map(_chunk_worker, jobs))
+        with ProcessPoolExecutor(max_workers=w) as ex:
+            parts = list(ex.map(kernel, bounds[:-1], bounds[1:]))
     merged = {k: np.concatenate([p[k] for p in parts]) for k in parts[0]}
     merged["horizon"] = cfg.horizon
     merged["n_traj"] = cfg.n_traj
-    merged["plane"] = plane
+    merged["plane"] = cfg.spec.regime == "plane"
     return merged
 
 
 def _summaries_from_batch(batch: dict) -> list[TrajectorySummary]:
-    out = []
-    plane = batch["plane"]
-    for k in range(len(batch["index"])):
-        tau = int(batch["tau"][k])
-        cens = tau < 0
-        fe = int(batch["first_exit"][k])
-        lf = int(batch["last_flip"][k])
-        final = ((float(batch["final_x"][k]), float(batch["final_y"][k])) if plane
-                 else float(batch["final_x"][k]))
-        out.append(TrajectorySummary(
-            index=int(batch["index"][k]),
-            tau=None if cens else tau,
-            censored=cens,
-            max_excursion=float(batch["max"][k]),
-            min_excursion=float(batch["min"][k]),
-            final=final,
-            crossed_pos=bool(batch["crossed_pos"][k]),
-            crossed_neg=bool(batch["crossed_neg"][k]),
-            first_exit=None if fe < 0 else fe,
-            last_sign_change=None if lf < 0 else lf,
-        ))
-    return out
+    final = batch["final_x"].tolist()
+    if batch["plane"]:
+        final = list(zip(final, batch["final_y"].tolist()))
+    rows = zip(batch["index"].tolist(), batch["tau"].tolist(), batch["max"].tolist(),
+               batch["min"].tolist(), final, batch["crossed_pos"].tolist(),
+               batch["crossed_neg"].tolist(), batch["first_exit"].tolist(),
+               batch["last_flip"].tolist())
+    return [TrajectorySummary(index=k, tau=None if tau < 0 else tau, censored=tau < 0,
+                              max_excursion=hi, min_excursion=lo, final=f,
+                              crossed_pos=cp, crossed_neg=cn,
+                              first_exit=None if fe < 0 else fe,
+                              last_sign_change=None if lf < 0 else lf)
+            for k, tau, hi, lo, f, cp, cn, fe, lf in rows]
 
 
 def run_trajectories(cfg: SimConfig, m_level: float = math.inf) -> list[TrajectorySummary]:

@@ -101,9 +101,6 @@ def run_selftest(gamma_impl: Optional[Callable[[float], float]] = None,
 
     # closed forms vs adaptive quadrature (fixed representative points; the
     # randomized sweep lives in the acceptance suite)
-    def cf(name, p, q, x=None):
-        return _closed_form_with(gamma, name, p, q, x)
-
     cf_cases = {
         "positive_part": [(-0.5, 0.7, None), (-0.9, 1.5, None), (-0.2, -0.4, None)],
         "beta_const": [(0.5, 1.0, None), (-0.5, 0.3, None), (2.3, 0.1, None)],
@@ -114,7 +111,8 @@ def run_selftest(gamma_impl: Optional[Callable[[float], float]] = None,
     for name, cases in cf_cases.items():
         base = 1e-3 if name in ("negative_to", "negative_from") else 1e-6
         tol = max(base, 4.0 * quad_tol)   # a looser oracle loosens the comparison
-        pairs = [(cf(name, p, q, x), sf.closed_form_integral_quad(name, p, q, x, abs_tol=quad_tol))
+        pairs = [(sf.closed_form_integrals(name, p, q, x, gamma),
+                  sf.closed_form_integral_quad(name, p, q, x, abs_tol=quad_tol))
                  for p, q, x in cases]
         check(name, pairs, tol)
 
@@ -129,18 +127,3 @@ def run_selftest(gamma_impl: Optional[Callable[[float], float]] = None,
         anchors.append((nu_star(spec).nu_star, 2.0 * b - 3.0))
     check("nu_star_anchors", anchors, 1e-8)
     return results
-
-
-def _closed_form_with(gamma, name, p, q, x):
-    """closed_form_integrals with a caller-supplied gamma (fault injection)."""
-    if name == "positive_part":
-        return (1.0 - q) * gamma(1.0 - p - q) * gamma(p) / gamma(2.0 - q)
-    if name == "negative_to":
-        return (-x ** -q / q
-                + (p + q) * (p + q + 1.0) * gamma(p) * gamma(q) / gamma(p + q + 2.0) - 1.0 / p)
-    if name == "negative_from":
-        return -x ** -q / q + (1.0 - p) * gamma(1.0 - p - q) * gamma(q) / gamma(2.0 - p)
-    if name == "beta_const":
-        return (p + q) * gamma(p) * gamma(q) / gamma(p + q + 1.0) - 1.0 / p
-    return ((p + q) * (p + q + 1.0) * gamma(p - 1.0) * gamma(q + 1.0) / gamma(p + q + 2.0)
-            + q / p - 1.0 / (p - 1.0))

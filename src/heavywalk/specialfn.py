@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 from .errors import ConvergenceError, DivergentError, DomainError, PoleError
@@ -93,20 +92,6 @@ def rgamma(z: float) -> float:
     return 1.0 / gamma_real(z)
 
 
-def log_gamma(z: float) -> float:
-    """log Gamma(z) for z > 0."""
-    if z <= 0.0:
-        raise DomainError(f"log_gamma requires z > 0, got {z}")
-    if z < 0.5:
-        return math.log(math.pi / sinpi(z)) - log_gamma(1.0 - z)
-    y = z - 1.0
-    acc = _LANCZOS[0]
-    for i in range(1, len(_LANCZOS)):
-        acc += _LANCZOS[i] / (y + i)
-    t = y + _LANCZOS_G + 0.5
-    return 0.5 * math.log(2.0 * math.pi) + (y + 0.5) * math.log(t) - t + math.log(acc)
-
-
 # Bernoulli-number coefficients B_{2k}/(2k) of the digamma asymptotic series.
 _PSI_ASYMP = (
     1.0 / 12.0,
@@ -142,59 +127,35 @@ def digamma(z: float) -> float:
 # kappa coefficient functions
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class KappaArgs:
-    """Arguments of the kappa coefficient functions.
-
-    exponent is the tail exponent (alpha for kappa0, beta for kappa1/kappa2);
-    kappa0 also accepts exponent in (0, 1) for the planar half-exponent use.
-    """
-
-    exponent: float
-    nu: float
-
-
-def _as_args(exponent_or_args, nu=None) -> KappaArgs:
-    if isinstance(exponent_or_args, KappaArgs):
-        return exponent_or_args
-    return KappaArgs(float(exponent_or_args), float(nu))
-
-
-def kappa0(exponent_or_args, nu: float | None = None) -> float:
+def kappa0(a: float, nu: float) -> float:
     """(1 - nu) Gamma(a - nu) Gamma(1 - a) / Gamma(2 - nu) for a = exponent.
 
     Equals Gamma(a - nu) Gamma(1 - a) / Gamma(1 - nu) away from nu = 1; the
     displayed form is used because it is finite (zero) at nu = 1.
     """
-    args = _as_args(exponent_or_args, nu)
-    a, v = args.exponent, args.nu
     if not (0.0 < a < 2.0):
         raise DomainError(f"kappa0 exponent must be in (0,2), got {a}")
     if abs(a - 1.0) < _POLE_TOL:
         raise PoleError("kappa0 pole at exponent = 1")
-    if v >= a:
-        raise DomainError(f"kappa0 requires nu < exponent, got nu={v}, exponent={a}")
-    return (1.0 - v) * gamma_real(a - v) * gamma_real(1.0 - a) / gamma_real(2.0 - v)
+    if nu >= a:
+        raise DomainError(f"kappa0 requires nu < exponent, got nu={nu}, exponent={a}")
+    return (1.0 - nu) * gamma_real(a - nu) * gamma_real(1.0 - a) / gamma_real(2.0 - nu)
 
 
-def kappa0_alt(exponent_or_args, nu: float | None = None) -> float:
+def kappa0_alt(a: float, nu: float) -> float:
     """Gamma(a - nu) Gamma(1 - a) / Gamma(1 - nu): the reduced form of kappa0
     (agrees with kappa0 away from nu = 1, where this form has a 0 * inf)."""
-    args = _as_args(exponent_or_args, nu)
-    a, v = args.exponent, args.nu
-    return gamma_real(a - v) * gamma_real(1.0 - a) / gamma_real(1.0 - v)
+    return gamma_real(a - nu) * gamma_real(1.0 - a) / gamma_real(1.0 - nu)
 
 
-def kappa1(exponent_or_args, nu: float | None = None) -> float:
+def kappa1(b: float, nu: float) -> float:
     """-(1 - b + nu) Gamma(nu + 1) Gamma(1 - b) / Gamma(2 - b + nu) for
     b = exponent; equals -1 at nu = 0."""
-    args = _as_args(exponent_or_args, nu)
-    b, v = args.exponent, args.nu
     if not (1.0 < b < 2.0):
         raise DomainError(f"kappa1 exponent must be in (1,2), got {b}")
-    if v <= -1.0:
-        raise DomainError(f"kappa1 requires nu > -1, got {v}")
-    return -(1.0 - b + v) * gamma_real(v + 1.0) * gamma_real(1.0 - b) * rgamma(2.0 - b + v)
+    if nu <= -1.0:
+        raise DomainError(f"kappa1 requires nu > -1, got {nu}")
+    return -(1.0 - b + nu) * gamma_real(nu + 1.0) * gamma_real(1.0 - b) * rgamma(2.0 - b + nu)
 
 
 # Half-width of the nu ~ 0 band where the Gamma(nu) * O(nu) product in kappa2
@@ -213,23 +174,21 @@ def kappa2_slope_at_zero(beta: float) -> float:
     return math.pi * math.pi / (2.0 * s * s) - d1 * (EULER_GAMMA + digamma(beta) + 0.5 * d1)
 
 
-def kappa2(exponent_or_args, nu: float | None = None) -> float:
+def kappa2(b: float, nu: float) -> float:
     """Gamma(nu) (Gamma(b-nu)/Gamma(b) - (1-b+nu) Gamma(1-b)/Gamma(2-b+nu)).
 
     Within KAPPA2_GUARD of nu = 0 the continuity value pi*cot(pi*b) plus the
     first-order term is returned instead of the raw product.
     """
-    args = _as_args(exponent_or_args, nu)
-    b, v = args.exponent, args.nu
     if not (1.0 < b < 2.0):
         raise DomainError(f"kappa2 exponent must be in (1,2), got {b}")
-    if not (-1.0 < v < b):
-        raise DomainError(f"kappa2 requires -1 < nu < exponent, got nu={v}")
-    if abs(v) <= KAPPA2_GUARD:
-        return math.pi * cotpi(b) + v * kappa2_slope_at_zero(b)
-    bracket = gamma_real(b - v) / gamma_real(b) \
-        - (1.0 - b + v) * gamma_real(1.0 - b) * rgamma(2.0 - b + v)
-    return gamma_real(v) * bracket
+    if not (-1.0 < nu < b):
+        raise DomainError(f"kappa2 requires -1 < nu < exponent, got nu={nu}")
+    if abs(nu) <= KAPPA2_GUARD:
+        return math.pi * cotpi(b) + nu * kappa2_slope_at_zero(b)
+    bracket = gamma_real(b - nu) / gamma_real(b) \
+        - (1.0 - b + nu) * gamma_real(1.0 - b) * rgamma(2.0 - b + nu)
+    return gamma_real(nu) * bracket
 
 
 # ---------------------------------------------------------------------------
@@ -448,7 +407,8 @@ def _validate_cf(name: str, p: float, q: float, x: float | None) -> None:
         raise DomainError(f"unknown closed-form integral {name!r}; expected one of {_CF_NAMES}")
 
 
-def closed_form_integrals(name: str, p: float, q: float, x: float | None = None) -> float:
+def closed_form_integrals(name: str, p: float, q: float, x: float | None = None,
+                          gamma: Callable[[float], float] = gamma_real) -> float:
     """Closed-form value of the named tail integral (o(1) terms dropped for
     the x-dependent forms).
 
@@ -457,21 +417,23 @@ def closed_form_integrals(name: str, p: float, q: float, x: float | None = None)
     negative_from : integral_(1+1/x)^inf u^(p-1) (u-1)^(q-1) du
     beta_const    : lim_(x->1) integral_0^x u^(p-1) ((1-u)^(q-1) - 1) du
     beta_linear   : lim_(x->1) integral_0^x u^(p-2) ((1-u)^q + q u - 1) du
+
+    gamma replaces gamma_real; the selftest injects faults through it.
     """
     _validate_cf(name, p, q, x)
     if name == "positive_part":
-        return (1.0 - q) * gamma_real(1.0 - p - q) * gamma_real(p) / gamma_real(2.0 - q)
+        return (1.0 - q) * gamma(1.0 - p - q) * gamma(p) / gamma(2.0 - q)
     if name == "negative_to":
         return (-math.pow(x, -q) / q
-                + (p + q) * (p + q + 1.0) * gamma_real(p) * gamma_real(q) / gamma_real(p + q + 2.0)
+                + (p + q) * (p + q + 1.0) * gamma(p) * gamma(q) / gamma(p + q + 2.0)
                 - 1.0 / p)
     if name == "negative_from":
         return (-math.pow(x, -q) / q
-                + (1.0 - p) * gamma_real(1.0 - p - q) * gamma_real(q) / gamma_real(2.0 - p))
+                + (1.0 - p) * gamma(1.0 - p - q) * gamma(q) / gamma(2.0 - p))
     if name == "beta_const":
-        return (p + q) * gamma_real(p) * gamma_real(q) / gamma_real(p + q + 1.0) - 1.0 / p
+        return (p + q) * gamma(p) * gamma(q) / gamma(p + q + 1.0) - 1.0 / p
     # beta_linear
-    return ((p + q) * (p + q + 1.0) * gamma_real(p - 1.0) * gamma_real(q + 1.0) / gamma_real(p + q + 2.0)
+    return ((p + q) * (p + q + 1.0) * gamma(p - 1.0) * gamma(q + 1.0) / gamma(p + q + 2.0)
             + q / p - 1.0 / (p - 1.0))
 
 

@@ -86,6 +86,34 @@ def test_invalid_config_exits_2(tmp_path):
     assert main(["simulate", "--config", missing, "--out", str(tmp_path)]) == 2
 
 
+BAD_SHAPES = {
+    "seed_not_int": ("simulate", dict(HL, seed="abc")),
+    "top_level_list": ("classify", [HL]),
+    "steps_not_int": ("phase-diagram",
+                      dict(HL, grid={"param": "b", "min": 0.0, "max": 1.0, "steps": "x"})),
+    "plane_sweep_without_plane": ("phase-diagram",
+                                  dict(HL, grid={"param": "p_radial", "min": 0.1, "max": 0.9,
+                                                 "steps": 3})),
+    "horizon_not_int": ("simulate", dict(HL, sim=dict(HL["sim"], horizon="x"))),
+    "m_level_not_number": ("simulate", dict(HL, m_level="high")),
+    "pair_start_on_line": ("simulate", dict(HL, sim=dict(HL["sim"], start=[30.0, 0.0]))),
+    "param_not_string": ("phase-diagram",
+                         dict(HL, grid={"param": ["b"], "min": 0.0, "max": 1.0, "steps": 3})),
+    "verify_i_not_int": ("drift-verify", dict(HL, drift_verify={"i": "x", "nu": 0.5})),
+    "beta_light_sweep": ("phase-diagram",
+                         dict(HL, grid={"param": "beta_light", "min": 1.6, "max": 1.9,
+                                        "steps": 3})),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_SHAPES))
+def test_config_shape_errors_exit_2(tmp_path, capsys, case):
+    command, cfg = BAD_SHAPES[case]
+    assert main([command, "--config", write_config(tmp_path, cfg), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "Traceback" not in err
+
+
 def test_config_roundtrip_byte_stable(tmp_path):
     from heavywalk import ChainSpec
     spec = ChainSpec.from_json(HL)

@@ -5,7 +5,7 @@ import pytest
 
 from heavywalk import step
 from heavywalk.errors import DomainError, InsufficientDataError
-from heavywalk.montecarlo import (SimConfig, _simulate_batch, estimate_passage_tail,
+from heavywalk.montecarlo import (SimConfig, _chunk, _simulate_batch, estimate_passage_tail,
                                   moment_diagnostic, phase_diagnostic, run_trajectories,
                                   survival_curve, survival_grid)
 from heavywalk.rng import CounterStream, seed_key, uniform_array, uniform_at
@@ -94,6 +94,36 @@ def test_engine_matches_scalar_step_path_plane():
         assert batch["tau"][k] == (-1 if tau is None else tau)
         assert batch["final_x"][k] == pytest.approx(pos[0], abs=1e-10)
         assert batch["final_y"][k] == pytest.approx(pos[1], abs=1e-10)
+
+
+@pytest.mark.parametrize("spec", [line_out(gamma=0.1, b=1.0), line_in(beta=1.3, gamma=0.5, b=-0.5),
+                                  balanced(gamma=0.5, b=0.5)], ids=lambda s: s.regime)
+def test_engine_matches_scalar_step_path_with_drift(spec):
+    cfg = SimConfig(spec, start=30.0, a=10.0, horizon=300, n_traj=20, master_seed=5)
+    batch = _simulate_batch(cfg, m_level=60.0)
+    for k in range(20):
+        stream = CounterStream(5, k)
+        x = 30.0
+        tau = None
+        for n in range(1, 301):
+            x = step(spec, x, stream)
+            if abs(x) <= 10.0:
+                tau = n
+                break
+        assert batch["tau"][k] == (-1 if tau is None else tau)
+        assert batch["final_x"][k] == pytest.approx(x, abs=1e-12)
+
+
+@pytest.mark.parametrize("spec, start", [(balanced(gamma=0.5, b=0.5), 30.0),
+                                         (plane(p_radial=0.7), (30.0, 0.0))],
+                         ids=["line_balanced", "plane"])
+def test_chunk_partition_is_invisible(spec, start):
+    # uneven chunk bounds, whatever the number of cores _simulate_batch may use
+    cfg = SimConfig(spec, start=start, a=10.0, horizon=500, n_traj=600, master_seed=11)
+    whole = _chunk(cfg, 60.0, 0, 600)
+    parts = [_chunk(cfg, 60.0, lo, hi) for lo, hi in ((0, 7), (7, 300), (300, 600))]
+    for k, v in whole.items():
+        assert np.array_equal(np.concatenate([p[k] for p in parts]), v)
 
 
 @pytest.mark.parametrize("workers", [2, 4, 16])
@@ -249,3 +279,15 @@ def test_sim_config_validation():
         SimConfig(half_line(), start=20.0, a=10.0, horizon=10, n_traj=0, master_seed=1)
     cfg = SimConfig(plane(), start=25.0, a=10.0, horizon=10, n_traj=2, master_seed=1)
     assert cfg.start == (25.0, 0.0)
+
+
+def test_sim_config_rejects_counter_overflow():
+    # a trajectory's counter has 32 bits: 2 uniforms per step on the line and
+    # 3 in the plane, and at most 2^32 trajectory indices
+    kw = dict(start=20.0, a=10.0)
+    SimConfig(half_line(), horizon=2 ** 31, n_traj=2 ** 32, **kw)
+    SimConfig(plane(), horizon=2 ** 32 // 3, n_traj=1, **kw)
+    for spec, horizon, n_traj in ((half_line(), 2 ** 31 + 1, 1), (plane(), 2 ** 32 // 3 + 1, 1),
+                                  (half_line(), 10, 2 ** 32 + 1)):
+        with pytest.raises(DomainError):
+            SimConfig(spec, horizon=horizon, n_traj=n_traj, **kw)

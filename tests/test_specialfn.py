@@ -50,13 +50,6 @@ def test_rgamma_zero_at_poles():
     assert sf.rgamma(2.0) == pytest.approx(1.0)
 
 
-def test_log_gamma_matches_gamma():
-    for z in (0.3, 1.7, 6.2, 24.0):
-        assert sf.log_gamma(z) == pytest.approx(math.log(abs(sf.gamma_real(z))), rel=1e-12)
-    with pytest.raises(DomainError):
-        sf.log_gamma(-1.5)
-
-
 def test_digamma_recurrence_psi2_minus_psi1():
     assert sf.digamma(2.0) - sf.digamma(1.0) == pytest.approx(1.0, abs=1e-12)
 
@@ -183,11 +176,6 @@ def test_kappa_domain_errors():
         sf.kappa1(1.5, -1.5)
     with pytest.raises(DomainError):
         sf.kappa2(1.5, 1.7)
-
-
-def test_kappa_args_dataclass_form():
-    args = sf.KappaArgs(exponent=1.5, nu=0.5)
-    assert sf.kappa0(args) == sf.kappa0(1.5, 0.5)
 
 
 # ---------------------------------------------------------------------------
