@@ -47,7 +47,7 @@ def spec_from_config(cfg: dict) -> ChainSpec:
         raise ConfigError("missing required field", field="regime")
     try:
         return ChainSpec.from_json({k: cfg[k] for k in _SPEC_KEYS if k in cfg})
-    except (KeyError, TypeError, ValueError, HeavywalkError) as ex:
+    except (KeyError, TypeError, ValueError, OverflowError, HeavywalkError) as ex:
         raise ConfigError(str(ex), field="spec")
 
 
@@ -66,7 +66,7 @@ def sim_from_config(cfg: dict, spec: ChainSpec, seed: int, workers: int) -> SimC
                          master_seed=seed, workers=workers)
     except KeyError as ex:
         raise ConfigError(f"missing field {ex}", field="sim")
-    except (TypeError, ValueError, HeavywalkError) as ex:
+    except (TypeError, ValueError, OverflowError, HeavywalkError) as ex:
         raise ConfigError(str(ex), field="sim")
 
 
@@ -107,7 +107,7 @@ def cmd_drift_verify(cfg: dict, out: Path, seed: int, workers: int) -> int:
         nu = float(d["nu"])
         grid = np.geomspace(float(d.get("x_min", 1e2)), float(d.get("x_max", 1e5)),
                             int(d.get("points", 4)))
-    except (KeyError, TypeError, ValueError) as ex:
+    except (KeyError, TypeError, ValueError, OverflowError) as ex:
         raise ConfigError(f"missing or malformed field: {ex}", field="drift_verify")
     rep = verify_expansion(spec, i, nu, list(grid))
     path = out / "drift_report.csv"
@@ -128,7 +128,7 @@ def cmd_simulate(cfg: dict, out: Path, seed: int, workers: int) -> int:
     sim = sim_from_config(cfg, spec, seed, workers)
     try:
         m_level = float(cfg.get("m_level", math.inf))
-    except (TypeError, ValueError) as ex:
+    except (TypeError, ValueError, OverflowError) as ex:
         raise ConfigError(str(ex), field="m_level")
     batch = _simulate_batch(sim, m_level)
 
@@ -163,7 +163,7 @@ def cmd_simulate(cfg: dict, out: Path, seed: int, workers: int) -> int:
         "spec": spec.to_json(),
         "sim": sim.to_json(),
         "master_seed": sim.master_seed,
-        "workers": sim.workers,
+        "workers": batch["workers"],
         "m_level": None if math.isinf(m_level) else m_level,
         "outputs": [traj_path.name, surv_path.name],
     }
@@ -189,7 +189,7 @@ def cmd_phase_diagram(cfg: dict, out: Path, seed: int, workers: int) -> int:
         names = [str(ax["param"]) for ax in axes]
     except KeyError as ex:
         raise ConfigError(f"axis missing {ex}", field="grid")
-    except (TypeError, ValueError) as ex:
+    except (TypeError, ValueError, OverflowError) as ex:
         raise ConfigError(f"malformed axis: {ex}", field="grid")
     for name, g in zip(names, grids):
         if len(g) < 2:
@@ -209,7 +209,7 @@ def cmd_phase_diagram(cfg: dict, out: Path, seed: int, workers: int) -> int:
                 obj[name] = val
         try:
             return ChainSpec.from_json(obj)
-        except (KeyError, TypeError, ValueError) as ex:
+        except (KeyError, TypeError, ValueError, OverflowError) as ex:
             raise ConfigError(f"cannot build a spec at {point}: {ex!r}", field="grid")
 
     points = [dict(zip(names, [float(v)])) for v in grids[0]] if len(axes) == 1 else [
@@ -277,7 +277,7 @@ def main(argv=None) -> int:
             seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
             workers = args.workers if args.workers is not None else int(cfg.get("workers", 1))
             out = Path(args.out if args.out is not None else cfg.get("out", "."))
-        except (TypeError, ValueError) as ex:
+        except (TypeError, ValueError, OverflowError) as ex:
             raise ConfigError(f"seed, workers and out: {ex}")
         out.mkdir(parents=True, exist_ok=True)
         return _COMMANDS[args.command](cfg, out, seed, workers)

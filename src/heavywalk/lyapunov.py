@@ -211,6 +211,8 @@ def verify_expansion(spec: ChainSpec, i: int, nu: float, x_grid: Sequence[float]
     _check_regime_i(spec, i)
     _check_lemma_range(spec, i, nu)
     xs = [float(x) for x in x_grid]
+    if not xs:
+        raise DomainError("x_grid must not be empty")
     if any(b <= a for a, b in zip(xs[:-1], xs[1:])):
         raise DomainError("x_grid must be increasing")
     if nu == 0.0:

@@ -3,15 +3,18 @@
 Trajectories are independent units of work: trajectory k draws its uniforms
 from the counter stream (master_seed, k), so any partition of the index
 range over workers produces bit-identical results.  The engine runs chunks
-of trajectories in vectorized lockstep; the scalar step() path in
-`increments` consumes the same streams and agrees with it: the same return
-times, and states equal to rounding (vectorized and scalar powers may differ
-in the last bit).
+of trajectories in vectorized lockstep on compacted live columns: each step
+touches only the trajectories still out, and draws exactly one uniform per
+draw counter for each of them (draws_per_step * sum(min(tau, horizon))
+uniforms in all).  The scalar step() path in `increments` consumes the same
+streams and agrees with it: the same return times, and states equal to
+rounding (vectorized and scalar powers may differ in the last bit).
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -41,6 +44,11 @@ class SimConfig:
     workers: int = 1
 
     def __post_init__(self):
+        for name in ("horizon", "n_traj", "workers"):
+            v = getattr(self, name)
+            if not isinstance(v, numbers.Integral) or isinstance(v, bool):
+                raise DomainError(f"{name} must be an integer, got {v!r}")
+            object.__setattr__(self, name, int(v))
         if self.horizon < 0:
             raise DomainError("horizon must be >= 0")
         if self.n_traj < 1:
@@ -119,14 +127,15 @@ class PhaseDiagnostic:
 # vectorized chunk kernel
 # ---------------------------------------------------------------------------
 
-def _mixture(u1: np.ndarray, u2: np.ndarray, p: float, scale, exponent: float, light,
+def _mixture(u1: np.ndarray, u2: np.ndarray, pw: np.ndarray, p: float, scale, light,
              two_sided: bool) -> np.ndarray:
     """Increments of the canonical mixture, the order build_law and the plane
     laws use: a Pareto side of weight p with signed support point `scale`,
     then (two_sided) its mirror image with weight p, then a uniform on
     (0, light), `light` a signed width, with the remaining weight.  u1 picks
-    the component and u2 (clipped away from 0) inverts its CDF."""
-    pareto = scale * u2 ** (-1.0 / exponent)
+    the component and u2 (clipped away from 0) inverts its CDF; pw is
+    u2 ** (-1 / exponent), the Pareto quantile at support point 1."""
+    pareto = scale * pw
     if two_sided:
         return np.where(u1 < p, pareto, np.where(u1 < p + p, -pareto, light * u2))
     return np.where(u1 < p, pareto, light * u2)
@@ -135,104 +144,133 @@ def _mixture(u1: np.ndarray, u2: np.ndarray, p: float, scale, exponent: float, l
 def _law_constants(law: IncrementLaw) -> tuple:
     """_mixture's constants for a state-independent law."""
     heavy, light = law.components[0], law.components[-1].kind
-    return (heavy.weight, heavy.kind.sign * heavy.kind.scale, heavy.kind.exponent,
-            light.sign * light.width, isinstance(law.components[1].kind, HeavyPareto))
+    return (heavy.weight, heavy.kind.sign * heavy.kind.scale, light.sign * light.width,
+            isinstance(law.components[1].kind, HeavyPareto))
 
 
 def _chunk(cfg: SimConfig, m_level: float, lo: int, hi: int) -> dict:
     """Trajectories lo..hi-1 of cfg in vectorized lockstep.
 
     The tracked level is x on the line and the radius in the plane; step n
-    draws the uniforms with counters draws_per_step * (n - 1) + j.  Sign
-    flips and crossings of -m_level exist only on the whole line, and
-    crossings of +m_level only off the plane."""
+    draws the uniforms with counters draws_per_step * (n - 1) + j, for
+    exactly the trajectories still out at step n: one draw per live
+    trajectory-step.  Each step works on compacted live columns (trajectory
+    index, state, running max and min, and the exit, crossing and flip
+    columns where they can fire); a trajectory's columns are written to the
+    batch once, when it returns or at the horizon.  Sign flips and crossings
+    of -m_level exist only on the whole line, crossings of +m_level only off
+    the plane, and none of the exit work is done when m_level is inf."""
     spec, a = cfg.spec, cfg.a
     key = seed_key(cfg.master_seed)
     dps = cfg.draws_per_step
     n = hi - lo
-    idx = np.arange(lo, hi, dtype=np.int64)
     plane = spec.regime == "plane"
     half = spec.regime == "half_line"
     signed = not (plane or half)
+    exits = m_level < math.inf
+    # the Pareto quantile's power; every plane law's heavy exponent is alpha
+    power = -1.0 / spec.heavy_exponent
     if plane:
-        px = np.full(n, float(cfg.start[0]))
-        py = np.full(n, float(cfg.start[1]))
-        level = np.hypot(px, py)
         radial_law = _law_constants(plane_radial_law(spec))
         transverse_law = _law_constants(plane_transverse_law(spec))
+        start = {"final_x": np.full(n, float(cfg.start[0])),
+                 "final_y": np.full(n, float(cfg.start[1]))}
+        level = np.hypot(*start.values())
     else:
-        x = np.full(n, float(cfg.start))
-        level = x
-        p, y0, e = spec.p_heavy, spec.heavy_scale(), spec.heavy_exponent
+        p, y0 = spec.p_heavy, spec.heavy_scale()
         two_sided = spec.regime == "line_balanced"
-    tau = np.full(n, -1, dtype=np.int64)
-    maxl = level.copy()
-    minl = level.copy()
-    crossed_pos = np.zeros(n, dtype=bool)
-    crossed_neg = np.zeros(n, dtype=bool)
-    first_exit = np.full(n, -1, dtype=np.int64)
-    last_flip = np.full(n, -1, dtype=np.int64)
+        # the heavy side's direction depends only on the sign of x, and so does
+        # the light width when b = 0: (value at x >= 0, value at x < 0)
+        scale = (y0, y0) if two_sided else tuple(float(spec.heavy_sign(s)) * y0
+                                                for s in (1.0, -1.0))
+        light = None
+        if spec.drift.b == 0.0:
+            light = tuple(float(spec.light_width(s)) for s in (1.0, -1.0))
+        start = {"final_x": np.full(n, float(cfg.start))}
+        level = start["final_x"]
+    batch = {"index": np.arange(lo, hi, dtype=np.int64), "tau": np.full(n, -1, dtype=np.int64),
+             "max": level.copy(), "min": level.copy(), "final_x": start["final_x"],
+             "crossed_pos": np.zeros(n, dtype=bool), "crossed_neg": np.zeros(n, dtype=bool),
+             "first_exit": np.full(n, -1, dtype=np.int64),
+             "last_flip": np.full(n, -1, dtype=np.int64), **start}
 
     returned0 = (np.abs(level) if signed else level) <= a
-    tau[returned0] = 0
-    act = np.nonzero(~returned0)[0]
+    batch["tau"][returned0] = 0
+    keep = np.flatnonzero(~returned0)
+    names = ["index", "max", "min", *start] + [
+        k for k, fires in (("first_exit", exits), ("crossed_pos", exits and not plane),
+                           ("crossed_neg", exits and signed), ("last_flip", signed)) if fires]
+    live = {k: batch[k][keep] for k in names}
+    if plane:
+        live["radius"] = level[keep]
+
+    def settle(sel) -> None:
+        """Write the live columns at positions sel back to the batch."""
+        at = live["index"][sel] - lo
+        for k in names[1:]:
+            batch[k][at] = live[k][sel]
 
     for nstep in range(1, cfg.horizon + 1):
-        if act.size == 0:
+        gid = live["index"]
+        if gid.size == 0:
             break
-        gid = idx[act]
         base = dps * (nstep - 1)
         u = [uniform_array(key, gid, base + j) for j in range(dps)]
-        u1, u2 = u[-2], np.maximum(u[-1], _U_MIN)
+        u1, u2 = u[-2], np.maximum(u[-1], _U_MIN, out=u[-1])
+        pw = u2 ** power
+        x = live["final_x"]
         if plane:
+            y, r = live["final_y"], live["radius"]
             radial = u[0] < spec.plane.p_radial
-            th_r = _mixture(u1, u2, *radial_law)
-            th_t = _mixture(u1, u2, *transverse_law)
-            xa, ya = px[act], py[act]
-            ra = np.hypot(xa, ya)
-            safe = np.where(ra > 0.0, ra, 1.0)
-            ux = np.where(ra > 0.0, xa / safe, 1.0)
-            uy = np.where(ra > 0.0, ya / safe, 0.0)
+            th_r = _mixture(u1, u2, pw, *radial_law)
+            th_t = _mixture(u1, u2, pw, *transverse_law)
+            # the origin (r = 0) is live only when a < 0: step along the x axis
+            off = r > 0.0
+            safe = np.where(off, r, 1.0)
+            ux = np.where(off, x / safe, 1.0)
+            uy = np.where(off, y / safe, 0.0)
             # transverse unit vector: u rotated a quarter turn anticlockwise
-            dx = np.where(radial, ux, -uy)
-            dy = np.where(radial, uy, ux)
             theta = np.where(radial, th_r, th_t)
-            xn = xa + dx * theta
-            yn = ya + dy * theta
-            px[act] = xn
-            py[act] = yn
-            vn = dist = np.hypot(xn, yn)
+            x += np.where(radial, ux, -uy) * theta
+            y += np.where(radial, uy, ux) * theta
+            # carried to the next step: the same hypot of the same inputs
+            vn = dist = live["radius"] = np.hypot(x, y)
         else:
-            xa = x[act]
-            scale = y0 if two_sided else spec.heavy_sign(xa) * y0
-            xn = xa + _mixture(u1, u2, p, scale, e, spec.light_width(xa), two_sided)
-            if half:
-                xn = np.maximum(xn, 0.0)
-            x[act] = xn
-            vn = xn
-            dist = np.abs(xn) if signed else xn
-        maxl[act] = np.maximum(maxl[act], vn)
-        minl[act] = np.minimum(minl[act], vn)
-        if signed:
-            flipped = (xn >= 0.0) != (xa >= 0.0)
-            if flipped.any():
-                last_flip[act[flipped]] = nstep
-        out = dist > m_level
-        if out.any():
-            first_exit[act[out & (first_exit[act] < 0)]] = nstep
-            if not plane:
-                crossed_pos[act] |= vn > m_level
             if signed:
-                crossed_neg[act] |= vn < -m_level
+                neg = x < 0.0
+            if light is None:
+                lw = spec.light_width(x)
+            else:
+                lw = np.where(neg, light[1], light[0]) if signed else light[0]
+            sc = np.where(neg, scale[1], scale[0]) if signed and not two_sided else scale[0]
+            x += _mixture(u1, u2, pw, p, sc, lw, two_sided)
+            if half:
+                np.maximum(x, 0.0, out=x)
+            vn = x
+            dist = np.abs(x) if signed else x
+        np.maximum(live["max"], vn, out=live["max"])
+        np.minimum(live["min"], vn, out=live["min"])
+        if signed:
+            # states are finite, so x < 0 is the negation of x >= 0
+            live["last_flip"][(x < 0.0) != neg] = nstep
+        if exits:
+            out = dist > m_level
+            if out.any():
+                fe = live["first_exit"]
+                fe[out & (fe < 0)] = nstep
+                if not plane:
+                    live["crossed_pos"] |= vn > m_level
+                if signed:
+                    live["crossed_neg"] |= vn < -m_level
         ret = dist <= a
         if ret.any():
-            tau[act[ret]] = nstep
-            act = act[~ret]
-    batch = {"index": idx, "tau": tau, "max": maxl, "min": minl, "final_x": px if plane else x,
-             "crossed_pos": crossed_pos, "crossed_neg": crossed_neg,
-             "first_exit": first_exit, "last_flip": last_flip}
-    if plane:
-        batch["final_y"] = py
+            sel = np.flatnonzero(ret)
+            batch["tau"][gid[sel] - lo] = nstep
+            settle(sel)
+            keep = np.flatnonzero(~ret)
+            for k in live:
+                live[k] = live[k][keep]
+    settle(slice(None))
     return batch
 
 
@@ -240,7 +278,8 @@ def _simulate_batch(cfg: SimConfig, m_level: float = math.inf) -> dict:
     """Run all trajectories, merging per-chunk arrays in index order.
 
     Results do not depend on the partition, so chunks never outnumber the
-    cores: more worker processes than cores only add overhead."""
+    cores: more worker processes than cores only add overhead.  "workers" is
+    the number of chunks (and processes) actually used."""
     w = min(cfg.workers, cfg.n_traj, os.cpu_count() or 1)
     bounds = [cfg.n_traj * i // w for i in range(w + 1)]
     kernel = partial(_chunk, cfg, m_level)
@@ -252,6 +291,7 @@ def _simulate_batch(cfg: SimConfig, m_level: float = math.inf) -> dict:
     merged = {k: np.concatenate([p[k] for p in parts]) for k in parts[0]}
     merged["horizon"] = cfg.horizon
     merged["n_traj"] = cfg.n_traj
+    merged["workers"] = w
     merged["plane"] = cfg.spec.regime == "plane"
     return merged
 

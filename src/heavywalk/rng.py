@@ -40,19 +40,35 @@ def uniform_at(key: int, traj: int, counter: int) -> float:
     return (h >> 11) * _INV_2_53
 
 
+_U30, _U27, _U31, _U11 = (np.uint64(k) for k in (30, 27, 31, 11))
+_UM1, _UM2 = np.uint64(_M1), np.uint64(_M2)
+# the stream word ((traj << 32) | counter) * PHI + key, split into a
+# trajectory part and a counter part: exact because counter < 2^32 (SimConfig
+# enforces it), so the or is a sum
+_UPHI32 = np.uint64((_PHI << 32) & _MASK)
+
+
 def _mix_vec(z: np.ndarray) -> np.ndarray:
-    z = z ^ (z >> np.uint64(30))
-    z = z * np.uint64(_M1)
-    z = z ^ (z >> np.uint64(27))
-    z = z * np.uint64(_M2)
-    return z ^ (z >> np.uint64(31))
+    """_mix_int in place on a uint64 array."""
+    z ^= z >> _U30
+    z *= _UM1
+    z ^= z >> _U27
+    z *= _UM2
+    z ^= z >> _U31
+    return z
 
 
 def uniform_array(key: int, traj: np.ndarray, counter: int) -> np.ndarray:
-    """Vectorized uniform_at over an int64 array of trajectory indices."""
-    z = (traj.astype(np.uint64) << np.uint64(32)) | np.uint64(counter)
-    h = _mix_vec(_mix_vec(z * np.uint64(_PHI) + np.uint64(key)))
-    return (h >> np.uint64(11)).astype(np.float64) * _INV_2_53
+    """Vectorized uniform_at over an int64 array of trajectory indices, for a
+    counter below 2^32 (the low half of the stream word)."""
+    z = traj.astype(np.uint64)
+    z *= _UPHI32
+    z += np.uint64((counter * _PHI + key) & _MASK)
+    h = _mix_vec(_mix_vec(z))
+    h >>= _U11
+    u = h.astype(np.float64)
+    u *= _INV_2_53
+    return u
 
 
 class CounterStream:

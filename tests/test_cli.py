@@ -1,7 +1,13 @@
+import contextlib
+import io
 import json
 import math
+import os
+import tempfile
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from heavywalk.cli import main
 from heavywalk.selftest import run_selftest
@@ -114,6 +120,50 @@ def test_config_shape_errors_exit_2(tmp_path, capsys, case):
     assert err.startswith("config error:") and "Traceback" not in err
 
 
+# every config field a command reads, as a path into the config object
+FUZZ_BASE = dict(HL, gamma=0.5, m_level=60.0,
+                 sim={"a": 10.0, "start": 30.0, "horizon": 20, "n_traj": 8},
+                 grid={"param": "b", "min": 0.0, "max": 1.0, "steps": 3},
+                 drift_verify={"i": 0, "nu": 0.5, "x_min": 100, "x_max": 1000, "points": 2},
+                 plane={"p_radial": 0.9, "c_radial": 1.0, "c_transverse": 1.0},
+                 seed=1, workers=1)
+FUZZ_FIELDS = [(k,) for k in FUZZ_BASE] + [
+    (section, k) for section in ("sim", "grid", "drift_verify", "plane") for k in FUZZ_BASE[section]]
+# no value here is a valid count above the base config's, so every run stays tiny
+JUNK = st.one_of(st.text(max_size=4), st.lists(st.integers(-2, 2), max_size=3),
+                 st.dictionaries(st.text(max_size=2), st.integers(-2, 2), max_size=2),
+                 st.none(), st.booleans(),
+                 st.sampled_from([-1, 0, 0.5, -0.5, 1e300, -1e300, 2 ** 64, -2 ** 63,
+                                  math.inf, -math.inf, math.nan]))
+
+
+@settings(max_examples=50, deadline=None)
+# found by this test: an infinite count raised OverflowError, an empty drift grid IndexError
+@example("simulate", [(("sim", "horizon"), math.inf)], "half_line")
+@example("drift-verify", [(("drift_verify", "points"), False)], "half_line")
+@given(st.sampled_from(["classify", "nu-star", "drift-verify", "simulate", "phase-diagram"]),
+       st.lists(st.tuples(st.sampled_from(FUZZ_FIELDS), JUNK), min_size=1, max_size=2),
+       st.sampled_from(["half_line", "line_in", "plane"]))
+def test_fuzzed_config_exits_0_or_2(command, edits, regime):
+    cfg = json.loads(json.dumps(FUZZ_BASE))
+    cfg["regime"] = regime
+    if regime == "line_in":
+        cfg.update(alpha=2.5, beta=1.3)
+    for (*section, key), value in edits:
+        node = cfg[section[0]] if section else cfg
+        if isinstance(node, dict):   # not a section an earlier edit replaced
+            node[key] = value
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()):
+        path = os.path.join(tmp, "config.json")
+        with open(path, "w") as fh:
+            json.dump(cfg, fh)
+        rc = main([command, "--config", path, "--out", tmp])
+    assert rc in (0, 2)
+    assert "Traceback" not in err.getvalue()
+
+
 def test_config_roundtrip_byte_stable(tmp_path):
     from heavywalk import ChainSpec
     spec = ChainSpec.from_json(HL)
@@ -128,10 +178,13 @@ def test_config_roundtrip_byte_stable(tmp_path):
 
 def test_simulate_outputs_and_manifest(tmp_path):
     rc = main(["simulate", "--config", write_config(tmp_path, HL), "--seed", "5",
-               "--out", str(tmp_path)])
+               "--workers", "3", "--out", str(tmp_path)])
     assert rc == 0
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert manifest["master_seed"] == 5
+    # the processes that ran, never more than the cores; sim keeps the request
+    assert manifest["workers"] == min(3, HL["sim"]["n_traj"], os.cpu_count() or 1)
+    assert manifest["sim"]["workers"] == 3
     assert manifest["spec"]["regime"] == "half_line"
     assert set(manifest["outputs"]) == {"trajectories.csv", "survival.csv"}
     header = (tmp_path / "trajectories.csv").read_text().splitlines()[0]

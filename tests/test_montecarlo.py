@@ -19,8 +19,9 @@ from conftest import balanced, half_line, line_in, line_out, plane
 
 def test_rng_scalar_vector_agreement():
     key = seed_key(42)
-    idx = np.array([0, 1, 5, 1000, 2 ** 20], dtype=np.int64)
-    for ctr in (0, 1, 77, 199_999):
+    # up to the top of both 32-bit fields of the stream word
+    idx = np.array([0, 1, 5, 1000, 2 ** 20, 2 ** 32 - 1], dtype=np.int64)
+    for ctr in (0, 1, 77, 199_999, 2 ** 32 - 1):
         vec = uniform_array(key, idx, ctr)
         assert list(vec) == [uniform_at(key, int(i), ctr) for i in idx]
 
@@ -136,6 +137,33 @@ def test_worker_count_is_invisible(workers):
     b2 = _simulate_batch(alt)
     for k in ("tau", "max", "min", "final_x", "first_exit", "last_flip"):
         assert np.array_equal(b1[k], b2[k])
+
+
+@pytest.mark.parametrize("m_level", [math.inf, 60.0], ids=["inf", "finite"])
+@pytest.mark.parametrize("spec, start", [(half_line(), 30.0), (line_out(gamma=0.1, b=1.0), -30.0),
+                                         (line_in(gamma=1.0), 30.0), (balanced(), 30.0),
+                                         (plane(p_radial=0.7), (30.0, 0.0))],
+                         ids=["half_line", "line_out", "line_in", "line_balanced", "plane"])
+def test_one_draw_per_live_trajectory_step(monkeypatch, spec, start, m_level):
+    # the engine calls uniform_array once per draw of each step, with counter
+    # draws_per_step * (n - 1) + j, on exactly the trajectories live at step n
+    calls = []
+
+    def counted(key, traj, counter):
+        calls.append((counter, traj.copy()))
+        return uniform_array(key, traj, counter)
+
+    monkeypatch.setattr("heavywalk.montecarlo.uniform_array", counted)
+    cfg = SimConfig(spec, start=start, a=10.0, horizon=300, n_traj=40, master_seed=19)
+    batch = _simulate_batch(cfg, m_level)
+    dps = cfg.draws_per_step
+    ran = np.where(batch["tau"] < 0, cfg.horizon, batch["tau"])
+    assert sum(len(t) for _, t in calls) == dps * int(ran.sum())
+    assert len(calls) == dps * int(ran.max())
+    for i, (counter, traj) in enumerate(calls):
+        step = i // dps + 1
+        assert counter == dps * (step - 1) + i % dps
+        assert np.array_equal(traj, np.flatnonzero(ran >= step))
 
 
 def test_seed_changes_output():
@@ -291,3 +319,16 @@ def test_sim_config_rejects_counter_overflow():
                                   (half_line(), 10, 2 ** 32 + 1)):
         with pytest.raises(DomainError):
             SimConfig(spec, horizon=horizon, n_traj=n_traj, **kw)
+
+
+def test_sim_config_rejects_non_integers():
+    kw = dict(start=20.0, a=10.0)
+    cfg = SimConfig(half_line(), horizon=np.int64(10), n_traj=np.int32(4), workers=np.uint8(2), **kw)
+    assert (cfg.horizon, cfg.n_traj, cfg.workers) == (10, 4, 2)
+    assert type(cfg.horizon) is int
+    for field in ("horizon", "n_traj", "workers"):
+        for bad in (10.5, 4.0, "10", None, True, np.float64(3.0)):
+            args = dict(horizon=10, n_traj=4, workers=1, **kw)
+            args[field] = bad
+            with pytest.raises(DomainError):
+                SimConfig(half_line(), **args)
