@@ -51,6 +51,17 @@ def spec_from_config(cfg: dict) -> ChainSpec:
         raise ConfigError(str(ex), field="spec")
 
 
+def _integer(value) -> int:
+    """A count from the config: an int, or a float with an integral value
+    (1e5).  Booleans, fractions and non-numbers raise ValueError, so a run
+    never uses a count other than the one its config states."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ValueError(f"expected an integer, got {value!r}")
+
+
 def sim_from_config(cfg: dict, spec: ChainSpec, seed: int, workers: int) -> SimConfig:
     sim = cfg.get("sim")
     if not isinstance(sim, dict):
@@ -62,7 +73,7 @@ def sim_from_config(cfg: dict, spec: ChainSpec, seed: int, workers: int) -> SimC
         else:
             start = float(start)
         return SimConfig(spec=spec, start=start, a=float(sim["a"]),
-                         horizon=int(sim["horizon"]), n_traj=int(sim["n_traj"]),
+                         horizon=_integer(sim["horizon"]), n_traj=_integer(sim["n_traj"]),
                          master_seed=seed, workers=workers)
     except KeyError as ex:
         raise ConfigError(f"missing field {ex}", field="sim")
@@ -103,10 +114,10 @@ def cmd_drift_verify(cfg: dict, out: Path, seed: int, workers: int) -> int:
         raise ConfigError("missing drift_verify section {i, nu, x_min, x_max, points}",
                           field="drift_verify")
     try:
-        i = int(d["i"])
+        i = _integer(d["i"])
         nu = float(d["nu"])
         grid = np.geomspace(float(d.get("x_min", 1e2)), float(d.get("x_max", 1e5)),
-                            int(d.get("points", 4)))
+                            _integer(d.get("points", 4)))
     except (KeyError, TypeError, ValueError, OverflowError) as ex:
         raise ConfigError(f"missing or malformed field: {ex}", field="drift_verify")
     rep = verify_expansion(spec, i, nu, list(grid))
@@ -118,7 +129,9 @@ def cmd_drift_verify(cfg: dict, out: Path, seed: int, workers: int) -> int:
             w.writerow([row["x"], row["numeric"], row["predicted"], row["normalized_error"]])
     summary = {"i": i, "nu": nu, "coefficient": rep.coefficient, "converged": rep.converged,
                "final_normalized_error": rep.normalized_error[-1]}
-    _write_json(out / "drift_report.json", summary)
+    quadrature = [{"x": x, "panels": p, "max_depth": d}
+                  for x, p, d in zip(rep.x_grid, rep.panels, rep.max_depth)]
+    _write_json(out / "drift_report.json", dict(summary, quadrature=quadrature))
     print(json.dumps(summary, sort_keys=True))
     return 0
 
@@ -185,7 +198,8 @@ def cmd_phase_diagram(cfg: dict, out: Path, seed: int, workers: int) -> int:
         raise ConfigError("one sweep axis, or a list of at most two", field="grid")
     sweepable = {"alpha", "beta", "c", "gamma", "b", "p_heavy", "x0", *_PLANE_KEYS}
     try:
-        grids = [np.linspace(float(ax["min"]), float(ax["max"]), int(ax["steps"])) for ax in axes]
+        grids = [np.linspace(float(ax["min"]), float(ax["max"]), _integer(ax["steps"]))
+                 for ax in axes]
         names = [str(ax["param"]) for ax in axes]
     except KeyError as ex:
         raise ConfigError(f"axis missing {ex}", field="grid")
@@ -274,8 +288,8 @@ def main(argv=None) -> int:
         if args.command != "selftest" and not cfg:
             raise ConfigError("--config is required for this command")
         try:
-            seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
-            workers = args.workers if args.workers is not None else int(cfg.get("workers", 1))
+            seed = args.seed if args.seed is not None else _integer(cfg.get("seed", 0))
+            workers = args.workers if args.workers is not None else _integer(cfg.get("workers", 1))
             out = Path(args.out if args.out is not None else cfg.get("out", "."))
         except (TypeError, ValueError, OverflowError) as ex:
             raise ConfigError(f"seed, workers and out: {ex}")

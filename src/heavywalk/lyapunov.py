@@ -18,7 +18,8 @@ import numpy as np
 
 from .errors import DivergentError, DomainError
 from .increments import ChainSpec, HeavyPareto, IncrementLaw, build_law
-from .specialfn import integrate_adaptive, integrate_decaying_tail, kappa0, kappa1, kappa2
+from .specialfn import (QuadStats, integrate_adaptive, integrate_decaying_tail, kappa0, kappa1,
+                        kappa2)
 from .classify import classify as _classify_phase
 
 
@@ -46,52 +47,85 @@ def _f_vec(i: int, nu: float, z: np.ndarray) -> np.ndarray:
     return np.where(az >= 1.0, np.maximum(az, 1.0) ** nu, 1.0)
 
 
-def _fprime(i: int, nu: float, z: float) -> float:
-    """d/dz of the test function away from its kinks (0 on the flat part)."""
-    if i in (0, 1):
-        return nu * z ** (nu - 1.0) if z > 1.0 else 0.0
-    az = abs(z)
-    if az <= 1.0:
-        return 0.0
-    return nu * math.copysign(az ** (nu - 1.0), z)
-
-
 def _f_kinks(i: int) -> tuple[float, ...]:
     return (1.0,) if i in (0, 1) else (-1.0, 1.0)
 
 
-def _side_heavy_exponent(law: IncrementLaw, sign: int) -> Optional[float]:
-    exps = [c.kind.exponent for c in law.components
-            if c.kind.sign == sign and isinstance(c.kind, HeavyPareto) and c.weight > 0.0]
-    return min(exps) if exps else None
+def _side_integrand(law: IncrementLaw, side: int, i: int, nu: float, x: float):
+    """The integrand y -> f_i'(x + side*y) * P[side*theta > y] of one jump side,
+    as one closure, plus the side's kink points and smallest heavy exponent.
 
-
-def _side_kinks(law: IncrementLaw, sign: int) -> list[float]:
-    pts = []
+    The components are filtered once, in law order, into (weight, scale,
+    exponent) for a Pareto tail and (weight, width, None) for a uniform of
+    positive width; the closure sums them in that order with the expressions
+    of `IncrementLaw.tail_pos`/`tail_neg`, and takes f_i' away from its kinks
+    (0 on the flat part), so each value is bit-identical to the product of
+    the two.
+    """
+    pieces, kinks, heavy_exps = [], [], []
     for c in law.components:
-        if c.kind.sign != sign or c.weight == 0.0:
+        k = c.kind
+        if k.sign != side or c.weight == 0.0:
             continue
-        pts.append(c.kind.scale if isinstance(c.kind, HeavyPareto) else c.kind.width)
-    return pts
+        if isinstance(k, HeavyPareto):
+            pieces.append((c.weight, k.scale, k.exponent))
+            kinks.append(k.scale)
+            if c.weight > 0.0:
+                heavy_exps.append(k.exponent)
+        else:
+            if k.width > 0.0:
+                pieces.append((c.weight, k.width, None))
+            kinks.append(k.width)
+    nu_m1 = nu - 1.0
+
+    if i in (0, 1):
+        def integrand(y: float) -> float:
+            z = x + side * y
+            if not z > 1.0:
+                return 0.0
+            acc = 0.0
+            for w, a, e in pieces:
+                if e is not None:
+                    acc += w * (1.0 if y < a else (a / y) ** e)
+                elif y < a:
+                    acc += w * (1.0 - y / a)
+            return nu * z ** nu_m1 * acc
+    else:
+        def integrand(y: float) -> float:
+            z = x + side * y
+            az = abs(z)
+            if az <= 1.0:
+                return 0.0
+            acc = 0.0
+            for w, a, e in pieces:
+                if e is not None:
+                    acc += w * (1.0 if y < a else (a / y) ** e)
+                elif y < a:
+                    acc += w * (1.0 - y / a)
+            return nu * math.copysign(az ** nu_m1, z) * acc
+
+    return integrand, kinks, min(heavy_exps, default=None)
 
 
 def drift_numeric_law(law: IncrementLaw, i: int, nu: float, x: float,
-                      abs_tol: float = 1e-10) -> float:
-    """E[f_i(x + theta) - f_i(x)] for theta ~ law, by piecewise tail quadrature."""
+                      abs_tol: float = 1e-10, stats: Optional[QuadStats] = None) -> float:
+    """E[f_i(x + theta) - f_i(x)] for theta ~ law, by piecewise tail quadrature.
+
+    `stats`, if given, accumulates the GK15 panels and the deepest
+    subdivision of every quadrature this call runs.
+    """
     if nu == 0.0:
         return 0.0
     total = 0.0
     for side in (+1, -1):
-        tail = law.tail_pos if side == +1 else law.tail_neg
-        heavy_exp = _side_heavy_exponent(law, side)
+        integrand, kinks, heavy_exp = _side_integrand(law, side, i, nu, x)
         # f seen along this jump direction: z = x + side * y
-        fp = lambda y, s=side: _fprime(i, nu, x + s * y)
         f_splits = [side * (k - x) for k in _f_kinks(i) if side * (k - x) > 0.0]
-        splits = sorted(set(_side_kinks(law, side) + f_splits))
+        splits = sorted(set(kinks + f_splits))
         # does the integrand survive as y -> inf on this side?
         grows = (i == 2) or (side == +1)
         if heavy_exp is None:
-            upper = max(_side_kinks(law, side), default=0.0)
+            upper = max(kinks, default=0.0)
             pts = [0.0] + [s for s in splits if s < upper] + [upper]
         else:
             if grows and nu >= heavy_exp:
@@ -104,25 +138,25 @@ def drift_numeric_law(law: IncrementLaw, i: int, nu: float, x: float,
         pts = sorted(set(pts))
         for lo, hi in zip(pts[:-1], pts[1:]):
             if hi > lo:
-                val += integrate_adaptive(lambda y: fp(y) * tail(y), lo, hi, piece_tol)
+                val += integrate_adaptive(integrand, lo, hi, piece_tol, stats)
         if heavy_exp is not None:
             if grows:
                 decay = heavy_exp + 1.0 - nu
-                val += integrate_decaying_tail(lambda y: fp(y) * tail(y), upper, decay, piece_tol)
+                val += integrate_decaying_tail(integrand, upper, decay, piece_tol, stats)
             else:
                 # flat side: integrand vanishes beyond the last f-kink
                 last = max(f_splits, default=0.0)
                 if last > upper:
-                    val += integrate_adaptive(lambda y: fp(y) * tail(y), upper, last, piece_tol)
+                    val += integrate_adaptive(integrand, upper, last, piece_tol, stats)
         total += side * val
     return total
 
 
 def drift_numeric(spec: ChainSpec, i: int, nu: float, x: float,
-                  abs_tol: float = 1e-10) -> float:
+                  abs_tol: float = 1e-10, stats: Optional[QuadStats] = None) -> float:
     """One-step drift D_i(x) of the chain at state x, by exact-tail quadrature."""
     _check_regime_i(spec, i)
-    return drift_numeric_law(build_law(spec, x), i, nu, x, abs_tol)
+    return drift_numeric_law(build_law(spec, x), i, nu, x, abs_tol, stats)
 
 
 def _check_regime_i(spec: ChainSpec, i: int) -> None:
@@ -187,7 +221,8 @@ def drift_predicted(spec: ChainSpec, i: int, nu: float, x: float) -> float:
 
 @dataclass
 class DriftReport:
-    """Quadrature drift vs the expansion along a geometric grid."""
+    """Quadrature drift vs the expansion along a geometric grid, with the
+    GK15 panels and the deepest subdivision the quadrature used per point."""
 
     i: int
     nu: float
@@ -197,6 +232,8 @@ class DriftReport:
     normalized_error: list[float]
     coefficient: float
     converged: bool
+    panels: list[int]
+    max_depth: list[int]
 
     def rows(self):
         for x, n, p, e in zip(self.x_grid, self.numeric, self.predicted, self.normalized_error):
@@ -217,21 +254,25 @@ def verify_expansion(spec: ChainSpec, i: int, nu: float, x_grid: Sequence[float]
         raise DomainError("x_grid must be increasing")
     if nu == 0.0:
         zeros = [0.0] * len(xs)
-        return DriftReport(i, nu, xs, zeros, zeros, zeros, 0.0, True)
+        none = [0] * len(xs)
+        return DriftReport(i, nu, xs, zeros, zeros, zeros, 0.0, True, none, none)
     k_coef = expansion_coefficient(spec, i, nu)
     e = spec.heavy_exponent
-    numeric, predicted, nerr = [], [], []
+    numeric, predicted, nerr, panels, depth = [], [], [], [], []
     for x in xs:
         scale = abs(x) ** (nu - e)
         quad_tol = max(abs(k_coef), 0.1) * scale * 1e-4
-        d = drift_numeric(spec, i, nu, x, abs_tol=quad_tol)
+        stats = QuadStats()
+        d = drift_numeric(spec, i, nu, x, abs_tol=quad_tol, stats=stats)
+        panels.append(stats.panels)
+        depth.append(stats.max_depth)
         p = drift_predicted(spec, i, nu, x)
         drift_term = p - k_coef * scale
         numeric.append(d)
         predicted.append(p)
         nerr.append((d - drift_term) / scale - k_coef)
     converged = abs(nerr[-1]) < rel_tol * abs(k_coef) if k_coef != 0.0 else abs(nerr[-1]) < 1e-12
-    return DriftReport(i, nu, xs, numeric, predicted, nerr, k_coef, converged)
+    return DriftReport(i, nu, xs, numeric, predicted, nerr, k_coef, converged, panels, depth)
 
 
 def mc_drift(spec: ChainSpec, i: int, nu: float, x: float, n: int,

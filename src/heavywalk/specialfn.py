@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import heapq
 import math
-from typing import Callable
+from dataclasses import dataclass
+from typing import Callable, Optional
 
 from .errors import ConvergenceError, DivergentError, DomainError, PoleError
 
@@ -232,33 +233,47 @@ _MAX_DEPTH = 60
 _MAX_INTERVALS = 200_000
 
 
+# (node, Kronrod weight, Gauss weight) per symmetric node pair, then the
+# weights of the centre node, which is evaluated last.
+_GK_PAIRS = tuple(zip(_GK_NODES[:-1], _GK_WK[:-1], _GK_WG[:-1]))
+_GK_CENTRE_WK = _GK_WK[-1]
+_GK_CENTRE_WG = _GK_WG[-1]
+
+
+@dataclass
+class QuadStats:
+    """Work done by the integrator: GK15 panels evaluated and the deepest
+    subdivision level reached (0 = the whole interval in one panel)."""
+
+    panels: int = 0
+    max_depth: int = 0
+
+
 def _gk15(f: Callable[[float], float], lo: float, hi: float) -> tuple[float, float]:
     """One Gauss-Kronrod 7-15 panel: returns (K15 value, |K15-G7| estimate)."""
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
     k = 0.0
     g = 0.0
-    for i, node in enumerate(_GK_NODES):
-        if node == 0.0:
-            fv = f(mid)
-            k += _GK_WK[i] * fv
-            g += _GK_WG[i] * fv
-        else:
-            f1 = f(mid - half * node)
-            f2 = f(mid + half * node)
-            k += _GK_WK[i] * (f1 + f2)
-            g += _GK_WG[i] * (f1 + f2)
+    for node, wk, wg in _GK_PAIRS:
+        pair = f(mid - half * node) + f(mid + half * node)
+        k += wk * pair
+        g += wg * pair
+    fv = f(mid)
+    k += _GK_CENTRE_WK * fv
+    g += _GK_CENTRE_WG * fv
     return k * half, abs(k - g) * half
 
 
 def integrate_adaptive(f: Callable[[float], float], a: float, b: float,
-                       abs_tol: float = 1e-10) -> float:
+                       abs_tol: float = 1e-10, stats: Optional[QuadStats] = None) -> float:
     """Integrate f over (a, b) to absolute tolerance abs_tol.
 
     b may be math.inf; the infinite range is mapped by u = t/(1-t).  Endpoint
     algebraic singularities are handled by bisecting toward the endpoint; an
     endpoint-adjacent interval whose whole contribution is below abs_tol/4 is
     accepted as is.  Raises ConvergenceError at subdivision depth 60.
+    `stats`, if given, accumulates the panels evaluated and the deepest level.
     """
     if math.isinf(b):
         # u = t/(1-t); the upper half runs in s = 1-t so that bisection toward
@@ -266,16 +281,18 @@ def integrate_adaptive(f: Callable[[float], float], a: float, b: float,
         # still have resolution.
         g = lambda t: f(a + t / (1.0 - t)) / ((1.0 - t) * (1.0 - t))
         g_flip = lambda s: f(a + (1.0 - s) / s) / (s * s)
-        return (integrate_adaptive(g, 0.0, 0.5, abs_tol / 2)
-                + integrate_adaptive(g_flip, 0.0, 0.5, abs_tol / 2))
+        return (integrate_adaptive(g, 0.0, 0.5, abs_tol / 2, stats)
+                + integrate_adaptive(g_flip, 0.0, 0.5, abs_tol / 2, stats))
     if a == b:
         return 0.0
     if a > b:
-        return -integrate_adaptive(f, b, a, abs_tol)
+        return -integrate_adaptive(f, b, a, abs_tol, stats)
 
     # Global adaptive refinement: always split the interval with the largest
     # error estimate; stop once the summed estimate is below abs_tol.
     value, err = _gk15(f, a, b)
+    if stats is not None:
+        stats.panels += 1
     active = [(-err, 0, a, b, value, 0)]   # (-err, tiebreak, lo, hi, value, depth)
     finalized_value = 0.0
     total_err = err
@@ -303,6 +320,9 @@ def integrate_adaptive(f: Callable[[float], float], a: float, b: float,
             continue
         v1, e1 = _gk15(f, lo, mid)
         v2, e2 = _gk15(f, mid, hi)
+        if stats is not None:
+            stats.panels += 2
+            stats.max_depth = max(stats.max_depth, depth + 1)
         total_err += e1 + e2 - e
         heapq.heappush(active, (-e1, counter, lo, mid, v1, depth + 1))
         heapq.heappush(active, (-e2, counter + 1, mid, hi, v2, depth + 1))
@@ -331,19 +351,27 @@ def integrate_power_weighted(phi: Callable[[float], float], power: float,
 
 
 def integrate_decaying_tail(f: Callable[[float], float], y_from: float, decay: float,
-                            abs_tol: float = 1e-10) -> float:
+                            abs_tol: float = 1e-10, stats: Optional[QuadStats] = None) -> float:
     """Integrate f over [y_from, inf) where f(y) ~ C * y^(-decay), decay > 1.
 
-    The inversion y = y_from / t plus the power substitution handles slow
-    decays (decay close to 1) that plain bisection after the rational map
-    cannot resolve.
+    The inversion y = y_from / t plus the power substitution w = t^(decay-1)
+    handles slow decays (decay close to 1) that plain bisection after the
+    rational map cannot resolve.  Both are folded into one integrand; the
+    arithmetic is that of `integrate_power_weighted` with power decay - 2 on
+    (0, 1), whose weight exponent 1 + power is positive because decay > 1.
     """
     if decay <= 1.0:
         raise DivergentError(f"tail with decay exponent {decay} <= 1 is not integrable")
     if y_from <= 0.0:
         raise DomainError("integrate_decaying_tail requires y_from > 0")
-    psi = lambda t: f(y_from / t) * y_from * math.pow(t, -decay)
-    return integrate_power_weighted(psi, decay - 2.0, 0.0, 1.0, abs_tol)
+    aexp = 1.0 + (decay - 2.0)
+    inv = 1.0 / aexp
+
+    def g(w: float) -> float:
+        t = math.pow(w, inv)
+        return f(y_from / t) * y_from * math.pow(t, -decay)
+
+    return (1.0 / aexp) * integrate_adaptive(g, 0.0, 1.0, abs_tol * aexp, stats)
 
 
 # ---------------------------------------------------------------------------

@@ -109,6 +109,17 @@ BAD_SHAPES = {
     "beta_light_sweep": ("phase-diagram",
                          dict(HL, grid={"param": "beta_light", "min": 1.6, "max": 1.9,
                                         "steps": 3})),
+    # counts must be integers: no truncation of fractions, no booleans as 0/1
+    "horizon_fraction": ("simulate", dict(HL, sim=dict(HL["sim"], horizon=20.7))),
+    "n_traj_bool": ("simulate", dict(HL, sim=dict(HL["sim"], n_traj=True))),
+    "seed_fraction": ("simulate", dict(HL, seed=1.5)),
+    "workers_bool": ("simulate", dict(HL, workers=True)),
+    "seed_numeric_string": ("classify", dict(HL, seed="7")),
+    "verify_i_fraction": ("drift-verify", dict(HL, drift_verify={"i": 1.9, "nu": 0.5})),
+    "verify_points_fraction": ("drift-verify",
+                               dict(HL, drift_verify={"i": 0, "nu": 0.5, "points": 2.5})),
+    "steps_fraction": ("phase-diagram",
+                       dict(HL, grid={"param": "b", "min": 0.0, "max": 1.0, "steps": 3.5})),
 }
 
 
@@ -194,6 +205,14 @@ def test_simulate_outputs_and_manifest(tmp_path):
     assert len(surv) > 10
 
 
+def test_integral_float_counts_accepted(tmp_path):
+    cfg = dict(HL, seed=5.0, workers=1.0, sim=dict(HL["sim"], horizon=2e3, n_traj=2e2))
+    assert main(["simulate", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path)]) == 0
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["master_seed"] == 5
+    assert (manifest["sim"]["horizon"], manifest["sim"]["n_traj"]) == (2000, 200)
+
+
 def test_simulate_byte_identical_across_workers(tmp_path):
     out1 = tmp_path / "w1"
     out4 = tmp_path / "w4"
@@ -269,7 +288,7 @@ def test_phase_diagram_requires_grid(tmp_path):
 # drift-verify
 # ---------------------------------------------------------------------------
 
-def test_cmd_drift_verify(tmp_path):
+def test_cmd_drift_verify(tmp_path, capsys):
     cfg = dict(HL)
     cfg["drift_verify"] = {"i": 0, "nu": 0.5, "x_min": 1e2, "x_max": 1e4, "points": 3}
     rc = main(["drift-verify", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path)])
@@ -277,8 +296,13 @@ def test_cmd_drift_verify(tmp_path):
     rows = (tmp_path / "drift_report.csv").read_text().splitlines()
     assert rows[0] == "x,numeric,predicted,normalized_error"
     assert len(rows) == 4
-    summary = json.loads((tmp_path / "drift_report.json").read_text())
-    assert summary["converged"] in (True, False)
+    report = json.loads((tmp_path / "drift_report.json").read_text())
+    assert report["converged"] in (True, False)
+    # the quadrature work per grid point goes to the file, not to stdout
+    quad = report.pop("quadrature")
+    assert [q["x"] for q in quad] == pytest.approx([1e2, 1e3, 1e4])
+    assert all(q["panels"] >= 1 and q["max_depth"] >= 0 for q in quad)
+    assert json.loads(capsys.readouterr().out) == report
 
 
 # ---------------------------------------------------------------------------

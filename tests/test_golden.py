@@ -1,9 +1,12 @@
-"""Byte golden test of `simulate`: the CSV outputs at pinned seeds are the
-contract.  One small config per regime, each with a finite m_level so that
-the exit, crossing and sign-flip columns are exercised, plus two drift-free
-(b = 0) configs without an m_level, where the engine takes the light width
-from the sign of the state alone; a change that alters a byte here is a
-behaviour change and must say so.
+"""Golden tests: outputs at pinned inputs are the contract, and a change
+that alters a byte here is a behaviour change and must say so.
+
+`simulate`: the CSV outputs at pinned seeds, one small config per regime,
+each with a finite m_level so that the exit, crossing and sign-flip columns
+are exercised, plus two drift-free (b = 0) configs without an m_level, where
+the engine takes the light width from the sign of the state alone.  The
+analytic path: the reprs of the drift quadrature, criteria drifts,
+classification and nu* per scalar regime and test function.
 """
 
 import hashlib
@@ -11,7 +14,12 @@ import json
 
 import pytest
 
+from heavywalk.classify import classify, nu_star
 from heavywalk.cli import main
+from heavywalk.errors import NoRootError
+from heavywalk.lyapunov import criteria_check, verify_expansion
+
+from conftest import balanced, half_line, line_in, line_out, plane
 
 SIM = {"a": 10.0, "start": 30.0, "horizon": 300, "n_traj": 64}
 
@@ -55,3 +63,50 @@ def simulate_digest(tmp_path, regime: str) -> str:
 @pytest.mark.parametrize("regime", sorted(CONFIGS))
 def test_simulate_bytes_match_golden(tmp_path, regime):
     assert simulate_digest(tmp_path, regime) == DIGESTS[regime]
+
+
+# ---------------------------------------------------------------------------
+# Analytic path.  The reprs of the floats are hashed, so a change in the last
+# bit of any quadrature result shows.
+# ---------------------------------------------------------------------------
+
+ANALYTIC = {
+    "half_line": (half_line(alpha=1.5, gamma=0.5, b=-1.0), [(0, 0.5), (0, -0.3)]),
+    "line_out": (line_out(alpha=1.5, gamma=0.5, b=-0.5), [(1, 0.4), (2, 0.4)]),
+    "line_in": (line_in(beta=1.3, gamma=0.3, b=-3.0, x0=2.0), [(1, 0.6), (2, 0.6)]),
+    "line_in_b0": (line_in(beta=1.3, gamma=1.0), [(1, 0.2), (2, 0.2)]),
+    "line_balanced": (balanced(alpha=1.5, gamma=0.5, b=0.5, x0=4.0), [(1, 0.5), (2, 0.5)]),
+    "plane": (plane(alpha=1.5, p_radial=0.85), []),
+}
+# i = 2 is even, so its grid also crosses to the negative side
+GRIDS = {0: [1e2, 1e3, 1e4], 1: [1e2, 1e3, 1e4], 2: [-1e3, -1e2, 1e2, 1e3, 1e4]}
+PROBES = [50.0, 1e3]
+
+ANALYTIC_DIGESTS = {
+    "half_line": "70a2cdcb8328d53d66d2cf129bd95ecbb64a47c51575f13f18f607a43d9b083c",
+    "line_balanced": "90d35340436bbcd3cc42476514788742b0a715c1f83594867542aa0026acf26b",
+    "line_in": "d49d64fded07f6671f171d1cf47842e537cf17d144739df24e2dc1007432792b",
+    "line_in_b0": "02d2c0a822232a757da99b11b0dce9acc4453518d5c93eca25a54d4913d1afd1",
+    "line_out": "b56c14ed17211d12a83b800ab24c41a77a6c83d0cf943a62bc880b2439fe4320",
+    "plane": "87ca58d0e2706f5e6510607f3d519e9bf8c79061b5d75d5d9d69f4d47f54a87d",
+}
+
+
+def analytic_digest(name: str) -> str:
+    spec, cases = ANALYTIC[name]
+    rows = [repr(classify(spec))]
+    try:
+        rows.append(repr(nu_star(spec)))
+    except NoRootError as ex:
+        rows.append(f"NoRootError: {ex}")
+    for i, nu in cases:
+        rep = verify_expansion(spec, i, nu, GRIDS[i])
+        rows.append(repr((i, nu, rep.numeric, rep.predicted, rep.normalized_error)))
+        crit = criteria_check(spec, nu, PROBES)
+        rows.append(repr(sorted(crit.drifts.items())))
+    return hashlib.sha256("\n".join(rows).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(ANALYTIC))
+def test_analytic_reprs_match_golden(name):
+    assert analytic_digest(name) == ANALYTIC_DIGESTS[name]

@@ -5,9 +5,9 @@ import pytest
 
 from heavywalk import build_law
 from heavywalk.errors import DivergentError, DomainError
-from heavywalk.lyapunov import (criteria_check, drift_numeric, drift_numeric_law,
-                                drift_predicted, expansion_coefficient, lyapunov_f,
-                                mc_drift, verify_expansion)
+from heavywalk.lyapunov import (_side_integrand, criteria_check, drift_numeric,
+                                drift_numeric_law, drift_predicted, expansion_coefficient,
+                                lyapunov_f, mc_drift, verify_expansion)
 from heavywalk import specialfn as sf
 
 from conftest import balanced, half_line, line_in, line_out
@@ -84,6 +84,88 @@ def test_drift_against_monte_carlo_randomized_tuples():
         d = drift_numeric(spec, i, nu, x, 1e-11)
         m, se = mc_drift(spec, i, nu, x, 400_000, seed=5000 + k)
         assert abs(d - m) < 4.0 * se, (spec.regime, i, nu, x)
+
+
+def _oracle_integrand(law, side, i, nu, x):
+    """The drift integrand in its unfused form: the test function's
+    derivative (0 on the flat part) times the law's public tail function."""
+    def fprime(z):
+        if i in (0, 1):
+            return nu * z ** (nu - 1.0) if z > 1.0 else 0.0
+        az = abs(z)
+        if az <= 1.0:
+            return 0.0
+        return nu * math.copysign(az ** (nu - 1.0), z)
+    tail = law.tail_pos if side == +1 else law.tail_neg
+    return lambda y: fprime(x + side * y) * tail(y)
+
+
+def _kink_grid(law, side, x):
+    """y >= 0 on a geometric grid, plus every kink of the tail and of
+    f(x + side*y), each with its two floating-point neighbours."""
+    kinks = [c.kind.scale if hasattr(c.kind, "scale") else c.kind.width
+             for c in law.components if c.kind.sign == side]
+    kinks += [side * (k - x) for k in (-1.0, 1.0)]
+    ys = [0.0] + [float(y) for y in np.geomspace(1e-6, 1e8, 57)]
+    for k in kinks:
+        if k > 0.0:
+            ys += [k, math.nextafter(k, 0.0), math.nextafter(k, math.inf),
+                   k * (1.0 - 1e-3), k * (1.0 + 1e-3)]
+    return ys
+
+
+ORACLE_SPECS = {
+    "half_line": (half_line(alpha=1.5, gamma=0.5, b=-1.0), (0,), (0.5, 3.0, 120.0)),
+    "line_out": (line_out(alpha=1.5, gamma=0.5, b=-0.5), (1, 2), (-120.0, -3.0, 0.5, 3.0, 120.0)),
+    "line_in": (line_in(beta=1.3, gamma=0.3, b=-3.0, x0=2.0), (1, 2),
+                (-120.0, -3.0, 0.5, 3.0, 120.0)),
+    # light tuner on the positive side (b > 0) and on the negative side (b < 0)
+    "line_balanced_pos": (balanced(alpha=1.5, gamma=0.5, b=0.5, x0=4.0), (1, 2),
+                          (-120.0, -3.0, 0.5, 3.0, 120.0)),
+    "line_balanced_neg": (balanced(alpha=1.5, gamma=0.5, b=-0.5, x0=4.0), (1, 2),
+                          (-120.0, -3.0, 0.5, 3.0, 120.0)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_SPECS))
+def test_fused_integrand_matches_unfused_oracle_bitwise(name):
+    spec, i_values, xs = ORACLE_SPECS[name]
+    mismatches = []
+    for x in xs:
+        base = build_law(spec, x)
+        for law in (base, base.mirrored()):
+            for i in i_values:
+                for nu in (0.5, -0.3):
+                    for side in (+1, -1):
+                        fused = _side_integrand(law, side, i, nu, x)[0]
+                        oracle = _oracle_integrand(law, side, i, nu, x)
+                        for y in _kink_grid(law, side, x):
+                            # repr tells -0.0 from 0.0 and every last bit
+                            if repr(fused(y)) != repr(oracle(y)):
+                                mismatches.append((x, i, nu, side, y, fused(y), oracle(y)))
+    assert mismatches == []
+
+
+def test_quad_stats_count_gk15_panels(monkeypatch):
+    calls = []
+    real = sf._gk15
+
+    def recorder(f, lo, hi):
+        calls.append((lo, hi))
+        return real(f, lo, hi)
+
+    monkeypatch.setattr(sf, "_gk15", recorder)
+    spec = line_in(beta=1.3, gamma=0.3, b=-3.0, x0=2.0)
+    grid = [-1e3, -1e2, 1e2, 1e4]
+    rep = verify_expansion(spec, 2, 0.6, grid)
+    assert sum(rep.panels) == len(calls)
+    # each point alone: the same panels, the quadrature tolerance depends on x only
+    for x, panels, depth in zip(grid, rep.panels, rep.max_depth):
+        calls.clear()
+        one = verify_expansion(spec, 2, 0.6, [x])
+        assert one.panels == [panels] == [len(calls)]
+        assert one.max_depth == [depth]
+        assert depth >= 1
 
 
 def test_mirror_symmetry_f2():

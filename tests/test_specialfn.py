@@ -208,6 +208,30 @@ def test_integrate_depth_limit_raises():
         sf.integrate_adaptive(lambda u: 1.0 / u, 0.0, 1.0, 1e-10)
 
 
+def test_quad_stats_panels_and_depth(monkeypatch):
+    widths = []
+    real = sf._gk15
+
+    def recorder(f, lo, hi):
+        widths.append(hi - lo)
+        return real(f, lo, hi)
+
+    monkeypatch.setattr(sf, "_gk15", recorder)
+    # an endpoint singularity forces bisection toward 0; every split
+    # halves the width, so the deepest panel has width 2^-max_depth
+    stats = sf.QuadStats()
+    v = sf.integrate_adaptive(lambda u: u ** -0.5, 0.0, 1.0, 1e-10, stats)
+    assert v == pytest.approx(2.0, abs=1e-9)
+    assert stats.panels == len(widths) and stats.panels % 2 == 1
+    assert stats.max_depth == round(-math.log2(min(widths))) > 5
+    # the infinite range and the decaying tail add to the same record
+    before = stats.panels
+    widths.clear()
+    sf.integrate_adaptive(lambda u: math.exp(-u), 0.0, math.inf, 1e-10, stats)
+    sf.integrate_decaying_tail(lambda y: y ** -1.1, 2.0, 1.1, 1e-10, stats)
+    assert stats.panels - before == len(widths) > 2
+
+
 def test_integrate_decaying_tail():
     # int_Y^inf y^-1.1 dy = Y^-0.1 / 0.1, a decay plain bisection cannot do
     v = sf.integrate_decaying_tail(lambda y: y ** -1.1, 2.0, 1.1, 1e-10)
