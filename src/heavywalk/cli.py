@@ -143,6 +143,8 @@ def cmd_simulate(cfg: dict, out: Path, seed: int, workers: int) -> int:
         m_level = float(cfg.get("m_level", math.inf))
     except (TypeError, ValueError, OverflowError) as ex:
         raise ConfigError(str(ex), field="m_level")
+    if math.isnan(m_level):
+        raise ConfigError("must be a number, got NaN", field="m_level")
     batch = _simulate_batch(sim, m_level)
 
     cols = {"index": batch["index"], "tau": batch["tau"], "censored": batch["tau"] < 0,
@@ -177,6 +179,7 @@ def cmd_simulate(cfg: dict, out: Path, seed: int, workers: int) -> int:
         "sim": sim.to_json(),
         "master_seed": sim.master_seed,
         "workers": batch["workers"],
+        "engine": batch["engine"],
         "m_level": None if math.isinf(m_level) else m_level,
         "outputs": [traj_path.name, surv_path.name],
     }

@@ -6,9 +6,13 @@ range over workers produces bit-identical results.  The engine runs chunks
 of trajectories in vectorized lockstep on compacted live columns: each step
 touches only the trajectories still out, and draws exactly one uniform per
 draw counter for each of them (draws_per_step * sum(min(tau, horizon))
-uniforms in all).  The scalar step() path in `increments` consumes the same
-streams and agrees with it: the same return times, and states equal to
-rounding (vectorized and scalar powers may differ in the last bit).
+uniforms in all).  A live trajectory carries the max and min of its level
+over steps >= 1; when it settles (returns, or reaches the horizon) the start
+level is folded into them and its crossings of +-m_level are read off them,
+so a start beyond m_level is no crossing.  The scalar step() path in
+`increments` consumes the same streams and agrees with it: the same return
+times, and states equal to rounding (vectorized and scalar powers may differ
+in the last bit).
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ import numpy as np
 from .errors import DomainError, InsufficientDataError
 from .increments import (_U_MIN, ChainSpec, HeavyPareto, IncrementLaw, plane_radial_law,
                          plane_transverse_law)
-from .rng import seed_key, uniform_array
+from .rng import _const, seed_key, uniform_array
 
 # a uniform's counter fills the low 32 bits of its stream word
 # (rng.uniform_at), and the trajectory index the high 32
@@ -68,6 +72,13 @@ class SimConfig:
                 raise DomainError("plane start must be a radius or an (x, y) pair")
         elif not np.isscalar(self.start):
             raise DomainError(f"{self.spec.regime} start must be a number")
+        # with a non-finite a or start the return test means nothing (every
+        # trajectory returns at once, or none ever does), and NaN has no sign
+        if not math.isfinite(self.a):
+            raise DomainError(f"a must be finite, got {self.a!r}")
+        start = self.start if self.spec.regime == "plane" else (self.start,)
+        if not all(math.isfinite(v) for v in start):
+            raise DomainError(f"start must be finite, got {self.start!r}")
 
     @property
     def draws_per_step(self) -> int:
@@ -127,40 +138,52 @@ class PhaseDiagnostic:
 # vectorized chunk kernel
 # ---------------------------------------------------------------------------
 
-def _mixture(u1: np.ndarray, u2: np.ndarray, pw: np.ndarray, p: float, scale, light,
-             two_sided: bool) -> np.ndarray:
+def _mixture(u1: np.ndarray, u2: np.ndarray, pw: np.ndarray, p, scale, light,
+             p_mirror) -> np.ndarray:
     """Increments of the canonical mixture, the order build_law and the plane
     laws use: a Pareto side of weight p with signed support point `scale`,
-    then (two_sided) its mirror image with weight p, then a uniform on
-    (0, light), `light` a signed width, with the remaining weight.  u1 picks
-    the component and u2 (clipped away from 0) inverts its CDF; pw is
-    u2 ** (-1 / exponent), the Pareto quantile at support point 1."""
+    then (p_mirror, the cumulative weight p + p, not None) its mirror image
+    with weight p, then a uniform on (0, light), `light` a signed width, with
+    the remaining weight.  u1 picks the component and u2 (clipped away from
+    0) inverts its CDF; pw is u2 ** (-1 / exponent), the Pareto quantile at
+    support point 1."""
     pareto = scale * pw
-    if two_sided:
-        return np.where(u1 < p, pareto, np.where(u1 < p + p, -pareto, light * u2))
+    if p_mirror is not None:
+        return np.where(u1 < p, pareto, np.where(u1 < p_mirror, -pareto, light * u2))
     return np.where(u1 < p, pareto, light * u2)
 
 
 def _law_constants(law: IncrementLaw) -> tuple:
-    """_mixture's constants for a state-independent law."""
+    """_mixture's constants for a state-independent law, as 0-d arrays."""
     heavy, light = law.components[0], law.components[-1].kind
-    return (heavy.weight, heavy.kind.sign * heavy.kind.scale, light.sign * light.width,
-            isinstance(law.components[1].kind, HeavyPareto))
+    p = heavy.weight
+    mirror = _const(p + p) if isinstance(law.components[1].kind, HeavyPareto) else None
+    return (_const(p), _const(heavy.kind.sign * heavy.kind.scale),
+            _const(light.sign * light.width), mirror)
 
 
-def _chunk(cfg: SimConfig, m_level: float, lo: int, hi: int) -> dict:
-    """Trajectories lo..hi-1 of cfg in vectorized lockstep.
+def _chunk(cfg: SimConfig, m_level: float, lo: int, hi: int) -> tuple[dict, dict]:
+    """Trajectories lo..hi-1 of cfg in vectorized lockstep: the batch columns
+    and the engine counts.
 
     The tracked level is x on the line and the radius in the plane; step n
     draws the uniforms with counters draws_per_step * (n - 1) + j, for
     exactly the trajectories still out at step n: one draw per live
-    trajectory-step.  Each step works on compacted live columns (trajectory
-    index, state, running max and min, and the exit, crossing and flip
-    columns where they can fire); a trajectory's columns are written to the
-    batch once, when it returns or at the horizon.  Sign flips and crossings
-    of -m_level exist only on the whole line, crossings of +m_level only off
-    the plane, and none of the exit work is done when m_level is inf."""
-    spec, a = cfg.spec, cfg.a
+    trajectory-step.  Each step works on compacted live columns: trajectory
+    index, state, the level's max and min over steps >= 1, the first exit
+    and the last flip where they can fire, and on the line the sign of the
+    state, which the next step's law pick and flip test read.  A
+    trajectory's columns are written to the batch once, when it returns or
+    at the horizon; only then are the start level folded into its max and
+    min and its crossings of +-m_level read off the step >= 1 extrema.  Sign
+    flips and crossings of -m_level exist only on the whole line, crossings
+    of +m_level only off the plane.  None of the exit work is done when
+    m_level is inf, and first exits are looked for only while a live
+    trajectory has none.  Law and test constants are 0-d arrays, built once.
+
+    The counts are Python ints: "steps" iterated, "traj_steps" (the live
+    trajectories summed over steps) and "uniforms" drawn."""
+    spec = cfg.spec
     key = seed_key(cfg.master_seed)
     dps = cfg.draws_per_step
     n = hi - lo
@@ -168,26 +191,31 @@ def _chunk(cfg: SimConfig, m_level: float, lo: int, hi: int) -> dict:
     half = spec.regime == "half_line"
     signed = not (plane or half)
     exits = m_level < math.inf
+    a, zero, one, izero = _const(cfg.a), _const(0.0), _const(1.0), _const(0, np.int64)
+    m_pos, m_neg = _const(m_level), _const(-m_level)
+    u_min = _const(_U_MIN)
     # the Pareto quantile's power; every plane law's heavy exponent is alpha
-    power = -1.0 / spec.heavy_exponent
+    power = _const(-1.0 / spec.heavy_exponent)
     if plane:
         radial_law = _law_constants(plane_radial_law(spec))
         transverse_law = _law_constants(plane_transverse_law(spec))
+        p_radial = _const(spec.plane.p_radial)
         start = {"final_x": np.full(n, float(cfg.start[0])),
                  "final_y": np.full(n, float(cfg.start[1]))}
         level = np.hypot(*start.values())
     else:
-        p, y0 = spec.p_heavy, spec.heavy_scale()
-        two_sided = spec.regime == "line_balanced"
+        p, y0 = _const(spec.p_heavy), spec.heavy_scale()
+        mirror = _const(spec.p_heavy + spec.p_heavy) if spec.regime == "line_balanced" else None
         # the heavy side's direction depends only on the sign of x, and so does
         # the light width when b = 0: (value at x >= 0, value at x < 0)
-        scale = (y0, y0) if two_sided else tuple(float(spec.heavy_sign(s)) * y0
-                                                for s in (1.0, -1.0))
+        scale = tuple(_const(y0 if mirror is not None else float(spec.heavy_sign(s)) * y0)
+                      for s in (1.0, -1.0))
         light = None
         if spec.drift.b == 0.0:
-            light = tuple(float(spec.light_width(s)) for s in (1.0, -1.0))
+            light = tuple(_const(float(spec.light_width(s))) for s in (1.0, -1.0))
         start = {"final_x": np.full(n, float(cfg.start))}
         level = start["final_x"]
+    level0 = level[0]
     batch = {"index": np.arange(lo, hi, dtype=np.int64), "tau": np.full(n, -1, dtype=np.int64),
              "max": level.copy(), "min": level.copy(), "final_x": start["final_x"],
              "crossed_pos": np.zeros(n, dtype=bool), "crossed_neg": np.zeros(n, dtype=bool),
@@ -197,38 +225,56 @@ def _chunk(cfg: SimConfig, m_level: float, lo: int, hi: int) -> dict:
     returned0 = (np.abs(level) if signed else level) <= a
     batch["tau"][returned0] = 0
     keep = np.flatnonzero(~returned0)
-    names = ["index", "max", "min", *start] + [
-        k for k, fires in (("first_exit", exits), ("crossed_pos", exits and not plane),
-                           ("crossed_neg", exits and signed), ("last_flip", signed)) if fires]
+    names = ["index", *start] + [k for k, fires in (("first_exit", exits), ("last_flip", signed))
+                                 if fires]
     live = {k: batch[k][keep] for k in names}
+    live["max"] = np.full(keep.size, -np.inf)
+    live["min"] = np.full(keep.size, np.inf)
     if plane:
         live["radius"] = level[keep]
+    if signed:
+        live["neg"] = live["final_x"] < zero
+    # live trajectories with no first exit yet
+    pending = keep.size if exits else 0
 
     def settle(sel) -> None:
         """Write the live columns at positions sel back to the batch."""
         at = live["index"][sel] - lo
         for k in names[1:]:
             batch[k][at] = live[k][sel]
+        top, bottom = live["max"][sel], live["min"][sel]
+        # the start level first: numpy resolves a tie (+0.0 against -0.0) by
+        # operand position, so this matches a running max and min from the start
+        batch["max"][at] = np.maximum(level0, top)
+        batch["min"][at] = np.minimum(level0, bottom)
+        if exits and not plane:
+            batch["crossed_pos"][at] = top > m_pos
+        if exits and signed:
+            batch["crossed_neg"][at] = bottom < m_neg
 
+    steps = traj_steps = uniforms = 0
     for nstep in range(1, cfg.horizon + 1):
         gid = live["index"]
         if gid.size == 0:
             break
+        steps += 1
+        traj_steps += gid.size
         base = dps * (nstep - 1)
         u = [uniform_array(key, gid, base + j) for j in range(dps)]
-        u1, u2 = u[-2], np.maximum(u[-1], _U_MIN, out=u[-1])
+        uniforms += len(u) * gid.size
+        u1, u2 = u[-2], np.maximum(u[-1], u_min, out=u[-1])
         pw = u2 ** power
         x = live["final_x"]
         if plane:
             y, r = live["final_y"], live["radius"]
-            radial = u[0] < spec.plane.p_radial
+            radial = u[0] < p_radial
             th_r = _mixture(u1, u2, pw, *radial_law)
             th_t = _mixture(u1, u2, pw, *transverse_law)
             # the origin (r = 0) is live only when a < 0: step along the x axis
-            off = r > 0.0
-            safe = np.where(off, r, 1.0)
-            ux = np.where(off, x / safe, 1.0)
-            uy = np.where(off, y / safe, 0.0)
+            off = r > zero
+            safe = np.where(off, r, one)
+            ux = np.where(off, x / safe, one)
+            uy = np.where(off, y / safe, zero)
             # transverse unit vector: u rotated a quarter turn anticlockwise
             theta = np.where(radial, th_r, th_t)
             x += np.where(radial, ux, -uy) * theta
@@ -237,41 +283,42 @@ def _chunk(cfg: SimConfig, m_level: float, lo: int, hi: int) -> dict:
             vn = dist = live["radius"] = np.hypot(x, y)
         else:
             if signed:
-                neg = x < 0.0
+                neg = live["neg"]
             if light is None:
                 lw = spec.light_width(x)
             else:
                 lw = np.where(neg, light[1], light[0]) if signed else light[0]
-            sc = np.where(neg, scale[1], scale[0]) if signed and not two_sided else scale[0]
-            x += _mixture(u1, u2, pw, p, sc, lw, two_sided)
+            sc = np.where(neg, scale[1], scale[0]) if signed and mirror is None else scale[0]
+            x += _mixture(u1, u2, pw, p, sc, lw, mirror)
             if half:
-                np.maximum(x, 0.0, out=x)
-            vn = x
-            dist = np.abs(x) if signed else x
+                np.maximum(x, zero, out=x)
+            vn = dist = x
+            if signed:
+                # states are finite, so x < 0 is the negation of x >= 0
+                now = live["neg"] = x < zero
+                live["last_flip"][now != neg] = nstep
+                dist = np.abs(x)
         np.maximum(live["max"], vn, out=live["max"])
         np.minimum(live["min"], vn, out=live["min"])
-        if signed:
-            # states are finite, so x < 0 is the negation of x >= 0
-            live["last_flip"][(x < 0.0) != neg] = nstep
-        if exits:
-            out = dist > m_level
-            if out.any():
-                fe = live["first_exit"]
-                fe[out & (fe < 0)] = nstep
-                if not plane:
-                    live["crossed_pos"] |= vn > m_level
-                if signed:
-                    live["crossed_neg"] |= vn < -m_level
+        if pending:
+            fe = live["first_exit"]
+            first = (dist > m_pos) & (fe < izero)
+            fresh = np.count_nonzero(first)
+            if fresh:
+                fe[first] = nstep
+                pending -= fresh
         ret = dist <= a
-        if ret.any():
+        if np.count_nonzero(ret):
             sel = np.flatnonzero(ret)
             batch["tau"][gid[sel] - lo] = nstep
             settle(sel)
             keep = np.flatnonzero(~ret)
             for k in live:
                 live[k] = live[k][keep]
+            if pending:
+                pending = np.count_nonzero(live["first_exit"] < izero)
     settle(slice(None))
-    return batch
+    return batch, {"steps": steps, "traj_steps": traj_steps, "uniforms": uniforms}
 
 
 def _simulate_batch(cfg: SimConfig, m_level: float = math.inf) -> dict:
@@ -279,7 +326,10 @@ def _simulate_batch(cfg: SimConfig, m_level: float = math.inf) -> dict:
 
     Results do not depend on the partition, so chunks never outnumber the
     cores: more worker processes than cores only add overhead.  "workers" is
-    the number of chunks (and processes) actually used."""
+    the number of chunks (and processes) actually used, and "engine" holds
+    the chunks' counts summed (steps iterated, trajectory-steps, uniforms)."""
+    if math.isnan(m_level):
+        raise DomainError("m_level must be a number, got nan")
     w = min(cfg.workers, cfg.n_traj, os.cpu_count() or 1)
     bounds = [cfg.n_traj * i // w for i in range(w + 1)]
     kernel = partial(_chunk, cfg, m_level)
@@ -288,11 +338,12 @@ def _simulate_batch(cfg: SimConfig, m_level: float = math.inf) -> dict:
     else:
         with ProcessPoolExecutor(max_workers=w) as ex:
             parts = list(ex.map(kernel, bounds[:-1], bounds[1:]))
-    merged = {k: np.concatenate([p[k] for p in parts]) for k in parts[0]}
+    merged = {k: np.concatenate([cols[k] for cols, _ in parts]) for k in parts[0][0]}
     merged["horizon"] = cfg.horizon
     merged["n_traj"] = cfg.n_traj
     merged["workers"] = w
     merged["plane"] = cfg.spec.regime == "plane"
+    merged["engine"] = {k: sum(counts[k] for _, counts in parts) for k in parts[0][1]}
     return merged
 
 
@@ -373,8 +424,8 @@ def phase_diagnostic(cfg: SimConfig, m_level: float) -> PhaseDiagnostic:
     change happened after the first exit beyond m_level.  directional-like:
     escaped with no sign change after the first exit.
     """
-    if m_level <= cfg.a:
-        raise DomainError("m_level must exceed the return level a")
+    if not m_level > cfg.a:
+        raise DomainError(f"m_level must exceed the return level a, got {m_level!r}")
     batch = _simulate_batch(cfg, m_level)
     tau = batch["tau"]
     returned = tau >= 0
@@ -407,10 +458,13 @@ def moment_diagnostic(cfg: SimConfig, q_list: Sequence[float]) -> dict:
     flag: "bounded" if the last growth ratio < 1.1, "growing" if > 1.5,
     otherwise "indeterminate".
     """
+    if cfg.horizon < 100:
+        # the checkpoints horizon // 100, // 10 and horizon would coincide or run backwards
+        raise DomainError(f"moment_diagnostic needs horizon >= 100, got {cfg.horizon}")
     batch = _simulate_batch(cfg)
     tau = batch["tau"].astype(float)
     tau[tau < 0] = cfg.horizon
-    ns = [max(cfg.horizon // 100, 1), max(cfg.horizon // 10, 1), cfg.horizon]
+    ns = [cfg.horizon // 100, cfg.horizon // 10, cfg.horizon]
     out = {}
     for q in q_list:
         vals = [float((np.minimum(tau, n) ** q).mean()) for n in ns]

@@ -40,12 +40,21 @@ def uniform_at(key: int, traj: int, counter: int) -> float:
     return (h >> 11) * _INV_2_53
 
 
-_U30, _U27, _U31, _U11 = (np.uint64(k) for k in (30, 27, 31, 11))
-_UM1, _UM2 = np.uint64(_M1), np.uint64(_M2)
+def _const(value, dtype=np.float64) -> np.ndarray:
+    """A read-only 0-d array operand: numpy dispatches a ufunc on one faster
+    than on a Python or numpy scalar, with the same result."""
+    c = np.array(value, dtype=dtype)
+    c.flags.writeable = False
+    return c
+
+
+_U30, _U27, _U31, _U11 = (_const(k, np.uint64) for k in (30, 27, 31, 11))
+_UM1, _UM2 = _const(_M1, np.uint64), _const(_M2, np.uint64)
 # the stream word ((traj << 32) | counter) * PHI + key, split into a
 # trajectory part and a counter part: exact because counter < 2^32 (SimConfig
 # enforces it), so the or is a sum
-_UPHI32 = np.uint64((_PHI << 32) & _MASK)
+_UPHI32 = _const((_PHI << 32) & _MASK, np.uint64)
+_FINV_2_53 = _const(_INV_2_53)
 
 
 def _mix_vec(z: np.ndarray) -> np.ndarray:
@@ -63,11 +72,11 @@ def uniform_array(key: int, traj: np.ndarray, counter: int) -> np.ndarray:
     counter below 2^32 (the low half of the stream word)."""
     z = traj.astype(np.uint64)
     z *= _UPHI32
-    z += np.uint64((counter * _PHI + key) & _MASK)
+    z += np.array((counter * _PHI + key) & _MASK, dtype=np.uint64)
     h = _mix_vec(_mix_vec(z))
     h >>= _U11
     u = h.astype(np.float64)
-    u *= _INV_2_53
+    u *= _FINV_2_53
     return u
 
 

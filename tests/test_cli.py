@@ -118,6 +118,11 @@ BAD_SHAPES = {
     "verify_i_fraction": ("drift-verify", dict(HL, drift_verify={"i": 1.9, "nu": 0.5})),
     "verify_points_fraction": ("drift-verify",
                                dict(HL, drift_verify={"i": 0, "nu": 0.5, "points": 2.5})),
+    # non-finite levels: every trajectory would be reported censored
+    "m_level_nan": ("simulate", dict(HL, m_level=math.nan)),
+    "a_nan": ("simulate", dict(HL, sim=dict(HL["sim"], a=math.nan))),
+    "start_nan": ("simulate", dict(HL, sim=dict(HL["sim"], start=math.nan))),
+    "start_inf": ("simulate", dict(HL, sim=dict(HL["sim"], start=math.inf))),
     "steps_fraction": ("phase-diagram",
                        dict(HL, grid={"param": "b", "min": 0.0, "max": 1.0, "steps": 3.5})),
 }
@@ -197,6 +202,10 @@ def test_simulate_outputs_and_manifest(tmp_path):
     assert manifest["workers"] == min(3, HL["sim"]["n_traj"], os.cpu_count() or 1)
     assert manifest["sim"]["workers"] == 3
     assert manifest["spec"]["regime"] == "half_line"
+    # the engine's counts: draws_per_step uniforms per trajectory-step
+    engine = manifest["engine"]
+    assert set(engine) == {"steps", "traj_steps", "uniforms"}
+    assert engine["uniforms"] == 2 * engine["traj_steps"]
     assert set(manifest["outputs"]) == {"trajectories.csv", "survival.csv"}
     header = (tmp_path / "trajectories.csv").read_text().splitlines()[0]
     assert header.split(",")[:3] == ["index", "tau", "censored"]

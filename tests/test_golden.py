@@ -4,7 +4,8 @@ that alters a byte here is a behaviour change and must say so.
 `simulate`: the CSV outputs at pinned seeds, one small config per regime,
 each with a finite m_level so that the exit, crossing and sign-flip columns
 are exercised, plus two drift-free (b = 0) configs without an m_level, where
-the engine takes the light width from the sign of the state alone.  The
+the engine takes the light width from the sign of the state alone, and three
+configs that start beyond m_level.  The
 analytic path: the reprs of the drift quadrature, criteria drifts,
 classification and nu* per scalar regime and test function.
 """
@@ -36,6 +37,16 @@ CONFIGS = {
               "plane": {"p_radial": 0.7, "c_radial": 1.0, "c_transverse": 1.0}},
     "half_line_b0": {"regime": "half_line", "alpha": 1.5, "beta": 2.5, "gamma": 0.5, "b": 0.0},
     "line_in_b0": {"regime": "line_in", "alpha": 2.5, "beta": 1.3, "gamma": 1.0, "b": 0.0},
+    # starts beyond m_level: the crossing flags count steps >= 1 only, while
+    # the start level still counts in the max and min
+    "line_out_beyond_m": {"regime": "line_out", "alpha": 1.5, "beta": 2.5, "gamma": 0.1,
+                          "b": 1.0, "m_level": 60.0, "sim": dict(SIM, start=-80.0)},
+    "line_balanced_beyond_m": {"regime": "line_balanced", "alpha": 1.5, "p_heavy": 0.2,
+                               "gamma": 0.5, "b": 0.5, "m_level": 60.0,
+                               "sim": dict(SIM, start=90.0)},
+    "plane_beyond_m": {"regime": "plane", "alpha": 1.5, "p_heavy": 0.2, "m_level": 60.0,
+                       "plane": {"p_radial": 0.7, "c_radial": 1.0, "c_transverse": 1.0},
+                       "sim": dict(SIM, start=[80.0, 0.0])},
 }
 
 DIGESTS = {
@@ -46,6 +57,9 @@ DIGESTS = {
     "plane": "471a0a3d177bba344e4486885946a0c12da0b47e7b3e196bc371b2c6be624751",
     "half_line_b0": "d46e96fcec67c6943d401a9872d8cd33c42e16100563bfffa232415a8c2c153a",
     "line_in_b0": "65f57b8094679cfa5cfdaad0542a7e7412049d4d3f42964bb65f87a962bcddda",
+    "line_out_beyond_m": "c178daaa1f08e35d125556d000381fb8bb77f2941ce7c136078de992741508b4",
+    "line_balanced_beyond_m": "080b465bd711177712ebf3a60faa28498a0cc6743a26d980d2fcf34214544908",
+    "plane_beyond_m": "a4b97ce89445e8306cefbb83bdcb5f89b2d589a4dc36507d6b7d4a526182a240",
 }
 
 

@@ -115,16 +115,50 @@ def test_engine_matches_scalar_step_path_with_drift(spec):
         assert batch["final_x"][k] == pytest.approx(x, abs=1e-12)
 
 
+@pytest.mark.parametrize("start", [61.0, -61.0])
+def test_crossings_and_exits_follow_the_scalar_path(start):
+    # a start beyond m_level counts in the max and min, but a crossing or an
+    # exit needs a state beyond +-m_level at a step n >= 1
+    spec, m = balanced(), 60.0
+    cfg = SimConfig(spec, start=start, a=10.0, horizon=300, n_traj=60, master_seed=5)
+    batch = _simulate_batch(cfg, m_level=m)
+    for k in range(cfg.n_traj):
+        stream = CounterStream(5, k)
+        path = [start]
+        for n in range(1, 301):
+            path.append(step(spec, path[-1], stream))
+            if abs(path[-1]) <= 10.0:
+                break
+        after = np.array(path[1:])
+        exits = np.flatnonzero(np.abs(after) > m)
+        flips = np.flatnonzero(np.diff(np.array(path) < 0.0))
+        assert batch["crossed_pos"][k] == (after > m).any()
+        assert batch["crossed_neg"][k] == (after < -m).any()
+        assert batch["first_exit"][k] == (exits[0] + 1 if exits.size else -1)
+        assert batch["last_flip"][k] == (flips[-1] + 1 if flips.size else -1)
+        assert batch["max"][k] == pytest.approx(max(path), abs=1e-12)
+        assert batch["min"][k] == pytest.approx(min(path), abs=1e-12)
+    # the case this test is for: beyond m_level only at the start
+    if start > 0:
+        assert ((batch["max"] > m) & ~batch["crossed_pos"]).any()
+    else:
+        assert ((batch["min"] < -m) & ~batch["crossed_neg"]).any()
+
+
 @pytest.mark.parametrize("spec, start", [(balanced(gamma=0.5, b=0.5), 30.0),
                                          (plane(p_radial=0.7), (30.0, 0.0))],
                          ids=["line_balanced", "plane"])
 def test_chunk_partition_is_invisible(spec, start):
     # uneven chunk bounds, whatever the number of cores _simulate_batch may use
     cfg = SimConfig(spec, start=start, a=10.0, horizon=500, n_traj=600, master_seed=11)
-    whole = _chunk(cfg, 60.0, 0, 600)
+    whole, counts = _chunk(cfg, 60.0, 0, 600)
     parts = [_chunk(cfg, 60.0, lo, hi) for lo, hi in ((0, 7), (7, 300), (300, 600))]
     for k, v in whole.items():
-        assert np.array_equal(np.concatenate([p[k] for p in parts]), v)
+        assert np.array_equal(np.concatenate([p[k] for p, _ in parts]), v)
+    # the work splits too: each chunk steps until its last trajectory is done
+    assert counts["traj_steps"] == sum(c["traj_steps"] for _, c in parts)
+    assert counts["uniforms"] == sum(c["uniforms"] for _, c in parts)
+    assert counts["steps"] == max(c["steps"] for _, c in parts)
 
 
 @pytest.mark.parametrize("workers", [2, 4, 16])
@@ -139,11 +173,15 @@ def test_worker_count_is_invisible(workers):
         assert np.array_equal(b1[k], b2[k])
 
 
+REGIME_STARTS = pytest.mark.parametrize(
+    "spec, start", [(half_line(), 30.0), (line_out(gamma=0.1, b=1.0), -30.0),
+                    (line_in(gamma=1.0), 30.0), (balanced(), 30.0),
+                    (plane(p_radial=0.7), (30.0, 0.0))],
+    ids=["half_line", "line_out", "line_in", "line_balanced", "plane"])
+
+
 @pytest.mark.parametrize("m_level", [math.inf, 60.0], ids=["inf", "finite"])
-@pytest.mark.parametrize("spec, start", [(half_line(), 30.0), (line_out(gamma=0.1, b=1.0), -30.0),
-                                         (line_in(gamma=1.0), 30.0), (balanced(), 30.0),
-                                         (plane(p_radial=0.7), (30.0, 0.0))],
-                         ids=["half_line", "line_out", "line_in", "line_balanced", "plane"])
+@REGIME_STARTS
 def test_one_draw_per_live_trajectory_step(monkeypatch, spec, start, m_level):
     # the engine calls uniform_array once per draw of each step, with counter
     # draws_per_step * (n - 1) + j, on exactly the trajectories live at step n
@@ -164,6 +202,23 @@ def test_one_draw_per_live_trajectory_step(monkeypatch, spec, start, m_level):
         step = i // dps + 1
         assert counter == dps * (step - 1) + i % dps
         assert np.array_equal(traj, np.flatnonzero(ran >= step))
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@REGIME_STARTS
+def test_engine_counts_match_tau(spec, start, workers):
+    # the counts the engine keeps agree with the return times it reports
+    cfg = SimConfig(spec, start=start, a=10.0, horizon=300, n_traj=40, master_seed=19,
+                    workers=workers)
+    batch = _simulate_batch(cfg, 60.0)
+    counts = batch["engine"]
+    assert all(type(v) is int for v in counts.values())
+    ran = np.where(batch["tau"] < 0, cfg.horizon, batch["tau"])
+    assert counts["traj_steps"] == int(ran.sum())
+    assert counts["uniforms"] == cfg.draws_per_step * counts["traj_steps"]
+    w = batch["workers"]
+    bounds = [cfg.n_traj * i // w for i in range(w + 1)]
+    assert counts["steps"] == sum(int(ran[lo:hi].max()) for lo, hi in zip(bounds, bounds[1:]))
 
 
 def test_seed_changes_output():
@@ -244,6 +299,15 @@ def test_phase_diagnostic_requires_m_above_a():
         phase_diagnostic(cfg, m_level=5.0)
 
 
+def test_nan_m_level_is_rejected():
+    # every comparison with NaN is false: no exits, and no labels
+    cfg = SimConfig(balanced(), start=30.0, a=10.0, horizon=100, n_traj=10, master_seed=1)
+    with pytest.raises(DomainError):
+        phase_diagnostic(cfg, m_level=math.nan)
+    with pytest.raises(DomainError):
+        run_trajectories(cfg, m_level=math.nan)
+
+
 def test_phase_diagnostic_outward_drift_is_directional():
     # outward-heavy walk with positive drift escapes with one fixed sign
     spec = line_out(alpha=1.5, gamma=0.1, b=1.0)
@@ -263,6 +327,19 @@ def test_moment_diagnostic_flags():
     assert diag[0.0]["values"] == [1.0, 1.0, 1.0]
     assert diag[q_crit / 2.0]["flag"] == "bounded"
     assert diag[2.0 * q_crit]["flag"] == "growing"
+
+
+@pytest.mark.parametrize("horizon", [0, 5, 99])
+def test_moment_diagnostic_rejects_short_horizon(horizon):
+    # below 100 the checkpoints horizon // 100, // 10 and horizon coincide or run backwards
+    cfg = SimConfig(half_line(), start=30.0, a=10.0, horizon=horizon, n_traj=10, master_seed=1)
+    with pytest.raises(DomainError):
+        moment_diagnostic(cfg, [0.5])
+
+
+def test_moment_diagnostic_shortest_horizon():
+    cfg = SimConfig(half_line(), start=30.0, a=10.0, horizon=100, n_traj=10, master_seed=1)
+    assert moment_diagnostic(cfg, [0.5])[0.5]["n"] == [1, 10, 100]
 
 
 def test_plane_rotation_equivariance_exact():
@@ -332,3 +409,18 @@ def test_sim_config_rejects_non_integers():
             args[field] = bad
             with pytest.raises(DomainError):
                 SimConfig(half_line(), **args)
+
+
+@pytest.mark.parametrize("spec, field, bad", [
+    (half_line(), "a", math.nan), (half_line(), "a", math.inf), (balanced(), "a", -math.inf),
+    (half_line(), "start", math.nan), (balanced(), "start", math.inf),
+    (line_in(), "start", -math.inf), (plane(), "start", math.nan),
+    (plane(), "start", (30.0, math.nan)), (plane(), "start", (math.inf, 0.0))],
+    ids=["a_nan", "a_inf", "a_minus_inf", "start_nan", "start_inf", "start_minus_inf",
+         "plane_radius_nan", "plane_y_nan", "plane_x_inf"])
+def test_sim_config_rejects_non_finite(spec, field, bad):
+    # a NaN or infinite level would run every trajectory to the horizon as censored
+    args = dict(start=30.0, a=10.0, horizon=10, n_traj=4)
+    args[field] = bad
+    with pytest.raises(DomainError):
+        SimConfig(spec, **args)
