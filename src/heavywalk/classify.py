@@ -18,6 +18,8 @@ from .increments import ChainSpec
 from .specialfn import cospi, cotpi, kappa0, kappa2, sinpi
 
 TIE_TOL = 1e-9
+NU_RESIDUAL_TOL = 1e-12   # nu_star's bisection stops at this |gap|,
+NU_MAX_ITER = 200         # or after this many halvings
 
 # phases
 POSITIVE_RECURRENT = "PositiveRecurrent"
@@ -133,7 +135,7 @@ def _eval_shrink(g: Callable[[float], float], v: float, lo: float, hi: float) ->
     raise PoleError(f"could not sidestep pole near nu={v}")
 
 
-def nu_star(spec: ChainSpec, residual_tol: float = 1e-12, max_iter: int = 200) -> NuStarResult:
+def nu_star(spec: ChainSpec) -> NuStarResult:
     """Solve the critical-exponent equation for the spec's regime by bisection.
 
     Raises NoRootError when the gap function has one sign over the whole
@@ -152,12 +154,12 @@ def nu_star(spec: ChainSpec, residual_tol: float = 1e-12, max_iter: int = 200) -
             "spec sits on the transient side")
     iters = 0
     g_mid, mid = g_lo, lo
-    while iters < max_iter:
+    while iters < NU_MAX_ITER:
         mid = 0.5 * (lo + hi)
         if hi - lo < 1e-15:
             break
         g_mid, mid = _eval_shrink(g, mid, lo, hi)
-        if abs(g_mid) <= residual_tol:
+        if abs(g_mid) <= NU_RESIDUAL_TOL:
             break
         if g_mid < 0.0:
             lo = mid

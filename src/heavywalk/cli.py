@@ -116,8 +116,10 @@ def cmd_drift_verify(cfg: dict, out: Path, seed: int, workers: int) -> int:
     try:
         i = _integer(d["i"])
         nu = float(d["nu"])
-        grid = np.geomspace(float(d.get("x_min", 1e2)), float(d.get("x_max", 1e5)),
-                            _integer(d.get("points", 4)))
+        x_min, x_max = float(d.get("x_min", 1e2)), float(d.get("x_max", 1e5))
+        if not (math.isfinite(x_min) and math.isfinite(x_max)):
+            raise ValueError(f"x_min and x_max must be finite, got {x_min!r}, {x_max!r}")
+        grid = np.geomspace(x_min, x_max, _integer(d.get("points", 4)))
     except (KeyError, TypeError, ValueError, OverflowError) as ex:
         raise ConfigError(f"missing or malformed field: {ex}", field="drift_verify")
     rep = verify_expansion(spec, i, nu, list(grid))
@@ -150,7 +152,7 @@ def cmd_simulate(cfg: dict, out: Path, seed: int, workers: int) -> int:
     cols = {"index": batch["index"], "tau": batch["tau"], "censored": batch["tau"] < 0,
             "max_excursion": batch["max"], "min_excursion": batch["min"],
             "final_x": batch["final_x"]}
-    if batch["plane"]:
+    if "final_y" in batch:
         cols["final_y"] = batch["final_y"]
     cols.update(crossed_pos=batch["crossed_pos"], crossed_neg=batch["crossed_neg"],
                 first_exit=batch["first_exit"], last_sign_change=batch["last_flip"])
@@ -190,6 +192,15 @@ def cmd_simulate(cfg: dict, out: Path, seed: int, workers: int) -> int:
     return 0
 
 
+def _axis_values(ax: dict) -> np.ndarray:
+    """A sweep axis's grid; raises ValueError unless min, max and the span
+    between them are finite."""
+    lo, hi = float(ax["min"]), float(ax["max"])
+    if not math.isfinite(hi - lo):
+        raise ValueError(f"min and max must be finite, got {lo!r}, {hi!r}")
+    return np.linspace(lo, hi, _integer(ax["steps"]))
+
+
 def cmd_phase_diagram(cfg: dict, out: Path, seed: int, workers: int) -> int:
     axes = cfg.get("grid")
     if not axes:
@@ -201,8 +212,7 @@ def cmd_phase_diagram(cfg: dict, out: Path, seed: int, workers: int) -> int:
         raise ConfigError("one sweep axis, or a list of at most two", field="grid")
     sweepable = {"alpha", "beta", "c", "gamma", "b", "p_heavy", "x0", *_PLANE_KEYS}
     try:
-        grids = [np.linspace(float(ax["min"]), float(ax["max"]), _integer(ax["steps"]))
-                 for ax in axes]
+        grids = [_axis_values(ax) for ax in axes]
         names = [str(ax["param"]) for ax in axes]
     except KeyError as ex:
         raise ConfigError(f"axis missing {ex}", field="grid")

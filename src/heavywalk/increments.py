@@ -88,6 +88,11 @@ class ChainSpec:
         if self.regime not in REGIMES:
             raise DomainError(f"unknown regime {self.regime!r}")
         t, d = self.tail, self.drift
+        values = dict(alpha=t.alpha, beta=t.beta, c=t.c, x0=t.x0, gamma=d.gamma, b=d.b,
+                      **(vars(self.plane) if self.plane is not None else {}))
+        bad = [k for k, v in values.items() if v is not None and not math.isfinite(v)]
+        if bad:
+            raise DomainError(f"{', '.join(bad)} must be finite")
         if t.c <= 0.0:
             raise DomainError("tail constant c must be positive")
         if t.x0 < 0.0:
@@ -134,11 +139,10 @@ class ChainSpec:
         """Exponent of the exactly-Pareto (heavy) side for this regime."""
         return self.tail.beta if self.regime == "line_in" else self.tail.alpha
 
-    def heavy_scale(self, c: Optional[float] = None, exponent: Optional[float] = None) -> float:
-        """Support point y0 = (c / p_heavy)^(1/exponent) of a heavy component."""
+    def heavy_scale(self, c: Optional[float] = None) -> float:
+        """Support point y0 = (c / p_heavy)^(1/heavy_exponent) of a heavy component."""
         c = self.tail.c if c is None else c
-        exponent = self.heavy_exponent if exponent is None else exponent
-        y0 = (c / self.p_heavy) ** (1.0 / exponent)
+        y0 = (c / self.p_heavy) ** (1.0 / self.heavy_exponent)
         if y0 < 1.0:
             raise InfeasibleWeight(
                 f"heavy support point y0={y0:.6g} < 1 (c={c}, p_heavy={self.p_heavy})")
@@ -152,8 +156,6 @@ class ChainSpec:
 
         Works on scalars and numpy arrays.
         """
-        if self.regime == "plane":
-            return 0.0 * np.asarray(x, dtype=float)
         b, g = self.drift.b, self.drift.gamma
         ax = np.maximum(np.abs(x), self.x_floor())
         mag = b * ax ** (-g)
@@ -204,8 +206,8 @@ class ChainSpec:
     def _check_feasible(self) -> None:
         if self.regime == "plane":
             # radial and transverse support points must exist
-            self.heavy_scale(self.plane.c_radial, self.tail.alpha)
-            self.heavy_scale(self.plane.c_transverse, self.tail.alpha)
+            self.heavy_scale(self.plane.c_radial)
+            self.heavy_scale(self.plane.c_transverse)
             return
         y0 = self.heavy_scale()
         xf = self.x_floor()
@@ -337,7 +339,7 @@ def build_law(spec: ChainSpec, x: float) -> IncrementLaw:
     """The increment law of the chain at state x (scalar regimes).
 
     Component order is canonical (heavy components first, light tuner last);
-    the vectorized simulation engine reproduces exactly this order.
+    the vectorized simulation engine takes its constants from these laws.
     """
     if spec.regime == "plane":
         raise DomainError("plane regime has separate radial/transverse laws; "
@@ -372,7 +374,7 @@ def plane_radial_law(spec: ChainSpec) -> IncrementLaw:
         raise DomainError("plane_radial_law requires the plane regime")
     p = spec.p_heavy
     a = spec.tail.alpha
-    y0 = spec.heavy_scale(spec.plane.c_radial, a)
+    y0 = spec.heavy_scale(spec.plane.c_radial)
     m = p * y0 * a / (a - 1.0) / (1.0 - p)
     comps = (
         LawComponent(HeavyPareto(+1, a, y0), p),
@@ -387,7 +389,7 @@ def plane_transverse_law(spec: ChainSpec) -> IncrementLaw:
         raise DomainError("plane_transverse_law requires the plane regime")
     p = spec.p_heavy
     a = spec.tail.alpha
-    y0 = spec.heavy_scale(spec.plane.c_transverse, a)
+    y0 = spec.heavy_scale(spec.plane.c_transverse)
     comps = (
         LawComponent(HeavyPareto(+1, a, y0), p),
         LawComponent(HeavyPareto(-1, a, y0), p),

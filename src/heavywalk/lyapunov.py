@@ -22,6 +22,9 @@ from .specialfn import (QuadStats, integrate_adaptive, integrate_decaying_tail, 
                         kappa2)
 from .classify import classify as _classify_phase
 
+CONVERGED_REL_TOL = 0.05   # verify_expansion: converged iff |last error| < this * |K|
+MC_CHUNK = 1_000_000       # mc_drift: increments sampled per vectorized batch
+
 
 def lyapunov_f(i: int, nu: float, x: float) -> float:
     """The Lyapunov test functions: power |x|^nu truncated to 1 near the origin.
@@ -240,16 +243,17 @@ class DriftReport:
             yield {"x": x, "numeric": n, "predicted": p, "normalized_error": e}
 
 
-def verify_expansion(spec: ChainSpec, i: int, nu: float, x_grid: Sequence[float],
-                     rel_tol: float = 0.05) -> DriftReport:
+def verify_expansion(spec: ChainSpec, i: int, nu: float, x_grid: Sequence[float]) -> DriftReport:
     """Check that (D_i(x) - drift term) / x^(nu-exponent) converges to the
     predicted coefficient K; converged iff the last grid point is within
-    rel_tol * |K|."""
+    CONVERGED_REL_TOL * |K|."""
     _check_regime_i(spec, i)
     _check_lemma_range(spec, i, nu)
     xs = [float(x) for x in x_grid]
     if not xs:
         raise DomainError("x_grid must not be empty")
+    if not all(math.isfinite(x) for x in xs):
+        raise DomainError(f"x_grid must be finite, got {xs!r}")
     if any(b <= a for a, b in zip(xs[:-1], xs[1:])):
         raise DomainError("x_grid must be increasing")
     if nu == 0.0:
@@ -271,12 +275,13 @@ def verify_expansion(spec: ChainSpec, i: int, nu: float, x_grid: Sequence[float]
         numeric.append(d)
         predicted.append(p)
         nerr.append((d - drift_term) / scale - k_coef)
-    converged = abs(nerr[-1]) < rel_tol * abs(k_coef) if k_coef != 0.0 else abs(nerr[-1]) < 1e-12
+    bound = CONVERGED_REL_TOL * abs(k_coef) if k_coef != 0.0 else 1e-12
+    converged = abs(nerr[-1]) < bound
     return DriftReport(i, nu, xs, numeric, predicted, nerr, k_coef, converged, panels, depth)
 
 
 def mc_drift(spec: ChainSpec, i: int, nu: float, x: float, n: int,
-             seed: int = 0, chunk: int = 1_000_000) -> tuple[float, float]:
+             seed: int = 0) -> tuple[float, float]:
     """Monte Carlo oracle for drift_numeric: (mean, standard error) of
     f_i(x + theta) - f_i(x) over n sampled increments."""
     _check_regime_i(spec, i)
@@ -287,7 +292,7 @@ def mc_drift(spec: ChainSpec, i: int, nu: float, x: float, n: int,
     total_sq = 0.0
     done = 0
     while done < n:
-        m = min(chunk, n - done)
+        m = min(MC_CHUNK, n - done)
         th = law.quantile(rng.random(m), rng.random(m))
         z = x + th
         if spec.regime == "half_line":
@@ -312,9 +317,8 @@ class CriteriaReport:
     all_nonpositive: dict = field(default_factory=dict)  # name -> bool
 
 
-def criteria_check(spec: ChainSpec, nu: float, x_probe: Sequence[float],
-                   abs_tol: float = 1e-10) -> CriteriaReport:
-    """Evaluate the relevant drift signs at the probe points.
+def criteria_check(spec: ChainSpec, nu: float, x_probe: Sequence[float]) -> CriteriaReport:
+    """Evaluate the relevant drift signs at the probe points (default tolerance).
 
     half_line reports D0; line regimes report D2 on both sides and the
     one-sided D1 in both orientations (the mirrored orientation drives the
@@ -332,12 +336,12 @@ def criteria_check(spec: ChainSpec, nu: float, x_probe: Sequence[float],
         rep.all_nonpositive[name] = all(v <= 0.0 for v in values)
 
     if spec.regime == "half_line":
-        record("d0", [drift_numeric(spec, 0, nu, x, abs_tol) for x in probes])
+        record("d0", [drift_numeric(spec, 0, nu, x) for x in probes])
         return rep
-    record("d2_pos", [drift_numeric(spec, 2, nu, x, abs_tol) for x in probes])
-    record("d2_neg", [drift_numeric(spec, 2, nu, -x, abs_tol) for x in probes])
-    record("d1_pos", [drift_numeric(spec, 1, nu, x, abs_tol) for x in probes])
+    record("d2_pos", [drift_numeric(spec, 2, nu, x) for x in probes])
+    record("d2_neg", [drift_numeric(spec, 2, nu, -x) for x in probes])
+    record("d1_pos", [drift_numeric(spec, 1, nu, x) for x in probes])
     # mirrored orientation: f1 applied to -chain, i.e. the law at -x reflected
-    record("d1_neg", [drift_numeric_law(build_law(spec, -x).mirrored(), 1, nu, x, abs_tol)
+    record("d1_neg", [drift_numeric_law(build_law(spec, -x).mirrored(), 1, nu, x)
                       for x in probes])
     return rep

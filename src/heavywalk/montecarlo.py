@@ -2,17 +2,18 @@
 
 Trajectories are independent units of work: trajectory k draws its uniforms
 from the counter stream (master_seed, k), so any partition of the index
-range over workers produces bit-identical results.  The engine runs chunks
-of trajectories in vectorized lockstep on compacted live columns: each step
-touches only the trajectories still out, and draws exactly one uniform per
-draw counter for each of them (draws_per_step * sum(min(tau, horizon))
-uniforms in all).  A live trajectory carries the max and min of its level
-over steps >= 1; when it settles (returns, or reaches the horizon) the start
-level is folded into them and its crossings of +-m_level are read off them,
-so a start beyond m_level is no crossing.  The scalar step() path in
-`increments` consumes the same streams and agrees with it: the same return
-times, and states equal to rounding (vectorized and scalar powers may differ
-in the last bit).
+range over workers produces bit-identical results.  Every regime draws from
+the laws `build_law`, `plane_radial_law` and `plane_transverse_law` build.
+The engine runs chunks of trajectories in vectorized lockstep on compacted
+live columns: each step touches only the trajectories still out, and draws
+exactly one uniform per draw counter for each of them (draws_per_step *
+sum(min(tau, horizon)) uniforms in all).  A live trajectory carries the max
+and min of its level over steps >= 1; when it settles (returns, or reaches
+the horizon) the start level is folded into them and its crossings of
++-m_level are read off them, so a start beyond m_level is no crossing.  The
+scalar step() path in `increments` consumes the same streams and agrees with
+it: the same return times, and states equal to rounding (vectorized and
+scalar powers may differ in the last bit).
 """
 
 from __future__ import annotations
@@ -28,13 +29,14 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .errors import DomainError, InsufficientDataError
-from .increments import (_U_MIN, ChainSpec, HeavyPareto, IncrementLaw, plane_radial_law,
-                         plane_transverse_law)
+from .increments import (_U_MIN, ChainSpec, HeavyPareto, IncrementLaw, build_law,
+                         plane_radial_law, plane_transverse_law)
 from .rng import _const, seed_key, uniform_array
 
 # a uniform's counter fills the low 32 bits of its stream word
 # (rng.uniform_at), and the trajectory index the high 32
 _COUNTER_SPAN = 2 ** 32
+SURVIVAL_POINTS = 60   # geometric survival grid points, before rounding and deduplication
 
 
 @dataclass(frozen=True)
@@ -140,13 +142,12 @@ class PhaseDiagnostic:
 
 def _mixture(u1: np.ndarray, u2: np.ndarray, pw: np.ndarray, p, scale, light,
              p_mirror) -> np.ndarray:
-    """Increments of the canonical mixture, the order build_law and the plane
-    laws use: a Pareto side of weight p with signed support point `scale`,
-    then (p_mirror, the cumulative weight p + p, not None) its mirror image
-    with weight p, then a uniform on (0, light), `light` a signed width, with
-    the remaining weight.  u1 picks the component and u2 (clipped away from
-    0) inverts its CDF; pw is u2 ** (-1 / exponent), the Pareto quantile at
-    support point 1."""
+    """IncrementLaw.quantile(u1, u2) bit for bit, from _law_constants(law): a
+    Pareto side of weight p with signed support point `scale`, then (p_mirror,
+    the cumulative weight p + p, not None) its mirror image with weight p, then
+    a uniform on (0, light), `light` a signed width, with the remaining weight.
+    u1 picks the component and u2 (clipped away from 0) inverts its CDF; pw is
+    u2 ** (-1 / exponent), the Pareto quantile at support point 1."""
     pareto = scale * pw
     if p_mirror is not None:
         return np.where(u1 < p, pareto, np.where(u1 < p_mirror, -pareto, light * u2))
@@ -154,7 +155,8 @@ def _mixture(u1: np.ndarray, u2: np.ndarray, pw: np.ndarray, p, scale, light,
 
 
 def _law_constants(law: IncrementLaw) -> tuple:
-    """_mixture's constants for a state-independent law, as 0-d arrays."""
+    """_mixture's constants (p, scale, light, p_mirror) as 0-d arrays: the one
+    reader of the canonical component order (heavy side, mirror, light tuner)."""
     heavy, light = law.components[0], law.components[-1].kind
     p = heavy.weight
     mirror = _const(p + p) if isinstance(law.components[1].kind, HeavyPareto) else None
@@ -204,15 +206,13 @@ def _chunk(cfg: SimConfig, m_level: float, lo: int, hi: int) -> tuple[dict, dict
                  "final_y": np.full(n, float(cfg.start[1]))}
         level = np.hypot(*start.values())
     else:
-        p, y0 = _const(spec.p_heavy), spec.heavy_scale()
-        mirror = _const(spec.p_heavy + spec.p_heavy) if spec.regime == "line_balanced" else None
-        # the heavy side's direction depends only on the sign of x, and so does
-        # the light width when b = 0: (value at x >= 0, value at x < 0)
-        scale = tuple(_const(y0 if mirror is not None else float(spec.heavy_sign(s)) * y0)
-                      for s in (1.0, -1.0))
-        light = None
-        if spec.drift.b == 0.0:
-            light = tuple(_const(float(spec.light_width(s))) for s in (1.0, -1.0))
+        # (at x >= 0, at x < 0) pairs, looked up by sign where they differ; when
+        # b != 0 the light width also depends on |x| and is taken at x per step
+        (p, *at_pos, mirror), (_, *at_neg, _) = (_law_constants(build_law(spec, s))
+                                                 for s in (1.0, -1.0))
+        scale, light = zip(at_pos, at_neg)
+        sign_scale, sign_light = (signed and v[0] != v[1] for v in (scale, light))
+        drifted = spec.drift.b != 0.0
         start = {"final_x": np.full(n, float(cfg.start))}
         level = start["final_x"]
     level0 = level[0]
@@ -284,11 +284,11 @@ def _chunk(cfg: SimConfig, m_level: float, lo: int, hi: int) -> tuple[dict, dict
         else:
             if signed:
                 neg = live["neg"]
-            if light is None:
+            if drifted:
                 lw = spec.light_width(x)
             else:
-                lw = np.where(neg, light[1], light[0]) if signed else light[0]
-            sc = np.where(neg, scale[1], scale[0]) if signed and mirror is None else scale[0]
+                lw = np.where(neg, light[1], light[0]) if sign_light else light[0]
+            sc = np.where(neg, scale[1], scale[0]) if sign_scale else scale[0]
             x += _mixture(u1, u2, pw, p, sc, lw, mirror)
             if half:
                 np.maximum(x, zero, out=x)
@@ -340,16 +340,14 @@ def _simulate_batch(cfg: SimConfig, m_level: float = math.inf) -> dict:
             parts = list(ex.map(kernel, bounds[:-1], bounds[1:]))
     merged = {k: np.concatenate([cols[k] for cols, _ in parts]) for k in parts[0][0]}
     merged["horizon"] = cfg.horizon
-    merged["n_traj"] = cfg.n_traj
     merged["workers"] = w
-    merged["plane"] = cfg.spec.regime == "plane"
     merged["engine"] = {k: sum(counts[k] for _, counts in parts) for k in parts[0][1]}
     return merged
 
 
 def _summaries_from_batch(batch: dict) -> list[TrajectorySummary]:
     final = batch["final_x"].tolist()
-    if batch["plane"]:
+    if "final_y" in batch:
         final = list(zip(final, batch["final_y"].tolist()))
     rows = zip(batch["index"].tolist(), batch["tau"].tolist(), batch["max"].tolist(),
                batch["min"].tolist(), final, batch["crossed_pos"].tolist(),
@@ -373,9 +371,9 @@ def run_trajectories(cfg: SimConfig, m_level: float = math.inf) -> list[Trajecto
 # survival exponent
 # ---------------------------------------------------------------------------
 
-def survival_grid(horizon: int, points: int = 60) -> np.ndarray:
+def survival_grid(horizon: int) -> np.ndarray:
     top = max(horizon - 1, 1)
-    return np.unique(np.rint(np.geomspace(1, top, points)).astype(np.int64))
+    return np.unique(np.rint(np.geomspace(1, top, SURVIVAL_POINTS)).astype(np.int64))
 
 
 def survival_curve(batch: dict, grid: np.ndarray) -> np.ndarray:
@@ -385,7 +383,7 @@ def survival_curve(batch: dict, grid: np.ndarray) -> np.ndarray:
     return np.array([(tau_eff > n).mean() for n in grid])
 
 
-def estimate_passage_tail(cfg: SimConfig, grid_points: int = 60) -> SurvivalEstimate:
+def estimate_passage_tail(cfg: SimConfig) -> SurvivalEstimate:
     """log-log OLS slope of the survival curve P[tau_a > n].
 
     The fit window keeps survival in (10/n_traj, 0.9): the early transient
@@ -393,7 +391,7 @@ def estimate_passage_tail(cfg: SimConfig, grid_points: int = 60) -> SurvivalEsti
     as tau > n, never as returns.
     """
     batch = _simulate_batch(cfg)
-    grid = survival_grid(cfg.horizon, grid_points)
+    grid = survival_grid(cfg.horizon)
     surv = survival_curve(batch, grid)
     floor = 10.0 / cfg.n_traj
     use = (surv > floor) & (surv < 0.9)
@@ -429,10 +427,8 @@ def phase_diagnostic(cfg: SimConfig, m_level: float) -> PhaseDiagnostic:
     batch = _simulate_batch(cfg, m_level)
     tau = batch["tau"]
     returned = tau >= 0
-    if batch["plane"]:
-        fr = np.hypot(batch["final_x"], batch["final_y"])
-    else:
-        fr = np.abs(batch["final_x"])
+    fr = (np.hypot(batch["final_x"], batch["final_y"]) if "final_y" in batch
+          else np.abs(batch["final_x"]))
     escaped = (~returned) & (fr > m_level)
     n = cfg.n_traj
     osc = np.zeros(n, dtype=bool)

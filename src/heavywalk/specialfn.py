@@ -231,6 +231,7 @@ _GK_WG = (
 
 _MAX_DEPTH = 60
 _MAX_INTERVALS = 200_000
+INCOMPLETE_BETA_TOL = 1e-10   # absolute tolerance of incomplete_beta_ext
 
 
 # (node, Kronrod weight, Gauss weight) per symmetric node pair, then the
@@ -378,9 +379,10 @@ def integrate_decaying_tail(f: Callable[[float], float], y_from: float, decay: f
 # Extended incomplete beta
 # ---------------------------------------------------------------------------
 
-def incomplete_beta_ext(x: float, p: float, q: float, abs_tol: float = 1e-10) -> float:
-    """B_x(p, q) = integral_0^x u^(p-1) (1-u)^(q-1) du for x < 1, p > 0 and
-    any real q (x = 1 allowed when q > 0)."""
+
+def incomplete_beta_ext(x: float, p: float, q: float) -> float:
+    """B_x(p, q) = integral_0^x u^(p-1) (1-u)^(q-1) du to INCOMPLETE_BETA_TOL,
+    for x < 1, p > 0 and any real q (x = 1 allowed when q > 0)."""
     if p <= 0.0:
         raise DomainError(f"incomplete_beta_ext requires p > 0, got {p}")
     if x < 0.0 or x > 1.0 or (x == 1.0 and q <= 0.0):
@@ -389,13 +391,13 @@ def incomplete_beta_ext(x: float, p: float, q: float, abs_tol: float = 1e-10) ->
         return 0.0
     x_split = min(x, 0.5)
     left = integrate_power_weighted(
-        lambda u: math.pow(1.0 - u, q - 1.0), p - 1.0, 0.0, x_split, abs_tol / 2)
+        lambda u: math.pow(1.0 - u, q - 1.0), p - 1.0, 0.0, x_split, INCOMPLETE_BETA_TOL / 2)
     if x <= 0.5:
         return left
     # remaining piece over u in (1/2, x], as s = 1-u in [1-x, 1/2)
     s_lo = 1.0 - x
     right = integrate_power_weighted(
-        lambda s: math.pow(1.0 - s, p - 1.0), q - 1.0, s_lo, 0.5, abs_tol / 2)
+        lambda s: math.pow(1.0 - s, p - 1.0), q - 1.0, s_lo, 0.5, INCOMPLETE_BETA_TOL / 2)
     return left + right
 
 

@@ -125,6 +125,26 @@ BAD_SHAPES = {
     "start_inf": ("simulate", dict(HL, sim=dict(HL["sim"], start=math.inf))),
     "steps_fraction": ("phase-diagram",
                        dict(HL, grid={"param": "b", "min": 0.0, "max": 1.0, "steps": 3.5})),
+    # non-finite sweep bounds are rejected before any row is written
+    "axis_min_minus_inf": ("phase-diagram",
+                           dict(HL, grid={"param": "b", "min": -math.inf, "max": 1.0,
+                                          "steps": 3})),
+    "axis_min_nan": ("phase-diagram",
+                     dict(HL, grid={"param": "gamma", "min": math.nan, "max": 1.0, "steps": 3})),
+    "axis_max_inf": ("phase-diagram",
+                     dict(HL, grid={"param": "c", "min": 1.0, "max": math.inf, "steps": 3})),
+    "axis_span_overflow": ("phase-diagram",
+                           dict(HL, grid={"param": "b", "min": -1e308, "max": 1e308,
+                                          "steps": 3})),
+    "verify_x_min_nan": ("drift-verify",
+                         dict(HL, drift_verify={"i": 0, "nu": 0.5, "x_min": math.nan})),
+    "verify_x_max_inf": ("drift-verify",
+                         dict(HL, drift_verify={"i": 0, "nu": 0.5, "x_max": math.inf})),
+    # non-finite spec fields
+    "gamma_nan": ("classify", dict(HL, gamma=math.nan)),
+    "b_nan": ("classify", dict(HL, b=math.nan)),
+    "c_inf": ("simulate", dict(HL, c=math.inf)),
+    "x0_nan": ("simulate", dict(HL, x0=math.nan)),
 }
 
 
@@ -157,6 +177,7 @@ JUNK = st.one_of(st.text(max_size=4), st.lists(st.integers(-2, 2), max_size=3),
 # found by this test: an infinite count raised OverflowError, an empty drift grid IndexError
 @example("simulate", [(("sim", "horizon"), math.inf)], "half_line")
 @example("drift-verify", [(("drift_verify", "points"), False)], "half_line")
+@example("phase-diagram", [(("grid", "min"), -math.inf)], "half_line")
 @given(st.sampled_from(["classify", "nu-star", "drift-verify", "simulate", "phase-diagram"]),
        st.lists(st.tuples(st.sampled_from(FUZZ_FIELDS), JUNK), min_size=1, max_size=2),
        st.sampled_from(["half_line", "line_in", "plane"]))

@@ -148,6 +148,21 @@ def test_regime_parameter_validation():
         ChainSpec("no_such", TailParams(alpha=1.5), DriftParams(), 0.2)
 
 
+NON_FINITE_CASES = [(regime, field) for regime in ("half_line", "line_in")
+                    for field in ("alpha", "beta", "c", "x0", "gamma", "b")] + [
+    ("plane", field) for field in ("p_radial", "c_radial", "c_transverse")]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("regime,field", NON_FINITE_CASES)
+def test_non_finite_spec_fields_rejected(regime, field, value):
+    spec = {"half_line": half_line, "line_in": line_in, "plane": plane}[regime]()
+    obj = spec.to_json()
+    (obj["plane"] if field in obj.get("plane", {}) else obj)[field] = value
+    with pytest.raises(DomainError, match=field):
+        ChainSpec.from_json(obj)
+
+
 def test_spec_json_roundtrip():
     for spec in (half_line(gamma=0.5, b=-2.0), line_in(beta=1.7, b=0.1, gamma=0.7),
                  plane(p_radial=0.7)):
@@ -236,7 +251,7 @@ def test_plane_laws_mean_zero_and_symmetric():
     for y in (3.0, 10.0):
         assert tl.tail_pos(y) == tl.tail_neg(y)
     # exact transverse tail constant
-    y0t = spec.heavy_scale(0.5, 1.5)
+    y0t = spec.heavy_scale(0.5)
     assert tl.tail_pos(2 * y0t) == pytest.approx(0.5 * (2 * y0t) ** -1.5, rel=1e-13)
 
 

@@ -258,6 +258,9 @@ def test_expansion_line_in_i1_limit_sign():
 def test_expansion_grid_validation():
     with pytest.raises(DomainError):
         verify_expansion(half_line(), 0, 0.5, [1e3, 1e2])
+    for bad in ([math.nan], [1e2, math.inf], [-math.inf, 1e2]):
+        with pytest.raises(DomainError, match="finite"):
+            verify_expansion(half_line(), 0, 0.5, bad)
 
 
 def test_big_drift_ratio_tends_to_one():

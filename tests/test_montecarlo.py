@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from heavywalk import step
+from heavywalk import build_law, plane_radial_law, plane_transverse_law, step
 from heavywalk.errors import DomainError, InsufficientDataError
-from heavywalk.montecarlo import (SimConfig, _chunk, _simulate_batch, estimate_passage_tail,
-                                  moment_diagnostic, phase_diagnostic, run_trajectories,
-                                  survival_curve, survival_grid)
-from heavywalk.rng import CounterStream, seed_key, uniform_array, uniform_at
+from heavywalk.increments import _U_MIN
+from heavywalk.montecarlo import (SimConfig, _chunk, _law_constants, _mixture, _simulate_batch,
+                                  estimate_passage_tail, moment_diagnostic, phase_diagnostic,
+                                  run_trajectories, survival_curve, survival_grid)
+from heavywalk.rng import CounterStream, _const, seed_key, uniform_array, uniform_at
 
 from conftest import balanced, half_line, line_in, line_out, plane
 
@@ -43,6 +44,45 @@ def test_rng_rough_uniformity():
     counts, _ = np.histogram(u, bins=20, range=(0, 1))
     chi2 = float(((counts - 5000.0) ** 2 / 5000.0).sum())
     assert chi2 < 45.0   # chi2_{19} at 0.07% is ~46
+
+
+# ---------------------------------------------------------------------------
+# the sampler contract: the engine's mixture is the law's quantile
+# ---------------------------------------------------------------------------
+
+def _sampler_cases():
+    for spec in (half_line(), half_line(gamma=0.5, b=-1.0), line_out(), line_out(gamma=0.1, b=1.0),
+                 line_in(), line_in(gamma=0.5, b=-0.5), balanced(), balanced(gamma=0.5, b=0.5)):
+        xf = spec.x_floor()
+        for x in (1.0, 10.0 * xf, 1e4, -1.0, -10.0 * xf, -1e4):
+            yield pytest.param(spec, x, build_law(spec, x), id=f"{spec.regime}-b{spec.drift.b}-x{x}")
+    spec = plane(p_radial=0.7, c_radial=2.0, c_transverse=0.5)
+    yield pytest.param(spec, None, plane_radial_law(spec), id="plane-radial")
+    yield pytest.param(spec, None, plane_transverse_law(spec), id="plane-transverse")
+
+
+@pytest.mark.parametrize("spec, x, law", _sampler_cases())
+def test_mixture_is_the_law_quantile(spec, x, law):
+    # u1 at every boundary between components and its two float neighbours
+    bounds = np.cumsum([c.weight for c in law.components])[:-1]
+    u1 = np.concatenate([[0.0, np.nextafter(1.0, 0.0)], bounds, np.nextafter(bounds, 0.0),
+                         np.nextafter(bounds, 1.0)])
+    u2 = np.array([0.0, 2.0 ** -53, 0.5, 1.0 - 2.0 ** -53])
+    u1, u2 = (g.ravel() for g in np.meshgrid(u1, u2))
+    # as the engine draws: u2 clipped away from 0, the power a 0-d constant
+    clipped = np.maximum(u2, _U_MIN)
+    pw = clipped ** _const(-1.0 / spec.heavy_exponent)
+    constants = _law_constants(law)
+    got = _mixture(u1, clipped, pw, *constants)
+    assert got.tobytes() == law.quantile(u1, u2).tobytes()
+    if x is not None:
+        # the engine's per-step light width when b != 0 is the law's
+        assert float(spec.light_width(x)) == float(constants[2])
+        if spec.drift.b == 0.0:
+            # and when b = 0 the law is the one at +-1
+            at_sign = _law_constants(build_law(spec, math.copysign(1.0, x)))
+            assert [None if c is None else float(c) for c in at_sign] == \
+                [None if c is None else float(c) for c in constants]
 
 
 # ---------------------------------------------------------------------------
