@@ -119,6 +119,9 @@ def cmd_drift_verify(cfg: dict, out: Path, seed: int, workers: int) -> int:
         x_min, x_max = float(d.get("x_min", 1e2)), float(d.get("x_max", 1e5))
         if not (math.isfinite(x_min) and math.isfinite(x_max)):
             raise ValueError(f"x_min and x_max must be finite, got {x_min!r}, {x_max!r}")
+        if x_min == 0.0 or x_max == 0.0 or (x_min < 0.0) != (x_max < 0.0):
+            raise ValueError(f"x_min and x_max must be non-zero and of one sign, "
+                             f"got {x_min!r}, {x_max!r}")
         grid = np.geomspace(x_min, x_max, _integer(d.get("points", 4)))
     except (KeyError, TypeError, ValueError, OverflowError) as ex:
         raise ConfigError(f"missing or malformed field: {ex}", field="drift_verify")

@@ -6,6 +6,9 @@ holds identically for y >= y0, and the light side is a bounded uniform whose
 mean is solved in closed form so the total mean hits the drift target
 exactly.  Closed-form tails and means make the quadrature and property tests
 exact rather than asymptotic.
+
+A spec is feasible when its laws can be built: build_law alone rejects an
+illegal light side, and a ChainSpec builds its law at x_floor, the binding state.
 """
 
 from __future__ import annotations
@@ -23,6 +26,9 @@ REGIMES = ("half_line", "line_out", "line_in", "line_balanced", "plane")
 # Uniform draws of exactly 0 would map to an infinite Pareto jump; clip at
 # the resolution of the 53-bit stream instead.
 _U_MIN = 2.0 ** -53
+
+# Direction of the heavy Pareto side at x > 0 on the one-heavy-side regimes.
+_HEAVY_SIDE = {"half_line": 1.0, "line_out": 1.0, "line_in": -1.0}
 
 
 @dataclass(frozen=True)
@@ -151,81 +157,44 @@ class ChainSpec:
     def x_floor(self) -> float:
         return max(self.tail.x0, 1.0)
 
+    def _sign(self, x):
+        """-1.0 where x < 0, else +1.0 (sign(0) := +1); always +1.0 on the half line."""
+        if self.regime == "half_line":
+            return 1.0
+        return np.where(np.asarray(x, dtype=float) < 0.0, -1.0, 1.0)
+
     def drift_target(self, x):
         """mu(x): +-b |x|^(-gamma) with the magnitude clamped below x_floor.
 
         Works on scalars and numpy arrays.
         """
         b, g = self.drift.b, self.drift.gamma
-        ax = np.maximum(np.abs(x), self.x_floor())
-        mag = b * ax ** (-g)
-        if self.regime == "half_line":
-            return mag
-        sgn = np.where(np.asarray(x, dtype=float) < 0.0, -1.0, 1.0)
-        return sgn * mag
+        return self._sign(x) * (b * np.maximum(np.abs(x), self.x_floor()) ** (-g))
 
-    def heavy_sign(self, x):
-        """Direction of the heavy Pareto side at state x (sign(0) := +1)."""
-        sgn = np.where(np.asarray(x, dtype=float) < 0.0, -1.0, 1.0)
-        if self.regime == "half_line":
-            return np.abs(sgn)
-        if self.regime == "line_out":
-            return sgn
-        if self.regime == "line_in":
-            return -sgn
-        raise DomainError(f"heavy_sign undefined for regime {self.regime}")
-
-    def light_mean(self, x):
-        """Signed mean of the bounded light component at state x (vectorizable).
-
-        Solved so that the mixture mean equals drift_target(x) exactly.  For
-        the one-heavy-side regimes a feasible law has this pointing opposite
-        the heavy side.
-        """
+    def light_width(self, x):
+        """Signed width of the light uniform at state x (vectorizable): twice the
+        mean that makes the mixture mean drift_target(x) exactly.  A feasible law
+        points it opposite the heavy side, _sign(x) * _HEAVY_SIDE[regime]."""
         p = self.p_heavy
         mu = self.drift_target(x)
         if self.regime == "line_balanced":
             # the two heavy sides cancel; tuner carries the whole drift
-            return mu / (1.0 - 2.0 * p)
-        y0 = self.heavy_scale()
+            return 2.0 * (mu / (1.0 - 2.0 * p))
         e = self.heavy_exponent
-        m_h = y0 * e / (e - 1.0)
-        return (mu - self.heavy_sign(x) * p * m_h) / (1.0 - p)
-
-    def light_width(self, x):
-        """Signed width of the light uniform at state x: twice its mean."""
-        return 2.0 * self.light_mean(x)
-
-    def light_magnitude(self, x):
-        """Mean of the light component measured along its legal direction
-        (opposite the heavy side); must be positive for a feasible law."""
-        if self.regime == "line_balanced":
-            return np.abs(self.light_mean(x))
-        return -self.heavy_sign(x) * self.light_mean(x)
+        m_h = self.heavy_scale() * e / (e - 1.0)
+        hs = self._sign(x) * _HEAVY_SIDE[self.regime]
+        return 2.0 * ((mu - hs * p * m_h) / (1.0 - p))
 
     def _check_feasible(self) -> None:
+        """Feasible means the laws can be built, and the law at x_floor binds:
+        the light width is affine in t = max(|x|, x_floor)^(-gamma), equal in
+        magnitude at +-x, and legal in the drift-free limit t -> 0, so its legal
+        magnitude is smallest, and the balanced tuner widest, at x_floor."""
         if self.regime == "plane":
-            # radial and transverse support points must exist
-            self.heavy_scale(self.plane.c_radial)
-            self.heavy_scale(self.plane.c_transverse)
-            return
-        y0 = self.heavy_scale()
-        xf = self.x_floor()
-        # light_magnitude is monotone in x^(-gamma), so the grid ends plus the
-        # x -> inf limit bound it; both signs of x give the same magnitude
-        grid = [xf, 2.0 * xf, 10.0 * xf, 1e6]
-        if self.drift.gamma > 0:
-            grid.append(1e300)
-        for x in grid:
-            m = float(self.light_magnitude(x))
-            if self.regime == "line_balanced":
-                if 2.0 * m > y0:
-                    raise InfeasibleDrift(
-                        f"drift tuner width {2*m:.6g} exceeds y0={y0:.6g} at x={x:.6g}; "
-                        "it would perturb the exact tail", x=x)
-            elif m <= 0.0:
-                raise InfeasibleDrift(
-                    f"required light-component mean {m:.6g} <= 0 at x={x:.6g}", x=x)
+            plane_radial_law(self)
+            plane_transverse_law(self)
+        else:
+            build_law(self, self.x_floor())
 
     # -- serialization -----------------------------------------------------
 
@@ -350,16 +319,21 @@ def build_law(spec: ChainSpec, x: float) -> IncrementLaw:
     lw = float(spec.light_width(x))
     mean = float(spec.drift_target(x))
     if spec.regime == "line_balanced":
+        if abs(lw) > y0:
+            raise InfeasibleDrift(
+                f"drift tuner width {abs(lw):.6g} exceeds y0={y0:.6g} at x={x:.6g}; "
+                "it would perturb the exact tail", x=x)
         comps = (
             LawComponent(HeavyPareto(+1, e, y0), p),
             LawComponent(HeavyPareto(-1, e, y0), p),
             LawComponent(BoundedUniform(-1 if lw < 0 else +1, abs(lw)), 1.0 - 2.0 * p),
         )
         return IncrementLaw(comps, mean)
-    hs = int(spec.heavy_sign(x))
+    hs = int(spec._sign(x) * _HEAVY_SIDE[spec.regime])
     width = -hs * lw
     if width <= 0.0:
-        raise InfeasibleDrift(f"required light-component mean {width / 2.0:.6g} <= 0 at x={x!r}", x=x)
+        raise InfeasibleDrift(
+            f"required light-component mean {width / 2.0:.6g} <= 0 at x={x:.6g}", x=x)
     comps = (
         LawComponent(HeavyPareto(hs, e, y0), p),
         LawComponent(BoundedUniform(-hs, width), 1.0 - p),

@@ -118,6 +118,10 @@ BAD_SHAPES = {
     "verify_i_fraction": ("drift-verify", dict(HL, drift_verify={"i": 1.9, "nu": 0.5})),
     "verify_points_fraction": ("drift-verify",
                                dict(HL, drift_verify={"i": 0, "nu": 0.5, "points": 2.5})),
+    # a geometric grid cannot cross or touch zero
+    "verify_grid_mixed_sign": ("drift-verify",
+                               dict(HL, drift_verify={"i": 0, "nu": 0.5, "x_min": -100,
+                                                      "x_max": 1000})),
     # non-finite levels: every trajectory would be reported censored
     "m_level_nan": ("simulate", dict(HL, m_level=math.nan)),
     "a_nan": ("simulate", dict(HL, sim=dict(HL["sim"], a=math.nan))),

@@ -115,9 +115,14 @@ def test_clamp_region_is_tail_consistent():
 
 
 def test_infeasible_drift_reports_x():
-    with pytest.raises(InfeasibleDrift) as exc:
-        half_line(gamma=0.0, b=10.0)
-    assert exc.value.x is not None
+    # the binding state is x_floor = max(x0, 1), for the one-sided light mean
+    # and for the balanced tuner width alike
+    for make, kw in ((half_line, dict(gamma=0.0, b=10.0)),
+                     (line_in, dict(gamma=0.5, b=-20.0, x0=5.0)),
+                     (balanced, dict(gamma=0.5, b=2.5))):
+        with pytest.raises(InfeasibleDrift) as exc:
+            make(**kw)
+        assert exc.value.x == max(kw.get("x0", 1.0), 1.0)
 
 
 def test_infeasible_weight():
@@ -132,6 +137,125 @@ def test_infeasible_weight():
 def test_balanced_tuner_width_guard():
     with pytest.raises(InfeasibleDrift):
         balanced(gamma=0.5, b=2.5, x0=1.0)
+
+
+# The earlier feasibility formulation, kept as an oracle: the light mean from
+# heavy_sign / light_mean, its magnitude along the legal direction, and a scan
+# of the grid [xf, 2xf, 10xf, 1e6, (1e300 if gamma > 0)].
+
+def _oracle_sign(x):
+    return np.where(np.asarray(x, dtype=float) < 0.0, -1.0, 1.0)
+
+
+def _oracle_drift_target(spec, x):
+    b, g = spec.drift.b, spec.drift.gamma
+    ax = np.maximum(np.abs(x), spec.x_floor())
+    mag = b * ax ** (-g)
+    if spec.regime == "half_line":
+        return mag
+    return _oracle_sign(x) * mag
+
+
+def _oracle_heavy_sign(spec, x):
+    sgn = _oracle_sign(x)
+    return {"half_line": np.abs(sgn), "line_out": sgn, "line_in": -sgn}[spec.regime]
+
+
+def _oracle_light_mean(spec, x):
+    p = spec.p_heavy
+    mu = _oracle_drift_target(spec, x)
+    if spec.regime == "line_balanced":
+        return mu / (1.0 - 2.0 * p)
+    y0 = spec.heavy_scale()
+    e = spec.heavy_exponent
+    m_h = y0 * e / (e - 1.0)
+    return (mu - _oracle_heavy_sign(spec, x) * p * m_h) / (1.0 - p)
+
+
+def _oracle_check_feasible(spec):
+    y0 = spec.heavy_scale()
+    xf = spec.x_floor()
+    grid = [xf, 2.0 * xf, 10.0 * xf, 1e6]
+    if spec.drift.gamma > 0:
+        grid.append(1e300)
+    for x in grid:
+        if spec.regime == "line_balanced":
+            m = float(np.abs(_oracle_light_mean(spec, x)))
+            if 2.0 * m > y0:
+                raise InfeasibleDrift(
+                    f"drift tuner width {2*m:.6g} exceeds y0={y0:.6g} at x={x:.6g}; "
+                    "it would perturb the exact tail", x=x)
+        else:
+            m = float(-_oracle_heavy_sign(spec, x) * _oracle_light_mean(spec, x))
+            if m <= 0.0:
+                raise InfeasibleDrift(
+                    f"required light-component mean {m:.6g} <= 0 at x={x:.6g}", x=x)
+
+
+def _unchecked_spec(regime, tail, drift, p_heavy):
+    """A ChainSpec built without __post_init__, so the oracle can judge it."""
+    spec = object.__new__(ChainSpec)
+    for name, value in (("regime", regime), ("tail", tail), ("drift", drift),
+                        ("p_heavy", p_heavy), ("plane", None)):
+        object.__setattr__(spec, name, value)
+    return spec
+
+
+def _outcome(fn):
+    try:
+        fn()
+    except (InfeasibleDrift, InfeasibleWeight) as ex:
+        return type(ex), str(ex), getattr(ex, "x", None)
+    return None
+
+
+ORACLE_STATES = [0.0, -0.0, 1e-300, -1e-300, 0.5, -0.5, 1.0, -1.0, 3.7, -3.7,
+                 1e6, -1e6, 1e300, -1e300]
+
+
+def test_feasibility_matches_grid_scan_oracle():
+    tails = {"half_line": dict(alpha=1.5), "line_out": dict(alpha=1.7),
+             "line_in": dict(alpha=2.5, beta=1.3), "line_balanced": dict(alpha=1.5)}
+    states = np.array(ORACLE_STATES)
+    accepted = rejected = 0
+    for regime, tail_kw in tails.items():
+        for gamma in (0.0, 1e-12, 0.5, 2.0):
+            for p in ((0.1, 0.25, 0.45) if regime != "line_balanced" else (0.05, 0.2, 0.45)):
+                for c, x0 in ((0.3, 0.0), (1.0, 1.0), (3.0, 5.0)):
+                    tail = TailParams(c=c, x0=x0, **tail_kw)
+                    probe = _unchecked_spec(regime, tail, DriftParams(gamma, 0.0), p)
+                    xf = probe.x_floor()
+                    if _outcome(probe.heavy_scale) is not None:
+                        thr = 1.0   # y0 < 1: rejected before any drift is tried
+                    elif regime == "line_balanced":
+                        thr = probe.heavy_scale() * (1.0 - 2.0 * p) / 2.0 * xf ** gamma
+                    else:
+                        e = probe.heavy_exponent
+                        hs = {"line_in": -1.0}.get(regime, 1.0)
+                        thr = hs * p * probe.heavy_scale() * e / (e - 1.0) * xf ** gamma
+                    for k in (-2.0, -1.0001, -1.0, -0.9999, 0.0, 0.5, 0.9999, 1.0,
+                              1.0001, 2.0):
+                        drift = DriftParams(gamma, k * thr)
+                        want = _outcome(lambda: _oracle_check_feasible(
+                            _unchecked_spec(regime, tail, drift, p)))
+                        got = _outcome(lambda: ChainSpec(regime, tail, drift, p))
+                        assert got == want, (regime, tail, drift, p)
+                        if want is not None:
+                            rejected += 1
+                            continue
+                        accepted += 1
+                        spec = ChainSpec(regime, tail, drift, p)
+                        lw, mu = spec.light_width(states), spec.drift_target(states)
+                        assert lw.tobytes() == (2.0 * _oracle_light_mean(spec, states)).tobytes()
+                        assert mu.tobytes() == _oracle_drift_target(spec, states).tobytes()
+                        if k == 1.0 and c == 1.0:
+                            for x in ORACLE_STATES:
+                                assert repr(spec.light_width(x)) == \
+                                    repr(2.0 * _oracle_light_mean(spec, x))
+                                assert repr(spec.drift_target(x)) == \
+                                    repr(_oracle_drift_target(spec, x))
+    # the sweep reaches both sides of every threshold
+    assert accepted > 300 and rejected > 300
 
 
 def test_regime_parameter_validation():
