@@ -21,10 +21,8 @@ from .errors import (
     PoleError,
 )
 from .increments import (
-    BoundedUniform,
     ChainSpec,
     DriftParams,
-    HeavyPareto,
     IncrementLaw,
     PlaneParams,
     TailParams,

@@ -155,11 +155,9 @@ def nu_star(spec: ChainSpec) -> NuStarResult:
     iters = 0
     g_mid, mid = g_lo, lo
     while iters < NU_MAX_ITER:
-        mid = 0.5 * (lo + hi)
-        if hi - lo < 1e-15:
-            break
-        g_mid, mid = _eval_shrink(g, mid, lo, hi)
-        if abs(g_mid) <= NU_RESIDUAL_TOL:
+        # the returned residual is always |g| at the returned point
+        g_mid, mid = _eval_shrink(g, 0.5 * (lo + hi), lo, hi)
+        if abs(g_mid) <= NU_RESIDUAL_TOL or hi - lo < 1e-15:
             break
         if g_mid < 0.0:
             lo = mid

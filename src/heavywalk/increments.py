@@ -1,11 +1,13 @@
 """State-dependent increment laws with exact power tails and drift targets.
 
-Each regime's law is a mixture: heavy side(s) are exact Pareto tails beyond a
-support point y0 chosen so that weight * P[comp > y] = c * y^(-exponent)
-holds identically for y >= y0, and the light side is a bounded uniform whose
-mean is solved in closed form so the total mean hits the drift target
-exactly.  Closed-form tails and means make the quadrature and property tests
-exact rather than asymptotic.
+Every law has one shape, held by the flat record IncrementLaw: a Pareto
+side, on the two-sided laws its mirror image, and a light uniform.  A Pareto
+side is an exact tail beyond a support point y0 chosen so that
+p * P[jump > y] = c * y^(-exponent) holds identically for y >= y0, and the
+light uniform's mean is solved in closed form so the total mean hits the
+drift target exactly.  Closed-form tails and means make the quadrature and
+property tests exact rather than asymptotic.  IncrementLaw.quantile draws
+through _quantile, the one sampler, which the simulation engine shares.
 
 A spec is feasible when its laws can be built: build_law alone rejects an
 illegal light side, and a ChainSpec builds its law at x_floor, the binding state.
@@ -14,8 +16,8 @@ illegal light side, and a ChainSpec builds its law at x_floor, the binding state
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Optional, Union
+from dataclasses import dataclass, field, replace
+from typing import Optional
 
 import numpy as np
 
@@ -52,32 +54,6 @@ class PlaneParams:
     p_radial: float
     c_radial: float
     c_transverse: float
-
-
-@dataclass(frozen=True)
-class HeavyPareto:
-    """P[jump > y] = (scale / y)^exponent for y >= scale, support [scale, inf)."""
-
-    sign: int
-    exponent: float
-    scale: float
-
-
-@dataclass(frozen=True)
-class BoundedUniform:
-    """Uniform on (0, width), signed; width 0 degenerates to a point mass at 0."""
-
-    sign: int
-    width: float
-
-
-Component = Union[HeavyPareto, BoundedUniform]
-
-
-@dataclass(frozen=True)
-class LawComponent:
-    kind: Component
-    weight: float
 
 
 @dataclass(frozen=True)
@@ -242,12 +218,46 @@ class ChainSpec:
         )
 
 
+def _quantile(u1, u2, pw, p, scale, light, p_mirror):
+    """The one increment sampler, elementwise over arrays: a Pareto side of
+    weight p with signed support point `scale`, then (p_mirror, the cumulative
+    weight p + p, not None) its mirror image with weight p, then a uniform on
+    (0, light), `light` a signed width, with the remaining weight.  u1 picks
+    the piece and u2 (already clipped away from 0) inverts its CDF; pw is
+    u2 ** (-1 / exponent), the Pareto quantile at support point 1."""
+    pareto = scale * pw
+    if p_mirror is not None:
+        return np.where(u1 < p, pareto, np.where(u1 < p_mirror, -pareto, light * u2))
+    return np.where(u1 < p, pareto, light * u2)
+
+
 @dataclass(frozen=True)
 class IncrementLaw:
-    """Concrete increment mixture at one state, with exact tails and mean."""
+    """Concrete increment law at one state, with exact tails and mean.
 
-    components: tuple[LawComponent, ...]
+    A Pareto side of weight p, P[side * theta > y] = p * (|scale| / y)^exponent
+    for y >= |scale| on the side of scale's sign; when two_sided, its mirror
+    image with the same weight; then a uniform on (0, light) with the
+    remaining weight.  `light` is a signed width whose sign bit picks its side,
+    so a 0.0 width (a point mass at 0) still has one.
+    """
+
+    p: float
+    exponent: float
+    scale: float
+    two_sided: bool
+    light: float
     mean: float
+
+    @property
+    def light_weight(self) -> float:
+        """The light uniform's weight: 1 - p, or 1 - 2p when two-sided."""
+        return 1.0 - 2.0 * self.p if self.two_sided else 1.0 - self.p
+
+    def on_side(self, side: int) -> tuple[bool, bool]:
+        """Whether the Pareto tail and the light uniform sit on side +1 or -1."""
+        return (self.two_sided or (self.scale > 0.0) == (side > 0),
+                math.copysign(1.0, self.light) == side)
 
     def tail_pos(self, y: float) -> float:
         """P[theta > y] for y >= 0."""
@@ -260,56 +270,33 @@ class IncrementLaw:
     def _tail(self, y: float, sign: int) -> float:
         if y < 0.0:
             raise DomainError("tail functions are defined for y >= 0")
+        heavy, light = self.on_side(sign)
         acc = 0.0
-        for comp in self.components:
-            k = comp.kind
-            if k.sign != sign:
-                continue
-            if isinstance(k, HeavyPareto):
-                acc += comp.weight * (1.0 if y < k.scale else (k.scale / y) ** k.exponent)
-            elif k.width > 0.0 and y < k.width:
-                acc += comp.weight * (1.0 - y / k.width)
+        if heavy:
+            y0 = abs(self.scale)
+            acc += self.p * (1.0 if y < y0 else (y0 / y) ** self.exponent)
+        width = abs(self.light)
+        if light and y < width:
+            acc += self.light_weight * (1.0 - y / width)
         return acc
 
     def mirrored(self) -> "IncrementLaw":
-        """The law of -theta (component signs flipped, mean negated)."""
-        comps = tuple(
-            LawComponent(
-                HeavyPareto(-c.kind.sign, c.kind.exponent, c.kind.scale)
-                if isinstance(c.kind, HeavyPareto)
-                else BoundedUniform(-c.kind.sign, c.kind.width),
-                c.weight,
-            )
-            for c in self.components
-        )
-        return IncrementLaw(comps, -self.mean)
+        """The law of -theta (both sides flipped, mean negated)."""
+        return replace(self, scale=-self.scale, light=-self.light, mean=-self.mean)
 
     def quantile(self, u1, u2):
-        """Increment from two uniforms: u1 selects the component, u2 inverts
-        its CDF.  Accepts scalars or numpy arrays (elementwise)."""
+        """Increment from two uniforms: u1 selects the piece, u2 inverts its
+        CDF.  Accepts scalars or numpy arrays (elementwise)."""
         u1 = np.asarray(u1, dtype=float)
         u2 = np.maximum(np.asarray(u2, dtype=float), _U_MIN)
-        out = np.zeros(np.broadcast(u1, u2).shape)
-        lo = 0.0
-        for comp in self.components:
-            hi = lo + comp.weight
-            pick = (u1 >= lo) & (u1 < hi) if hi < 1.0 else (u1 >= lo)
-            k = comp.kind
-            if isinstance(k, HeavyPareto):
-                vals = k.sign * k.scale * u2 ** (-1.0 / k.exponent)
-            else:
-                vals = k.sign * k.width * u2
-            out = np.where(pick, vals, out)
-            lo = hi
+        out = _quantile(u1, u2, u2 ** (-1.0 / self.exponent), self.p, self.scale, self.light,
+                        self.p + self.p if self.two_sided else None)
         return out if out.ndim else float(out)
 
 
 def build_law(spec: ChainSpec, x: float) -> IncrementLaw:
-    """The increment law of the chain at state x (scalar regimes).
-
-    Component order is canonical (heavy components first, light tuner last);
-    the vectorized simulation engine takes its constants from these laws.
-    """
+    """The increment law of the chain at state x (scalar regimes); the
+    vectorized simulation engine takes its constants from these laws."""
     if spec.regime == "plane":
         raise DomainError("plane regime has separate radial/transverse laws; "
                           "use plane_radial_law / plane_transverse_law")
@@ -323,22 +310,16 @@ def build_law(spec: ChainSpec, x: float) -> IncrementLaw:
             raise InfeasibleDrift(
                 f"drift tuner width {abs(lw):.6g} exceeds y0={y0:.6g} at x={x:.6g}; "
                 "it would perturb the exact tail", x=x)
-        comps = (
-            LawComponent(HeavyPareto(+1, e, y0), p),
-            LawComponent(HeavyPareto(-1, e, y0), p),
-            LawComponent(BoundedUniform(-1 if lw < 0 else +1, abs(lw)), 1.0 - 2.0 * p),
-        )
-        return IncrementLaw(comps, mean)
+        # a zero tuner (-0.0 at x < 0) sits on the positive side
+        light = lw if lw < 0.0 else abs(lw)
+        return IncrementLaw(p, e, y0, two_sided=True, light=light, mean=mean)
     hs = int(spec._sign(x) * _HEAVY_SIDE[spec.regime])
     width = -hs * lw
-    if width <= 0.0:
+    if not 0.0 < width < math.inf:
+        bad = "<= 0" if width <= 0.0 else "is not finite"
         raise InfeasibleDrift(
-            f"required light-component mean {width / 2.0:.6g} <= 0 at x={x:.6g}", x=x)
-    comps = (
-        LawComponent(HeavyPareto(hs, e, y0), p),
-        LawComponent(BoundedUniform(-hs, width), 1.0 - p),
-    )
-    return IncrementLaw(comps, mean)
+            f"required light-component mean {width / 2.0:.6g} {bad} at x={x:.6g}", x=x)
+    return IncrementLaw(p, e, hs * y0, two_sided=False, light=lw, mean=mean)
 
 
 def plane_radial_law(spec: ChainSpec) -> IncrementLaw:
@@ -350,11 +331,7 @@ def plane_radial_law(spec: ChainSpec) -> IncrementLaw:
     a = spec.tail.alpha
     y0 = spec.heavy_scale(spec.plane.c_radial)
     m = p * y0 * a / (a - 1.0) / (1.0 - p)
-    comps = (
-        LawComponent(HeavyPareto(+1, a, y0), p),
-        LawComponent(BoundedUniform(-1, 2.0 * m), 1.0 - p),
-    )
-    return IncrementLaw(comps, 0.0)
+    return IncrementLaw(p, a, y0, two_sided=False, light=-(2.0 * m), mean=0.0)
 
 
 def plane_transverse_law(spec: ChainSpec) -> IncrementLaw:
@@ -364,12 +341,7 @@ def plane_transverse_law(spec: ChainSpec) -> IncrementLaw:
     p = spec.p_heavy
     a = spec.tail.alpha
     y0 = spec.heavy_scale(spec.plane.c_transverse)
-    comps = (
-        LawComponent(HeavyPareto(+1, a, y0), p),
-        LawComponent(HeavyPareto(-1, a, y0), p),
-        LawComponent(BoundedUniform(+1, 0.0), 1.0 - 2.0 * p),
-    )
-    return IncrementLaw(comps, 0.0)
+    return IncrementLaw(p, a, y0, two_sided=True, light=0.0, mean=0.0)
 
 
 def sample(law: IncrementLaw, u_stream) -> float:

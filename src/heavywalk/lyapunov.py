@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import DivergentError, DomainError
-from .increments import ChainSpec, HeavyPareto, IncrementLaw, build_law
+from .increments import ChainSpec, IncrementLaw, build_law
 from .specialfn import (QuadStats, integrate_adaptive, integrate_decaying_tail, kappa0, kappa1,
                         kappa2)
 from .classify import classify as _classify_phase
@@ -56,29 +56,28 @@ def _f_kinks(i: int) -> tuple[float, ...]:
 
 def _side_integrand(law: IncrementLaw, side: int, i: int, nu: float, x: float):
     """The integrand y -> f_i'(x + side*y) * P[side*theta > y] of one jump side,
-    as one closure, plus the side's kink points and smallest heavy exponent.
+    as one closure, plus the side's kink points and its heavy exponent (None
+    when the side has no Pareto tail).
 
-    The components are filtered once, in law order, into (weight, scale,
-    exponent) for a Pareto tail and (weight, width, None) for a uniform of
-    positive width; the closure sums them in that order with the expressions
-    of `IncrementLaw.tail_pos`/`tail_neg`, and takes f_i' away from its kinks
-    (0 on the flat part), so each value is bit-identical to the product of
-    the two.
+    The side's pieces, in law order, are (weight, support point, exponent)
+    for its Pareto tail and (weight, width, None) for a light uniform of
+    positive width (a zero width still gives a kink at 0); the closure sums
+    them in that order with the expressions of `IncrementLaw.tail_pos`/
+    `tail_neg`, and takes f_i' away from its kinks (0 on the flat part), so
+    each value is bit-identical to the product of the two.
     """
-    pieces, kinks, heavy_exps = [], [], []
-    for c in law.components:
-        k = c.kind
-        if k.sign != side or c.weight == 0.0:
-            continue
-        if isinstance(k, HeavyPareto):
-            pieces.append((c.weight, k.scale, k.exponent))
-            kinks.append(k.scale)
-            if c.weight > 0.0:
-                heavy_exps.append(k.exponent)
-        else:
-            if k.width > 0.0:
-                pieces.append((c.weight, k.width, None))
-            kinks.append(k.width)
+    heavy, light = law.on_side(side)
+    pieces, kinks, heavy_exp = [], [], None
+    if heavy:
+        y0 = abs(law.scale)
+        pieces.append((law.p, y0, law.exponent))
+        kinks.append(y0)
+        heavy_exp = law.exponent
+    if light:
+        width = abs(law.light)
+        if width > 0.0:
+            pieces.append((law.light_weight, width, None))
+        kinks.append(width)
     nu_m1 = nu - 1.0
 
     if i in (0, 1):
@@ -107,7 +106,7 @@ def _side_integrand(law: IncrementLaw, side: int, i: int, nu: float, x: float):
                     acc += w * (1.0 - y / a)
             return nu * math.copysign(az ** nu_m1, z) * acc
 
-    return integrand, kinks, min(heavy_exps, default=None)
+    return integrand, kinks, heavy_exp
 
 
 def drift_numeric_law(law: IncrementLaw, i: int, nu: float, x: float,
@@ -134,23 +133,19 @@ def drift_numeric_law(law: IncrementLaw, i: int, nu: float, x: float,
             if grows and nu >= heavy_exp:
                 raise DivergentError(
                     f"E[f_{i}] diverges: nu={nu} >= tail exponent {heavy_exp} on side {side:+d}")
-            upper = max(splits, default=1.0)
+            upper = splits[-1]
             pts = [0.0] + splits
+        # the tolerance counts the points before deduplication
         piece_tol = abs_tol / (2.0 * max(1, len(pts)))
         val = 0.0
         pts = sorted(set(pts))
         for lo, hi in zip(pts[:-1], pts[1:]):
-            if hi > lo:
-                val += integrate_adaptive(integrand, lo, hi, piece_tol, stats)
-        if heavy_exp is not None:
-            if grows:
-                decay = heavy_exp + 1.0 - nu
-                val += integrate_decaying_tail(integrand, upper, decay, piece_tol, stats)
-            else:
-                # flat side: integrand vanishes beyond the last f-kink
-                last = max(f_splits, default=0.0)
-                if last > upper:
-                    val += integrate_adaptive(integrand, upper, last, piece_tol, stats)
+            val += integrate_adaptive(integrand, lo, hi, piece_tol, stats)
+        # a flat side's integrand vanishes beyond its last f-kink, which is
+        # in splits, so only a growing heavy side has a tail beyond upper
+        if heavy_exp is not None and grows:
+            decay = heavy_exp + 1.0 - nu
+            val += integrate_decaying_tail(integrand, upper, decay, piece_tol, stats)
         total += side * val
     return total
 

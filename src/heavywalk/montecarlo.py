@@ -2,8 +2,10 @@
 
 Trajectories are independent units of work: trajectory k draws its uniforms
 from the counter stream (master_seed, k), so any partition of the index
-range over workers produces bit-identical results.  Every regime draws from
-the laws `build_law`, `plane_radial_law` and `plane_transverse_law` build.
+range over workers produces bit-identical results.  Every regime draws
+through `IncrementLaw.quantile`'s sampler, `increments._quantile`, fed with
+the fields of the laws `build_law`, `plane_radial_law` and
+`plane_transverse_law` build.
 The engine runs chunks of trajectories in vectorized lockstep on compacted
 live columns: each step touches only the trajectories still out, and draws
 exactly one uniform per draw counter for each of them (draws_per_step *
@@ -29,7 +31,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .errors import DomainError, InsufficientDataError
-from .increments import (_U_MIN, ChainSpec, HeavyPareto, IncrementLaw, build_law,
+from .increments import (_U_MIN, ChainSpec, IncrementLaw, _quantile, build_law,
                          plane_radial_law, plane_transverse_law)
 from .rng import _const, seed_key, uniform_array
 
@@ -140,28 +142,12 @@ class PhaseDiagnostic:
 # vectorized chunk kernel
 # ---------------------------------------------------------------------------
 
-def _mixture(u1: np.ndarray, u2: np.ndarray, pw: np.ndarray, p, scale, light,
-             p_mirror) -> np.ndarray:
-    """IncrementLaw.quantile(u1, u2) bit for bit, from _law_constants(law): a
-    Pareto side of weight p with signed support point `scale`, then (p_mirror,
-    the cumulative weight p + p, not None) its mirror image with weight p, then
-    a uniform on (0, light), `light` a signed width, with the remaining weight.
-    u1 picks the component and u2 (clipped away from 0) inverts its CDF; pw is
-    u2 ** (-1 / exponent), the Pareto quantile at support point 1."""
-    pareto = scale * pw
-    if p_mirror is not None:
-        return np.where(u1 < p, pareto, np.where(u1 < p_mirror, -pareto, light * u2))
-    return np.where(u1 < p, pareto, light * u2)
-
-
 def _law_constants(law: IncrementLaw) -> tuple:
-    """_mixture's constants (p, scale, light, p_mirror) as 0-d arrays: the one
-    reader of the canonical component order (heavy side, mirror, light tuner)."""
-    heavy, light = law.components[0], law.components[-1].kind
-    p = heavy.weight
-    mirror = _const(p + p) if isinstance(law.components[1].kind, HeavyPareto) else None
-    return (_const(p), _const(heavy.kind.sign * heavy.kind.scale),
-            _const(light.sign * light.width), mirror)
+    """The law's fields as _quantile's constants (p, scale, light, p_mirror),
+    0-d arrays; p_mirror is None on a one-sided law."""
+    p = law.p
+    return (_const(p), _const(law.scale), _const(law.light),
+            _const(p + p) if law.two_sided else None)
 
 
 def _chunk(cfg: SimConfig, m_level: float, lo: int, hi: int) -> tuple[dict, dict]:
@@ -268,8 +254,8 @@ def _chunk(cfg: SimConfig, m_level: float, lo: int, hi: int) -> tuple[dict, dict
         if plane:
             y, r = live["final_y"], live["radius"]
             radial = u[0] < p_radial
-            th_r = _mixture(u1, u2, pw, *radial_law)
-            th_t = _mixture(u1, u2, pw, *transverse_law)
+            th_r = _quantile(u1, u2, pw, *radial_law)
+            th_t = _quantile(u1, u2, pw, *transverse_law)
             # the origin (r = 0) is live only when a < 0: step along the x axis
             off = r > zero
             safe = np.where(off, r, one)
@@ -289,7 +275,7 @@ def _chunk(cfg: SimConfig, m_level: float, lo: int, hi: int) -> tuple[dict, dict
             else:
                 lw = np.where(neg, light[1], light[0]) if sign_light else light[0]
             sc = np.where(neg, scale[1], scale[0]) if sign_scale else scale[0]
-            x += _mixture(u1, u2, pw, p, sc, lw, mirror)
+            x += _quantile(u1, u2, pw, p, sc, lw, mirror)
             if half:
                 np.maximum(x, zero, out=x)
             vn = dist = x

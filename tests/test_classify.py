@@ -5,8 +5,8 @@ import pytest
 
 from heavywalk.classify import (CRITICAL, NULL_RECURRENT, POSITIVE_RECURRENT,
                                 TRANSIENT, TRANSIENT_DIRECTIONAL, TRANSIENT_OSCILLATORY)
-from heavywalk.classify import (Classification, classify, drift_threshold, moment_exponent,
-                                nu_star, plane_equation_forms, plane_quantity)
+from heavywalk.classify import (Classification, _gap_function, classify, drift_threshold,
+                                moment_exponent, nu_star, plane_equation_forms, plane_quantity)
 from heavywalk.errors import NoRootError, NotRecurrentError
 
 from conftest import balanced, half_line, line_in, line_out, plane
@@ -194,6 +194,16 @@ def test_nu_star_plane_matches_oracle():
     want = oracle_nu_star("plane", 1.5, p_radial=0.9, c_radial=1.0, c_transverse=1.0)
     assert ns.nu_star == pytest.approx(want, abs=1e-8)
     assert 0.0 < ns.nu_star < 1.0
+
+
+@pytest.mark.parametrize("b", [-60.24745223723917, -53.55496441788585, -50.2087205082092])
+def test_nu_star_residual_is_taken_at_nu_star(b):
+    # near alpha = 1 the bisection runs down to its bracket-width stop
+    spec = half_line(alpha=1.05, gamma=1.05 - 1.0, b=b)
+    ns = nu_star(spec)
+    g, _ = _gap_function(spec)
+    assert ns.bracket[1] - ns.bracket[0] < 2e-15
+    assert ns.residual == abs(g(ns.nu_star))
 
 
 def test_nu_star_monotone_decreasing_in_b():

@@ -5,6 +5,7 @@ import math
 import os
 import tempfile
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -90,6 +91,12 @@ def test_invalid_config_exits_2(tmp_path):
                                          "x0": 1.0}, "infeasible.json")
     assert main(["classify", "--config", infeasible, "--out", str(tmp_path)]) == 2
     assert main(["simulate", "--config", missing, "--out", str(tmp_path)]) == 2
+    # a light width that overflows to inf (numpy warns of the overflow)
+    for regime in ("half_line", "line_out"):
+        overflow = write_config(tmp_path, {"regime": regime, "alpha": 1.5, "gamma": 0.5,
+                                           "b": -1e308}, "overflow.json")
+        with np.errstate(over="ignore"):
+            assert main(["classify", "--config", overflow, "--out", str(tmp_path)]) == 2
 
 
 BAD_SHAPES = {

@@ -90,6 +90,9 @@ ANALYTIC = {
     "line_in": (line_in(beta=1.3, gamma=0.3, b=-3.0, x0=2.0), [(1, 0.6), (2, 0.6)]),
     "line_in_b0": (line_in(beta=1.3, gamma=1.0), [(1, 0.2), (2, 0.2)]),
     "line_balanced": (balanced(alpha=1.5, gamma=0.5, b=0.5, x0=4.0), [(1, 0.5), (2, 0.5)]),
+    # b = 0: the tuner has width 0.0, and its side decides a quadrature kink at
+    # y = 0, and so the tolerance of every piece on that side
+    "line_balanced_b0": (balanced(alpha=1.5, b=0.0), [(1, 0.5), (2, 0.5)]),
     "plane": (plane(alpha=1.5, p_radial=0.85), []),
 }
 # i = 2 is even, so its grid also crosses to the negative side
@@ -99,6 +102,7 @@ PROBES = [50.0, 1e3]
 ANALYTIC_DIGESTS = {
     "half_line": "70a2cdcb8328d53d66d2cf129bd95ecbb64a47c51575f13f18f607a43d9b083c",
     "line_balanced": "90d35340436bbcd3cc42476514788742b0a715c1f83594867542aa0026acf26b",
+    "line_balanced_b0": "2ead2bc72783f16a1bf1721ee285b408a239769202a18c7a9d0f440eef6b78e4",
     "line_in": "d49d64fded07f6671f171d1cf47842e537cf17d144739df24e2dc1007432792b",
     "line_in_b0": "02d2c0a822232a757da99b11b0dce9acc4453518d5c93eca25a54d4913d1afd1",
     "line_out": "b56c14ed17211d12a83b800ab24c41a77a6c83d0cf943a62bc880b2439fe4320",

@@ -4,9 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from heavywalk import (BoundedUniform, ChainSpec, DriftParams, HeavyPareto, PlaneParams,
-                       TailParams, build_law, plane_radial_law, plane_transverse_law,
-                       sample, step)
+from heavywalk import (ChainSpec, DriftParams, IncrementLaw, PlaneParams, TailParams,
+                       build_law, plane_radial_law, plane_transverse_law, sample, step)
 from heavywalk import specialfn as sf
 from heavywalk.errors import DomainError, InfeasibleDrift, InfeasibleWeight
 from heavywalk.rng import CounterStream
@@ -18,16 +17,16 @@ def quad_mean(law, tol=1e-10):
     """Quadrature oracle for the law mean: E[theta] = int T+ - int T-."""
     total = 0.0
     for sign, tail in ((1, law.tail_pos), (-1, law.tail_neg)):
-        comps = [c for c in law.components if c.kind.sign == sign and c.weight > 0]
-        if not comps:
+        heavy, light = law.on_side(sign)
+        kinks = [abs(law.scale)] if heavy else []
+        if light:
+            kinks.append(abs(law.light))
+        if not kinks:
             continue
-        kinks = [c.kind.scale if isinstance(c.kind, HeavyPareto) else c.kind.width
-                 for c in comps]
         top = max(kinks)
         val = sf.integrate_adaptive(tail, 0.0, top, tol) if top > 0 else 0.0
-        heavy = [c.kind for c in comps if isinstance(c.kind, HeavyPareto)]
         if heavy:
-            val += sf.integrate_decaying_tail(tail, top, min(h.exponent for h in heavy), tol)
+            val += sf.integrate_decaying_tail(tail, top, law.exponent, tol)
         total += sign * val
     return total
 
@@ -50,9 +49,8 @@ def test_half_line_exact_tail_and_support_point():
     spec = half_line()
     law = build_law(spec, 50.0)
     y0 = (1.0 / 0.25) ** (1.0 / 1.5)
-    pareto = law.components[0].kind
-    assert isinstance(pareto, HeavyPareto)
-    assert pareto.scale == pytest.approx(y0, rel=1e-15)
+    assert isinstance(law, IncrementLaw) and not law.two_sided
+    assert law.scale == pytest.approx(y0, rel=1e-15)
     for y in (y0, 2.0 * y0, 10.0 * y0, 4000.0):
         assert law.tail_pos(y) == pytest.approx(y ** -1.5, rel=1e-14)
 
@@ -95,21 +93,22 @@ def test_balanced_two_sided_exact_tails():
 def test_weights_sum_to_one():
     for spec, x in ((half_line(), 30.0), (line_in(), -40.0), (balanced(), 25.0)):
         law = build_law(spec, x)
-        assert sum(c.weight for c in law.components) == pytest.approx(1.0, abs=1e-15)
+        weights = [law.p, law.p, law.light_weight] if law.two_sided else [law.p, law.light_weight]
+        assert sum(weights) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_light_side_is_bounded():
     law = build_law(half_line(), 77.0)
-    uni = law.components[1].kind
-    assert isinstance(uni, BoundedUniform)
-    assert law.tail_neg(uni.width + 1e-12) == 0.0
+    # the light uniform sits on the negative side, opposite the heavy one
+    assert law.light < 0.0 < law.scale
+    assert law.tail_neg(-law.light + 1e-12) == 0.0
 
 
 def test_clamp_region_is_tail_consistent():
     # for x beyond the light width, P[x + theta < 0] = tail_neg(x) = 0
     spec = half_line()
     law = build_law(spec, 50.0)
-    width = law.components[1].kind.width
+    width = -law.light
     assert 50.0 > width
     assert law.tail_neg(50.0) == 0.0
 
@@ -117,10 +116,13 @@ def test_clamp_region_is_tail_consistent():
 def test_infeasible_drift_reports_x():
     # the binding state is x_floor = max(x0, 1), for the one-sided light mean
     # and for the balanced tuner width alike
+    # (the b = -1e308 light widths overflow to inf, and numpy warns of it)
     for make, kw in ((half_line, dict(gamma=0.0, b=10.0)),
                      (line_in, dict(gamma=0.5, b=-20.0, x0=5.0)),
-                     (balanced, dict(gamma=0.5, b=2.5))):
-        with pytest.raises(InfeasibleDrift) as exc:
+                     (balanced, dict(gamma=0.5, b=2.5)),
+                     (half_line, dict(gamma=0.5, b=-1e308)),
+                     (line_out, dict(gamma=0.5, b=-1e308))):
+        with np.errstate(over="ignore"), pytest.raises(InfeasibleDrift) as exc:
             make(**kw)
         assert exc.value.x == max(kw.get("x0", 1.0), 1.0)
 
@@ -306,7 +308,7 @@ def test_sample_uses_exactly_two_uniforms():
 
 def test_pareto_inverse_cdf_boundary():
     law = build_law(half_line(), 40.0)
-    y0 = law.components[0].kind.scale
+    y0 = law.scale
     # u1 in the heavy band, u2 = 1 at the inverse-CDF endpoint
     assert float(law.quantile(0.0, 1.0)) == y0
 
@@ -316,7 +318,7 @@ def test_empirical_tail_three_sigma():
     rng = np.random.default_rng(11)
     n = 10 ** 6
     th = law.quantile(rng.random(n), rng.random(n))
-    y0 = law.components[0].kind.scale
+    y0 = law.scale
     yq = 4.0 * y0
     exact = yq ** -1.5
     emp = float((th > yq).mean())

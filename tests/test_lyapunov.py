@@ -103,8 +103,10 @@ def _oracle_integrand(law, side, i, nu, x):
 def _kink_grid(law, side, x):
     """y >= 0 on a geometric grid, plus every kink of the tail and of
     f(x + side*y), each with its two floating-point neighbours."""
-    kinks = [c.kind.scale if hasattr(c.kind, "scale") else c.kind.width
-             for c in law.components if c.kind.sign == side]
+    heavy, light = law.on_side(side)
+    kinks = [abs(law.scale)] if heavy else []
+    if light:
+        kinks.append(abs(law.light))
     kinks += [side * (k - x) for k in (-1.0, 1.0)]
     ys = [0.0] + [float(y) for y in np.geomspace(1e-6, 1e8, 57)]
     for k in kinks:

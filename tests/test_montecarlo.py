@@ -5,8 +5,8 @@ import pytest
 
 from heavywalk import build_law, plane_radial_law, plane_transverse_law, step
 from heavywalk.errors import DomainError, InsufficientDataError
-from heavywalk.increments import _U_MIN
-from heavywalk.montecarlo import (SimConfig, _chunk, _law_constants, _mixture, _simulate_batch,
+from heavywalk.increments import _U_MIN, _quantile
+from heavywalk.montecarlo import (SimConfig, _chunk, _law_constants, _simulate_batch,
                                   estimate_passage_tail, moment_diagnostic, phase_diagnostic,
                                   run_trajectories, survival_curve, survival_grid)
 from heavywalk.rng import CounterStream, _const, seed_key, uniform_array, uniform_at
@@ -50,6 +50,29 @@ def test_rng_rough_uniformity():
 # the sampler contract: the engine's mixture is the law's quantile
 # ---------------------------------------------------------------------------
 
+def _pieces(law):
+    """(weight, signed scale or width, exponent or None) in law order: the
+    Pareto side, its mirror image when two-sided, then the light uniform."""
+    pieces = [(law.p, law.scale, law.exponent)]
+    if law.two_sided:
+        pieces.append((law.p, -law.scale, law.exponent))
+    return pieces + [(law.light_weight, law.light, None)]
+
+
+def _piece_loop_quantile(law, u1, u2):
+    """Oracle: the quantile as a loop over the pieces, each taking u1 in its
+    cumulative-weight band [lo, hi), with no upper bound once hi reaches 1.0."""
+    u2 = np.maximum(u2, _U_MIN)
+    out = np.zeros(np.broadcast(u1, u2).shape)
+    lo = 0.0
+    for w, a, e in _pieces(law):
+        hi = lo + w
+        pick = (u1 >= lo) & (u1 < hi) if hi < 1.0 else (u1 >= lo)
+        out = np.where(pick, a * u2 ** (-1.0 / e) if e is not None else a * u2, out)
+        lo = hi
+    return out
+
+
 def _sampler_cases():
     for spec in (half_line(), half_line(gamma=0.5, b=-1.0), line_out(), line_out(gamma=0.1, b=1.0),
                  line_in(), line_in(gamma=0.5, b=-0.5), balanced(), balanced(gamma=0.5, b=0.5)):
@@ -63,8 +86,8 @@ def _sampler_cases():
 
 @pytest.mark.parametrize("spec, x, law", _sampler_cases())
 def test_mixture_is_the_law_quantile(spec, x, law):
-    # u1 at every boundary between components and its two float neighbours
-    bounds = np.cumsum([c.weight for c in law.components])[:-1]
+    # u1 at every boundary between pieces and its two float neighbours
+    bounds = np.cumsum([w for w, _, _ in _pieces(law)])[:-1]
     u1 = np.concatenate([[0.0, np.nextafter(1.0, 0.0)], bounds, np.nextafter(bounds, 0.0),
                          np.nextafter(bounds, 1.0)])
     u2 = np.array([0.0, 2.0 ** -53, 0.5, 1.0 - 2.0 ** -53])
@@ -73,8 +96,9 @@ def test_mixture_is_the_law_quantile(spec, x, law):
     clipped = np.maximum(u2, _U_MIN)
     pw = clipped ** _const(-1.0 / spec.heavy_exponent)
     constants = _law_constants(law)
-    got = _mixture(u1, clipped, pw, *constants)
-    assert got.tobytes() == law.quantile(u1, u2).tobytes()
+    want = _piece_loop_quantile(law, u1, u2)
+    assert law.quantile(u1, u2).tobytes() == want.tobytes()
+    assert _quantile(u1, clipped, pw, *constants).tobytes() == want.tobytes()
     if x is not None:
         # the engine's per-step light width when b != 0 is the law's
         assert float(spec.light_width(x)) == float(constants[2])
