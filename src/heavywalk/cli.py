@@ -13,6 +13,7 @@ import csv
 import json
 import math
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +28,8 @@ from .selftest import run_selftest
 
 _SPEC_KEYS = ("regime", "alpha", "beta", "c", "gamma", "b", "p_heavy", "x0", "plane")
 _PLANE_KEYS = ("p_radial", "c_radial", "c_transverse")
+# rows per string that simulate's CSV writer converts and writes at once
+_CSV_BLOCK = 8192
 
 
 def load_config(path: str) -> dict:
@@ -141,6 +144,28 @@ def cmd_drift_verify(cfg: dict, out: Path, seed: int, workers: int) -> int:
     return 0
 
 
+def _cells(col: np.ndarray):
+    """A column's CSV fields as csv.writer writes them: str for ints, repr
+    for floats (tolist() yields Python numbers), and 0/1 for flags."""
+    values = col.tolist()
+    if col.dtype == bool:
+        return map(("0", "1").__getitem__, values)
+    return map(repr if col.dtype.kind == "f" else str, values)
+
+
+def _write_csv(path: Path, cols: dict) -> None:
+    """Write equal-length columns under a header of their names, with the
+    bytes csv.writer gives (fields joined by ',', rows ended by \\r\\n; numbers
+    need no quoting).  Each block of _CSV_BLOCK rows is converted column by
+    column and written as one string, so only one block's fields are held."""
+    n = len(next(iter(cols.values())))
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(cols) + "\r\n")
+        for lo in range(0, n, _CSV_BLOCK):
+            rows = zip(*(_cells(c[lo:lo + _CSV_BLOCK]) for c in cols.values()))
+            fh.write("\r\n".join(map(",".join, rows)) + "\r\n")
+
+
 def cmd_simulate(cfg: dict, out: Path, seed: int, workers: int) -> int:
     spec = spec_from_config(cfg)
     sim = sim_from_config(cfg, spec, seed, workers)
@@ -150,6 +175,7 @@ def cmd_simulate(cfg: dict, out: Path, seed: int, workers: int) -> int:
         raise ConfigError(str(ex), field="m_level")
     if math.isnan(m_level):
         raise ConfigError("must be a number, got NaN", field="m_level")
+    t_simulate = time.perf_counter()
     batch = _simulate_batch(sim, m_level)
 
     cols = {"index": batch["index"], "tau": batch["tau"], "censored": batch["tau"] < 0,
@@ -160,22 +186,12 @@ def cmd_simulate(cfg: dict, out: Path, seed: int, workers: int) -> int:
     cols.update(crossed_pos=batch["crossed_pos"], crossed_neg=batch["crossed_neg"],
                 first_exit=batch["first_exit"], last_sign_change=batch["last_flip"])
     traj_path = out / "trajectories.csv"
-    with open(traj_path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(list(cols))
-        # tolist() yields Python ints and floats, which csv writes as str and
-        # repr; flags are written as 0/1
-        w.writerows(zip(*(c.astype(np.int64).tolist() if c.dtype == bool else c.tolist()
-                          for c in cols.values())))
-
+    t_write = time.perf_counter()
+    _write_csv(traj_path, cols)
     grid = survival_grid(sim.horizon)
-    surv = survival_curve(batch, grid)
     surv_path = out / "survival.csv"
-    with open(surv_path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["n", "survival"])
-        for n, s in zip(grid, surv):
-            w.writerow([int(n), float(s)])
+    _write_csv(surv_path, {"n": grid, "survival": survival_curve(batch, grid)})
+    stage_s = {"simulate": t_write - t_simulate, "write": time.perf_counter() - t_write}
 
     manifest = {
         "version": __version__,
@@ -187,6 +203,7 @@ def cmd_simulate(cfg: dict, out: Path, seed: int, workers: int) -> int:
         "engine": batch["engine"],
         "m_level": None if math.isinf(m_level) else m_level,
         "outputs": [traj_path.name, surv_path.name],
+        "stage_s": stage_s,
     }
     _write_json(out / "manifest.json", manifest)
     returned = float((batch["tau"] >= 0).mean())

@@ -151,15 +151,24 @@ class ChainSpec:
         """Signed width of the light uniform at state x (vectorizable): twice the
         mean that makes the mixture mean drift_target(x) exactly.  A feasible law
         points it opposite the heavy side, _sign(x) * _HEAVY_SIDE[regime]."""
+        k_pos, k_neg, weight = self.light_terms()
+        k = np.where(x < 0.0, k_neg, k_pos) if k_neg != k_pos else k_pos
+        return 2.0 * ((self.drift_target(x) - k) / weight)
+
+    def light_terms(self) -> tuple[float, float, float]:
+        """The state-free parts of light_width(x) = 2 (mu(x) - k) / weight:
+        (k at x >= 0, k at x < 0, weight).  k is the heavy side's share of the
+        mean, _sign(x) * _HEAVY_SIDE[regime] * p * m_h, and weight the light
+        component's, 1 - p; on line_balanced the two heavy sides cancel, so
+        k = 0 and the tuner's weight is 1 - 2p."""
         p = self.p_heavy
-        mu = self.drift_target(x)
         if self.regime == "line_balanced":
-            # the two heavy sides cancel; tuner carries the whole drift
-            return 2.0 * (mu / (1.0 - 2.0 * p))
+            return 0.0, 0.0, 1.0 - 2.0 * p
         e = self.heavy_exponent
         m_h = self.heavy_scale() * e / (e - 1.0)
-        hs = self._sign(x) * _HEAVY_SIDE[self.regime]
-        return 2.0 * ((mu - hs * p * m_h) / (1.0 - p))
+        k = _HEAVY_SIDE[self.regime] * p * m_h
+        # negation is exact; _sign is +1 everywhere on the half line
+        return k, k if self.regime == "half_line" else -k, 1.0 - p
 
     def _check_feasible(self) -> None:
         """Feasible means the laws can be built, and the law at x_floor binds:

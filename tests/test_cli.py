@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import io
 import json
 import math
@@ -10,7 +11,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from heavywalk.cli import main
+from heavywalk.cli import _CSV_BLOCK, _write_csv, main, sim_from_config, spec_from_config
+from heavywalk.montecarlo import _simulate_batch, survival_curve, survival_grid
 from heavywalk.selftest import run_selftest
 from heavywalk import specialfn as sf
 
@@ -239,11 +241,74 @@ def test_simulate_outputs_and_manifest(tmp_path):
     assert set(engine) == {"steps", "traj_steps", "uniforms"}
     assert engine["uniforms"] == 2 * engine["traj_steps"]
     assert set(manifest["outputs"]) == {"trajectories.csv", "survival.csv"}
+    # wall seconds per stage
+    stage_s = manifest["stage_s"]
+    assert set(stage_s) == {"simulate", "write"}
+    assert all(isinstance(v, float) and v >= 0.0 for v in stage_s.values())
     header = (tmp_path / "trajectories.csv").read_text().splitlines()[0]
     assert header.split(",")[:3] == ["index", "tau", "censored"]
     surv = (tmp_path / "survival.csv").read_text().splitlines()
     assert surv[0] == "n,survival"
     assert len(surv) > 10
+
+
+def _csv_writer_bytes(cols: dict) -> bytes:
+    """Oracle: the columns as csv.writer writes them, from Python ints and
+    floats, with flags as 0/1."""
+    buf = io.StringIO(newline="")
+    w = csv.writer(buf)
+    w.writerow(list(cols))
+    w.writerows(zip(*(c.astype(np.int64).tolist() if c.dtype == bool else c.tolist()
+                      for c in cols.values())))
+    return buf.getvalue().encode()
+
+
+# more rows than two blocks, so a block boundary and a short last block are written
+N_BLOCKS_PLUS = 2 * _CSV_BLOCK + 3
+
+
+@pytest.mark.parametrize("cfg", [
+    dict(HL, regime="line_balanced", gamma=0.5, b=0.5, p_heavy=0.2, m_level=40.0,
+         sim={"a": 5.0, "start": 30.0, "horizon": 20, "n_traj": N_BLOCKS_PLUS}),
+    {"regime": "plane", "alpha": 1.5, "p_heavy": 0.2, "m_level": 40.0,
+     "plane": {"p_radial": 0.9, "c_radial": 1.0, "c_transverse": 1.0},
+     "sim": {"a": 5.0, "start": [30.0, 0.0], "horizon": 20, "n_traj": N_BLOCKS_PLUS}},
+], ids=["line_balanced", "plane"])
+def test_simulate_csv_bytes_match_csv_writer(tmp_path, cfg):
+    assert main(["simulate", "--config", write_config(tmp_path, cfg), "--seed", "3",
+                 "--out", str(tmp_path)]) == 0
+    spec = spec_from_config(cfg)
+    sim = sim_from_config(cfg, spec, 3, 1)
+    batch = _simulate_batch(sim, cfg["m_level"])
+    cols = {"index": batch["index"], "tau": batch["tau"], "censored": batch["tau"] < 0,
+            "max_excursion": batch["max"], "min_excursion": batch["min"],
+            "final_x": batch["final_x"]}
+    if spec.regime == "plane":
+        cols["final_y"] = batch["final_y"]
+    cols.update(crossed_pos=batch["crossed_pos"], crossed_neg=batch["crossed_neg"],
+                first_exit=batch["first_exit"], last_sign_change=batch["last_flip"])
+    assert (tmp_path / "trajectories.csv").read_bytes() == _csv_writer_bytes(cols)
+    grid = survival_grid(sim.horizon)
+    surv = {"n": grid, "survival": survival_curve(batch, grid)}
+    assert (tmp_path / "survival.csv").read_bytes() == _csv_writer_bytes(surv)
+
+
+def test_csv_edge_values_match_csv_writer(tmp_path):
+    rng = np.random.default_rng(11)
+    n = N_BLOCKS_PLUS
+    cols = {"index": np.arange(n, dtype=np.int64), "tau": rng.integers(-1, 50, n),
+            "censored": rng.random(n) < 0.5, "x": rng.standard_cauchy(n),
+            "y": rng.standard_cauchy(n)}
+    edges = [-0.0, 0.0, 1e16, -1e16, 1e-7, 5e-324, -5e-324, math.inf, -math.inf, math.nan]
+    # at the ends and on both sides of each block boundary
+    at = [0, _CSV_BLOCK - 1, _CSV_BLOCK, 2 * _CSV_BLOCK - 1, 2 * _CSV_BLOCK, n - 1]
+    for k, pos in enumerate(at):
+        cols["x"][pos] = edges[k % len(edges)]
+        cols["y"][pos] = edges[-1 - k % len(edges)]
+        cols["tau"][pos] = -1
+    cols["y"][_CSV_BLOCK + 1:_CSV_BLOCK + 1 + len(edges)] = edges
+    _write_csv(tmp_path / "edges.csv", cols)
+    assert (tmp_path / "edges.csv").read_bytes() == _csv_writer_bytes(cols)
 
 
 def test_integral_float_counts_accepted(tmp_path):
