@@ -139,36 +139,37 @@ class ChainSpec:
             return 1.0
         return np.where(np.asarray(x, dtype=float) < 0.0, -1.0, 1.0)
 
+    def _drift_magnitude(self, x):
+        """b max(|x|, x_floor)^(-gamma): mu(x) where x >= 0, -mu(x) where x < 0."""
+        b, g = self.drift.b, self.drift.gamma
+        return b * np.maximum(np.abs(x), self.x_floor()) ** (-g)
+
     def drift_target(self, x):
         """mu(x): +-b |x|^(-gamma) with the magnitude clamped below x_floor.
 
         Works on scalars and numpy arrays.
         """
-        b, g = self.drift.b, self.drift.gamma
-        return self._sign(x) * (b * np.maximum(np.abs(x), self.x_floor()) ** (-g))
+        return self._sign(x) * self._drift_magnitude(x)
 
     def light_width(self, x):
         """Signed width of the light uniform at state x (vectorizable): twice the
         mean that makes the mixture mean drift_target(x) exactly.  A feasible law
-        points it opposite the heavy side, _sign(x) * _HEAVY_SIDE[regime]."""
-        k_pos, k_neg, weight = self.light_terms()
-        k = np.where(x < 0.0, k_neg, k_pos) if k_neg != k_pos else k_pos
-        return 2.0 * ((self.drift_target(x) - k) / weight)
+        points it opposite the heavy side, _sign(x) * _HEAVY_SIDE[regime].
 
-    def light_terms(self) -> tuple[float, float, float]:
-        """The state-free parts of light_width(x) = 2 (mu(x) - k) / weight:
-        (k at x >= 0, k at x < 0, weight).  k is the heavy side's share of the
-        mean, _sign(x) * _HEAVY_SIDE[regime] * p * m_h, and weight the light
-        component's, 1 - p; on line_balanced the two heavy sides cancel, so
-        k = 0 and the tuner's weight is 1 - 2p."""
+        Taken per sign: the drift magnitude and k, the heavy side's share of the
+        mean, are negated where x < 0.  Negation is exact, so this is bit for bit
+        the formula with _sign(x) multiplied into both."""
         p = self.p_heavy
+        mu = self._drift_magnitude(x)
         if self.regime == "line_balanced":
-            return 0.0, 0.0, 1.0 - 2.0 * p
+            # the two heavy sides cancel; tuner carries the whole drift
+            return 2.0 * (np.where(x < 0.0, -mu, mu) / (1.0 - 2.0 * p))
         e = self.heavy_exponent
-        m_h = self.heavy_scale() * e / (e - 1.0)
-        k = _HEAVY_SIDE[self.regime] * p * m_h
-        # negation is exact; _sign is +1 everywhere on the half line
-        return k, k if self.regime == "half_line" else -k, 1.0 - p
+        k = _HEAVY_SIDE[self.regime] * p * (self.heavy_scale() * e / (e - 1.0))
+        if self.regime != "half_line":
+            neg = x < 0.0
+            mu, k = np.where(neg, -mu, mu), np.where(neg, -k, k)
+        return 2.0 * ((mu - k) / (1.0 - p))
 
     def _check_feasible(self) -> None:
         """Feasible means the laws can be built, and the law at x_floor binds:

@@ -150,27 +150,6 @@ def _law_constants(law: IncrementLaw) -> tuple:
             _const(p + p) if law.two_sided else None)
 
 
-def _light_width(spec: ChainSpec):
-    """spec.light_width as a function of the state x and its sign column
-    neg = x < 0 (unused on the half line), bit for bit: the per-sign terms
-    are built once, and only t = b * max(|x|, x_floor)^(-gamma) is taken per
-    call, with drift_target's operands, so numpy takes the same power path.
-    The drift target is -t where neg, else t; -1.0 * t is exact."""
-    b, g, x_floor = spec.drift.b, spec.drift.gamma, spec.x_floor()
-    k_pos, k_neg, weight = spec.light_terms()
-    signed = spec.regime != "half_line"
-
-    def width(x, neg):
-        mu = b * np.maximum(np.abs(x), x_floor) ** (-g)
-        k = k_pos
-        if signed:
-            np.negative(mu, out=mu, where=neg)
-            if k_neg != k_pos:
-                k = np.where(neg, k_neg, k_pos)
-        return 2.0 * ((mu - k) / weight)
-    return width
-
-
 def _chunk(cfg: SimConfig, m_level: float, lo: int, hi: int) -> tuple[dict, dict]:
     """Trajectories lo..hi-1 of cfg in vectorized lockstep: the batch columns
     and the engine counts.
@@ -214,12 +193,12 @@ def _chunk(cfg: SimConfig, m_level: float, lo: int, hi: int) -> tuple[dict, dict
         level = np.hypot(*start.values())
     else:
         # (at x >= 0, at x < 0) pairs, looked up by sign where they differ; when
-        # b != 0 the light width also depends on |x| and is taken per step
+        # b != 0 the light width also depends on |x| and is taken at x per step
         (p, *at_pos, mirror), (_, *at_neg, _) = (_law_constants(build_law(spec, s))
                                                  for s in (1.0, -1.0))
         scale, light = zip(at_pos, at_neg)
         sign_scale, sign_light = (signed and v[0] != v[1] for v in (scale, light))
-        light_at = _light_width(spec) if spec.drift.b != 0.0 else None
+        drifted = spec.drift.b != 0.0
         start = {"final_x": np.full(n, float(cfg.start))}
         level = start["final_x"]
     level0 = level[0]
@@ -291,8 +270,8 @@ def _chunk(cfg: SimConfig, m_level: float, lo: int, hi: int) -> tuple[dict, dict
         else:
             if signed:
                 neg = live["neg"]
-            if light_at is not None:
-                lw = light_at(x, neg if signed else None)
+            if drifted:
+                lw = spec.light_width(x)
             else:
                 lw = np.where(neg, light[1], light[0]) if sign_light else light[0]
             sc = np.where(neg, scale[1], scale[0]) if sign_scale else scale[0]

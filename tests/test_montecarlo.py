@@ -6,10 +6,9 @@ import pytest
 from heavywalk import build_law, plane_radial_law, plane_transverse_law, step
 from heavywalk.errors import DomainError, InsufficientDataError
 from heavywalk.increments import _HEAVY_SIDE, _U_MIN, _quantile
-from heavywalk.montecarlo import (SimConfig, _chunk, _law_constants, _light_width,
-                                  _simulate_batch, estimate_passage_tail, moment_diagnostic,
-                                  phase_diagnostic, run_trajectories, survival_curve,
-                                  survival_grid)
+from heavywalk.montecarlo import (SimConfig, _chunk, _law_constants, _simulate_batch,
+                                  estimate_passage_tail, moment_diagnostic, phase_diagnostic,
+                                  run_trajectories, survival_curve, survival_grid)
 from heavywalk.rng import CounterStream, _const, seed_key, uniform_array, uniform_at
 
 from conftest import balanced, half_line, line_in, line_out, plane
@@ -132,8 +131,6 @@ def test_light_width_per_sign_terms_are_bit_exact(spec):
     x = np.concatenate([np.random.default_rng(3).standard_cauchy(100_000), edges])
     want = _light_width_formula(spec, x).view(np.int64)
     assert np.array_equal(spec.light_width(x).view(np.int64), want)
-    # the engine's per-step width, from the state and its sign column
-    assert np.array_equal(_light_width(spec)(x.copy(), x < 0.0).view(np.int64), want)
     # build_law's scalar calls
     for v in edges:
         assert np.float64(spec.light_width(v)).view(np.int64) == \
