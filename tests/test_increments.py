@@ -212,7 +212,7 @@ def _outcome(fn):
 
 
 ORACLE_STATES = [0.0, -0.0, 1e-300, -1e-300, 0.5, -0.5, 1.0, -1.0, 3.7, -3.7,
-                 1e6, -1e6, 1e300, -1e300]
+                 5.0, -5.0, 1e6, -1e6, 1e300, -1e300]
 
 
 def test_feasibility_matches_grid_scan_oracle():

@@ -5,7 +5,7 @@ import pytest
 
 from heavywalk import build_law, plane_radial_law, plane_transverse_law, step
 from heavywalk.errors import DomainError, InsufficientDataError
-from heavywalk.increments import _HEAVY_SIDE, _U_MIN, _quantile
+from heavywalk.increments import _U_MIN, _quantile
 from heavywalk.montecarlo import (SimConfig, _chunk, _law_constants, _simulate_batch,
                                   estimate_passage_tail, moment_diagnostic, phase_diagnostic,
                                   run_trajectories, survival_curve, survival_grid)
@@ -107,34 +107,6 @@ def test_mixture_is_the_law_quantile(spec, x, law):
             at_sign = _law_constants(build_law(spec, math.copysign(1.0, x)))
             assert [None if c is None else float(c) for c in at_sign] == \
                 [None if c is None else float(c) for c in constants]
-
-
-def _light_width_formula(spec, x):
-    """Oracle: ChainSpec.light_width as one expression at x, with the heavy
-    side's sign and mean weight taken per state."""
-    p = spec.p_heavy
-    mu = spec.drift_target(x)
-    if spec.regime == "line_balanced":
-        return 2.0 * (mu / (1.0 - 2.0 * p))
-    e = spec.heavy_exponent
-    m_h = spec.heavy_scale() * e / (e - 1.0)
-    hs = spec._sign(x) * _HEAVY_SIDE[spec.regime]
-    return 2.0 * ((mu - hs * p * m_h) / (1.0 - p))
-
-
-@pytest.mark.parametrize("spec", [half_line(gamma=0.5, b=-2.0), line_out(gamma=0.1, b=1.0),
-                                  line_in(gamma=0.5, b=-0.5, x0=2.0),
-                                  balanced(gamma=0.5, b=0.5)], ids=lambda s: s.regime)
-def test_light_width_per_sign_terms_are_bit_exact(spec):
-    xf = spec.x_floor()
-    edges = [0.0, -0.0, 1.0, -1.0, xf, -xf, 1e300, -1e300]
-    x = np.concatenate([np.random.default_rng(3).standard_cauchy(100_000), edges])
-    want = _light_width_formula(spec, x).view(np.int64)
-    assert np.array_equal(spec.light_width(x).view(np.int64), want)
-    # build_law's scalar calls
-    for v in edges:
-        assert np.float64(spec.light_width(v)).view(np.int64) == \
-            np.float64(_light_width_formula(spec, v)).view(np.int64), v
 
 
 # ---------------------------------------------------------------------------
