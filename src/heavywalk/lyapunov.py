@@ -56,57 +56,99 @@ def _f_kinks(i: int) -> tuple[float, ...]:
 
 def _side_integrand(law: IncrementLaw, side: int, i: int, nu: float, x: float):
     """The integrand y -> f_i'(x + side*y) * P[side*theta > y] of one jump side,
-    as one closure, plus the side's kink points and its heavy exponent (None
-    when the side has no Pareto tail).
+    as one closure; a closure for y beyond the side's last kink (None when the
+    side has no Pareto tail); the side's kink points; and its heavy exponent
+    (None when the side has no Pareto tail).
 
-    The side's pieces, in law order, are (weight, support point, exponent)
-    for its Pareto tail and (weight, width, None) for a light uniform of
-    positive width (a zero width still gives a kink at 0); the closure sums
-    them in that order with the expressions of `IncrementLaw.tail_pos`/
-    `tail_neg`, and takes f_i' away from its kinks (0 on the flat part), so
-    each value is bit-identical to the product of the two.
+    The side's pieces, in law order, are its Pareto tail (weight p, support
+    point y0, exponent e) and a light uniform (weight q, width w) of positive
+    width (a zero width still gives a kink at 0).  Each piece set (Pareto and
+    light, Pareto only, light only or none) and each test-function family
+    (i in {0, 1}, and i = 2) has its own closure with the pieces bound, and
+    takes f_i' away from its kinks (0 on the flat part).  The tail terms are
+    non-negative, so summing them from 0.0 as `IncrementLaw.tail_pos`/
+    `tail_neg` do gives the same bits, and each value is bit-identical to the
+    product of f_i' and the tail function.  Beyond the last kink every
+    `y < a` test is false, which leaves only the Pareto term.
     """
     heavy, light = law.on_side(side)
-    pieces, kinks, heavy_exp = [], [], None
+    kinks, heavy_exp = [], None
+    w = q = 0.0
     if heavy:
         y0 = abs(law.scale)
-        pieces.append((law.p, y0, law.exponent))
+        p = law.p
+        e = heavy_exp = law.exponent
         kinks.append(y0)
-        heavy_exp = law.exponent
     if light:
-        width = abs(law.light)
-        if width > 0.0:
-            pieces.append((law.light_weight, width, None))
-        kinks.append(width)
+        w = abs(law.light)
+        q = law.light_weight
+        kinks.append(w)
     nu_m1 = nu - 1.0
+    s = float(side)
+    copysign = math.copysign
 
     if i in (0, 1):
-        def integrand(y: float) -> float:
-            z = x + side * y
+        if heavy and w > 0.0:
+            def integrand(y: float) -> float:
+                z = x + s * y
+                if not z > 1.0:
+                    return 0.0
+                return nu * z ** nu_m1 * (p * (1.0 if y < y0 else (y0 / y) ** e)
+                                          + (q * (1.0 - y / w) if y < w else 0.0))
+        elif heavy:
+            def integrand(y: float) -> float:
+                z = x + s * y
+                if not z > 1.0:
+                    return 0.0
+                return nu * z ** nu_m1 * (p * (1.0 if y < y0 else (y0 / y) ** e))
+        else:
+            # w = 0.0 when the side has no piece: the tail is then 0.0
+            def integrand(y: float) -> float:
+                z = x + s * y
+                if not z > 1.0:
+                    return 0.0
+                return nu * z ** nu_m1 * (q * (1.0 - y / w) if y < w else 0.0)
+
+        def far(y: float) -> float:
+            z = x + s * y
             if not z > 1.0:
                 return 0.0
-            acc = 0.0
-            for w, a, e in pieces:
-                if e is not None:
-                    acc += w * (1.0 if y < a else (a / y) ** e)
-                elif y < a:
-                    acc += w * (1.0 - y / a)
-            return nu * z ** nu_m1 * acc
+            return nu * z ** nu_m1 * (p * (y0 / y) ** e)
     else:
-        def integrand(y: float) -> float:
-            z = x + side * y
+        if heavy and w > 0.0:
+            def integrand(y: float) -> float:
+                z = x + s * y
+                az = abs(z)
+                if az <= 1.0:
+                    return 0.0
+                return nu * copysign(az ** nu_m1, z) * (
+                    p * (1.0 if y < y0 else (y0 / y) ** e)
+                    + (q * (1.0 - y / w) if y < w else 0.0))
+        elif heavy:
+            def integrand(y: float) -> float:
+                z = x + s * y
+                az = abs(z)
+                if az <= 1.0:
+                    return 0.0
+                return nu * copysign(az ** nu_m1, z) * (
+                    p * (1.0 if y < y0 else (y0 / y) ** e))
+        else:
+            def integrand(y: float) -> float:
+                z = x + s * y
+                az = abs(z)
+                if az <= 1.0:
+                    return 0.0
+                return nu * copysign(az ** nu_m1, z) * (
+                    q * (1.0 - y / w) if y < w else 0.0)
+
+        def far(y: float) -> float:
+            z = x + s * y
             az = abs(z)
             if az <= 1.0:
                 return 0.0
-            acc = 0.0
-            for w, a, e in pieces:
-                if e is not None:
-                    acc += w * (1.0 if y < a else (a / y) ** e)
-                elif y < a:
-                    acc += w * (1.0 - y / a)
-            return nu * math.copysign(az ** nu_m1, z) * acc
+            return nu * copysign(az ** nu_m1, z) * (p * (y0 / y) ** e)
 
-    return integrand, kinks, heavy_exp
+    return integrand, (far if heavy else None), kinks, heavy_exp
 
 
 def drift_numeric_law(law: IncrementLaw, i: int, nu: float, x: float,
@@ -120,7 +162,7 @@ def drift_numeric_law(law: IncrementLaw, i: int, nu: float, x: float,
         return 0.0
     total = 0.0
     for side in (+1, -1):
-        integrand, kinks, heavy_exp = _side_integrand(law, side, i, nu, x)
+        integrand, far, kinks, heavy_exp = _side_integrand(law, side, i, nu, x)
         # f seen along this jump direction: z = x + side * y
         f_splits = [side * (k - x) for k in _f_kinks(i) if side * (k - x) > 0.0]
         splits = sorted(set(kinks + f_splits))
@@ -145,7 +187,7 @@ def drift_numeric_law(law: IncrementLaw, i: int, nu: float, x: float,
         # in splits, so only a growing heavy side has a tail beyond upper
         if heavy_exp is not None and grows:
             decay = heavy_exp + 1.0 - nu
-            val += integrate_decaying_tail(integrand, upper, decay, piece_tol, stats)
+            val += integrate_decaying_tail(far, upper, decay, piece_tol, stats)
         total += side * val
     return total
 
@@ -204,6 +246,12 @@ def drift_predicted(spec: ChainSpec, i: int, nu: float, x: float) -> float:
     the drift part nu sign(x) |x|^(nu-1) mu(x) plus K |x|^(nu - exponent)."""
     _check_regime_i(spec, i)
     _check_lemma_range(spec, i, nu)
+    k_coef = expansion_coefficient(spec, i, nu) if nu != 0.0 else 0.0
+    return _predicted(spec, i, nu, x, k_coef)
+
+
+def _predicted(spec: ChainSpec, i: int, nu: float, x: float, k_coef: float) -> float:
+    """drift_predicted at x for a checked (i, nu), given K = k_coef."""
     if i in (0, 1) and x < 1.0:
         raise DomainError("one-sided expansions hold as x -> +inf (need x >= 1)")
     if abs(x) < 1.0:
@@ -214,7 +262,7 @@ def drift_predicted(spec: ChainSpec, i: int, nu: float, x: float) -> float:
     ax = abs(x)
     sgn = math.copysign(1.0, x)
     drift_part = nu * (sgn if i == 2 else 1.0) * ax ** (nu - 1.0) * mu
-    return drift_part + expansion_coefficient(spec, i, nu) * ax ** (nu - spec.heavy_exponent)
+    return drift_part + k_coef * ax ** (nu - spec.heavy_exponent)
 
 
 @dataclass
@@ -265,7 +313,7 @@ def verify_expansion(spec: ChainSpec, i: int, nu: float, x_grid: Sequence[float]
         d = drift_numeric(spec, i, nu, x, abs_tol=quad_tol, stats=stats)
         panels.append(stats.panels)
         depth.append(stats.max_depth)
-        p = drift_predicted(spec, i, nu, x)
+        p = _predicted(spec, i, nu, x, k_coef)
         drift_term = p - k_coef * scale
         numeric.append(d)
         predicted.append(p)

@@ -1,6 +1,7 @@
 """Real-line special functions and deterministic adaptive quadrature.
 
-Everything here is pure and stateless: the gamma / digamma pair, the three
+Everything here is pure (the one cache, `_gamma_fixed`, holds values of
+gamma_real): the gamma / digamma pair, the three
 kappa coefficient functions that drive the drift expansions and the critical
 exponent equations, the extended incomplete beta, the closed-form tail
 integrals, and the Gauss-Kronrod integrator that serves as their independent
@@ -11,6 +12,7 @@ plus reflection, and quadrature is deterministic so failures reproduce.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 from dataclasses import dataclass
@@ -21,20 +23,6 @@ from .errors import ConvergenceError, DivergentError, DomainError, PoleError
 EULER_GAMMA = 0.5772156649015328606
 
 _POLE_TOL = 1e-12
-
-# Lanczos coefficients, g = 7, 9 terms (double precision standard set).
-_LANCZOS_G = 7.0
-_LANCZOS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
 
 _SQRT_TWO_PI = 2.5066282746310002
 
@@ -74,15 +62,19 @@ def gamma_real(z: float) -> float:
 
     Raises PoleError within 1e-12 of a non-positive integer.
     """
-    _check_gamma_pole(z)
     if z < 0.5:
+        _check_gamma_pole(z)
         # Gamma(z) Gamma(1-z) = pi / sin(pi z)
         return math.pi / (sinpi(z) * gamma_real(1.0 - z))
+    # Lanczos sum, g = 7, 9 terms (double precision standard set), summed
+    # left to right
     y = z - 1.0
-    acc = _LANCZOS[0]
-    for i in range(1, len(_LANCZOS)):
-        acc += _LANCZOS[i] / (y + i)
-    t = y + _LANCZOS_G + 0.5
+    acc = (0.99999999999980993 + 676.5203681218851 / (y + 1.0)
+           - 1259.1392167224028 / (y + 2.0) + 771.32342877765313 / (y + 3.0)
+           - 176.61502916214059 / (y + 4.0) + 12.507343278686905 / (y + 5.0)
+           - 0.13857109526572012 / (y + 6.0) + 9.9843695780195716e-6 / (y + 7.0)
+           + 1.5056327351493116e-7 / (y + 8.0))
+    t = y + 7.0 + 0.5
     return _SQRT_TWO_PI * math.pow(t, y + 0.5) * math.exp(-t) * acc
 
 
@@ -128,6 +120,13 @@ def digamma(z: float) -> float:
 # kappa coefficient functions
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=64)
+def _gamma_fixed(z: float) -> float:
+    """gamma_real for the nu-free factors of kappa0 and kappa2 (Gamma(1-a),
+    Gamma(b), Gamma(1-b)), which a nu* bisection asks for at every step."""
+    return gamma_real(z)
+
+
 def kappa0(a: float, nu: float) -> float:
     """(1 - nu) Gamma(a - nu) Gamma(1 - a) / Gamma(2 - nu) for a = exponent.
 
@@ -140,7 +139,7 @@ def kappa0(a: float, nu: float) -> float:
         raise PoleError("kappa0 pole at exponent = 1")
     if nu >= a:
         raise DomainError(f"kappa0 requires nu < exponent, got nu={nu}, exponent={a}")
-    return (1.0 - nu) * gamma_real(a - nu) * gamma_real(1.0 - a) / gamma_real(2.0 - nu)
+    return (1.0 - nu) * gamma_real(a - nu) * _gamma_fixed(1.0 - a) / gamma_real(2.0 - nu)
 
 
 def kappa0_alt(a: float, nu: float) -> float:
@@ -187,8 +186,8 @@ def kappa2(b: float, nu: float) -> float:
         raise DomainError(f"kappa2 requires -1 < nu < exponent, got nu={nu}")
     if abs(nu) <= KAPPA2_GUARD:
         return math.pi * cotpi(b) + nu * kappa2_slope_at_zero(b)
-    bracket = gamma_real(b - nu) / gamma_real(b) \
-        - (1.0 - b + nu) * gamma_real(1.0 - b) * rgamma(2.0 - b + nu)
+    bracket = gamma_real(b - nu) / _gamma_fixed(b) \
+        - (1.0 - b + nu) * _gamma_fixed(1.0 - b) * rgamma(2.0 - b + nu)
     return gamma_real(nu) * bracket
 
 
@@ -196,49 +195,9 @@ def kappa2(b: float, nu: float) -> float:
 # Adaptive Gauss-Kronrod quadrature
 # ---------------------------------------------------------------------------
 
-# 15-point Kronrod nodes on [-1,1] (positive half) with Kronrod weights and
-# the embedded 7-point Gauss weights (0 where the node is Kronrod-only).
-_GK_NODES = (
-    0.9914553711208126,
-    0.9491079123427585,
-    0.8648644233597691,
-    0.7415311855993944,
-    0.5860872354676911,
-    0.4058451513773972,
-    0.2077849550078985,
-    0.0,
-)
-_GK_WK = (
-    0.022935322010529224,
-    0.06309209262997855,
-    0.10479001032225018,
-    0.14065325971552592,
-    0.1690047266392679,
-    0.19035057806478542,
-    0.20443294007529889,
-    0.20948214108472782,
-)
-_GK_WG = (
-    0.0,
-    0.12948496616886969,
-    0.0,
-    0.2797053914892767,
-    0.0,
-    0.3818300505051189,
-    0.0,
-    0.41795918367346935,
-)
-
 _MAX_DEPTH = 60
 _MAX_INTERVALS = 200_000
 INCOMPLETE_BETA_TOL = 1e-10   # absolute tolerance of incomplete_beta_ext
-
-
-# (node, Kronrod weight, Gauss weight) per symmetric node pair, then the
-# weights of the centre node, which is evaluated last.
-_GK_PAIRS = tuple(zip(_GK_NODES[:-1], _GK_WK[:-1], _GK_WG[:-1]))
-_GK_CENTRE_WK = _GK_WK[-1]
-_GK_CENTRE_WG = _GK_WG[-1]
 
 
 @dataclass
@@ -251,18 +210,37 @@ class QuadStats:
 
 
 def _gk15(f: Callable[[float], float], lo: float, hi: float) -> tuple[float, float]:
-    """One Gauss-Kronrod 7-15 panel: returns (K15 value, |K15-G7| estimate)."""
+    """One Gauss-Kronrod 7-15 panel: returns (K15 value, |K15-G7| estimate).
+
+    The rule is written out: for the 15-point Kronrod nodes +-x_j on [-1,1],
+    p_j = f(mid - half x_j) + f(mid + half x_j), then the centre.  The sums
+    run from 0.0 over the pairs, outermost first, then the centre.  The
+    7-point Gauss sum keeps the zero weight of each Kronrod-only pair, so an
+    inf or nan there still makes the error estimate nan.
+    """
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
-    k = 0.0
-    g = 0.0
-    for node, wk, wg in _GK_PAIRS:
-        pair = f(mid - half * node) + f(mid + half * node)
-        k += wk * pair
-        g += wg * pair
-    fv = f(mid)
-    k += _GK_CENTRE_WK * fv
-    g += _GK_CENTRE_WG * fv
+    d = half * 0.9914553711208126
+    p0 = f(mid - d) + f(mid + d)
+    d = half * 0.9491079123427585
+    p1 = f(mid - d) + f(mid + d)
+    d = half * 0.8648644233597691
+    p2 = f(mid - d) + f(mid + d)
+    d = half * 0.7415311855993944
+    p3 = f(mid - d) + f(mid + d)
+    d = half * 0.5860872354676911
+    p4 = f(mid - d) + f(mid + d)
+    d = half * 0.4058451513773972
+    p5 = f(mid - d) + f(mid + d)
+    d = half * 0.2077849550078985
+    p6 = f(mid - d) + f(mid + d)
+    fc = f(mid)
+    k = (0.0 + 0.022935322010529224 * p0 + 0.06309209262997855 * p1
+         + 0.10479001032225018 * p2 + 0.14065325971552592 * p3
+         + 0.1690047266392679 * p4 + 0.19035057806478542 * p5
+         + 0.20443294007529889 * p6 + 0.20948214108472782 * fc)
+    g = (0.0 + 0.0 * p0 + 0.12948496616886969 * p1 + 0.0 * p2 + 0.2797053914892767 * p3
+         + 0.0 * p4 + 0.3818300505051189 * p5 + 0.0 * p6 + 0.41795918367346935 * fc)
     return k * half, abs(k - g) * half
 
 
@@ -360,6 +338,10 @@ def integrate_decaying_tail(f: Callable[[float], float], y_from: float, decay: f
     rational map cannot resolve.  Both are folded into one integrand; the
     arithmetic is that of `integrate_power_weighted` with power decay - 2 on
     (0, 1), whose weight exponent 1 + power is positive because decay > 1.
+
+    For decay close to 1 the map t = w^(1/(decay-1)) underflows near w = 0,
+    and y = y_from / t or t^(-decay) leaves the finite range; the quadrature
+    then raises ConvergenceError.
     """
     if decay <= 1.0:
         raise DivergentError(f"tail with decay exponent {decay} <= 1 is not integrable")
@@ -367,10 +349,20 @@ def integrate_decaying_tail(f: Callable[[float], float], y_from: float, decay: f
         raise DomainError("integrate_decaying_tail requires y_from > 0")
     aexp = 1.0 + (decay - 2.0)
     inv = 1.0 / aexp
+    inf, pow_, neg_decay = math.inf, math.pow, -decay
 
     def g(w: float) -> float:
-        t = math.pow(w, inv)
-        return f(y_from / t) * y_from * math.pow(t, -decay)
+        t = pow_(w, inv)
+        try:
+            y = y_from / t
+            jacobian = pow_(t, neg_decay)
+        except (ZeroDivisionError, OverflowError):
+            y = inf
+        if y == inf:
+            raise ConvergenceError(
+                f"tail map y = {y_from!r} / w^{inv:.6g} leaves the finite range at w={w!r} "
+                f"(decay {decay!r} too close to 1)")
+        return f(y) * y_from * jacobian
 
     return (1.0 / aexp) * integrate_adaptive(g, 0.0, 1.0, abs_tol * aexp, stats)
 

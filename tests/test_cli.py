@@ -411,6 +411,17 @@ def test_cmd_drift_verify(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out) == report
 
 
+def test_drift_verify_nu_near_tail_exponent_exits_2(tmp_path, capsys):
+    # nu within 1e-3 of alpha: the tail quadrature's map leaves the finite
+    # range, which is a ConvergenceError and not a traceback
+    cfg = {"regime": "half_line", "alpha": 1.5, "beta": 2.5, "gamma": 0.5, "b": -1.0,
+           "drift_verify": {"i": 0, "nu": 1.499, "x_min": 100, "x_max": 1000, "points": 2}}
+    rc = main(["drift-verify", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "ConvergenceError" in err and "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # selftest
 # ---------------------------------------------------------------------------

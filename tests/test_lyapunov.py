@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from heavywalk import build_law
-from heavywalk.errors import DivergentError, DomainError
+from heavywalk.errors import ConvergenceError, DivergentError, DomainError
 from heavywalk.lyapunov import (_side_integrand, criteria_check, drift_numeric,
                                 drift_numeric_law, drift_predicted, expansion_coefficient,
                                 lyapunov_f, mc_drift, verify_expansion)
@@ -129,23 +129,42 @@ ORACLE_SPECS = {
 }
 
 
+def _far_grid(kinks, side, i, x):
+    """y from the side's last split (its last tail or f kink, as in
+    drift_numeric_law) outwards, with the split's upper neighbour."""
+    splits = kinks + [side * (k - x) for k in ((1.0,) if i in (0, 1) else (-1.0, 1.0))
+                      if side * (k - x) > 0.0]
+    upper = max(splits)
+    return [upper, math.nextafter(upper, math.inf), upper * (1.0 + 1e-3)] + \
+        [float(y) for y in np.geomspace(upper * 1.01, upper * 1e12, 40)]
+
+
 @pytest.mark.parametrize("name", sorted(ORACLE_SPECS))
 def test_fused_integrand_matches_unfused_oracle_bitwise(name):
     spec, i_values, xs = ORACLE_SPECS[name]
     mismatches = []
+    n_far = 0
     for x in xs:
         base = build_law(spec, x)
         for law in (base, base.mirrored()):
             for i in i_values:
                 for nu in (0.5, -0.3):
                     for side in (+1, -1):
-                        fused = _side_integrand(law, side, i, nu, x)[0]
+                        fused, far, kinks, _ = _side_integrand(law, side, i, nu, x)
                         oracle = _oracle_integrand(law, side, i, nu, x)
+                        # repr tells -0.0 from 0.0 and every last bit
                         for y in _kink_grid(law, side, x):
-                            # repr tells -0.0 from 0.0 and every last bit
                             if repr(fused(y)) != repr(oracle(y)):
                                 mismatches.append((x, i, nu, side, y, fused(y), oracle(y)))
+                        if far is None:
+                            continue
+                        # the far-tail closure, beyond the side's last split
+                        for y in _far_grid(kinks, side, i, x):
+                            n_far += 1
+                            if repr(far(y)) != repr(oracle(y)):
+                                mismatches.append(("far", x, i, nu, side, y, far(y), oracle(y)))
     assert mismatches == []
+    assert n_far > 0
 
 
 def test_quad_stats_count_gk15_panels(monkeypatch):
@@ -168,6 +187,42 @@ def test_quad_stats_count_gk15_panels(monkeypatch):
         assert one.panels == [panels] == [len(calls)]
         assert one.max_depth == [depth]
         assert depth >= 1
+
+
+def test_verify_expansion_takes_k_once_and_predicts_as_drift_predicted(monkeypatch):
+    import heavywalk.lyapunov as ly
+    spec = line_in(beta=1.3, gamma=0.3, b=-3.0, x0=2.0)
+    grid = [-1e3, -1e2, 1e2, 1e4]
+    want = [repr(drift_predicted(spec, 2, 0.6, x)) for x in grid]
+    calls = []
+    real = ly.expansion_coefficient
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(ly, "expansion_coefficient", counted)
+    rep = verify_expansion(spec, 2, 0.6, grid)
+    assert len(calls) == 1
+    assert [repr(p) for p in rep.predicted] == want
+    # a grid point the one-sided expansion does not cover is still refused
+    with pytest.raises(DomainError):
+        verify_expansion(spec, 1, 0.6, [0.5, 1e2])
+
+
+@pytest.mark.parametrize("spec, i", [
+    (half_line(alpha=1.5, gamma=0.5, b=-1.0), 0),
+    (line_out(alpha=1.5, gamma=0.5, b=-0.5), 2),
+    (line_in(beta=1.3, gamma=0.3, b=-3.0, x0=2.0), 2),
+])
+def test_tail_map_out_of_range_raises_convergence_error(spec, i):
+    # nu just below the tail exponent: the far tail decays like y^-(1 + 1e-3),
+    # and its map t = w^1000 underflows; nu 0.02 below still converges
+    e = spec.heavy_exponent
+    with pytest.raises(ConvergenceError):
+        verify_expansion(spec, i, e - 1e-3, [1e2, 1e3])
+    rep = verify_expansion(spec, i, e - 0.02, [1e2, 1e3])
+    assert all(math.isfinite(v) for v in rep.numeric)
 
 
 def test_mirror_symmetry_f2():

@@ -1,6 +1,7 @@
 import math
 
 import mpmath as mp
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -42,6 +43,58 @@ def test_gamma_pole_errors():
     for z in (0.0, -1.0, -2.0, -7.0, 1e-13, -3.0 + 1e-13):
         with pytest.raises(PoleError):
             sf.gamma_real(z)
+
+
+# The Lanczos sum in its loop form, as gamma_real had it: the oracle for the
+# written-out sum, compared bit for bit.
+LANCZOS_G = 7.0
+LANCZOS = (
+    0.99999999999980993,
+    676.5203681218851,
+    -1259.1392167224028,
+    771.32342877765313,
+    -176.61502916214059,
+    12.507343278686905,
+    -0.13857109526572012,
+    9.9843695780195716e-6,
+    1.5056327351493116e-7,
+)
+
+
+def gamma_loop(z):
+    if z <= 0.5 and abs(z - round(z)) < 1e-12 and round(z) <= 0:
+        raise PoleError(f"gamma pole at z={z}")
+    if z < 0.5:
+        return math.pi / (sf.sinpi(z) * gamma_loop(1.0 - z))
+    y = z - 1.0
+    acc = LANCZOS[0]
+    for i in range(1, len(LANCZOS)):
+        acc += LANCZOS[i] / (y + i)
+    t = y + LANCZOS_G + 0.5
+    return sf._SQRT_TWO_PI * math.pow(t, y + 0.5) * math.exp(-t) * acc
+
+
+def _outcome(fn, *args):
+    """repr of the value (it tells -0.0 and every last bit), or the error."""
+    try:
+        return repr(fn(*args))
+    except (ArithmeticError, PoleError) as ex:
+        return type(ex).__name__
+
+
+def test_gamma_matches_lanczos_loop_oracle_bitwise():
+    rng = np.random.default_rng(7)
+    zs = [float(z) for z in rng.uniform(0.5, 30.0, 3000)]           # Lanczos branch
+    zs += [float(z) for z in rng.uniform(-12.0, 0.5, 3000)]         # reflection
+    zs += [0.5, math.nextafter(0.5, 0.0), math.nextafter(0.5, 1.0), 1.0, 2.0, 30.0,
+           -0.0, 1e-300, -1e-300, 171.5, math.inf, math.nan]
+    for n in range(0, -8, -1):                                      # near the poles
+        for d in (1e-13, 5e-13, 1e-12, 2e-12, 1e-9, 1e-6):
+            zs += [n + d, n - d]
+    mismatches = [z for z in zs if _outcome(sf.gamma_real, z) != _outcome(gamma_loop, z)]
+    assert mismatches == []
+    assert _outcome(sf.gamma_real, -3.0 + 1e-13) == "PoleError"
+    assert _outcome(sf.gamma_real, 171.5) == "OverflowError"
 
 
 def test_rgamma_zero_at_poles():
@@ -165,6 +218,39 @@ def test_balanced_cotangent_identity():
         assert lhs == pytest.approx(math.pi * sf.cotpi(a / 2.0), abs=1e-8)
 
 
+def kappa0_plain(a, nu):
+    return (1.0 - nu) * sf.gamma_real(a - nu) * sf.gamma_real(1.0 - a) / sf.gamma_real(2.0 - nu)
+
+
+def kappa2_plain(b, nu):
+    if abs(nu) <= sf.KAPPA2_GUARD:
+        return math.pi * sf.cotpi(b) + nu * sf.kappa2_slope_at_zero(b)
+    bracket = sf.gamma_real(b - nu) / sf.gamma_real(b) \
+        - (1.0 - b + nu) * sf.gamma_real(1.0 - b) * sf.rgamma(2.0 - b + nu)
+    return sf.gamma_real(nu) * bracket
+
+
+def test_memoized_kappa_matches_plain_formula_bitwise():
+    # kappa0 and kappa2 take their nu-free Gamma factors from a bounded memo;
+    # a bisection's repeated exponents hit it, and more exponents than it
+    # holds evict entries, so the values come both from the memo and fresh
+    rng = np.random.default_rng(11)
+    exps = [float(e) for e in rng.uniform(1.01, 1.99, 150)]
+    mismatches = []
+    for sweep in range(2):
+        for e in exps:
+            for nu in (-0.5, -1e-5, 1e-5, 0.3, 0.5 * e, e - 1e-3):
+                if repr(sf.kappa0(e, nu)) != repr(kappa0_plain(e, nu)):
+                    mismatches.append(("kappa0", e, nu))
+                if repr(sf.kappa2(e, nu)) != repr(kappa2_plain(e, nu)):
+                    mismatches.append(("kappa2", e, nu))
+            # the plane's half exponent lies in (0, 1)
+            if repr(sf.kappa0(e / 2.0, 0.2)) != repr(kappa0_plain(e / 2.0, 0.2)):
+                mismatches.append(("kappa0 half", e, 0.2))
+    assert mismatches == []
+    assert sf._gamma_fixed.cache_info().maxsize == 64
+
+
 def test_kappa_domain_errors():
     with pytest.raises(DomainError):
         sf.kappa0(2.5, 0.5)
@@ -181,6 +267,61 @@ def test_kappa_domain_errors():
 # ---------------------------------------------------------------------------
 # adaptive quadrature
 # ---------------------------------------------------------------------------
+
+# Kronrod nodes (positive half, centre last), Kronrod weights and Gauss
+# weights (0 at Kronrod-only nodes) of the GK 7-15 rule, and the panel in its
+# loop form: the oracle for the written-out _gk15.
+GK_NODES = (0.9914553711208126, 0.9491079123427585, 0.8648644233597691, 0.7415311855993944,
+            0.5860872354676911, 0.4058451513773972, 0.2077849550078985, 0.0)
+GK_WK = (0.022935322010529224, 0.06309209262997855, 0.10479001032225018, 0.14065325971552592,
+         0.1690047266392679, 0.19035057806478542, 0.20443294007529889, 0.20948214108472782)
+GK_WG = (0.0, 0.12948496616886969, 0.0, 0.2797053914892767, 0.0, 0.3818300505051189, 0.0,
+         0.41795918367346935)
+
+
+def gk15_loop(f, lo, hi):
+    mid = 0.5 * (lo + hi)
+    half = 0.5 * (hi - lo)
+    k = 0.0
+    g = 0.0
+    for node, wk, wg in zip(GK_NODES[:-1], GK_WK[:-1], GK_WG[:-1]):
+        pair = f(mid - half * node) + f(mid + half * node)
+        k += wk * pair
+        g += wg * pair
+    fv = f(mid)
+    k += GK_WK[-1] * fv
+    g += GK_WG[-1] * fv
+    return k * half, abs(k - g) * half
+
+
+GK_INTEGRANDS = {
+    "cubic": lambda u: u ** 3 - 2.0 * u + 0.5,
+    "exp": lambda u: math.exp(-u),
+    "sin": math.sin,                                   # sign changes inside the panel
+    "sqrt_abs": lambda u: math.sqrt(abs(u)),
+    "step": lambda u: 1.0 if u > 0.3 else -1.0,
+    "neg_zero": lambda u: -0.0,                        # every node -0.0
+    "neg_zero_left": lambda u: -0.0 if u < 0.0 else u * 1e-300,
+    "tiny": lambda u: 1e-310 * u,                      # subnormal products
+    "cancel": lambda u: u,                             # pairs cancel on symmetric panels
+    "power_tail": lambda u: (1.0 + abs(u)) ** -1.7,
+    "inf_kronrod_only": lambda u: math.inf if u > 0.99 else 1.0,   # first node pair
+    "inf_gauss": lambda u: math.inf if 0.97 < u < 0.98 else 1.0,   # second node pair
+    "nan": lambda u: math.nan if u == 0.0 else 1.0,
+}
+GK_PANELS = [(0.0, 1.0), (-1.0, 1.0), (-3.0, 4.0), (1e-12, 2e-12), (-5e-324, 5e-324),
+             (1e10, 1e12), (-1e300, 1e300), (2.0, -1.0), (0.25, 0.25)]
+
+
+def test_gk15_matches_loop_oracle_bitwise():
+    mismatches = []
+    for name, f in GK_INTEGRANDS.items():
+        for lo, hi in GK_PANELS:
+            got, want = _outcome(sf._gk15, f, lo, hi), _outcome(gk15_loop, f, lo, hi)
+            if got != want:
+                mismatches.append((name, lo, hi, got, want))
+    assert mismatches == []
+
 
 def test_integrate_constant():
     assert sf.integrate_adaptive(lambda u: 1.0, 0.0, 1.0, 1e-12) == pytest.approx(1.0, abs=1e-12)
