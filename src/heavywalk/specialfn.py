@@ -1,13 +1,13 @@
 """Real-line special functions and deterministic adaptive quadrature.
 
 Everything here is pure (the one cache, `_gamma_fixed`, holds values of
-gamma_real): the gamma / digamma pair, the three
-kappa coefficient functions that drive the drift expansions and the critical
-exponent equations, the extended incomplete beta, the closed-form tail
-integrals, and the Gauss-Kronrod integrator that serves as their independent
-oracle.  No scipy: the accuracy targets (1e-12 relative for gamma on
-[0.5, 30], 1e-8 for the identity suite) are met by a Lanczos approximation
-plus reflection, and quadrature is deterministic so failures reproduce.
+gamma_real): the gamma / digamma pair, the three kappa coefficient functions
+that drive the drift expansions and the critical exponent equations, the
+extended incomplete beta, the closed-form tail integrals, and the
+Gauss-Kronrod integrator that serves as their independent oracle.  No
+scipy: the accuracy targets (1e-12 relative for gamma on [0.5, 30], 1e-8 for
+the identity suite) are met by a Lanczos approximation plus reflection, and
+quadrature is deterministic so failures reproduce.
 """
 
 from __future__ import annotations
