@@ -56,9 +56,9 @@ def _f_kinks(i: int) -> tuple[float, ...]:
 
 def _side_integrand(law: IncrementLaw, side: int, i: int, nu: float, x: float):
     """The integrand y -> f_i'(x + side*y) * P[side*theta > y] of one jump side,
-    as one closure; a closure for y beyond the side's last kink (None when the
-    side has no Pareto tail); the side's kink points; and its heavy exponent
-    (None when the side has no Pareto tail).
+    as one closure; the same integrand for y at or beyond the side's last
+    tail kink (None when the side has no Pareto tail); the side's tail kink
+    points; and its heavy exponent (None when the side has no Pareto tail).
 
     The side's pieces, in law order, are its Pareto tail (weight p, support
     point y0, exponent e) and a light uniform (weight q, width w) of positive
@@ -68,8 +68,9 @@ def _side_integrand(law: IncrementLaw, side: int, i: int, nu: float, x: float):
     takes f_i' away from its kinks (0 on the flat part).  The tail terms are
     non-negative, so summing them from 0.0 as `IncrementLaw.tail_pos`/
     `tail_neg` do gives the same bits, and each value is bit-identical to the
-    product of f_i' and the tail function.  Beyond the last kink every
-    `y < a` test is false, which leaves only the Pareto term.
+    product of f_i' and the tail function.  From the last tail kink on every
+    `y < a` test is false, which leaves only the Pareto term; the
+    decaying-tail quadrature beyond the last split uses that closure.
     """
     heavy, light = law.on_side(side)
     kinks, heavy_exp = [], None

@@ -237,7 +237,7 @@ def test_memoized_kappa_matches_plain_formula_bitwise():
     rng = np.random.default_rng(11)
     exps = [float(e) for e in rng.uniform(1.01, 1.99, 150)]
     mismatches = []
-    for sweep in range(2):
+    for _ in range(2):
         for e in exps:
             for nu in (-0.5, -1e-5, 1e-5, 0.3, 0.5 * e, e - 1e-3):
                 if repr(sf.kappa0(e, nu)) != repr(kappa0_plain(e, nu)):
