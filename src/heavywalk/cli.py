@@ -21,7 +21,7 @@ import numpy as np
 from . import __version__
 from .classify import classify, nu_star
 from .errors import ConfigError, HeavywalkError, NoRootError
-from .increments import ChainSpec
+from .increments import ChainSpec, _real
 from .lyapunov import verify_expansion
 from .montecarlo import SimConfig, _simulate_batch, survival_curve, survival_grid
 from .selftest import run_selftest
@@ -72,10 +72,10 @@ def sim_from_config(cfg: dict, spec: ChainSpec, seed: int, workers: int) -> SimC
     try:
         start = sim["start"]
         if isinstance(start, list):
-            start = tuple(float(v) for v in start)
+            start = tuple(_real(v) for v in start)
         else:
-            start = float(start)
-        return SimConfig(spec=spec, start=start, a=float(sim["a"]),
+            start = _real(start)
+        return SimConfig(spec=spec, start=start, a=_real(sim["a"]),
                          horizon=_integer(sim["horizon"]), n_traj=_integer(sim["n_traj"]),
                          master_seed=seed, workers=workers)
     except KeyError as ex:
@@ -118,8 +118,8 @@ def cmd_drift_verify(cfg: dict, out: Path, seed: int, workers: int) -> int:
                           field="drift_verify")
     try:
         i = _integer(d["i"])
-        nu = float(d["nu"])
-        x_min, x_max = float(d.get("x_min", 1e2)), float(d.get("x_max", 1e5))
+        nu = _real(d["nu"])
+        x_min, x_max = _real(d.get("x_min", 1e2)), _real(d.get("x_max", 1e5))
         if not (math.isfinite(x_min) and math.isfinite(x_max)):
             raise ValueError(f"x_min and x_max must be finite, got {x_min!r}, {x_max!r}")
         if x_min == 0.0 or x_max == 0.0 or (x_min < 0.0) != (x_max < 0.0):
@@ -170,7 +170,7 @@ def cmd_simulate(cfg: dict, out: Path, seed: int, workers: int) -> int:
     spec = spec_from_config(cfg)
     sim = sim_from_config(cfg, spec, seed, workers)
     try:
-        m_level = float(cfg.get("m_level", math.inf))
+        m_level = _real(cfg.get("m_level", math.inf))
     except (TypeError, ValueError, OverflowError) as ex:
         raise ConfigError(str(ex), field="m_level")
     if math.isnan(m_level):
@@ -215,7 +215,7 @@ def cmd_simulate(cfg: dict, out: Path, seed: int, workers: int) -> int:
 def _axis_values(ax: dict) -> np.ndarray:
     """A sweep axis's grid; raises ValueError unless min, max and the span
     between them are finite."""
-    lo, hi = float(ax["min"]), float(ax["max"])
+    lo, hi = _real(ax["min"]), _real(ax["max"])
     if not math.isfinite(hi - lo):
         raise ValueError(f"min and max must be finite, got {lo!r}, {hi!r}")
     return np.linspace(lo, hi, _integer(ax["steps"]))

@@ -33,6 +33,13 @@ _U_MIN = 2.0 ** -53
 _HEAVY_SIDE = {"half_line": 1.0, "line_out": 1.0, "line_in": -1.0}
 
 
+def _real(value) -> float:
+    """An int or float from a JSON config; booleans and strings raise ValueError."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"expected a number, got {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class TailParams:
     """Tail exponents and constant: alpha / beta roles depend on the regime."""
@@ -210,20 +217,20 @@ class ChainSpec:
         if obj.get("plane") is not None:
             p = obj["plane"]
             plane = PlaneParams(
-                p_radial=float(p["p_radial"]),
-                c_radial=float(p["c_radial"]),
-                c_transverse=float(p["c_transverse"]),
+                p_radial=_real(p["p_radial"]),
+                c_radial=_real(p["c_radial"]),
+                c_transverse=_real(p["c_transverse"]),
             )
         return ChainSpec(
             regime=obj["regime"],
             tail=TailParams(
-                alpha=float(obj.get("alpha", 1.5)),
-                beta=float(obj["beta"]) if obj.get("beta") is not None else None,
-                c=float(obj.get("c", 1.0)),
-                x0=float(obj.get("x0", 1.0)),
+                alpha=_real(obj.get("alpha", 1.5)),
+                beta=_real(obj["beta"]) if obj.get("beta") is not None else None,
+                c=_real(obj.get("c", 1.0)),
+                x0=_real(obj.get("x0", 1.0)),
             ),
-            drift=DriftParams(gamma=float(obj.get("gamma", 0.0)), b=float(obj.get("b", 0.0))),
-            p_heavy=float(obj.get("p_heavy", 0.25)),
+            drift=DriftParams(gamma=_real(obj.get("gamma", 0.0)), b=_real(obj.get("b", 0.0))),
+            p_heavy=_real(obj.get("p_heavy", 0.25)),
             plane=plane,
         )
 

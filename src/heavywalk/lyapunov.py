@@ -3,9 +3,12 @@
 The one-step drift E[f(x + theta) - f(x)] is evaluated from the law's exact
 tail functions via the integration-by-parts representation
 E[g(X)] = g(0) + int g'(y) P[X > y] dy, applied piecewise between the kink
-points of f(x +- y) and of the tails.  Because the constructed laws have
-closed-form tails, the quadrature is exact up to tolerance rather than
-sampling noise; a Monte Carlo oracle is provided for cross-checks.
+points of f(x +- y) and of the tails.  Beyond a side's last kink only the
+Pareto term is left, and that far tail is an incomplete beta function
+(`specialfn.pareto_tail_integral`), so every nu below the tail exponent is
+reached.  Because the constructed laws have closed-form tails, the result is
+exact up to tolerance rather than sampling noise; a Monte Carlo oracle is
+provided for cross-checks.
 """
 
 from __future__ import annotations
@@ -18,8 +21,8 @@ import numpy as np
 
 from .errors import DivergentError, DomainError
 from .increments import ChainSpec, IncrementLaw, build_law
-from .specialfn import (QuadStats, integrate_adaptive, integrate_decaying_tail, kappa0, kappa1,
-                        kappa2)
+from .specialfn import (QuadStats, integrate_adaptive, kappa0, kappa1, kappa2,
+                        pareto_tail_integral)
 from .classify import classify as _classify_phase
 
 CONVERGED_REL_TOL = 0.05   # verify_expansion: converged iff |last error| < this * |K|
@@ -56,9 +59,7 @@ def _f_kinks(i: int) -> tuple[float, ...]:
 
 def _side_integrand(law: IncrementLaw, side: int, i: int, nu: float, x: float):
     """The integrand y -> f_i'(x + side*y) * P[side*theta > y] of one jump side,
-    as one closure; the same integrand for y at or beyond the side's last
-    tail kink (None when the side has no Pareto tail); the side's tail kink
-    points; and its heavy exponent (None when the side has no Pareto tail).
+    as one closure, and the side's tail kink points.
 
     The side's pieces, in law order, are its Pareto tail (weight p, support
     point y0, exponent e) and a light uniform (weight q, width w) of positive
@@ -68,17 +69,15 @@ def _side_integrand(law: IncrementLaw, side: int, i: int, nu: float, x: float):
     takes f_i' away from its kinks (0 on the flat part).  The tail terms are
     non-negative, so summing them from 0.0 as `IncrementLaw.tail_pos`/
     `tail_neg` do gives the same bits, and each value is bit-identical to the
-    product of f_i' and the tail function.  From the last tail kink on every
-    `y < a` test is false, which leaves only the Pareto term; the
-    decaying-tail quadrature beyond the last split uses that closure.
+    product of f_i' and the tail function.
     """
     heavy, light = law.on_side(side)
-    kinks, heavy_exp = [], None
+    kinks = []
     w = q = 0.0
     if heavy:
         y0 = abs(law.scale)
         p = law.p
-        e = heavy_exp = law.exponent
+        e = law.exponent
         kinks.append(y0)
     if light:
         w = abs(law.light)
@@ -109,12 +108,6 @@ def _side_integrand(law: IncrementLaw, side: int, i: int, nu: float, x: float):
                 if not z > 1.0:
                     return 0.0
                 return nu * z ** nu_m1 * (q * (1.0 - y / w) if y < w else 0.0)
-
-        def far(y: float) -> float:
-            z = x + s * y
-            if not z > 1.0:
-                return 0.0
-            return nu * z ** nu_m1 * (p * (y0 / y) ** e)
     else:
         if heavy and w > 0.0:
             def integrand(y: float) -> float:
@@ -142,19 +135,13 @@ def _side_integrand(law: IncrementLaw, side: int, i: int, nu: float, x: float):
                 return nu * copysign(az ** nu_m1, z) * (
                     q * (1.0 - y / w) if y < w else 0.0)
 
-        def far(y: float) -> float:
-            z = x + s * y
-            az = abs(z)
-            if az <= 1.0:
-                return 0.0
-            return nu * copysign(az ** nu_m1, z) * (p * (y0 / y) ** e)
-
-    return integrand, (far if heavy else None), kinks, heavy_exp
+    return integrand, kinks
 
 
 def drift_numeric_law(law: IncrementLaw, i: int, nu: float, x: float,
                       abs_tol: float = 1e-10, stats: Optional[QuadStats] = None) -> float:
-    """E[f_i(x + theta) - f_i(x)] for theta ~ law, by piecewise tail quadrature.
+    """E[f_i(x + theta) - f_i(x)] for theta ~ law, by piecewise tail quadrature
+    up to each side's last kink and a closed form beyond it.
 
     `stats`, if given, accumulates the GK15 panels and the deepest
     subdivision of every quadrature this call runs.
@@ -163,19 +150,20 @@ def drift_numeric_law(law: IncrementLaw, i: int, nu: float, x: float,
         return 0.0
     total = 0.0
     for side in (+1, -1):
-        integrand, far, kinks, heavy_exp = _side_integrand(law, side, i, nu, x)
+        integrand, kinks = _side_integrand(law, side, i, nu, x)
+        heavy = law.on_side(side)[0]
         # f seen along this jump direction: z = x + side * y
         f_splits = [side * (k - x) for k in _f_kinks(i) if side * (k - x) > 0.0]
         splits = sorted(set(kinks + f_splits))
         # does the integrand survive as y -> inf on this side?
         grows = (i == 2) or (side == +1)
-        if heavy_exp is None:
+        if not heavy:
             upper = max(kinks, default=0.0)
             pts = [0.0] + [s for s in splits if s < upper] + [upper]
         else:
-            if grows and nu >= heavy_exp:
+            if grows and nu >= law.exponent:
                 raise DivergentError(
-                    f"E[f_{i}] diverges: nu={nu} >= tail exponent {heavy_exp} on side {side:+d}")
+                    f"E[f_{i}] diverges: nu={nu} >= tail exponent {law.exponent} on side {side:+d}")
             upper = splits[-1]
             pts = [0.0] + splits
         # the tolerance counts the points before deduplication
@@ -184,11 +172,11 @@ def drift_numeric_law(law: IncrementLaw, i: int, nu: float, x: float,
         pts = sorted(set(pts))
         for lo, hi in zip(pts[:-1], pts[1:]):
             val += integrate_adaptive(integrand, lo, hi, piece_tol, stats)
-        # a flat side's integrand vanishes beyond its last f-kink, which is
-        # in splits, so only a growing heavy side has a tail beyond upper
-        if heavy_exp is not None and grows:
-            decay = heavy_exp + 1.0 - nu
-            val += integrate_decaying_tail(far, upper, decay, piece_tol, stats)
+        # only a growing heavy side has a tail beyond upper (a flat side's last
+        # f-kink is in splits); there |z| = side*x + y > 1 and the tail is p (y0/y)^e
+        if heavy and grows:
+            val += side * nu * law.p * abs(law.scale) ** law.exponent \
+                * pareto_tail_integral(side * x, upper, nu, law.exponent)
         total += side * val
     return total
 

@@ -22,7 +22,6 @@ from heavywalk.lyapunov import drift_numeric, mc_drift, verify_expansion
 from heavywalk.montecarlo import SimConfig, estimate_passage_tail, phase_diagnostic
 from heavywalk.cli import main as cli_main
 
-mp.mp.dps = 40
 
 _REPORT = Path(__file__).resolve().parent.parent / "acceptance_report.txt"
 
@@ -163,6 +162,7 @@ def test_criterion_2_appendix_oracle_equivalence():
 # bisection oracle on the displayed Gamma equations (mpmath, built first)
 # ---------------------------------------------------------------------------
 
+@mp.workdps(40)
 def _oracle_balanced_nu_star(a: float) -> float:
     G = mp.gamma
 

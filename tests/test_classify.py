@@ -11,14 +11,13 @@ from heavywalk.errors import NoRootError, NotRecurrentError
 
 from conftest import balanced, half_line, line_in, line_out, plane
 
-mp.mp.dps = 40
-
 
 # ---------------------------------------------------------------------------
 # brute-force oracle (built first, used to freeze the nu* anchors):
 # plain bisection on the displayed Gamma equations with mpmath gammas.
 # ---------------------------------------------------------------------------
 
+@mp.workdps(40)
 def oracle_nu_star(kind, exponent, b=0.0, c=1.0, p_radial=None, c_radial=None,
                    c_transverse=None):
     G = mp.gamma

@@ -158,6 +158,26 @@ BAD_SHAPES = {
     "b_nan": ("classify", dict(HL, b=math.nan)),
     "c_inf": ("simulate", dict(HL, c=math.inf)),
     "x0_nan": ("simulate", dict(HL, x0=math.nan)),
+    # reals must be JSON numbers: no booleans as 1.0, no numeric strings
+    "m_level_bool": ("simulate", dict(HL, m_level=True)),
+    "sim_a_and_start_strings": ("simulate", dict(HL, sim=dict(HL["sim"], a="10", start="30"))),
+    "pair_start_string": ("simulate", dict(HL, regime="plane", p_heavy=0.2, b=0.0, gamma=0.0,
+                                           plane={"p_radial": 0.7, "c_radial": 1.0,
+                                                  "c_transverse": 1.0},
+                                           sim=dict(HL["sim"], start=["30", 0.0]))),
+    "verify_nu_bool_x_min_string": ("drift-verify",
+                                    dict(HL, drift_verify={"i": 0, "nu": True, "x_min": "100"})),
+    "verify_x_max_string": ("drift-verify",
+                            dict(HL, drift_verify={"i": 0, "nu": 0.5, "x_max": "1000"})),
+    "spec_c_string": ("classify", dict(HL, c="1.0")),
+    "spec_x0_bool": ("nu-star", dict(HL, x0=True)),
+    "plane_field_string": ("classify", dict(HL, regime="plane", p_heavy=0.2, b=0.0, gamma=0.0,
+                                            plane={"p_radial": "0.7", "c_radial": 1.0,
+                                                   "c_transverse": 1.0})),
+    "axis_min_string": ("phase-diagram",
+                        dict(HL, grid={"param": "b", "min": "0", "max": 1.0, "steps": 3})),
+    "axis_max_bool": ("phase-diagram",
+                      dict(HL, grid={"param": "gamma", "min": 0.0, "max": True, "steps": 3})),
 }
 
 
@@ -411,15 +431,26 @@ def test_cmd_drift_verify(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out) == report
 
 
+NEAR_TAIL = {"regime": "half_line", "alpha": 1.5, "beta": 2.5, "gamma": 0.5, "b": -1.0,
+             "drift_verify": {"i": 0, "nu": 1.499, "x_min": 100, "x_max": 1000, "points": 2}}
+
+
+def test_drift_verify_nu_near_tail_exponent_exits_0(tmp_path):
+    # nu within 1e-3 of alpha: the far tail beyond the last kink is in closed form
+    rc = main(["drift-verify", "--config", write_config(tmp_path, NEAR_TAIL),
+               "--out", str(tmp_path)])
+    assert rc == 0
+    report = json.loads((tmp_path / "drift_report.json").read_text())
+    assert math.isfinite(report["final_normalized_error"])
+
+
 def test_drift_verify_nu_near_tail_exponent_exits_2(tmp_path, capsys):
-    # nu within 1e-3 of alpha: the tail quadrature's map leaves the finite
-    # range, which is a ConvergenceError and not a traceback
-    cfg = {"regime": "half_line", "alpha": 1.5, "beta": 2.5, "gamma": 0.5, "b": -1.0,
-           "drift_verify": {"i": 0, "nu": 1.499, "x_min": 100, "x_max": 1000, "points": 2}}
+    # nu at alpha is outside the expansion's range: exit 2, not a traceback
+    cfg = dict(NEAR_TAIL, drift_verify=dict(NEAR_TAIL["drift_verify"], nu=1.5))
     rc = main(["drift-verify", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path)])
     assert rc == 2
     err = capsys.readouterr().err
-    assert "ConvergenceError" in err and "Traceback" not in err
+    assert err.startswith("error: DomainError") and "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,10 @@ def quad_mean(law, tol=1e-10):
         top = max(kinks)
         val = sf.integrate_adaptive(tail, 0.0, top, tol) if top > 0 else 0.0
         if heavy:
-            val += sf.integrate_decaying_tail(tail, top, law.exponent, tol)
+            # y = top / t: the Pareto tail gives the integrable weight t^(e-2) at t = 0
+            e = law.exponent
+            val += sf.integrate_power_weighted(lambda t: tail(top / t) * top * t ** -e,
+                                               e - 2.0, 0.0, 1.0, tol)
         total += sign * val
     return total
 

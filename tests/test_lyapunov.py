@@ -1,10 +1,11 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
 from heavywalk import build_law
-from heavywalk.errors import ConvergenceError, DivergentError, DomainError
+from heavywalk.errors import DivergentError, DomainError
 from heavywalk.lyapunov import (_side_integrand, criteria_check, drift_numeric,
                                 drift_numeric_law, drift_predicted, expansion_coefficient,
                                 lyapunov_f, mc_drift, verify_expansion)
@@ -129,42 +130,23 @@ ORACLE_SPECS = {
 }
 
 
-def _far_grid(kinks, side, i, x):
-    """y from the side's last split (its last tail or f kink, as in
-    drift_numeric_law) outwards, with the split's upper neighbour."""
-    splits = kinks + [side * (k - x) for k in ((1.0,) if i in (0, 1) else (-1.0, 1.0))
-                      if side * (k - x) > 0.0]
-    upper = max(splits)
-    return [upper, math.nextafter(upper, math.inf), upper * (1.0 + 1e-3)] + \
-        [float(y) for y in np.geomspace(upper * 1.01, upper * 1e12, 40)]
-
-
 @pytest.mark.parametrize("name", sorted(ORACLE_SPECS))
 def test_fused_integrand_matches_unfused_oracle_bitwise(name):
     spec, i_values, xs = ORACLE_SPECS[name]
     mismatches = []
-    n_far = 0
     for x in xs:
         base = build_law(spec, x)
         for law in (base, base.mirrored()):
             for i in i_values:
                 for nu in (0.5, -0.3):
                     for side in (+1, -1):
-                        fused, far, kinks, _ = _side_integrand(law, side, i, nu, x)
+                        fused, _ = _side_integrand(law, side, i, nu, x)
                         oracle = _oracle_integrand(law, side, i, nu, x)
                         # repr tells -0.0 from 0.0 and every last bit
                         for y in _kink_grid(law, side, x):
                             if repr(fused(y)) != repr(oracle(y)):
                                 mismatches.append((x, i, nu, side, y, fused(y), oracle(y)))
-                        if far is None:
-                            continue
-                        # the far-tail closure, beyond the side's last split
-                        for y in _far_grid(kinks, side, i, x):
-                            n_far += 1
-                            if repr(far(y)) != repr(oracle(y)):
-                                mismatches.append(("far", x, i, nu, side, y, far(y), oracle(y)))
     assert mismatches == []
-    assert n_far > 0
 
 
 def test_quad_stats_count_gk15_panels(monkeypatch):
@@ -210,19 +192,96 @@ def test_verify_expansion_takes_k_once_and_predicts_as_drift_predicted(monkeypat
         verify_expansion(spec, 1, 0.6, [0.5, 1e2])
 
 
+def _far_tail_reference(x, upper, nu, e):
+    """integral_upper^inf (x + y)^(nu-1) y^-e dy from mpmath's 2F1 at 50 digits:
+    |x|^-a B_z(a, b) with a = e - nu, B_z(a, b) = z^a / a * 2F1(a, 1-b; a+1; z)
+    (DLMF 8.17.7), and (b, z) = (1-e, x/(x+upper)) or (nu, |x|/upper)."""
+    with mp.workdps(50):
+        x, upper, nu, e = (mp.mpf(v) for v in (x, upper, nu, e))
+        a = e - nu
+        if x == 0:
+            return float(upper ** -a / a)
+        b, num, den = (1 - e, x, x + upper) if x > 0 else (nu, -x, upper)
+        z = num / den
+        return float(num ** -a * z ** a / a * mp.hyp2f1(a, 1 - b, a + 1, z))
+
+
+def _far_tail_errors(cases):
+    """(nu, relative error) of sf.pareto_tail_integral on each (x, upper, nu, e)."""
+    out = []
+    for x, upper, nu, e in cases:
+        want = _far_tail_reference(x, upper, nu, e)
+        out.append((nu, abs(sf.pareto_tail_integral(x, upper, nu, e) - want) / abs(want)))
+    return out
+
+
+def _check_far_tail_errors(errors):
+    # 1e-11 relative for |nu| >= 1e-3; below that B(a, nu) - B_{1-z}(nu, a)
+    # cancels, and the bound is 1e-14 / |nu| (measured: at most 6e-16 / |nu|)
+    bad = [(nu, r) for nu, r in errors if r > (1e-11 if abs(nu) >= 1e-3 else 1e-14 / abs(nu))]
+    assert bad == []
+
+
+def _nu_grid(e):
+    """nu from -0.9 to e - 1e-4, with points near 0 on both sides."""
+    return [nu for nu in (-0.9, -0.5, -1e-3, -1e-4, 1e-6, 1e-4, 1e-3, 0.3, 0.7, 1.0, 1.2)
+            if nu < e - 1e-2] + [e - 1e-2, e - 1e-3, e - 1e-4]
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_SPECS))
+def test_far_tail_closed_form_against_mpmath_per_regime(monkeypatch, name):
+    # every far tail that drift_numeric_law takes, per regime, test function
+    # and orientation of the law
+    import heavywalk.lyapunov as ly
+    spec, i_values, xs = ORACLE_SPECS[name]
+    calls = []
+    real = ly.pareto_tail_integral
+
+    def record(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(ly, "pareto_tail_integral", record)
+    for x in (0.0,) + xs:
+        base = build_law(spec, x)
+        for law in (base, base.mirrored()):
+            for i in i_values:
+                for nu in _nu_grid(spec.heavy_exponent):
+                    drift_numeric_law(law, i, nu, x, 1e-6)
+    assert any(args[0] == 0.0 for args in calls)
+    _check_far_tail_errors(_far_tail_errors(calls))
+
+
+def test_far_tail_closed_form_against_mpmath_grid():
+    # upper from 1.01 to 1e4, x on both sides of 0 and of either branch switch
+    # (x = upper, and x = -upper/2), down to x + upper = 1e-3 * upper and up to
+    # x = 1e8 * upper, where 1 - z = upper/(x+upper) must not be formed as a difference
+    cases = []
+    for e in (1.2, 1.5, 1.8):
+        for upper in (1.01, 3.0, 40.0, 1e4):
+            xs = (-0.999 * upper, -0.7 * upper, -0.5 * upper, -0.3 * upper, -1.0, 0.0,
+                  1e-9, 1.0, 3.0, upper, 1.5 * upper, 1e3 * upper, 1e8 * upper)
+            cases += [(x, upper, nu, e) for x in xs for nu in _nu_grid(e)]
+    _check_far_tail_errors(_far_tail_errors(cases))
+
+
+def test_far_tail_domain():
+    for args in ((10.0, 5.0, 1.5, 1.5), (-5.0, 5.0, 0.5, 1.5), (1.0, 0.0, 0.5, 1.5), (1.0, 5.0, 0.5, 2.5),
+                 (1.0, 5.0, 0.0, 1.5), (-4.0, 5.0, -1.0, 1.5)):
+        with pytest.raises(DomainError):
+            sf.pareto_tail_integral(*args)
+
+
 @pytest.mark.parametrize("spec, i", [
     (half_line(alpha=1.5, gamma=0.5, b=-1.0), 0),
     (line_out(alpha=1.5, gamma=0.5, b=-0.5), 2),
     (line_in(beta=1.3, gamma=0.3, b=-3.0, x0=2.0), 2),
 ])
-def test_tail_map_out_of_range_raises_convergence_error(spec, i):
+def test_verify_expansion_reaches_nu_near_tail_exponent(spec, i):
     # nu just below the tail exponent: the far tail decays like y^-(1 + 1e-3),
-    # and its map t = w^1000 underflows; nu 0.02 below still converges
-    e = spec.heavy_exponent
-    with pytest.raises(ConvergenceError):
-        verify_expansion(spec, i, e - 1e-3, [1e2, 1e3])
-    rep = verify_expansion(spec, i, e - 0.02, [1e2, 1e3])
-    assert all(math.isfinite(v) for v in rep.numeric)
+    # which the closed form beyond the last kink takes with no quadrature
+    rep = verify_expansion(spec, i, spec.heavy_exponent - 1e-3, [1e2, 1e3])
+    assert all(math.isfinite(v) for v in rep.numeric + rep.normalized_error)
 
 
 def test_mirror_symmetry_f2():

@@ -9,7 +9,12 @@ from hypothesis import strategies as st
 from heavywalk import specialfn as sf
 from heavywalk.errors import ConvergenceError, DomainError, PoleError
 
-mp.mp.dps = 30
+
+@pytest.fixture(autouse=True, scope="module")
+def _mp_precision():
+    # the mpmath oracles of this module work at 30 digits; no other module sees it
+    with mp.workdps(30):
+        yield
 
 
 # ---------------------------------------------------------------------------
@@ -365,18 +370,11 @@ def test_quad_stats_panels_and_depth(monkeypatch):
     assert v == pytest.approx(2.0, abs=1e-9)
     assert stats.panels == len(widths) and stats.panels % 2 == 1
     assert stats.max_depth == round(-math.log2(min(widths))) > 5
-    # the infinite range and the decaying tail add to the same record
+    # the infinite range adds to the same record
     before = stats.panels
     widths.clear()
     sf.integrate_adaptive(lambda u: math.exp(-u), 0.0, math.inf, 1e-10, stats)
-    sf.integrate_decaying_tail(lambda y: y ** -1.1, 2.0, 1.1, 1e-10, stats)
     assert stats.panels - before == len(widths) > 2
-
-
-def test_integrate_decaying_tail():
-    # int_Y^inf y^-1.1 dy = Y^-0.1 / 0.1, a decay plain bisection cannot do
-    v = sf.integrate_decaying_tail(lambda y: y ** -1.1, 2.0, 1.1, 1e-10)
-    assert v == pytest.approx(2.0 ** -0.1 / 0.1, rel=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -405,6 +403,19 @@ def test_incomplete_beta_recurrence_property(x, p, q):
     lhs = q * sf.incomplete_beta_ext(x, p, q)
     rhs = (p + q) * sf.incomplete_beta_ext(x, p, q + 1.0) - x ** p * (1.0 - x) ** q
     assert lhs == pytest.approx(rhs, abs=1e-8)
+
+
+def test_pareto_tail_integral_against_incomplete_beta_quadrature():
+    # the closed form against x^-a B_z(a, b) from incomplete_beta_ext's
+    # quadrature, on both sides of each branch switch (z = 1/2)
+    upper, e = 12.5, 1.5
+    for nu in (-0.6, 0.3, 1.2, 1.49):
+        a = e - nu
+        for x in (-10.0, -6.25, -3.0, 0.5, 12.5, 40.0, 1e4):
+            b, num, den = (1.0 - e, x, x + upper) if x > 0 else (nu, -x, upper)
+            want = num ** -a * sf.incomplete_beta_ext(num / den, a, b)
+            got = sf.pareto_tail_integral(x, upper, nu, e)
+            assert got == pytest.approx(want, rel=1e-8, abs=1e-9), (nu, x)
 
 
 def test_incomplete_beta_domain_errors():
