@@ -266,8 +266,9 @@ def test_far_tail_closed_form_against_mpmath_grid():
 
 
 def test_far_tail_domain():
-    for args in ((10.0, 5.0, 1.5, 1.5), (-5.0, 5.0, 0.5, 1.5), (1.0, 0.0, 0.5, 1.5), (1.0, 5.0, 0.5, 2.5),
-                 (1.0, 5.0, 0.0, 1.5), (-4.0, 5.0, -1.0, 1.5)):
+    # nu >= e, x + upper = 0, upper = 0, e outside (1, 2), nu = 0, nu = -1 with x < 0
+    for args in ((10.0, 5.0, 1.5, 1.5), (-5.0, 5.0, 0.5, 1.5), (1.0, 0.0, 0.5, 1.5),
+                 (1.0, 5.0, 0.5, 2.5), (1.0, 5.0, 0.0, 1.5), (-4.0, 5.0, -1.0, 1.5)):
         with pytest.raises(DomainError):
             sf.pareto_tail_integral(*args)
 
