@@ -1,7 +1,8 @@
 """Heavy-tailed Markov chains with asymptotically zero drift.
 
 Classification of recurrence/transience phases, critical passage-time
-moment exponents, Lyapunov drift verification by quadrature, and
+moment exponents, Lyapunov drift verification from the laws' exact tails
+(closed-form Pareto terms, quadrature over the light uniform), and
 reproducible parallel Monte Carlo.
 """
 

@@ -1,14 +1,15 @@
-"""Numerical Lyapunov drift: tail quadrature vs the expansion predictions.
+"""Numerical Lyapunov drift: exact-tail drift vs the expansion predictions.
 
 The one-step drift E[f(x + theta) - f(x)] is evaluated from the law's exact
 tail functions via the integration-by-parts representation
-E[g(X)] = g(0) + int g'(y) P[X > y] dy, applied piecewise between the kink
-points of f(x +- y) and of the tails.  Beyond a side's last kink only the
-Pareto term is left, and that far tail is an incomplete beta function
-(`specialfn.pareto_tail_integral`), so every nu below the tail exponent is
-reached.  Because the constructed laws have closed-form tails, the result is
-exact up to tolerance rather than sampling noise; a Monte Carlo oracle is
-provided for cross-checks.
+E[g(X)] = g(0) + int g'(y) P[X > y] dy.  Each side's Pareto term is in closed
+form: the step of f over the tail's flat part [0, y0], and beyond y0
+incomplete beta functions (`specialfn.pareto_tail_integral` outward,
+`specialfn.pareto_finite_integral` toward the origin), so every nu below the
+tail exponent is reached.  Only the light uniform is integrated, by
+Gauss-Kronrod quadrature between the kinks of f(x +- y) on its support.  The
+result is exact up to rounding and that quadrature's tolerance, not sampling
+noise; a Monte Carlo oracle is provided for cross-checks.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ import numpy as np
 
 from .errors import DivergentError, DomainError
 from .increments import ChainSpec, IncrementLaw, build_law
-from .specialfn import (QuadStats, integrate_adaptive, kappa0, kappa1, kappa2,
-                        pareto_tail_integral)
+from .specialfn import (QuadStats, _pow_m1, integrate_adaptive, kappa0, kappa1, kappa2,
+                        pareto_finite_integral, pareto_tail_integral)
 from .classify import classify as _classify_phase
 
 CONVERGED_REL_TOL = 0.05   # verify_expansion: converged iff |last error| < this * |K|
@@ -58,90 +59,76 @@ def _f_kinks(i: int) -> tuple[float, ...]:
 
 
 def _side_integrand(law: IncrementLaw, side: int, i: int, nu: float, x: float):
-    """The integrand y -> f_i'(x + side*y) * P[side*theta > y] of one jump side,
-    as one closure, and the side's tail kink points.
-
-    The side's pieces, in law order, are its Pareto tail (weight p, support
-    point y0, exponent e) and a light uniform (weight q, width w) of positive
-    width (a zero width still gives a kink at 0).  Each piece set (Pareto and
-    light, Pareto only, light only or none) and each test-function family
-    (i in {0, 1}, and i = 2) has its own closure with the pieces bound, and
-    takes f_i' away from its kinks (0 on the flat part).  The tail terms are
-    non-negative, so summing them from 0.0 as `IncrementLaw.tail_pos`/
-    `tail_neg` do gives the same bits, and each value is bit-identical to the
-    product of f_i' and the tail function.
+    """The integrand y -> f_i'(x + side*y) * q (1 - y/w) of the light uniform
+    (weight q, width w > 0) on side `side`, as one closure per test-function
+    family (i in {0, 1}, and i = 2), with f_i' taken away from its kinks (0 on
+    the flat part).  Each value is bit-identical to the product of f_i' and
+    the uniform's tail term of `IncrementLaw.tail_pos`/`tail_neg`.
     """
-    heavy, light = law.on_side(side)
-    kinks = []
-    w = q = 0.0
-    if heavy:
-        y0 = abs(law.scale)
-        p = law.p
-        e = law.exponent
-        kinks.append(y0)
-    if light:
-        w = abs(law.light)
-        q = law.light_weight
-        kinks.append(w)
+    w = abs(law.light)
+    q = law.light_weight
     nu_m1 = nu - 1.0
     s = float(side)
-    copysign = math.copysign
-
     if i in (0, 1):
-        if heavy and w > 0.0:
-            def integrand(y: float) -> float:
-                z = x + s * y
-                if not z > 1.0:
-                    return 0.0
-                return nu * z ** nu_m1 * (p * (1.0 if y < y0 else (y0 / y) ** e)
-                                          + (q * (1.0 - y / w) if y < w else 0.0))
-        elif heavy:
-            def integrand(y: float) -> float:
-                z = x + s * y
-                if not z > 1.0:
-                    return 0.0
-                return nu * z ** nu_m1 * (p * (1.0 if y < y0 else (y0 / y) ** e))
-        else:
-            # w = 0.0 when the side has no piece: the tail is then 0.0
-            def integrand(y: float) -> float:
-                z = x + s * y
-                if not z > 1.0:
-                    return 0.0
-                return nu * z ** nu_m1 * (q * (1.0 - y / w) if y < w else 0.0)
+        def integrand(y: float) -> float:
+            z = x + s * y
+            if not z > 1.0:
+                return 0.0
+            return nu * z ** nu_m1 * (q * (1.0 - y / w) if y < w else 0.0)
     else:
-        if heavy and w > 0.0:
-            def integrand(y: float) -> float:
-                z = x + s * y
-                az = abs(z)
-                if az <= 1.0:
-                    return 0.0
-                return nu * copysign(az ** nu_m1, z) * (
-                    p * (1.0 if y < y0 else (y0 / y) ** e)
-                    + (q * (1.0 - y / w) if y < w else 0.0))
-        elif heavy:
-            def integrand(y: float) -> float:
-                z = x + s * y
-                az = abs(z)
-                if az <= 1.0:
-                    return 0.0
-                return nu * copysign(az ** nu_m1, z) * (
-                    p * (1.0 if y < y0 else (y0 / y) ** e))
-        else:
-            def integrand(y: float) -> float:
-                z = x + s * y
-                az = abs(z)
-                if az <= 1.0:
-                    return 0.0
-                return nu * copysign(az ** nu_m1, z) * (
-                    q * (1.0 - y / w) if y < w else 0.0)
+        copysign = math.copysign
 
-    return integrand, kinks
+        def integrand(y: float) -> float:
+            z = x + s * y
+            az = abs(z)
+            if az <= 1.0:
+                return 0.0
+            return nu * copysign(az ** nu_m1, z) * (q * (1.0 - y / w) if y < w else 0.0)
+    return integrand
+
+
+def _f_step(i: int, nu: float, x: float, dz: float) -> float:
+    """f_i(x + dz) - f_i(x); by `_pow_m1` when both points are off the flat
+    part, where the plain difference of the two powers loses about
+    1e-16 |x|^nu."""
+    z = x + dz
+    fx, fz = (abs(x), abs(z)) if i == 2 else (x, z)
+    if fx > 1.0 and fz > 1.0:
+        # |z|/|x| - 1: dz/x on the same side of 0, -2 - dz/x across it
+        return fx ** nu * _pow_m1(dz / x if z * x > 0.0 else -2.0 - dz / x, nu)
+    return (fz ** nu if fz > 1.0 else 1.0) - (fx ** nu if fx > 1.0 else 1.0)
+
+
+def _pareto_term(law: IncrementLaw, side: int, i: int, nu: float, x: float) -> float:
+    """The Pareto tail's share of the drift on one jump side, in closed form:
+    p [f_i(x + side y0) - f_i(x) + nu y0^e (T - F)].
+
+    Along the jump, |z| = |X + y| with X = side*x.  The constant part of the
+    tail on [0, y0] gives the step of f_i.  Beyond y0, f_i' is nonzero where
+    X + y > 1 (the outward tail T = integral_{max(y0, 1-X)}^inf
+    (X + y)^(nu-1) y^(-e) dy, on a side where f_i grows) and where
+    X + y < -1 (the finite piece F = integral_{y0}^{c-1} (c - y)^(nu-1) y^(-e) dy,
+    c = -X, toward the origin, where f_i falls with the jump); f_i' has the
+    sign of side*z, which the signs of T and F carry.
+    """
+    p, y0, e = law.p, abs(law.scale), law.exponent
+    big_x = side * x
+    part = 0.0
+    if i == 2 or side == +1:
+        if nu >= e:
+            raise DivergentError(
+                f"E[f_{i}] diverges: nu={nu} >= tail exponent {e} on side {side:+d}")
+        part += pareto_tail_integral(big_x, max(y0, 1.0 - big_x), nu, e)
+    if (i == 2 or side == -1) and -big_x - 1.0 > y0:
+        part -= pareto_finite_integral(-big_x, y0, -big_x - 1.0, nu, e)
+    return p * (_f_step(i, nu, x, side * y0) + nu * y0 ** e * part)
 
 
 def drift_numeric_law(law: IncrementLaw, i: int, nu: float, x: float,
                       abs_tol: float = 1e-10, stats: Optional[QuadStats] = None) -> float:
-    """E[f_i(x + theta) - f_i(x)] for theta ~ law, by piecewise tail quadrature
-    up to each side's last kink and a closed form beyond it.
+    """E[f_i(x + theta) - f_i(x)] for theta ~ law: each Pareto side in closed
+    form (`_pareto_term`), and the light uniform by quadrature between its
+    support's ends and the kinks of f_i.
 
     `stats`, if given, accumulates the GK15 panels and the deepest
     subdivision of every quadrature this call runs.
@@ -149,35 +136,21 @@ def drift_numeric_law(law: IncrementLaw, i: int, nu: float, x: float,
     if nu == 0.0:
         return 0.0
     total = 0.0
+    w = abs(law.light)
     for side in (+1, -1):
-        integrand, kinks = _side_integrand(law, side, i, nu, x)
-        heavy = law.on_side(side)[0]
-        # f seen along this jump direction: z = x + side * y
-        f_splits = [side * (k - x) for k in _f_kinks(i) if side * (k - x) > 0.0]
-        splits = sorted(set(kinks + f_splits))
-        # does the integrand survive as y -> inf on this side?
-        grows = (i == 2) or (side == +1)
-        if not heavy:
-            upper = max(kinks, default=0.0)
-            pts = [0.0] + [s for s in splits if s < upper] + [upper]
-        else:
-            if grows and nu >= law.exponent:
-                raise DivergentError(
-                    f"E[f_{i}] diverges: nu={nu} >= tail exponent {law.exponent} on side {side:+d}")
-            upper = splits[-1]
-            pts = [0.0] + splits
-        # the tolerance counts the points before deduplication
-        piece_tol = abs_tol / (2.0 * max(1, len(pts)))
-        val = 0.0
-        pts = sorted(set(pts))
-        for lo, hi in zip(pts[:-1], pts[1:]):
-            val += integrate_adaptive(integrand, lo, hi, piece_tol, stats)
-        # only a growing heavy side has a tail beyond upper (a flat side's last
-        # f-kink is in splits); there |z| = side*x + y > 1 and the tail is p (y0/y)^e
-        if heavy and grows:
-            val += side * nu * law.p * abs(law.scale) ** law.exponent \
-                * pareto_tail_integral(side * x, upper, nu, law.exponent)
-        total += side * val
+        heavy, light = law.on_side(side)
+        if heavy:
+            total += _pareto_term(law, side, i, nu, x)
+        if light and w > 0.0:
+            integrand = _side_integrand(law, side, i, nu, x)
+            # f seen along this jump direction: z = x + side * y
+            pts = sorted({0.0, w, *(side * (k - x) for k in _f_kinks(i)
+                                    if 0.0 < side * (k - x) < w)})
+            piece_tol = abs_tol / (2.0 * len(pts))
+            val = 0.0
+            for lo, hi in zip(pts[:-1], pts[1:]):
+                val += integrate_adaptive(integrand, lo, hi, piece_tol, stats)
+            total += side * val
     return total
 
 

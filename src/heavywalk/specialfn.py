@@ -3,9 +3,9 @@
 Everything here is pure (the one cache, `_gamma_fixed`, holds values of
 gamma_real): the gamma / digamma pair, the three kappa coefficient functions
 that drive the drift expansions and the critical exponent equations, the
-extended incomplete beta, the closed-form tail integrals (the drift's far
-tail among them), and the Gauss-Kronrod integrator that serves as their
-independent oracle.  No scipy: the accuracy targets (1e-12 relative for
+extended incomplete beta, the closed-form tail integrals (the drift's whole
+Pareto term among them), and the Gauss-Kronrod integrator that serves as
+their independent oracle.  No scipy: the accuracy targets (1e-12 relative for
 gamma on [0.5, 30], 1e-8 for the identity suite) are met by a Lanczos
 approximation plus reflection, and quadrature is deterministic so failures
 reproduce.
@@ -252,7 +252,11 @@ def integrate_adaptive(f: Callable[[float], float], a: float, b: float,
     b may be math.inf; the infinite range is mapped by u = t/(1-t).  Endpoint
     algebraic singularities are handled by bisecting toward the endpoint; an
     endpoint-adjacent interval whose whole contribution is below abs_tol/4 is
-    accepted as is.  Raises ConvergenceError at subdivision depth 60.
+    accepted as is.  Raises ConvergenceError at subdivision depth 60.  The map
+    turns a y^(-e) tail into an s^(e-2) singularity at s = 0, which 60
+    bisections do not resolve when e is well below 2: y^(-1.5) on (1, inf) at
+    abs_tol 1e-10 raises ConvergenceError.  Such tails take a closed form
+    (`pareto_tail_integral`).
     `stats`, if given, accumulates the panels evaluated and the deepest level.
     """
     if math.isinf(b):
@@ -369,6 +373,70 @@ def pareto_tail_integral(x: float, upper: float, nu: float, e: float) -> float:
     # here; 1/Gamma(a + b) is 0 at a + b = 0, which only nu = 1 gives
     beta_ab = math.gamma(a) * math.gamma(b) / math.gamma(a + b) if a + b != 0.0 else 0.0
     return num ** -a * (beta_ab - w ** b * _beta_series(w, b, a))
+
+
+def _pow_diff(z1: float, z2: float, k: float) -> float:
+    """(z2^k - z1^k) / k for 0 < z1 <= z2 (log(z2/z1) at k = 0), as the larger
+    power times expm1 of -|k| log(z2/z1), which stays exact as k -> 0."""
+    lr = math.log(z2 / z1)
+    if k > 0.0:
+        return -z2 ** k * math.expm1(-k * lr) / k
+    if k < 0.0:
+        return z1 ** k * math.expm1(k * lr) / k
+    return lr
+
+
+def _beta_between(z1: float, z2: float, p: float, q: float) -> float:
+    """integral_z1^z2 u^(p-1) (1-u)^(q-1) du for 0 < z1 <= z2 <= 1/2 and any real
+    p, q: the series of `_beta_series` integrated term by term,
+    sum_n (1-q)_n / n! (z2^(p+n) - z1^(p+n)) / (p+n), summed until a term is below
+    1e-17 of the sum.  A term with |p+n| < 1 takes `_pow_diff`; the others take
+    the plain difference, whose rounding is below 1e-16 of z2^(p+n)."""
+    acc = _pow_diff(z1, z2, p)
+    c, u1, u2 = 1.0, z1 ** p, z2 ** p
+    for n in range(1, 4096):
+        c *= (n - q) / n
+        u1 *= z1
+        u2 *= z2
+        k = p + n
+        term = c * ((u2 - u1) / k if abs(k) >= 1.0 else _pow_diff(z1, z2, k))
+        acc += term
+        if abs(term) <= 1e-17 * abs(acc):
+            break
+    return acc
+
+
+def pareto_finite_integral(c: float, lo: float, hi: float, nu: float, e: float) -> float:
+    """integral_lo^hi (c - y)^(nu-1) y^(-e) dy in closed form (DLMF 8.17), for
+    0 < lo < hi < c, 1 < e < 2 and any real nu.
+
+    With y = c t and a = 1 - e it is c^(nu-e) [B_{hi/c}(a, nu) - B_{lo/c}(a, nu)].
+    When lo/c < 1/2 < hi/c, B_{hi/c}(a, nu) is the reflection
+    B(a, nu) - B_s(nu, a), s = (c - hi)/c, and both small-argument betas are
+    `_beta_series` sums; 1/Gamma(a + nu) is 0 where a + nu is a pole
+    (nu = e - 1 or e - 2).  This cancels to about 1e-16/|nu| of B(a, nu) as
+    nu -> 0, and is taken for nu > -1 only.  Otherwise the integral is
+    summed piecewise by `_beta_between`, in t up to 1/2 and in s = 1 - t
+    beyond, to about 1e-15 relative for every nu.
+    """
+    if not (0.0 < lo < hi < c and 1.0 < e < 2.0):
+        raise DomainError(f"pareto_finite_integral: c={c!r}, lo={lo!r}, hi={hi!r}, e={e!r}")
+    a = 1.0 - e
+    t_lo, t_hi = lo / c, hi / c
+    if t_lo < 0.5 < t_hi and -1.0 < nu != 0.0:
+        s = (c - hi) / c
+        ab = a + nu
+        pole = ab <= 0.0 and ab == round(ab)
+        beta = 0.0 if pole else math.gamma(a) * math.gamma(nu) / math.gamma(ab)
+        acc = (beta - s ** nu * _beta_series(s, nu, a)
+               - t_lo ** a * _beta_series(t_lo, a, nu))
+    else:
+        acc = 0.0
+        if t_lo < 0.5:
+            acc += _beta_between(t_lo, min(t_hi, 0.5), a, nu)
+        if t_hi > 0.5:
+            acc += _beta_between((c - hi) / c, min((c - lo) / c, 0.5), nu, a)
+    return c ** (nu - e) * acc
 
 
 # ---------------------------------------------------------------------------
@@ -546,46 +614,3 @@ def closed_form_integral_quad(name: str, p: float, q: float, x: float | None = N
     far = integrate_power_weighted(
         lambda v: math.pow(1.0 + v, p - 1.0), -p - q, 0.0, 1.0, tol)
     return near + far
-
-
-# ---------------------------------------------------------------------------
-# Quadrature oracles for the kappa functions (independent of gamma_real)
-# ---------------------------------------------------------------------------
-
-def kappa0_quad(alpha: float, nu: float, abs_tol: float = 1e-8) -> float:
-    """kappa0 via its defining integral integral_0^inf ((1+u)^(nu-1)-1) u^(-alpha) du."""
-    return closed_form_integral_quad("positive_part", 1.0 - alpha, nu, abs_tol=abs_tol)
-
-
-def _q_integral(beta: float, nu: float, tol: float) -> float:
-    """integral_0^1 [ (1-u)^(nu-1) (u^(-beta) - 1) - u^(-beta) ] du for
-    0 < nu < beta (regularized inward-jump integrand).
-
-    Split at 1/2 and regroup so each piece carries one known endpoint power:
-      [0, 1/2]: u^(1-beta) * ((1-u)^(nu-1)-1)/u  minus exact int of (1-u)^(nu-1)
-      [1/2, 1]: s^(nu-1) * ((1-s)^(-beta)-1) for s = 1-u, minus exact int of u^(-beta).
-    """
-    left_sing = integrate_power_weighted(
-        lambda u: _pow_m1(-u, nu - 1.0) / u, 1.0 - beta, 0.0, 0.5, tol)
-    left_exact = -(1.0 - math.pow(0.5, nu)) / nu
-    right_sing = integrate_power_weighted(
-        lambda s: _pow_m1(-s, -beta), nu - 1.0, 0.0, 0.5, tol)
-    right_exact = -(math.pow(0.5, 1.0 - beta) - 1.0) / (beta - 1.0)
-    return left_sing + left_exact + right_sing + right_exact
-
-
-def kappa1_quad(beta: float, nu: float, abs_tol: float = 1e-8) -> float:
-    """kappa1 via the inward-jump integral decomposition (0 < nu < beta)."""
-    q = _q_integral(beta, nu, abs_tol / 8.0)
-    return -nu * q - 1.0 + nu / (beta - 1.0)
-
-
-def kappa2_quad(beta: float, nu: float, abs_tol: float = 1e-8) -> float:
-    """kappa2 via the two-sided inward-jump integrals (0 < nu < beta)."""
-    tol = abs_tol / 8.0
-    q = _q_integral(beta, nu, tol)
-    m1 = integrate_power_weighted(
-        lambda s: _pow_m1(s, -beta), nu - 1.0, 0.0, 1.0, tol)
-    m2 = integrate_power_weighted(
-        lambda v: math.pow(1.0 + v, -beta), beta - nu - 1.0, 0.0, 1.0, tol)
-    return -q + 1.0 / (beta - 1.0) + m1 + m2

@@ -81,11 +81,12 @@ def test_simulate_bytes_match_golden(tmp_path, regime):
 
 # ---------------------------------------------------------------------------
 # Analytic path.  The reprs of the floats are hashed, so a change in the last
-# bit of any quadrature result shows.  The six scalar digests were re-pinned
-# when the far tail beyond each side's last kink moved from quadrature to the
-# closed form `specialfn.pareto_tail_integral`: every finite-piece quadrature
-# kept its bits, and each changed far-tail value is at least as close to a
-# 50-digit mpmath 2F1 value as the quadrature's was.
+# bit of any quadrature result shows.  The six scalar digests were last
+# re-pinned when each side's whole Pareto term moved from quadrature to closed
+# forms (`specialfn.pareto_tail_integral`, `pareto_finite_integral`), leaving
+# only the light uniform to quadrature: against a 35-digit mpmath drift the
+# largest error of the 130 drift values fell from 9.5e-9 to 6.5e-14 of
+# |x|^(nu - exponent), and no value moved farther off by more than 6.7e-15 of it.
 # ---------------------------------------------------------------------------
 
 ANALYTIC = {
@@ -104,12 +105,12 @@ GRIDS = {0: [1e2, 1e3, 1e4], 1: [1e2, 1e3, 1e4], 2: [-1e3, -1e2, 1e2, 1e3, 1e4]}
 PROBES = [50.0, 1e3]
 
 ANALYTIC_DIGESTS = {
-    "half_line": "b95497c88928407673d5afbad0fbb5021ab3161b3a08188c6f1ef276874dac95",
-    "line_balanced": "d54e893aa8747ed5c509f6aa8c2f08acbb69e1f0ad98da8dea1acf7fe00d5e5b",
-    "line_balanced_b0": "e2bd9e834127f056635928f0ba15099570b4ca2df509d3b4b4b291076bbd76d4",
-    "line_in": "fd16e418622ead97820ccf5eac066d3f0726011937e9d5e7f1105d95c7c2be7b",
-    "line_in_b0": "1a82b902a0c490cc63611c3927eb743b06cb696771160f62f7636fb864b9323c",
-    "line_out": "e78ab68c3f0ea591e8fc0bb2f136803b8e96709bb4712b9468bad4dab70dfad5",
+    "half_line": "cfd9b833bacf849e650e6a09ceccf3391b88864fcaf7976cc148ed4f6047d224",
+    "line_balanced": "6489d546ac8d86dfe5844c4f3b342718bc9c09a1bf972c106f0c766d8e01f089",
+    "line_balanced_b0": "5f990481b686295886f5de15808411c8b1aa91dd57b12704e91034e49bc36f1e",
+    "line_in": "f8dc201e27a8ee118e495ea4bf8dc800c2f537e347e3a800dea970233b5fe8dc",
+    "line_in_b0": "efb2411c5d758b705d7129f4fb6150979f475fbb5ae5971d4477caae9025a99d",
+    "line_out": "1bedb84d0ccf582f8118f86d1f45c59b4b90c5e9db351744cad688d48781b5b8",
     "plane": "87ca58d0e2706f5e6510607f3d519e9bf8c79061b5d75d5d9d69f4d47f54a87d",
 }
 

@@ -148,9 +148,52 @@ def test_kappa0_vanishes_at_nu_one():
     assert sf.kappa0(1.5, 1.0) == 0.0
 
 
+# Quadrature oracles for the kappa functions, independent of gamma_real: each
+# kappa's defining integral, with its endpoint powers taken out by
+# integrate_power_weighted.
+
+def kappa0_quad(alpha, nu, abs_tol=1e-8):
+    """kappa0 via its defining integral integral_0^inf ((1+u)^(nu-1)-1) u^(-alpha) du."""
+    return sf.closed_form_integral_quad("positive_part", 1.0 - alpha, nu, abs_tol=abs_tol)
+
+
+def _q_integral(beta, nu, tol):
+    """integral_0^1 [ (1-u)^(nu-1) (u^(-beta) - 1) - u^(-beta) ] du for
+    0 < nu < beta (regularized inward-jump integrand).
+
+    Split at 1/2 and regroup so each piece carries one known endpoint power:
+      [0, 1/2]: u^(1-beta) * ((1-u)^(nu-1)-1)/u  minus exact int of (1-u)^(nu-1)
+      [1/2, 1]: s^(nu-1) * ((1-s)^(-beta)-1) for s = 1-u, minus exact int of u^(-beta).
+    """
+    left_sing = sf.integrate_power_weighted(
+        lambda u: sf._pow_m1(-u, nu - 1.0) / u, 1.0 - beta, 0.0, 0.5, tol)
+    left_exact = -(1.0 - math.pow(0.5, nu)) / nu
+    right_sing = sf.integrate_power_weighted(
+        lambda s: sf._pow_m1(-s, -beta), nu - 1.0, 0.0, 0.5, tol)
+    right_exact = -(math.pow(0.5, 1.0 - beta) - 1.0) / (beta - 1.0)
+    return left_sing + left_exact + right_sing + right_exact
+
+
+def kappa1_quad(beta, nu, abs_tol=1e-8):
+    """kappa1 via the inward-jump integral decomposition (0 < nu < beta)."""
+    q = _q_integral(beta, nu, abs_tol / 8.0)
+    return -nu * q - 1.0 + nu / (beta - 1.0)
+
+
+def kappa2_quad(beta, nu, abs_tol=1e-8):
+    """kappa2 via the two-sided inward-jump integrals (0 < nu < beta)."""
+    tol = abs_tol / 8.0
+    q = _q_integral(beta, nu, tol)
+    m1 = sf.integrate_power_weighted(
+        lambda s: sf._pow_m1(s, -beta), nu - 1.0, 0.0, 1.0, tol)
+    m2 = sf.integrate_power_weighted(
+        lambda v: math.pow(1.0 + v, -beta), beta - nu - 1.0, 0.0, 1.0, tol)
+    return -q + 1.0 / (beta - 1.0) + m1 + m2
+
+
 def test_kappa0_quadrature_matched():
     val = sf.kappa0(1.3, 0.7)
-    quad = sf.kappa0_quad(1.3, 0.7, abs_tol=1e-9)
+    quad = kappa0_quad(1.3, 0.7, abs_tol=1e-9)
     assert val == pytest.approx(quad, abs=1e-7)
 
 
@@ -185,7 +228,7 @@ def test_kappa1_vanishing_factor():
 
 
 def test_kappa1_quadrature_matched():
-    assert sf.kappa1(1.7, 0.4) == pytest.approx(sf.kappa1_quad(1.7, 0.4, abs_tol=1e-9), abs=1e-7)
+    assert sf.kappa1(1.7, 0.4) == pytest.approx(kappa1_quad(1.7, 0.4, abs_tol=1e-9), abs=1e-7)
 
 
 def test_kappa2_root_at_two_beta_minus_three():
@@ -198,7 +241,7 @@ def test_kappa2_continuity_value():
 
 
 def test_kappa2_quadrature_matched():
-    assert sf.kappa2(1.5, 0.4) == pytest.approx(sf.kappa2_quad(1.5, 0.4, abs_tol=1e-9), abs=1e-7)
+    assert sf.kappa2(1.5, 0.4) == pytest.approx(kappa2_quad(1.5, 0.4, abs_tol=1e-9), abs=1e-7)
 
 
 def test_kappa2_guard_band_consistent_with_slope():
@@ -377,6 +420,13 @@ def test_quad_stats_panels_and_depth(monkeypatch):
     assert stats.panels - before == len(widths) > 2
 
 
+def test_infinite_range_cannot_take_a_slow_power_tail():
+    # u = t/(1-t) maps y^-1.5 on (1, inf) to an s^-0.5 endpoint singularity
+    # that 60 bisections do not resolve at 1e-10: an error, not a wrong value
+    with pytest.raises(ConvergenceError):
+        sf.integrate_adaptive(lambda y: y ** -1.5, 1.0, math.inf, 1e-10)
+
+
 # ---------------------------------------------------------------------------
 # extended incomplete beta
 # ---------------------------------------------------------------------------
@@ -416,6 +466,49 @@ def test_pareto_tail_integral_against_incomplete_beta_quadrature():
             want = num ** -a * sf.incomplete_beta_ext(num / den, a, b)
             got = sf.pareto_tail_integral(x, upper, nu, e)
             assert got == pytest.approx(want, rel=1e-8, abs=1e-9), (nu, x)
+
+
+def _finite_piece_reference(c, lo, hi, nu, e):
+    """integral_lo^hi (c - y)^(nu-1) y^-e dy by mpmath's tanh-sinh at 30 digits."""
+    with mp.workdps(30):
+        c, lo, hi, nu, e = (mp.mpf(v) for v in (c, lo, hi, nu, e))
+        return float(mp.quad(lambda y: (c - y) ** (nu - 1) * y ** -e, [lo, (lo + hi) / 2, hi]))
+
+
+def _finite_piece_cases():
+    """(c, lo, hi, nu, e) as the drift takes them (hi = c - 1): c large
+    (lo/c < 1/2 < hi/c, the reflection), c in (lo + 1, 2 lo) (lo/c > 1/2),
+    c < 2 (hi/c < 1/2), with nu = e - 1 and e - 2 (1/Gamma(a + nu) = 0),
+    |nu| <= 1e-3, nu in (-1, 0), nu <= -1 and nu at and above e (a falling
+    side has no divergence)."""
+    cases = []
+    for e in (1.05, 1.5, 1.95):
+        nus = (-2.5, -1.0, -0.9, -1e-3, -1e-6, 1e-6, 1e-3, 0.3, e - 1.0, e - 2.0, e - 1e-3,
+               e, 2.7)
+        for c, lo in ((1e5, 7.3), (120.0, 2.9), (4.5, 2.9), (1.9, 0.5), (1e3, 600.0)):
+            cases += [(c, lo, c - 1.0, nu, e) for nu in nus]
+    return cases
+
+
+def test_pareto_finite_integral_against_mpmath():
+    # 1e-13 relative for |nu| >= 1e-3; below that the reflection's
+    # B(1-e, nu) - B_s(nu, 1-e) cancels, and the bound is 1e-14 / |nu|
+    # (measured: at most 1.6e-14, and 8e-16 / |nu|)
+    bad = []
+    for c, lo, hi, nu, e in _finite_piece_cases():
+        want = _finite_piece_reference(c, lo, hi, nu, e)
+        r = abs(sf.pareto_finite_integral(c, lo, hi, nu, e) - want) / abs(want)
+        if not r <= (1e-13 if abs(nu) >= 1e-3 else 1e-14 / abs(nu)):
+            bad.append((c, lo, nu, e, r))
+    assert bad == []
+
+
+def test_pareto_finite_integral_domain():
+    # lo <= 0, hi <= lo, c <= hi, e outside (1, 2)
+    for args in ((10.0, 0.0, 9.0, 0.5, 1.5), (10.0, 5.0, 5.0, 0.5, 1.5),
+                 (10.0, 2.0, 10.0, 0.5, 1.5), (10.0, 2.0, 9.0, 0.5, 2.0)):
+        with pytest.raises(DomainError):
+            sf.pareto_finite_integral(*args)
 
 
 def test_incomplete_beta_domain_errors():
