@@ -1,10 +1,11 @@
 """Phase classification and critical passage-time exponents.
 
 The classifier is exact arithmetic over the Gamma/trig threshold quantities;
-the only numerics is the bisection for the critical exponent nu*, which is
-monotone by construction (kappa0 is strictly increasing on [0, exponent),
-kappa2 non-decreasing on (0, exponent), and the plane combination inherits
-monotonicity from kappa0).
+the only numerics is the root nu* of the gap function, solved by Brent's
+zeroin on a sign-change bracket until its half-width is at most 4 eps |nu|.
+The gap is monotone by construction (kappa0 is strictly increasing on
+[0, exponent), kappa2 non-decreasing on (0, exponent), and the plane
+combination inherits monotonicity from kappa0).
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ from .increments import ChainSpec
 from .specialfn import cospi, cotpi, kappa0, kappa2, sinpi
 
 TIE_TOL = 1e-9
-NU_RESIDUAL_TOL = 1e-12   # nu_star's bisection stops at this |gap|,
-NU_MAX_ITER = 200         # or after this many halvings
+NU_MAX_ITER = 200         # guard on nu_star's gap evaluations
+_EPS = 2.0 ** -52        # double-precision epsilon
 
 # phases
 POSITIVE_RECURRENT = "PositiveRecurrent"
@@ -136,15 +137,24 @@ def _eval_shrink(g: Callable[[float], float], v: float, lo: float, hi: float) ->
 
 
 def nu_star(spec: ChainSpec) -> NuStarResult:
-    """Solve the critical-exponent equation for the spec's regime by bisection.
+    """Solve the critical-exponent equation for the spec's regime by Brent's
+    zeroin (Brent 1973, Algorithms for Minimization without Derivatives, ch. 4).
+
+    The bracket starts at [0, top - 1e-6]; at nu = 0 the gap is exactly the
+    threshold gap (b - thr on the lines, pi/sin(pi alpha) times the plane
+    quantity).  Each step is an inverse-quadratic or secant step kept strictly
+    inside the current sign-change bracket, or a bisection where that would
+    stall.  It stops at an exact zero of g or when the bracket's half-width is
+    at most 4 eps |nu|, the rounding limit of g.  `nu_star` is the best point
+    found, `bracket` the final sign-change pair, `residual` |g(nu_star)| and
+    `iterations` the gap evaluations after the two bracket ends.
 
     Raises NoRootError when the gap function has one sign over the whole
     bracket (the transient side of the phase boundary).
     """
     g, top = _gap_function(spec)
-    lo, hi = 1e-6, top - 1e-6
-    g_lo, lo = _eval_shrink(g, lo, 1e-7, top)
-    g_hi, hi = _eval_shrink(g, hi, lo, top)
+    g_lo, lo = _eval_shrink(g, 0.0, 0.0, top)
+    g_hi, hi = _eval_shrink(g, top - 1e-6, lo, top)
     if g_lo >= 0.0 or g_hi <= 0.0:
         if g_lo == 0.0 or g_hi == 0.0:
             v = lo if g_lo == 0.0 else hi
@@ -152,19 +162,37 @@ def nu_star(spec: ChainSpec) -> NuStarResult:
         raise NoRootError(
             f"no sign change on [{lo:.2g}, {hi:.2g}] (g={g_lo:.4g}, {g_hi:.4g}); "
             "spec sits on the transient side")
+    # b is the best point, a the previous one, c the other end of the bracket
+    a, fa, b, fb, c, fc = lo, g_lo, hi, g_hi, hi, g_hi
     iters = 0
-    g_mid, mid = g_lo, lo
-    while iters < NU_MAX_ITER:
-        # the returned residual is always |g| at the returned point
-        g_mid, mid = _eval_shrink(g, 0.5 * (lo + hi), lo, hi)
-        if abs(g_mid) <= NU_RESIDUAL_TOL or hi - lo < 1e-15:
+    while True:
+        if (fb > 0.0) == (fc > 0.0):
+            c, fc, d, e = a, fa, b - a, b - a
+        if abs(fc) < abs(fb):
+            a, b, c, fa, fb, fc = b, c, b, fb, fc, fb
+        tol = 4.0 * _EPS * abs(b)
+        m = 0.5 * (c - b)
+        if fb == 0.0 or abs(m) <= tol or iters == NU_MAX_ITER:
             break
-        if g_mid < 0.0:
-            lo = mid
+        if abs(e) > tol and abs(fb) < abs(fa):
+            s = fb / fa
+            if a == c:   # secant
+                p, q = 2.0 * m * s, 1.0 - s
+            else:        # inverse quadratic
+                q, r = fa / fc, fb / fc
+                p = s * (2.0 * m * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            q = -q if p > 0.0 else q
+            p = abs(p)
+            # accepted only toward c, within 3/4 of the bracket and shrinking
+            e, d = (d, p / q) if 2.0 * p < min(3.0 * m * q - abs(tol * q), abs(e * q)) else (m, m)
         else:
-            hi = mid
+            e = d = m
+        a, fa = b, fb
+        b += d if abs(d) > tol else math.copysign(tol, m)
+        fb, b = _eval_shrink(g, b, min(a, c), max(a, c))
         iters += 1
-    return NuStarResult(mid, (lo, hi), abs(g_mid), iters)
+    return NuStarResult(b, (min(b, c), max(b, c)), abs(fb), iters)
 
 
 def _tagged(phase, tag, q=None, inclusive=None, nu=None) -> Classification:

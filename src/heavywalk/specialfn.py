@@ -124,7 +124,8 @@ def digamma(z: float) -> float:
 @functools.lru_cache(maxsize=64)
 def _gamma_fixed(z: float) -> float:
     """gamma_real for the nu-free factors of kappa0 and kappa2 (Gamma(1-a),
-    Gamma(b), Gamma(1-b)), which a nu* bisection asks for at every step."""
+    Gamma(b), Gamma(1-b)), which nu*'s Brent zeroin asks for at every gap
+    evaluation until its bracket's half-width is at most 4 eps |nu|."""
     return gamma_real(z)
 
 

@@ -19,7 +19,7 @@ from conftest import balanced, half_line, line_in, line_out, plane
 
 @mp.workdps(40)
 def oracle_nu_star(kind, exponent, b=0.0, c=1.0, p_radial=None, c_radial=None,
-                   c_transverse=None):
+                   c_transverse=None, lo="1e-7"):
     G = mp.gamma
 
     if kind == "half_line":
@@ -42,7 +42,7 @@ def oracle_nu_star(kind, exponent, b=0.0, c=1.0, p_radial=None, c_radial=None,
                          + p_t * c_transverse * G((exponent - v) / 2) * G(1 - exponent / 2)
                          / G(1 - v / 2))
         hi = 1.0
-    lo, hi = mp.mpf("1e-7"), mp.mpf(hi) - mp.mpf("1e-7")
+    lo, hi = mp.mpf(lo), mp.mpf(hi) - mp.mpf("1e-7")
     assert gap(lo) < 0 < gap(hi)
     for _ in range(120):
         mid = (lo + hi) / 2
@@ -197,12 +197,63 @@ def test_nu_star_plane_matches_oracle():
 
 @pytest.mark.parametrize("b", [-60.24745223723917, -53.55496441788585, -50.2087205082092])
 def test_nu_star_residual_is_taken_at_nu_star(b):
-    # near alpha = 1 the bisection runs down to its bracket-width stop
+    # near alpha = 1 the solver runs down to its stop on the bracket's
+    # half-width, 4 eps |nu|
     spec = half_line(alpha=1.05, gamma=1.05 - 1.0, b=b)
     ns = nu_star(spec)
     g, _ = _gap_function(spec)
     assert ns.bracket[1] - ns.bracket[0] < 2e-15
     assert ns.residual == abs(g(ns.nu_star))
+
+
+MPMATH_ROOT_CASES = {
+    "half_line": (half_line(alpha=1.5, gamma=0.5, b=-2.0), "half_line", 1.5, {"b": -2.0}),
+    "half_line_b_pos": (half_line(alpha=1.3, gamma=0.3, b=0.5, x0=10.0), "half_line", 1.3,
+                        {"b": 0.5}),
+    "line_out": (line_out(alpha=1.5, gamma=0.5, b=-0.5), "half_line", 1.5, {"b": -0.5}),
+    "line_in": (line_in(beta=1.3, gamma=0.3, b=-3.0, x0=2.0), "line_in", 1.3, {"b": -3.0}),
+    "line_balanced": (balanced(alpha=1.5, gamma=0.5, b=0.5, x0=4.0), "balanced", 1.5,
+                      {"b": 0.5}),
+    "plane": (plane(alpha=1.5, p_radial=0.9), "plane", 1.5,
+              {"p_radial": 0.9, "c_radial": 1.0, "c_transverse": 1.0}),
+    "plane_alpha_1.3": (plane(alpha=1.3, p_radial=0.85, c_transverse=0.7), "plane", 1.3,
+                        {"p_radial": 0.85, "c_radial": 1.0, "c_transverse": 0.7}),
+    # the three anchor families: nu* = 1, 2 beta - 3 and alpha - 1
+    "half_line_anchor": (half_line(alpha=1.4), "half_line", 1.4, {}),
+    "line_in_anchor": (line_in(beta=1.7, gamma=0.7, alpha=2.95), "line_in", 1.7, {}),
+    "line_balanced_anchor": (balanced(alpha=1.6, gamma=0.6), "balanced", 1.6, {}),
+    # b strongly negative: the root sits near the top of the bracket
+    "half_line_near_top": (half_line(alpha=1.5, gamma=0.5, b=-100.0, x0=40.0), "half_line",
+                           1.5, {"b": -100.0}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MPMATH_ROOT_CASES))
+@mp.workdps(40)
+def test_nu_star_matches_mpmath_root(name):
+    spec, kind, exponent, kw = MPMATH_ROOT_CASES[name]
+    ns = nu_star(spec)
+    assert abs(ns.nu_star - oracle_nu_star(kind, exponent, **kw)) <= 1e-14
+    assert ns.iterations <= 20
+    assert ns.bracket[0] <= ns.nu_star <= ns.bracket[1]
+
+
+@pytest.mark.parametrize("gap", [1e-7, 1e-8])
+def test_nu_star_just_below_threshold(gap):
+    # g(0) is the threshold gap itself, so the bracket's lower end at nu = 0
+    # keeps its sign change however close to the threshold b sits
+    hl = half_line(alpha=1.5, gamma=0.5, b=drift_threshold(half_line(alpha=1.5)) - gap, x0=40.0)
+    li = line_in(beta=1.3, gamma=0.3, b=drift_threshold(line_in(beta=1.3)) - gap, x0=2.0)
+    # at alpha = 1.5 the plane quantity is p_R c_R - sqrt(2) p_T c_T
+    pl = plane(alpha=1.5, p_radial=0.5, c_radial=2.0 * gap + math.sqrt(2.0))
+    assert plane_quantity(pl) == pytest.approx(gap, rel=1e-6)
+    for spec in (hl, li, pl):
+        c = classify(spec)
+        assert c.phase == NULL_RECURRENT
+        assert 0.0 < c.nu_star < 1e-6
+    # line_in is left out here: within KAPPA2_GUARD its gap is linearised
+    want = oracle_nu_star("half_line", 1.5, b=hl.drift.b, lo="1e-30")
+    assert abs(classify(hl).nu_star - want) <= 1e-14
 
 
 def test_nu_star_monotone_decreasing_in_b():

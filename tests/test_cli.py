@@ -70,6 +70,18 @@ def test_cmd_nu_star(tmp_path):
     assert report["residual"] <= 1e-10
 
 
+def test_cmd_nu_star_just_below_threshold(tmp_path):
+    thr = 1.0 * math.pi * abs(1.0 / sf.sinpi(1.5))
+    cfg = {"regime": "half_line", "alpha": 1.5, "c": 1.0, "gamma": 0.5, "b": thr - 1e-7,
+           "p_heavy": 0.25, "x0": 40.0}
+    rc = main(["nu-star", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path)])
+    assert rc == 0
+    report = json.loads((tmp_path / "nu_star.json").read_text())
+    assert "no_root" not in report
+    assert 0.0 < report["nu_star"] < 1e-6
+    assert report["bracket"][0] <= report["nu_star"] <= report["bracket"][1]
+
+
 def test_cmd_nu_star_transient_side(tmp_path):
     cfg = {"regime": "half_line", "alpha": 1.5, "c": 1.0, "gamma": 0.5, "b": 4.0,
            "p_heavy": 0.4, "x0": 50.0}

@@ -81,12 +81,17 @@ def test_simulate_bytes_match_golden(tmp_path, regime):
 
 # ---------------------------------------------------------------------------
 # Analytic path.  The reprs of the floats are hashed, so a change in the last
-# bit of any quadrature result shows.  The six scalar digests were last
-# re-pinned when each side's whole Pareto term moved from quadrature to closed
-# forms (`specialfn.pareto_tail_integral`, `pareto_finite_integral`), leaving
-# only the light uniform to quadrature: against a 35-digit mpmath drift the
-# largest error of the 130 drift values fell from 9.5e-9 to 6.5e-14 of
+# bit of any quadrature result shows.  The drift rows were last re-pinned when
+# each side's whole Pareto term moved from quadrature to closed forms
+# (`specialfn.pareto_tail_integral`, `pareto_finite_integral`), leaving only
+# the light uniform to quadrature: against a 35-digit mpmath drift the largest
+# error of the 130 drift values fell from 9.5e-9 to 6.5e-14 of
 # |x|^(nu - exponent), and no value moved farther off by more than 6.7e-15 of it.
+# The nu* rows (the Classification and NuStarResult reprs) were last re-pinned
+# when nu_star moved from bisection to Brent's zeroin: against a 40-digit
+# mpmath root of the same gap the six nu* values are at most 2.5e-16 off (the
+# bisection's were up to 1.2e-13 off).  line_in_b0 has no root; its row is the
+# NoRootError text, whose bracket now starts at 0 instead of 1e-06.
 # ---------------------------------------------------------------------------
 
 ANALYTIC = {
@@ -105,13 +110,13 @@ GRIDS = {0: [1e2, 1e3, 1e4], 1: [1e2, 1e3, 1e4], 2: [-1e3, -1e2, 1e2, 1e3, 1e4]}
 PROBES = [50.0, 1e3]
 
 ANALYTIC_DIGESTS = {
-    "half_line": "cfd9b833bacf849e650e6a09ceccf3391b88864fcaf7976cc148ed4f6047d224",
-    "line_balanced": "6489d546ac8d86dfe5844c4f3b342718bc9c09a1bf972c106f0c766d8e01f089",
-    "line_balanced_b0": "5f990481b686295886f5de15808411c8b1aa91dd57b12704e91034e49bc36f1e",
-    "line_in": "f8dc201e27a8ee118e495ea4bf8dc800c2f537e347e3a800dea970233b5fe8dc",
-    "line_in_b0": "efb2411c5d758b705d7129f4fb6150979f475fbb5ae5971d4477caae9025a99d",
-    "line_out": "1bedb84d0ccf582f8118f86d1f45c59b4b90c5e9db351744cad688d48781b5b8",
-    "plane": "87ca58d0e2706f5e6510607f3d519e9bf8c79061b5d75d5d9d69f4d47f54a87d",
+    "half_line": "165f26c93750909c6ac053148a2a91ed14548139a180c74b134c40925f062d96",
+    "line_balanced": "3d1a52e6b19289c40cf2e0039566da59038898fa2ae25fc8376fb408c102a259",
+    "line_balanced_b0": "3ebf3013b53c9a74b9739d9db35ea8ab20c46d4ef5e9640dcd0af1c851e12b01",
+    "line_in": "c10fda830f5cb7959c737f5a54a6a69d6f469e656dc9cedea3a8c495d3412ed5",
+    "line_in_b0": "1ef05ed63a9d544152965c9152ba074b450147c0cb0fbbc9ce84859ca00d368e",
+    "line_out": "932477ee5e886780abaa47b3862f976a3e848082d78c374000a4f033a412a733",
+    "plane": "6def6fdd4f32632b65f3dd66906cd8df94235516b32deef47329270824ea1e19",
 }
 
 

@@ -280,7 +280,7 @@ def kappa2_plain(b, nu):
 
 def test_memoized_kappa_matches_plain_formula_bitwise():
     # kappa0 and kappa2 take their nu-free Gamma factors from a bounded memo;
-    # a bisection's repeated exponents hit it, and more exponents than it
+    # a nu* solve's repeated exponents hit it, and more exponents than it
     # holds evict entries, so the values come both from the memo and fresh
     rng = np.random.default_rng(11)
     exps = [float(e) for e in rng.uniform(1.01, 1.99, 150)]
