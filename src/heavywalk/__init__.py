@@ -2,7 +2,7 @@
 
 Classification of recurrence/transience phases, critical passage-time
 moment exponents, Lyapunov drift verification from the laws' exact tails
-(closed-form Pareto terms, quadrature over the light uniform), and
+(the Pareto terms and the light uniform's share in closed form), and
 reproducible parallel Monte Carlo.
 """
 

@@ -142,11 +142,13 @@ def nu_star(spec: ChainSpec) -> NuStarResult:
 
     The bracket starts at [0, top - 1e-6]; at nu = 0 the gap is exactly the
     threshold gap (b - thr on the lines, pi/sin(pi alpha) times the plane
-    quantity).  Each step is an inverse-quadratic or secant step kept strictly
-    inside the current sign-change bracket, or a bisection where that would
-    stall.  It stops at an exact zero of g or when the bracket's half-width is
-    at most 4 eps |nu|, the rounding limit of g.  `nu_star` is the best point
-    found, `bracket` the final sign-change pair, `residual` |g(nu_star)| and
+    quantity).  On the lines g has its pole at the top, so where g(top - 1e-6)
+    <= 0 < -g(0) the upper end moves to top - 1e-8, then to top - 1e-10.
+    Each step is an inverse-quadratic or secant step kept strictly inside the
+    current sign-change bracket, or a bisection where that would stall.  It
+    stops at an exact zero of g or when the bracket's half-width is at most
+    4 eps |nu|, the rounding limit of g.  `nu_star` is the best point found,
+    `bracket` the final sign-change pair, `residual` |g(nu_star)| and
     `iterations` the gap evaluations after the two bracket ends.
 
     Raises NoRootError when the gap function has one sign over the whole
@@ -155,6 +157,11 @@ def nu_star(spec: ChainSpec) -> NuStarResult:
     g, top = _gap_function(spec)
     g_lo, lo = _eval_shrink(g, 0.0, 0.0, top)
     g_hi, hi = _eval_shrink(g, top - 1e-6, lo, top)
+    if spec.regime != "plane":   # the pole at the top: move the end toward it
+        for gap in (1e-8, 1e-10):
+            if g_lo >= 0.0 or g_hi > 0.0:
+                break
+            g_hi, hi = _eval_shrink(g, top - gap, lo, top)
     if g_lo >= 0.0 or g_hi <= 0.0:
         if g_lo == 0.0 or g_hi == 0.0:
             v = lo if g_lo == 0.0 else hi

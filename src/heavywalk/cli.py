@@ -137,20 +137,23 @@ def cmd_drift_verify(cfg: dict, out: Path, seed: int, workers: int) -> int:
             w.writerow([row["x"], row["numeric"], row["predicted"], row["normalized_error"]])
     summary = {"i": i, "nu": nu, "coefficient": rep.coefficient, "converged": rep.converged,
                "final_normalized_error": rep.normalized_error[-1]}
-    quadrature = [{"x": x, "panels": p, "max_depth": d}
-                  for x, p, d in zip(rep.x_grid, rep.panels, rep.max_depth)]
-    _write_json(out / "drift_report.json", dict(summary, quadrature=quadrature))
+    _write_json(out / "drift_report.json", summary)
     print(json.dumps(summary, sort_keys=True))
     return 0
 
 
 def _cells(col: np.ndarray):
-    """A column's CSV fields as csv.writer writes them: str for ints, repr
-    for floats (tolist() yields Python numbers), and 0/1 for flags."""
-    values = col.tolist()
+    """A column's CSV fields as csv.writer writes them: repr for floats, 0/1
+    for flags and str for ints, the last two read from a table of their
+    strings where an int column's range is no longer than the column."""
     if col.dtype == bool:
-        return map(("0", "1").__getitem__, values)
-    return map(repr if col.dtype.kind == "f" else str, values)
+        return np.array(["0", "1"], dtype=object).take(col.view(np.uint8)).tolist()
+    if col.dtype.kind == "f":
+        return map(repr, col.tolist())   # tolist() yields Python floats
+    lo, hi = int(col.min()), int(col.max())
+    if hi - lo >= len(col):
+        return map(str, col.tolist())
+    return np.array([str(v) for v in range(lo, hi + 1)], dtype=object).take(col - lo).tolist()
 
 
 def _write_csv(path: Path, cols: dict) -> None:

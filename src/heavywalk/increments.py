@@ -141,15 +141,16 @@ class ChainSpec:
         return max(self.tail.x0, 1.0)
 
     def _sign(self, x):
-        """-1.0 where x < 0, else +1.0 (sign(0) := +1); always +1.0 on the half line."""
+        """-1.0 where x < 0, else +1.0 (sign(0) := +1); always +1.0 on the half
+        line.  Plain arithmetic, exact on Python floats and arrays alike."""
         if self.regime == "half_line":
             return 1.0
-        return np.where(np.asarray(x, dtype=float) < 0.0, -1.0, 1.0)
+        return 1.0 - 2.0 * (x < 0.0)
 
     def _drift_magnitude(self, x):
         """b max(|x|, x_floor)^(-gamma): mu(x) where x >= 0, -mu(x) where x < 0."""
         b, g = self.drift.b, self.drift.gamma
-        return b * np.maximum(np.abs(x), self.x_floor()) ** (-g)
+        return b * np.maximum(abs(x), self.x_floor()) ** (-g)
 
     def drift_target(self, x):
         """mu(x): +-b |x|^(-gamma) with the magnitude clamped below x_floor.
@@ -164,18 +165,18 @@ class ChainSpec:
         points it opposite the heavy side, _sign(x) * _HEAVY_SIDE[regime].
 
         Taken per sign: the drift magnitude and k, the heavy side's share of the
-        mean, are negated where x < 0.  Negation is exact, so this is bit for bit
-        the formula with _sign(x) multiplied into both."""
+        mean, are multiplied by _sign(x) = +-1.0.  That is an exact negation
+        where x < 0, so the widths are bit for bit the per-sign formulas."""
         p = self.p_heavy
         mu = self._drift_magnitude(x)
         if self.regime == "line_balanced":
             # the two heavy sides cancel; tuner carries the whole drift
-            return 2.0 * (np.where(x < 0.0, -mu, mu) / (1.0 - 2.0 * p))
+            return 2.0 * (self._sign(x) * mu / (1.0 - 2.0 * p))
         e = self.heavy_exponent
         k = _HEAVY_SIDE[self.regime] * p * (self.heavy_scale() * e / (e - 1.0))
         if self.regime != "half_line":
-            neg = x < 0.0
-            mu, k = np.where(neg, -mu, mu), np.where(neg, -k, k)
+            sgn = self._sign(x)
+            mu, k = sgn * mu, sgn * k
         return 2.0 * ((mu - k) / (1.0 - p))
 
     def _check_feasible(self) -> None:

@@ -6,24 +6,25 @@ E[g(X)] = g(0) + int g'(y) P[X > y] dy.  Each side's Pareto term is in closed
 form: the step of f over the tail's flat part [0, y0], and beyond y0
 incomplete beta functions (`specialfn.pareto_tail_integral` outward,
 `specialfn.pareto_finite_integral` toward the origin), so every nu below the
-tail exponent is reached.  Only the light uniform is integrated, by
-Gauss-Kronrod quadrature between the kinks of f(x +- y) on its support.  The
-result is exact up to rounding and that quadrature's tolerance, not sampling
-noise; a Monte Carlo oracle is provided for cross-checks.
+tail exponent is reached.  The light uniform's share is the mean of f over
+its support less f(x), from the antiderivative of f piece by piece between
+the kinks of f(x +- y).  No quadrature is left: the result is exact up to
+rounding, not sampling noise; a Monte Carlo oracle is provided for
+cross-checks.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import DivergentError, DomainError
 from .increments import ChainSpec, IncrementLaw, build_law
-from .specialfn import (QuadStats, _pow_m1, integrate_adaptive, kappa0, kappa1, kappa2,
-                        pareto_finite_integral, pareto_tail_integral)
+from .specialfn import (_pow_m1, kappa0, kappa1, kappa2, pareto_finite_integral,
+                        pareto_tail_integral)
 from .classify import classify as _classify_phase
 
 CONVERGED_REL_TOL = 0.05   # verify_expansion: converged iff |last error| < this * |K|
@@ -35,16 +36,12 @@ def lyapunov_f(i: int, nu: float, x: float) -> float:
 
     i=0 lives on the half line (x >= 0); i=1 is flat left of 1; i=2 is even.
     """
-    if i == 0:
-        if x < 0.0:
-            raise DomainError("f0 is defined on the half line only")
-        return x ** nu if x >= 1.0 else 1.0
-    if i == 1:
-        return x ** nu if x >= 1.0 else 1.0
-    if i == 2:
-        ax = abs(x)
-        return ax ** nu if ax >= 1.0 else 1.0
-    raise DomainError(f"i must be 0, 1 or 2, got {i}")
+    if i not in (0, 1, 2):
+        raise DomainError(f"i must be 0, 1 or 2, got {i}")
+    if i == 0 and x < 0.0:
+        raise DomainError("f0 is defined on the half line only")
+    ax = abs(x) if i == 2 else x
+    return ax ** nu if ax >= 1.0 else 1.0
 
 
 def _f_vec(i: int, nu: float, z: np.ndarray) -> np.ndarray:
@@ -52,39 +49,6 @@ def _f_vec(i: int, nu: float, z: np.ndarray) -> np.ndarray:
         return np.where(z >= 1.0, np.maximum(z, 1.0) ** nu, 1.0)
     az = np.abs(z)
     return np.where(az >= 1.0, np.maximum(az, 1.0) ** nu, 1.0)
-
-
-def _f_kinks(i: int) -> tuple[float, ...]:
-    return (1.0,) if i in (0, 1) else (-1.0, 1.0)
-
-
-def _side_integrand(law: IncrementLaw, side: int, i: int, nu: float, x: float):
-    """The integrand y -> f_i'(x + side*y) * q (1 - y/w) of the light uniform
-    (weight q, width w > 0) on side `side`, as one closure per test-function
-    family (i in {0, 1}, and i = 2), with f_i' taken away from its kinks (0 on
-    the flat part).  Each value is bit-identical to the product of f_i' and
-    the uniform's tail term of `IncrementLaw.tail_pos`/`tail_neg`.
-    """
-    w = abs(law.light)
-    q = law.light_weight
-    nu_m1 = nu - 1.0
-    s = float(side)
-    if i in (0, 1):
-        def integrand(y: float) -> float:
-            z = x + s * y
-            if not z > 1.0:
-                return 0.0
-            return nu * z ** nu_m1 * (q * (1.0 - y / w) if y < w else 0.0)
-    else:
-        copysign = math.copysign
-
-        def integrand(y: float) -> float:
-            z = x + s * y
-            az = abs(z)
-            if az <= 1.0:
-                return 0.0
-            return nu * copysign(az ** nu_m1, z) * (q * (1.0 - y / w) if y < w else 0.0)
-    return integrand
 
 
 def _f_step(i: int, nu: float, x: float, dz: float) -> float:
@@ -124,41 +88,89 @@ def _pareto_term(law: IncrementLaw, side: int, i: int, nu: float, x: float) -> f
     return p * (_f_step(i, nu, x, side * y0) + nu * y0 ** e * part)
 
 
-def drift_numeric_law(law: IncrementLaw, i: int, nu: float, x: float,
-                      abs_tol: float = 1e-10, stats: Optional[QuadStats] = None) -> float:
-    """E[f_i(x + theta) - f_i(x)] for theta ~ law: each Pareto side in closed
-    form (`_pareto_term`), and the light uniform by quadrature between its
-    support's ends and the kinks of f_i.
+_SPLIT = 134217729.0   # 2^27 + 1: Veltkamp's split of a double into halves
 
-    `stats`, if given, accumulates the GK15 panels and the deepest
-    subdivision of every quadrature this call runs.
-    """
+
+def _two_prod(a: float, b: float) -> tuple[float, float]:
+    """(p, e) with p = fl(a b) and p + e = a b exactly (Dekker 1971)."""
+    p = a * b
+    c = _SPLIT * a
+    ah = c - (c - a)
+    c = _SPLIT * b
+    bh = c - (c - b)
+    al, bl = a - ah, b - bh
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
+def _mean_pow_m1(length: float, a: float, nu: float) -> tuple[float, float]:
+    """S(t) = ((1+t)^(nu+1) - 1 - (nu+1) t) / ((nu+1) t), the mean of (1+y)^nu - 1
+    over (0, t), t = length/a > -1, as hi + lo: for |t| < 1/2 its series
+    sum_{j>=1} nu (nu-1) ... (nu-j+1) t^j / (j+1)!, the head nu t/2 in double-double;
+    else by expm1/log1p (log1p alone at nu = -1), lo = 0."""
+    t = length / a
+    if abs(t) >= 0.5:
+        m, lp = nu + 1.0, math.log1p(t)
+        return ((math.expm1(m * lp) / m if m != 0.0 else lp) - t) / t, 0.0
+    p, e = _two_prod(t, a)
+    head, head_lo = _two_prod(0.5 * nu, t)
+    head_lo += 0.5 * nu * ((length - p - e) / a)
+    term, rest, j = head, 0.0, 1
+    while abs(term) > 1e-17 * abs(head):
+        term *= (nu - j) * t / (j + 2)
+        rest += term
+        j += 1
+    hi = head + rest
+    return hi, (rest - (hi - head)) + head_lo
+
+
+def _light_term(law: IncrementLaw, side: int, i: int, nu: float, x: float) -> float:
+    """The light uniform's share of the drift on side `side` (weight q, width
+    w > 0): q (E[f_i(x + side U w)] - f_i(x)), U uniform on (0, 1), which is
+    side * integral_0^w f_i'(x + side y) q (1 - y/w) dy integrated by parts.
+    Cut at the kinks of f_i, a stretch of length L from a adds (L/w) |a|^nu
+    S(side L/a) where f_i is a power, and (L/w) (1 - f_i(x)) if a is a kink; so
+    with no kink in the way it is q |x|^nu S(side w/x), products in double-double."""
+    w, even = abs(law.light), i == 2
+    cuts = sorted((side * (k - x), k) for k in ((-1.0, 1.0) if even else (1.0,))
+                  if 0.0 < side * (k - x) < w)
+    ax = abs(x) if even else x
+    f_x = ax ** nu if ax > 1.0 else 1.0
+    hi = lo = 0.0
+    a, y = x, 0.0
+    for end, kink in cuts + [(w, None)]:
+        frac, mid = (end - y) / w, a + side * (0.5 * (end - y))
+        if (abs(mid) if even else mid) > 1.0:
+            s_hi, s_lo = _mean_pow_m1(side * (end - y), a, nu)
+            pa = abs(a) ** nu
+            p, e = _two_prod(pa, s_hi)
+            hi += frac * p
+            lo += frac * (e + pa * s_lo)
+        if y > 0.0:   # from a kink, where f_i = 1
+            hi += frac * (1.0 - f_x)
+        a, y = kink, end
+    p, e = _two_prod(law.light_weight, hi)
+    return p + (e + law.light_weight * lo)
+
+
+def drift_numeric_law(law: IncrementLaw, i: int, nu: float, x: float) -> float:
+    """E[f_i(x + theta) - f_i(x)] for theta ~ law, in closed form: each Pareto
+    side by `_pareto_term`, the light uniform by `_light_term`."""
     if nu == 0.0:
         return 0.0
     total = 0.0
-    w = abs(law.light)
     for side in (+1, -1):
         heavy, light = law.on_side(side)
         if heavy:
             total += _pareto_term(law, side, i, nu, x)
-        if light and w > 0.0:
-            integrand = _side_integrand(law, side, i, nu, x)
-            # f seen along this jump direction: z = x + side * y
-            pts = sorted({0.0, w, *(side * (k - x) for k in _f_kinks(i)
-                                    if 0.0 < side * (k - x) < w)})
-            piece_tol = abs_tol / (2.0 * len(pts))
-            val = 0.0
-            for lo, hi in zip(pts[:-1], pts[1:]):
-                val += integrate_adaptive(integrand, lo, hi, piece_tol, stats)
-            total += side * val
+        if light and law.light != 0.0:
+            total += _light_term(law, side, i, nu, x)
     return total
 
 
-def drift_numeric(spec: ChainSpec, i: int, nu: float, x: float,
-                  abs_tol: float = 1e-10, stats: Optional[QuadStats] = None) -> float:
-    """One-step drift D_i(x) of the chain at state x, by exact-tail quadrature."""
+def drift_numeric(spec: ChainSpec, i: int, nu: float, x: float) -> float:
+    """One-step drift D_i(x) of the chain at state x, in closed form."""
     _check_regime_i(spec, i)
-    return drift_numeric_law(build_law(spec, x), i, nu, x, abs_tol, stats)
+    return drift_numeric_law(build_law(spec, x), i, nu, x)
 
 
 def _check_regime_i(spec: ChainSpec, i: int) -> None:
@@ -229,8 +241,7 @@ def _predicted(spec: ChainSpec, i: int, nu: float, x: float, k_coef: float) -> f
 
 @dataclass
 class DriftReport:
-    """Quadrature drift vs the expansion along a geometric grid, with the
-    GK15 panels and the deepest subdivision the quadrature used per point."""
+    """Closed-form drift vs the expansion along a geometric grid."""
 
     i: int
     nu: float
@@ -240,8 +251,6 @@ class DriftReport:
     normalized_error: list[float]
     coefficient: float
     converged: bool
-    panels: list[int]
-    max_depth: list[int]
 
     def rows(self):
         for x, n, p, e in zip(self.x_grid, self.numeric, self.predicted, self.normalized_error):
@@ -263,18 +272,13 @@ def verify_expansion(spec: ChainSpec, i: int, nu: float, x_grid: Sequence[float]
         raise DomainError("x_grid must be increasing")
     if nu == 0.0:
         zeros = [0.0] * len(xs)
-        none = [0] * len(xs)
-        return DriftReport(i, nu, xs, zeros, zeros, zeros, 0.0, True, none, none)
+        return DriftReport(i, nu, xs, zeros, zeros, zeros, 0.0, True)
     k_coef = expansion_coefficient(spec, i, nu)
     e = spec.heavy_exponent
-    numeric, predicted, nerr, panels, depth = [], [], [], [], []
+    numeric, predicted, nerr = [], [], []
     for x in xs:
         scale = abs(x) ** (nu - e)
-        quad_tol = max(abs(k_coef), 0.1) * scale * 1e-4
-        stats = QuadStats()
-        d = drift_numeric(spec, i, nu, x, abs_tol=quad_tol, stats=stats)
-        panels.append(stats.panels)
-        depth.append(stats.max_depth)
+        d = drift_numeric(spec, i, nu, x)
         p = _predicted(spec, i, nu, x, k_coef)
         drift_term = p - k_coef * scale
         numeric.append(d)
@@ -282,7 +286,7 @@ def verify_expansion(spec: ChainSpec, i: int, nu: float, x_grid: Sequence[float]
         nerr.append((d - drift_term) / scale - k_coef)
     bound = CONVERGED_REL_TOL * abs(k_coef) if k_coef != 0.0 else 1e-12
     converged = abs(nerr[-1]) < bound
-    return DriftReport(i, nu, xs, numeric, predicted, nerr, k_coef, converged, panels, depth)
+    return DriftReport(i, nu, xs, numeric, predicted, nerr, k_coef, converged)
 
 
 def mc_drift(spec: ChainSpec, i: int, nu: float, x: float, n: int,
@@ -323,7 +327,7 @@ class CriteriaReport:
 
 
 def criteria_check(spec: ChainSpec, nu: float, x_probe: Sequence[float]) -> CriteriaReport:
-    """Evaluate the relevant drift signs at the probe points (default tolerance).
+    """Evaluate the relevant drift signs at the probe points.
 
     half_line reports D0; line regimes report D2 on both sides and the
     one-sided D1 in both orientations (the mirrored orientation drives the

@@ -23,7 +23,6 @@ from __future__ import annotations
 import math
 import numbers
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from typing import Optional, Sequence, Union
@@ -322,6 +321,7 @@ def _simulate_batch(cfg: SimConfig, m_level: float = math.inf) -> dict:
     if w == 1:
         parts = [kernel(0, cfg.n_traj)]
     else:
+        from concurrent.futures import ProcessPoolExecutor   # loads multiprocessing
         with ProcessPoolExecutor(max_workers=w) as ex:
             parts = list(ex.map(kernel, bounds[:-1], bounds[1:]))
     merged = {k: np.concatenate([cols[k] for cols, _ in parts]) for k in parts[0][0]}

@@ -16,8 +16,7 @@ from __future__ import annotations
 import functools
 import heapq
 import math
-from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 from .errors import ConvergenceError, DomainError, PoleError
 
@@ -202,15 +201,6 @@ _MAX_INTERVALS = 200_000
 INCOMPLETE_BETA_TOL = 1e-10   # absolute tolerance of incomplete_beta_ext
 
 
-@dataclass
-class QuadStats:
-    """Work done by the integrator: GK15 panels evaluated and the deepest
-    subdivision level reached (0 = the whole interval in one panel)."""
-
-    panels: int = 0
-    max_depth: int = 0
-
-
 def _gk15(f: Callable[[float], float], lo: float, hi: float) -> tuple[float, float]:
     """One Gauss-Kronrod 7-15 panel: returns (K15 value, |K15-G7| estimate).
 
@@ -247,7 +237,7 @@ def _gk15(f: Callable[[float], float], lo: float, hi: float) -> tuple[float, flo
 
 
 def integrate_adaptive(f: Callable[[float], float], a: float, b: float,
-                       abs_tol: float = 1e-10, stats: Optional[QuadStats] = None) -> float:
+                       abs_tol: float = 1e-10) -> float:
     """Integrate f over (a, b) to absolute tolerance abs_tol.
 
     b may be math.inf; the infinite range is mapped by u = t/(1-t).  Endpoint
@@ -258,7 +248,6 @@ def integrate_adaptive(f: Callable[[float], float], a: float, b: float,
     bisections do not resolve when e is well below 2: y^(-1.5) on (1, inf) at
     abs_tol 1e-10 raises ConvergenceError.  Such tails take a closed form
     (`pareto_tail_integral`).
-    `stats`, if given, accumulates the panels evaluated and the deepest level.
     """
     if math.isinf(b):
         # u = t/(1-t); the upper half runs in s = 1-t so that bisection toward
@@ -266,18 +255,16 @@ def integrate_adaptive(f: Callable[[float], float], a: float, b: float,
         # still have resolution.
         g = lambda t: f(a + t / (1.0 - t)) / ((1.0 - t) * (1.0 - t))
         g_flip = lambda s: f(a + (1.0 - s) / s) / (s * s)
-        return (integrate_adaptive(g, 0.0, 0.5, abs_tol / 2, stats)
-                + integrate_adaptive(g_flip, 0.0, 0.5, abs_tol / 2, stats))
+        return (integrate_adaptive(g, 0.0, 0.5, abs_tol / 2)
+                + integrate_adaptive(g_flip, 0.0, 0.5, abs_tol / 2))
     if a == b:
         return 0.0
     if a > b:
-        return -integrate_adaptive(f, b, a, abs_tol, stats)
+        return -integrate_adaptive(f, b, a, abs_tol)
 
     # Global adaptive refinement: always split the interval with the largest
     # error estimate; stop once the summed estimate is below abs_tol.
     value, err = _gk15(f, a, b)
-    if stats is not None:
-        stats.panels += 1
     active = [(-err, 0, a, b, value, 0)]   # (-err, tiebreak, lo, hi, value, depth)
     finalized_value = 0.0
     total_err = err
@@ -305,9 +292,6 @@ def integrate_adaptive(f: Callable[[float], float], a: float, b: float,
             continue
         v1, e1 = _gk15(f, lo, mid)
         v2, e2 = _gk15(f, mid, hi)
-        if stats is not None:
-            stats.panels += 2
-            stats.max_depth = max(stats.max_depth, depth + 1)
         total_err += e1 + e2 - e
         heapq.heappush(active, (-e1, counter, lo, mid, v1, depth + 1))
         heapq.heappush(active, (-e2, counter + 1, mid, hi, v2, depth + 1))

@@ -234,7 +234,7 @@ def test_criterion_4_drift_expansions():
     ]
     worst_z = 0.0
     for spec, i, nu, x, seed in spots:
-        d = drift_numeric(spec, i, nu, x, 1e-11)
+        d = drift_numeric(spec, i, nu, x)
         m, se = mc_drift(spec, i, nu, x, 10 ** 7, seed=seed)
         worst_z = max(worst_z, abs(d - m) / se)
     elapsed = time.time() - t0

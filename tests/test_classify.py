@@ -19,7 +19,7 @@ from conftest import balanced, half_line, line_in, line_out, plane
 
 @mp.workdps(40)
 def oracle_nu_star(kind, exponent, b=0.0, c=1.0, p_radial=None, c_radial=None,
-                   c_transverse=None, lo="1e-7"):
+                   c_transverse=None, lo="1e-7", below_top="1e-7"):
     G = mp.gamma
 
     if kind == "half_line":
@@ -42,7 +42,7 @@ def oracle_nu_star(kind, exponent, b=0.0, c=1.0, p_radial=None, c_radial=None,
                          + p_t * c_transverse * G((exponent - v) / 2) * G(1 - exponent / 2)
                          / G(1 - v / 2))
         hi = 1.0
-    lo, hi = mp.mpf(lo), mp.mpf(hi) - mp.mpf("1e-7")
+    lo, hi = mp.mpf(lo), mp.mpf(hi) - mp.mpf(below_top)
     assert gap(lo) < 0 < gap(hi)
     for _ in range(120):
         mid = (lo + hi) / 2
@@ -254,6 +254,22 @@ def test_nu_star_just_below_threshold(gap):
     # line_in is left out here: within KAPPA2_GUARD its gap is linearised
     want = oracle_nu_star("half_line", 1.5, b=hl.drift.b, lo="1e-30")
     assert abs(classify(hl).nu_star - want) <= 1e-14
+
+
+@pytest.mark.parametrize("b", [-1e6, -1e8])
+def test_nu_star_root_within_1e6_of_the_top(b):
+    # g(top - 1e-6) <= 0 here (ν* is above it): the upper end moves to
+    # top - 1e-8 and then to top - 1e-10, below the gap's pole at the top
+    spec = half_line(alpha=1.5, gamma=0.5, b=b, x0=40.0)
+    g, top = _gap_function(spec)
+    assert g(top - 1e-6) <= 0.0
+    c = classify(spec)
+    assert c.phase == NULL_RECURRENT
+    assert top - 1e-6 < c.nu_star < top
+    want = oracle_nu_star("half_line", 1.5, b=b, below_top="1e-12")
+    assert abs(c.nu_star - want) <= 1e-14
+    ns = nu_star(spec)
+    assert ns.bracket[0] <= ns.nu_star <= ns.bracket[1]
 
 
 def test_nu_star_monotone_decreasing_in_b():

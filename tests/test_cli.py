@@ -52,6 +52,17 @@ def test_cmd_classify_tie_is_critical(tmp_path):
     assert json.loads((tmp_path / "classify.json").read_text())["phase"] == "Critical"
 
 
+def test_cmd_classify_root_near_the_top(tmp_path):
+    # nu* lies within 1e-6 of alpha: the bracket's upper end moves toward it
+    cfg = {"regime": "half_line", "alpha": 1.5, "c": 1.0, "gamma": 0.5, "b": -1e6,
+           "p_heavy": 0.25, "x0": 40.0}
+    rc = main(["classify", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path)])
+    assert rc == 0
+    report = json.loads((tmp_path / "classify.json").read_text())
+    assert report["phase"] == "NullRecurrent"
+    assert 1.5 - 1e-6 < report["nu_star"] < 1.5
+
+
 def test_cmd_classify_plane_transient(tmp_path):
     cfg = {"regime": "plane", "alpha": 1.5, "p_heavy": 0.2,
            "plane": {"p_radial": 0.5, "c_radial": 1.0, "c_transverse": 1.0}}
@@ -436,10 +447,6 @@ def test_cmd_drift_verify(tmp_path, capsys):
     assert len(rows) == 4
     report = json.loads((tmp_path / "drift_report.json").read_text())
     assert report["converged"] in (True, False)
-    # the quadrature work per grid point goes to the file, not to stdout
-    quad = report.pop("quadrature")
-    assert [q["x"] for q in quad] == pytest.approx([1e2, 1e3, 1e4])
-    assert all(q["panels"] >= 1 and q["max_depth"] >= 0 for q in quad)
     assert json.loads(capsys.readouterr().out) == report
 
 

@@ -6,7 +6,7 @@ each with a finite m_level so that the exit, crossing and sign-flip columns
 are exercised, plus two drift-free (b = 0) configs without an m_level, where
 the engine takes the light width from the sign of the state alone, and three
 configs that start beyond m_level.  The
-analytic path: the reprs of the drift quadrature, criteria drifts,
+analytic path: the reprs of the closed-form drifts, criteria drifts,
 classification and nu* per scalar regime and test function.
 """
 
@@ -81,12 +81,14 @@ def test_simulate_bytes_match_golden(tmp_path, regime):
 
 # ---------------------------------------------------------------------------
 # Analytic path.  The reprs of the floats are hashed, so a change in the last
-# bit of any quadrature result shows.  The drift rows were last re-pinned when
-# each side's whole Pareto term moved from quadrature to closed forms
-# (`specialfn.pareto_tail_integral`, `pareto_finite_integral`), leaving only
-# the light uniform to quadrature: against a 35-digit mpmath drift the largest
-# error of the 130 drift values fell from 9.5e-9 to 6.5e-14 of
-# |x|^(nu - exponent), and no value moved farther off by more than 6.7e-15 of it.
+# bit of any drift value shows.  The drift rows were last re-pinned when the
+# light uniform's share moved from GK15 quadrature to its closed form
+# (`lyapunov._light_term`), the last piece of the drift to do so: 65 of the
+# 130 drift values changed (none of line_balanced_b0, whose tuner has width
+# 0), and against a 35-digit mpmath drift the largest error of the 130 stayed
+# 6.5e-14 of |x|^(nu - exponent).  43 changed values landed farther off, by
+# at most 8e-15 of that scale: rounding-level noise, as a correctly rounded
+# light share would still leave 25 of its 50 changed values farther.
 # The nu* rows (the Classification and NuStarResult reprs) were last re-pinned
 # when nu_star moved from bisection to Brent's zeroin: against a 40-digit
 # mpmath root of the same gap the six nu* values are at most 2.5e-16 off (the
@@ -100,8 +102,7 @@ ANALYTIC = {
     "line_in": (line_in(beta=1.3, gamma=0.3, b=-3.0, x0=2.0), [(1, 0.6), (2, 0.6)]),
     "line_in_b0": (line_in(beta=1.3, gamma=1.0), [(1, 0.2), (2, 0.2)]),
     "line_balanced": (balanced(alpha=1.5, gamma=0.5, b=0.5, x0=4.0), [(1, 0.5), (2, 0.5)]),
-    # b = 0: the tuner has width 0.0, and its side decides a quadrature kink at
-    # y = 0, and so the tolerance of every piece on that side
+    # b = 0: the tuner has width 0.0, so the drift has no light share
     "line_balanced_b0": (balanced(alpha=1.5, b=0.0), [(1, 0.5), (2, 0.5)]),
     "plane": (plane(alpha=1.5, p_radial=0.85), []),
 }
@@ -110,12 +111,12 @@ GRIDS = {0: [1e2, 1e3, 1e4], 1: [1e2, 1e3, 1e4], 2: [-1e3, -1e2, 1e2, 1e3, 1e4]}
 PROBES = [50.0, 1e3]
 
 ANALYTIC_DIGESTS = {
-    "half_line": "165f26c93750909c6ac053148a2a91ed14548139a180c74b134c40925f062d96",
-    "line_balanced": "3d1a52e6b19289c40cf2e0039566da59038898fa2ae25fc8376fb408c102a259",
+    "half_line": "df6cb0570294c810bb8cb02e6262b0ea3b530a8a5722c651986cf7aad61b327e",
+    "line_balanced": "38e991a83d0d591edc02473faef8b0fd688143dcc766e18a6a46cdd261281466",
     "line_balanced_b0": "3ebf3013b53c9a74b9739d9db35ea8ab20c46d4ef5e9640dcd0af1c851e12b01",
-    "line_in": "c10fda830f5cb7959c737f5a54a6a69d6f469e656dc9cedea3a8c495d3412ed5",
-    "line_in_b0": "1ef05ed63a9d544152965c9152ba074b450147c0cb0fbbc9ce84859ca00d368e",
-    "line_out": "932477ee5e886780abaa47b3862f976a3e848082d78c374000a4f033a412a733",
+    "line_in": "e0a719739b817f64da954c39ade10ebb931d8859b156d6d9e8afba7ee3853dd6",
+    "line_in_b0": "856c44bc8850e75c6c15208289efe53ff93e09865780b77ddfe17706fd8fc94b",
+    "line_out": "52305867b9e42547a3c7798430942d99071bceebb7408eace443ed9c7ca189a4",
     "plane": "6def6fdd4f32632b65f3dd66906cd8df94235516b32deef47329270824ea1e19",
 }
 

@@ -263,6 +263,60 @@ def test_feasibility_matches_grid_scan_oracle():
     assert accepted > 300 and rejected > 300
 
 
+# ChainSpec's sign terms as np.where forms, the formulation before the plain
+# +-1.0 arithmetic of _sign, kept as the oracle of its bits.
+
+def _where_sign(spec, x):
+    if spec.regime == "half_line":
+        return 1.0
+    return np.where(np.asarray(x, dtype=float) < 0.0, -1.0, 1.0)
+
+
+def _where_drift_magnitude(spec, x):
+    b, g = spec.drift.b, spec.drift.gamma
+    return b * np.maximum(np.abs(x), spec.x_floor()) ** (-g)
+
+
+def _where_drift_target(spec, x):
+    return _where_sign(spec, x) * _where_drift_magnitude(spec, x)
+
+
+def _where_light_width(spec, x):
+    p = spec.p_heavy
+    mu = _where_drift_magnitude(spec, x)
+    if spec.regime == "line_balanced":
+        return 2.0 * (np.where(x < 0.0, -mu, mu) / (1.0 - 2.0 * p))
+    e = spec.heavy_exponent
+    k = {"half_line": 1.0, "line_out": 1.0, "line_in": -1.0}[spec.regime] \
+        * p * (spec.heavy_scale() * e / (e - 1.0))
+    if spec.regime != "half_line":
+        neg = x < 0.0
+        mu, k = np.where(neg, -mu, mu), np.where(neg, -k, k)
+    return 2.0 * ((mu - k) / (1.0 - p))
+
+
+@pytest.mark.parametrize("b", [1.0, 0.0], ids=["b", "b0"])
+def test_sign_arithmetic_matches_where_oracle_bitwise(b):
+    # every scalar regime, at +-0.0, +-x_floor and +-1e5, as Python floats and
+    # as one array: the same bits, signed zeros included (the old _sign gave a
+    # 0-d array for a float, the new one a float)
+    specs = [half_line(gamma=0.5, b=-b, x0=4.0), line_out(gamma=0.5, b=-0.5 * b, x0=4.0),
+             line_in(beta=1.3, gamma=0.3, b=-3.0 * b, x0=2.0),
+             balanced(gamma=0.5, b=0.5 * b, x0=4.0)]
+    for spec in specs:
+        xf = spec.x_floor()
+        xs = [0.0, -0.0, xf, -xf, 1e5, -1e5]
+        if spec.regime == "half_line":
+            xs = [x for x in xs if math.copysign(1.0, x) > 0.0]
+        pairs = [(spec._sign, _where_sign), (spec.drift_target, _where_drift_target),
+                 (spec.light_width, _where_light_width)]
+        for new, old in pairs:
+            for x in [*xs, np.array(xs)]:
+                got, want = np.asarray(new(x)), np.asarray(old(spec, x))
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes(), (spec.regime, new.__name__, x)
+
+
 def test_regime_parameter_validation():
     with pytest.raises(DomainError):
         ChainSpec("half_line", TailParams(alpha=2.5), DriftParams(), 0.25)

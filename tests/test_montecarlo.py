@@ -1,8 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import heavywalk
 from heavywalk import build_law, plane_radial_law, plane_transverse_law, step
 from heavywalk.errors import DomainError, InsufficientDataError
 from heavywalk.increments import _U_MIN, _quantile
@@ -235,6 +240,17 @@ def test_worker_count_is_invisible(workers):
     b2 = _simulate_batch(alt)
     for k in ("tau", "max", "min", "final_x", "first_exit", "last_flip"):
         assert np.array_equal(b1[k], b2[k])
+
+
+def test_import_leaves_the_process_pool_unloaded():
+    # the pool, and multiprocessing with it, is imported only by a run that
+    # starts more than one worker
+    src = str(Path(heavywalk.__file__).resolve().parent.parent)
+    code = ("import sys, heavywalk, heavywalk.cli; "
+            "print('concurrent.futures.process' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=dict(os.environ, PYTHONPATH=src))
+    assert out.stdout.strip() == "False"
 
 
 REGIME_STARTS = pytest.mark.parametrize(
