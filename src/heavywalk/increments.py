@@ -5,7 +5,7 @@ side, on the two-sided laws its mirror image, and a light uniform.  A Pareto
 side is an exact tail beyond a support point y0 chosen so that
 p * P[jump > y] = c * y^(-exponent) holds identically for y >= y0, and the
 light uniform's mean is solved in closed form so the total mean hits the
-drift target exactly.  Closed-form tails and means make the quadrature and
+drift target exactly.  Closed-form tails and means make the drift and the
 property tests exact rather than asymptotic.  IncrementLaw.quantile draws
 through _quantile, the one sampler, which the simulation engine shares.
 
