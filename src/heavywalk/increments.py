@@ -167,8 +167,11 @@ class ChainSpec:
         Taken per sign: the drift magnitude and k, the heavy side's share of the
         mean, are multiplied by _sign(x) = +-1.0.  That is an exact negation
         where x < 0, so the widths are bit for bit the per-sign formulas."""
+        return self._light_width(x, self._drift_magnitude(x))
+
+    def _light_width(self, x, mu):
+        """light_width(x) given mu = _drift_magnitude(x)."""
         p = self.p_heavy
-        mu = self._drift_magnitude(x)
         if self.regime == "line_balanced":
             # the two heavy sides cancel; tuner carries the whole drift
             return 2.0 * (self._sign(x) * mu / (1.0 - 2.0 * p))
@@ -321,8 +324,9 @@ def build_law(spec: ChainSpec, x: float) -> IncrementLaw:
     p = spec.p_heavy
     e = spec.heavy_exponent
     y0 = spec.heavy_scale()
-    lw = float(spec.light_width(x))
-    mean = float(spec.drift_target(x))
+    mu = spec._drift_magnitude(x)
+    lw = float(spec._light_width(x, mu))
+    mean = float(spec._sign(x) * mu)
     if spec.regime == "line_balanced":
         if abs(lw) > y0:
             raise InfeasibleDrift(

@@ -224,15 +224,18 @@ def drift_predicted(spec: ChainSpec, i: int, nu: float, x: float) -> float:
     return _predicted(spec, i, nu, x, k_coef)
 
 
-def _predicted(spec: ChainSpec, i: int, nu: float, x: float, k_coef: float) -> float:
-    """drift_predicted at x for a checked (i, nu), given K = k_coef."""
+def _predicted(spec: ChainSpec, i: int, nu: float, x: float, k_coef: float,
+               mu: float | None = None) -> float:
+    """drift_predicted at x for a checked (i, nu), given K = k_coef and, if
+    known, the drift target mu = mu(x) (the mean of the law at x)."""
     if i in (0, 1) and x < 1.0:
         raise DomainError("one-sided expansions hold as x -> +inf (need x >= 1)")
     if abs(x) < 1.0:
         raise DomainError("expansions hold for |x| >= 1")
     if nu == 0.0:
         return 0.0
-    mu = float(spec.drift_target(x))
+    if mu is None:
+        mu = float(spec.drift_target(x))
     ax = abs(x)
     sgn = math.copysign(1.0, x)
     drift_part = nu * (sgn if i == 2 else 1.0) * ax ** (nu - 1.0) * mu
@@ -278,8 +281,9 @@ def verify_expansion(spec: ChainSpec, i: int, nu: float, x_grid: Sequence[float]
     numeric, predicted, nerr = [], [], []
     for x in xs:
         scale = abs(x) ** (nu - e)
-        d = drift_numeric(spec, i, nu, x)
-        p = _predicted(spec, i, nu, x, k_coef)
+        law = build_law(spec, x)
+        d = drift_numeric_law(law, i, nu, x)
+        p = _predicted(spec, i, nu, x, k_coef, law.mean)
         drift_term = p - k_coef * scale
         numeric.append(d)
         predicted.append(p)
