@@ -152,9 +152,17 @@ def _light_term(law: IncrementLaw, side: int, i: int, nu: float, x: float) -> fl
     return p + (e + law.light_weight * lo)
 
 
+# States at or beyond 2^53 round together with x +- 1, the test functions' kinks.
+X_LIMIT = 2.0 ** 53
+
+
 def drift_numeric_law(law: IncrementLaw, i: int, nu: float, x: float) -> float:
     """E[f_i(x + theta) - f_i(x)] for theta ~ law, in closed form: each Pareto
-    side by `_pareto_term`, the light uniform by `_light_term`."""
+    side by `_pareto_term`, the light uniform by `_light_term`.  Raises
+    DomainError for |x| >= X_LIMIT = 2^53."""
+    if not abs(x) < X_LIMIT:
+        raise DomainError(f"drift needs |x| < 2^53, where x and x +- 1 are distinct; "
+                          f"got x={x!r}")
     if nu == 0.0:
         return 0.0
     total = 0.0

@@ -1,19 +1,16 @@
 """Real-line special functions and deterministic adaptive quadrature.
 
-Everything here is pure (the one cache, `_gamma_fixed`, holds values of
-gamma_real): the gamma / digamma pair, the three kappa coefficient functions
-that drive the drift expansions and the critical exponent equations, the
-extended incomplete beta, the closed-form tail integrals (the drift's whole
-Pareto term among them), and the Gauss-Kronrod integrator that serves as
-their independent oracle.  No scipy: the accuracy targets (1e-12 relative for
-gamma on [0.5, 30], 1e-8 for the identity suite) are met by a Lanczos
-approximation plus reflection, and quadrature is deterministic so failures
-reproduce.
+Everything here is pure, with no cache: the gamma / digamma pair, the three
+kappa coefficient functions that drive the drift expansions and the critical
+exponent equations, the extended incomplete beta, the closed-form tail
+integrals (the drift's whole Pareto term among them), and the Gauss-Kronrod
+integrator that serves as their independent oracle.  No scipy: gamma is
+CPython's `math.gamma` behind a pole guard (within 1e-15 relative of
+mpmath on [-3, 30]), and quadrature is deterministic so failures reproduce.
 """
 
 from __future__ import annotations
 
-import functools
 import heapq
 import math
 from typing import Callable
@@ -23,8 +20,6 @@ from .errors import ConvergenceError, DomainError, PoleError
 EULER_GAMMA = 0.5772156649015328606
 
 _POLE_TOL = 1e-12
-
-_SQRT_TWO_PI = 2.5066282746310002
 
 
 def sinpi(z: float) -> float:
@@ -58,24 +53,13 @@ def _check_gamma_pole(z: float) -> None:
 
 
 def gamma_real(z: float) -> float:
-    """Euler gamma for real z, via Lanczos for z >= 0.5 and reflection below.
+    """Euler gamma for real z: `math.gamma`, CPython's C implementation.
 
-    Raises PoleError within 1e-12 of a non-positive integer.
+    Raises PoleError within 1e-12 of a non-positive integer, and
+    OverflowError from z = 172 (171.62 is the last finite argument).
     """
-    if z < 0.5:
-        _check_gamma_pole(z)
-        # Gamma(z) Gamma(1-z) = pi / sin(pi z)
-        return math.pi / (sinpi(z) * gamma_real(1.0 - z))
-    # Lanczos sum, g = 7, 9 terms (double precision standard set), summed
-    # left to right
-    y = z - 1.0
-    acc = (0.99999999999980993 + 676.5203681218851 / (y + 1.0)
-           - 1259.1392167224028 / (y + 2.0) + 771.32342877765313 / (y + 3.0)
-           - 176.61502916214059 / (y + 4.0) + 12.507343278686905 / (y + 5.0)
-           - 0.13857109526572012 / (y + 6.0) + 9.9843695780195716e-6 / (y + 7.0)
-           + 1.5056327351493116e-7 / (y + 8.0))
-    t = y + 7.0 + 0.5
-    return _SQRT_TWO_PI * math.pow(t, y + 0.5) * math.exp(-t) * acc
+    _check_gamma_pole(z)
+    return math.gamma(z)
 
 
 def rgamma(z: float) -> float:
@@ -120,14 +104,6 @@ def digamma(z: float) -> float:
 # kappa coefficient functions
 # ---------------------------------------------------------------------------
 
-@functools.lru_cache(maxsize=64)
-def _gamma_fixed(z: float) -> float:
-    """gamma_real for the nu-free factors of kappa0 and kappa2 (Gamma(1-a),
-    Gamma(b), Gamma(1-b)), which nu*'s Brent zeroin asks for at every gap
-    evaluation until its bracket's half-width is at most 4 eps |nu|."""
-    return gamma_real(z)
-
-
 def kappa0(a: float, nu: float) -> float:
     """(1 - nu) Gamma(a - nu) Gamma(1 - a) / Gamma(2 - nu) for a = exponent.
 
@@ -140,7 +116,7 @@ def kappa0(a: float, nu: float) -> float:
         raise PoleError("kappa0 pole at exponent = 1")
     if nu >= a:
         raise DomainError(f"kappa0 requires nu < exponent, got nu={nu}, exponent={a}")
-    return (1.0 - nu) * gamma_real(a - nu) * _gamma_fixed(1.0 - a) / gamma_real(2.0 - nu)
+    return (1.0 - nu) * gamma_real(a - nu) * gamma_real(1.0 - a) / gamma_real(2.0 - nu)
 
 
 def kappa0_alt(a: float, nu: float) -> float:
@@ -187,8 +163,8 @@ def kappa2(b: float, nu: float) -> float:
         raise DomainError(f"kappa2 requires -1 < nu < exponent, got nu={nu}")
     if abs(nu) <= KAPPA2_GUARD:
         return math.pi * cotpi(b) + nu * kappa2_slope_at_zero(b)
-    bracket = gamma_real(b - nu) / _gamma_fixed(b) \
-        - (1.0 - b + nu) * _gamma_fixed(1.0 - b) * rgamma(2.0 - b + nu)
+    bracket = gamma_real(b - nu) / gamma_real(b) \
+        - (1.0 - b + nu) * gamma_real(1.0 - b) * rgamma(2.0 - b + nu)
     return gamma_real(nu) * bracket
 
 

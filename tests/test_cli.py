@@ -472,6 +472,16 @@ def test_drift_verify_nu_near_tail_exponent_exits_2(tmp_path, capsys):
     assert err.startswith("error: DomainError") and "Traceback" not in err
 
 
+def test_drift_verify_beyond_two_to_the_53_exits_2(tmp_path, capsys):
+    # x and x +- 1 round together from 2^53 on: a refusal, not a wrong report
+    cfg = dict(NEAR_TAIL, drift_verify=dict(NEAR_TAIL["drift_verify"], nu=0.5, x_max=1e20))
+    rc = main(["drift-verify", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: DomainError") and "2^53" in err and "Traceback" not in err
+    assert not (tmp_path / "drift_report.csv").exists()
+
+
 # ---------------------------------------------------------------------------
 # selftest
 # ---------------------------------------------------------------------------

@@ -89,11 +89,12 @@ def test_simulate_bytes_match_golden(tmp_path, regime):
 # 6.5e-14 of |x|^(nu - exponent).  43 changed values landed farther off, by
 # at most 8e-15 of that scale: rounding-level noise, as a correctly rounded
 # light share would still leave 25 of its 50 changed values farther.
-# The nu* rows (the Classification and NuStarResult reprs) were last re-pinned
-# when nu_star moved from bisection to Brent's zeroin: against a 40-digit
-# mpmath root of the same gap the six nu* values are at most 2.5e-16 off (the
-# bisection's were up to 1.2e-13 off).  line_in_b0 has no root; its row is the
-# NoRootError text, whose bracket now starts at 0 instead of 1e-06.
+# The nu* rows (the Classification and NuStarResult reprs), K, the predicted
+# drifts and the normalized errors were last re-pinned when gamma_real moved
+# from a Lanczos sum to math.gamma; no drift value moved.  Against a 40-digit
+# mpmath root of the same gap the six nu* values are at most 1.5e-16 off
+# (2.5e-16 before; line_balanced_b0's is now exactly 0.5).  line_in_b0 has
+# no root; its row is the NoRootError text.
 # ---------------------------------------------------------------------------
 
 ANALYTIC = {
@@ -111,13 +112,13 @@ GRIDS = {0: [1e2, 1e3, 1e4], 1: [1e2, 1e3, 1e4], 2: [-1e3, -1e2, 1e2, 1e3, 1e4]}
 PROBES = [50.0, 1e3]
 
 ANALYTIC_DIGESTS = {
-    "half_line": "df6cb0570294c810bb8cb02e6262b0ea3b530a8a5722c651986cf7aad61b327e",
-    "line_balanced": "38e991a83d0d591edc02473faef8b0fd688143dcc766e18a6a46cdd261281466",
-    "line_balanced_b0": "3ebf3013b53c9a74b9739d9db35ea8ab20c46d4ef5e9640dcd0af1c851e12b01",
-    "line_in": "e0a719739b817f64da954c39ade10ebb931d8859b156d6d9e8afba7ee3853dd6",
-    "line_in_b0": "856c44bc8850e75c6c15208289efe53ff93e09865780b77ddfe17706fd8fc94b",
-    "line_out": "52305867b9e42547a3c7798430942d99071bceebb7408eace443ed9c7ca189a4",
-    "plane": "6def6fdd4f32632b65f3dd66906cd8df94235516b32deef47329270824ea1e19",
+    "half_line": "c9d8de4b94cbd70362e6896f4f2642cf9d726dd1c783792b6b0c816ae384737d",
+    "line_balanced": "ce483afad72369683913d6bd6ac1b3060978e91e4e8488308fd1073625677b57",
+    "line_balanced_b0": "cf844b443595ce0efc00fa23e34b4669db746b745ec89fc97fbf521dd5891a07",
+    "line_in": "79733e78451dfad86d3ee7957ba73b53cd3bb2bf920650edc5f61e412dcffe19",
+    "line_in_b0": "6f3f364186da764727f0e2c88bb5f22f77ac0bf32d8b65f5da6608d5d910b065",
+    "line_out": "c534203289227b3ccc435d5fed4c7fcc6d3b3229eeb18e927baec53e3228bc19",
+    "plane": "c89ca7c42b6cc7160ddbde34128d934a9e877de235e7a7484ecb364f2950a756",
 }
 
 

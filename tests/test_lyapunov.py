@@ -442,6 +442,21 @@ def test_verify_expansion_reaches_nu_near_tail_exponent(spec, i):
     assert all(math.isfinite(v) for v in rep.numeric + rep.normalized_error)
 
 
+def test_drift_refused_from_two_to_the_53():
+    # x and x +- 1, the test functions' kinks, round together from 2^53 on:
+    # before the refusal these read a pareto_tail_integral DomainError on
+    # line_in i = 2 at 1e16, 1.2e-91 on the half line at 1e150 and nan at 2e300
+    li = line_in(beta=1.3, gamma=0.3, b=-3.0, x0=2.0)
+    hl = half_line(gamma=0.5, b=-1.0)
+    assert math.isfinite(drift_numeric(li, 2, 0.6, 2.0 ** 53 - 1.0))
+    for spec, i, nu, x in ((li, 2, 0.6, 2.0 ** 53), (li, 2, 0.6, -1e16), (li, 2, 0.6, 1e16),
+                           (hl, 0, 0.5, 1e150), (hl, 0, 0.5, 2e300)):
+        with pytest.raises(DomainError, match="2\\^53"):
+            drift_numeric(spec, i, nu, x)
+    with pytest.raises(DomainError, match="2\\^53"):
+        verify_expansion(hl, 0, 0.5, [1e2, 1e20])
+
+
 def test_mirror_symmetry_f2():
     spec = line_out(alpha=1.5, gamma=0.5, b=0.2)
     for x in (50.0, 400.0):
