@@ -229,21 +229,19 @@ def drift_predicted(spec: ChainSpec, i: int, nu: float, x: float) -> float:
     _check_regime_i(spec, i)
     _check_lemma_range(spec, i, nu)
     k_coef = expansion_coefficient(spec, i, nu) if nu != 0.0 else 0.0
-    return _predicted(spec, i, nu, x, k_coef)
+    return _predicted(spec, i, nu, x, k_coef, float(spec.drift_target(x)))
 
 
 def _predicted(spec: ChainSpec, i: int, nu: float, x: float, k_coef: float,
-               mu: float | None = None) -> float:
-    """drift_predicted at x for a checked (i, nu), given K = k_coef and, if
-    known, the drift target mu = mu(x) (the mean of the law at x)."""
+               mu: float) -> float:
+    """drift_predicted at x for a checked (i, nu), given K = k_coef and the
+    drift target mu = mu(x), the mean of the law at x."""
     if i in (0, 1) and x < 1.0:
         raise DomainError("one-sided expansions hold as x -> +inf (need x >= 1)")
     if abs(x) < 1.0:
         raise DomainError("expansions hold for |x| >= 1")
     if nu == 0.0:
         return 0.0
-    if mu is None:
-        mu = float(spec.drift_target(x))
     ax = abs(x)
     sgn = math.copysign(1.0, x)
     drift_part = nu * (sgn if i == 2 else 1.0) * ax ** (nu - 1.0) * mu
