@@ -16,7 +16,8 @@ from typing import Callable, Optional
 
 from .errors import NoRootError, NotRecurrentError, PoleError
 from .increments import ChainSpec
-from .specialfn import cospi, cotpi, kappa0, kappa2, sinpi
+# kappa2 is unused here, but perfbench/spans.py counts classify.kappa0/kappa2 calls
+from .specialfn import cospi, cotpi, kappa0, kappa0_prepared, kappa2, kappa2_prepared, sinpi  # noqa: F401
 
 TIE_TOL = 1e-9
 NU_MAX_ITER = 200         # guard on nu_star's gap evaluations
@@ -95,17 +96,20 @@ def _gap_function(spec: ChainSpec) -> tuple[Callable[[float], float], float]:
     """Monotone increasing g(nu) whose root is nu*, and the upper bracket end."""
     t, b, c = spec.tail, spec.drift.b, spec.tail.c
     if spec.regime in ("half_line", "line_out"):
-        return (lambda v: b + c * kappa0(t.alpha, v)), t.alpha
+        k0 = kappa0_prepared(t.alpha)
+        return (lambda v: b + c * k0(v)), t.alpha
     if spec.regime == "line_in":
-        return (lambda v: b + c * kappa2(t.beta, v)), t.beta
+        k2 = kappa2_prepared(t.beta)
+        return (lambda v: b + c * k2(v)), t.beta
     if spec.regime == "line_balanced":
-        return (lambda v: b + c * (kappa0(t.alpha, v) + kappa2(t.alpha, v))), t.alpha
+        k0, k2 = kappa0_prepared(t.alpha), kappa2_prepared(t.alpha)
+        return (lambda v: b + c * (k0(v) + k2(v))), t.alpha
     # plane: zero drift, two radial/transverse kappa0 contributions
     pl = spec.plane
     p_t = 1.0 - pl.p_radial
-    a = t.alpha
-    return (lambda v: pl.p_radial * pl.c_radial * kappa0(a, v)
-            + p_t * pl.c_transverse * kappa0(a / 2.0, v / 2.0)), 1.0
+    k0, k0_half = kappa0_prepared(t.alpha), kappa0_prepared(t.alpha / 2.0)
+    return (lambda v: pl.p_radial * pl.c_radial * k0(v)
+            + p_t * pl.c_transverse * k0_half(v / 2.0)), 1.0
 
 
 def plane_equation_forms(spec: ChainSpec, nu: float) -> tuple[float, float]:
@@ -197,7 +201,10 @@ def nu_star(spec: ChainSpec) -> NuStarResult:
             e = d = m
         a, fa = b, fb
         b += d if abs(d) > tol else math.copysign(tol, m)
-        fb, b = _eval_shrink(g, b, min(a, c), max(a, c))
+        try:
+            fb = g(b)
+        except PoleError:
+            fb, b = _eval_shrink(g, b, min(a, c), max(a, c))
         iters += 1
     return NuStarResult(b, (min(b, c), max(b, c)), abs(fb), iters)
 

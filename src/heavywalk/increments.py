@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -130,12 +131,23 @@ class ChainSpec:
 
     def heavy_scale(self, c: Optional[float] = None) -> float:
         """Support point y0 = (c / p_heavy)^(1/heavy_exponent) of a heavy component."""
-        c = self.tail.c if c is None else c
+        if c is None:
+            return self._y0
         y0 = (c / self.p_heavy) ** (1.0 / self.heavy_exponent)
         if y0 < 1.0:
             raise InfeasibleWeight(
                 f"heavy support point y0={y0:.6g} < 1 (c={c}, p_heavy={self.p_heavy})")
         return y0
+
+    @cached_property
+    def _y0(self) -> float:
+        return self.heavy_scale(self.tail.c)
+
+    @cached_property
+    def _heavy_mean(self) -> float:
+        """k, the heavy side's share of the mean at x >= 0: side p y0 e / (e - 1)."""
+        e = self.heavy_exponent
+        return _HEAVY_SIDE[self.regime] * self.p_heavy * (self._y0 * e / (e - 1.0))
 
     def x_floor(self) -> float:
         return max(self.tail.x0, 1.0)
@@ -149,8 +161,9 @@ class ChainSpec:
 
     def _drift_magnitude(self, x):
         """b max(|x|, x_floor)^(-gamma): mu(x) where x >= 0, -mu(x) where x < 0."""
-        b, g = self.drift.b, self.drift.gamma
-        return b * np.maximum(abs(x), self.x_floor()) ** (-g)
+        b, g, xf = self.drift.b, self.drift.gamma, self.x_floor()
+        ax = max(abs(x), xf) if isinstance(x, float) else np.maximum(abs(x), xf)
+        return b * ax ** (-g)
 
     def drift_target(self, x):
         """mu(x): +-b |x|^(-gamma) with the magnitude clamped below x_floor.
@@ -175,8 +188,7 @@ class ChainSpec:
         if self.regime == "line_balanced":
             # the two heavy sides cancel; tuner carries the whole drift
             return 2.0 * (self._sign(x) * mu / (1.0 - 2.0 * p))
-        e = self.heavy_exponent
-        k = _HEAVY_SIDE[self.regime] * p * (self.heavy_scale() * e / (e - 1.0))
+        k = self._heavy_mean
         if self.regime != "half_line":
             sgn = self._sign(x)
             mu, k = sgn * mu, sgn * k
@@ -321,9 +333,7 @@ def build_law(spec: ChainSpec, x: float) -> IncrementLaw:
     if spec.regime == "plane":
         raise DomainError("plane regime has separate radial/transverse laws; "
                           "use plane_radial_law / plane_transverse_law")
-    p = spec.p_heavy
-    e = spec.heavy_exponent
-    y0 = spec.heavy_scale()
+    p, e, y0 = spec.p_heavy, spec.heavy_exponent, spec._y0
     mu = spec._drift_magnitude(x)
     lw = float(spec._light_width(x, mu))
     mean = float(spec._sign(x) * mu)

@@ -48,26 +48,23 @@ def cotpi(z: float) -> float:
     return cospi(z) / s
 
 
-def _check_gamma_pole(z: float) -> None:
-    if z <= 0.5 and abs(z - round(z)) < _POLE_TOL and round(z) <= 0:
-        raise PoleError(f"gamma pole at z={z}")
-
-
 def gamma_real(z: float) -> float:
     """Euler gamma for real z: `math.gamma`, CPython's C implementation.
 
     Raises PoleError within 1e-12 of a non-positive integer, and
     OverflowError from z = 172 (171.62 is the last finite argument).
     """
-    _check_gamma_pole(z)
+    if z <= 0.5 and abs(z - round(z)) < _POLE_TOL and round(z) <= 0:
+        raise PoleError(f"gamma pole at z={z}")
     return math.gamma(z)
 
 
 def rgamma(z: float) -> float:
     """1 / Gamma(z); entire, so returns 0.0 at the non-positive integers."""
-    if z <= 0.5 and abs(z - round(z)) < _POLE_TOL and round(z) <= 0:
+    try:
+        return 1.0 / gamma_real(z)
+    except PoleError:
         return 0.0
-    return 1.0 / gamma_real(z)
 
 
 # Bernoulli-number coefficients B_{2k}/(2k) of the digamma asymptotic series.
@@ -85,8 +82,8 @@ _PSI_ASYMP = (
 def digamma(z: float) -> float:
     """psi(z) = d/dz log Gamma(z), by recurrence up to z >= 8 then the
     asymptotic series; reflection for z < 0.5."""
-    _check_gamma_pole(z)
     if z < 0.5:
+        gamma_real(z)   # raises PoleError within 1e-12 of a pole
         return digamma(1.0 - z) - math.pi * cotpi(z)
     acc = 0.0
     while z < 8.0:
@@ -105,19 +102,24 @@ def digamma(z: float) -> float:
 # kappa coefficient functions
 # ---------------------------------------------------------------------------
 
-def kappa0(a: float, nu: float) -> float:
-    """(1 - nu) Gamma(a - nu) Gamma(1 - a) / Gamma(2 - nu) for a = exponent.
-
-    Equals Gamma(a - nu) Gamma(1 - a) / Gamma(1 - nu) away from nu = 1; the
-    displayed form is used because it is finite (zero) at nu = 1.
-    """
+def kappa0_prepared(a: float) -> Callable[[float], float]:
+    """nu -> kappa0(a, nu) = (1 - nu) Gamma(a - nu) Gamma(1 - a) / Gamma(2 - nu), finite
+    (zero) at nu = 1 where the reduced form kappa0_alt is 0 * inf; a is checked and
+    Gamma(1 - a) taken once, and nu < a is the caller's to check."""
     if not (0.0 < a < 2.0):
         raise DomainError(f"kappa0 exponent must be in (0,2), got {a}")
     if abs(a - 1.0) < _POLE_TOL:
         raise PoleError("kappa0 pole at exponent = 1")
+    g1a = gamma_real(1.0 - a)
+    return lambda nu: (1.0 - nu) * gamma_real(a - nu) * g1a / gamma_real(2.0 - nu)
+
+
+def kappa0(a: float, nu: float) -> float:
+    """kappa0 at exponent a and nu < a (see kappa0_prepared)."""
+    k0 = kappa0_prepared(a)
     if nu >= a:
         raise DomainError(f"kappa0 requires nu < exponent, got nu={nu}, exponent={a}")
-    return (1.0 - nu) * gamma_real(a - nu) * gamma_real(1.0 - a) / gamma_real(2.0 - nu)
+    return k0(nu)
 
 
 def kappa0_alt(a: float, nu: float) -> float:
@@ -152,21 +154,29 @@ def kappa2_slope_at_zero(beta: float) -> float:
     return math.pi * math.pi / (2.0 * s * s) - d1 * (EULER_GAMMA + digamma(beta) + 0.5 * d1)
 
 
-def kappa2(b: float, nu: float) -> float:
-    """Gamma(nu) (Gamma(b-nu)/Gamma(b) - (1-b+nu) Gamma(1-b)/Gamma(2-b+nu)).
-
-    Within KAPPA2_GUARD of nu = 0 the continuity value pi*cot(pi*b) plus the
-    first-order term is returned instead of the raw product.
-    """
+def kappa2_prepared(b: float) -> Callable[[float], float]:
+    """nu -> kappa2(b, nu) = Gamma(nu) (Gamma(b-nu)/Gamma(b) - (1-b+nu) Gamma(1-b)/Gamma(2-b+nu)),
+    or pi cot(pi b) + nu kappa2'(0) within KAPPA2_GUARD of 0; b is checked and the
+    nu-free factors taken once, and -1 < nu < b is the caller's to check."""
     if not (1.0 < b < 2.0):
         raise DomainError(f"kappa2 exponent must be in (1,2), got {b}")
+    at_zero, slope = math.pi * cotpi(b), kappa2_slope_at_zero(b)
+    gb, g1b = gamma_real(b), gamma_real(1.0 - b)
+
+    def k2(nu: float) -> float:
+        if abs(nu) <= KAPPA2_GUARD:
+            return at_zero + nu * slope
+        return gamma_real(nu) * (gamma_real(b - nu) / gb
+                                 - (1.0 - b + nu) * g1b * rgamma(2.0 - b + nu))
+    return k2
+
+
+def kappa2(b: float, nu: float) -> float:
+    """kappa2 at exponent b and -1 < nu < b (see kappa2_prepared)."""
+    k2 = kappa2_prepared(b)
     if not (-1.0 < nu < b):
         raise DomainError(f"kappa2 requires -1 < nu < exponent, got nu={nu}")
-    if abs(nu) <= KAPPA2_GUARD:
-        return math.pi * cotpi(b) + nu * kappa2_slope_at_zero(b)
-    bracket = gamma_real(b - nu) / gamma_real(b) \
-        - (1.0 - b + nu) * gamma_real(1.0 - b) * rgamma(2.0 - b + nu)
-    return gamma_real(nu) * bracket
+    return k2(nu)
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,15 @@
 import math
 
 import mpmath as mp
+import numpy as np
 import pytest
 
 from heavywalk.classify import (CRITICAL, NULL_RECURRENT, POSITIVE_RECURRENT,
                                 TRANSIENT, TRANSIENT_DIRECTIONAL, TRANSIENT_OSCILLATORY)
 from heavywalk.classify import (Classification, _gap_function, classify, drift_threshold,
                                 moment_exponent, nu_star, plane_equation_forms, plane_quantity)
-from heavywalk.errors import NoRootError, NotRecurrentError
+from heavywalk.errors import HeavywalkError, NoRootError, NotRecurrentError
+from heavywalk.specialfn import kappa0, kappa2
 
 from conftest import balanced, half_line, line_in, line_out, plane
 
@@ -270,6 +272,55 @@ def test_nu_star_root_within_1e6_of_the_top(b):
     assert abs(c.nu_star - want) <= 1e-14
     ns = nu_star(spec)
     assert ns.bracket[0] <= ns.nu_star <= ns.bracket[1]
+
+
+
+def _seeded_specs(regime, n, seed):
+    """n feasible seeded specs of one regime, most on the critical drift scale."""
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < n:
+        e, b = float(rng.uniform(1.1, 1.9)), float(rng.uniform(-3.0, 1.0))
+        try:
+            if regime == "plane":
+                out.append(plane(alpha=e, p_radial=float(rng.uniform(0.05, 0.95)),
+                                 c_radial=float(rng.uniform(0.5, 2.0)),
+                                 c_transverse=float(rng.uniform(0.5, 2.0))))
+            else:
+                make = {"half_line": half_line, "line_out": line_out,
+                        "line_balanced": balanced}.get(regime)
+                out.append(line_in(beta=e, gamma=e - 1.0, b=b, x0=4.0) if make is None
+                           else make(alpha=e, gamma=e - 1.0, b=b, x0=4.0))
+        except HeavywalkError:
+            continue
+    return out
+
+
+# nu = 0, points inside the kappa2 series band on both signs, and just outside it
+BAND_NUS = (0.0, 1e-7, -1e-7, 5e-6, -5e-6, 4.9e-6, 5.1e-6, 9.99e-5, -9.99e-5, 1e-4, 1.0001e-4)
+
+
+@pytest.mark.parametrize("regime", ["half_line", "line_out", "line_in", "line_balanced", "plane"])
+def test_prepared_gap_matches_per_call_form_bitwise(regime):
+    """_gap_function takes the nu-free Gamma factors once per solve; every value
+    is the per-call b + c kappa(., nu) form's, bit for bit."""
+    rng = np.random.default_rng(18)
+    for spec in _seeded_specs(regime, 12, seed=len(regime)):
+        g, top = _gap_function(spec)
+        t, b, c = spec.tail, spec.drift.b, spec.tail.c
+        if regime in ("half_line", "line_out"):
+            want = lambda v: b + c * kappa0(t.alpha, v)
+        elif regime == "line_in":
+            want = lambda v: b + c * kappa2(t.beta, v)
+        elif regime == "line_balanced":
+            want = lambda v: b + c * (kappa0(t.alpha, v) + kappa2(t.alpha, v))
+        else:
+            pl = spec.plane
+            want = lambda v: (pl.p_radial * pl.c_radial * kappa0(t.alpha, v)
+                              + (1.0 - pl.p_radial) * pl.c_transverse
+                              * kappa0(t.alpha / 2.0, v / 2.0))
+        for v in BAND_NUS + tuple(float(u) for u in rng.uniform(0.0, 0.999 * top, 20)):
+            assert repr(g(v)) == repr(want(v)), (spec, v)
 
 
 def test_nu_star_monotone_decreasing_in_b():

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -254,17 +255,23 @@ def test_feasibility_matches_grid_scan_oracle():
                         assert lw.tobytes() == (2.0 * _oracle_light_mean(spec, states)).tobytes()
                         assert mu.tobytes() == _oracle_drift_target(spec, states).tobytes()
                         if k == 1.0 and c == 1.0:
+                            # a float state gives a Python float with the oracle's bits
                             for x in ORACLE_STATES:
-                                assert repr(spec.light_width(x)) == \
-                                    repr(2.0 * _oracle_light_mean(spec, x))
-                                assert repr(spec.drift_target(x)) == \
-                                    repr(_oracle_drift_target(spec, x))
+                                for got, want in (
+                                        (spec.light_width(x), 2.0 * _oracle_light_mean(spec, x)),
+                                        (spec.drift_target(x), _oracle_drift_target(spec, x))):
+                                    assert type(got) is float and got.hex() == want.hex()
     # the sweep reaches both sides of every threshold
     assert accepted > 300 and rejected > 300
 
 
 # ChainSpec's sign terms as np.where forms, the formulation before the plain
 # +-1.0 arithmetic of _sign, kept as the oracle of its bits.
+
+def _plain_y0(spec):
+    """The support point from the spec's fields, not from its cached value."""
+    return (spec.tail.c / spec.p_heavy) ** (1.0 / spec.heavy_exponent)
+
 
 def _where_sign(spec, x):
     if spec.regime == "half_line":
@@ -288,7 +295,7 @@ def _where_light_width(spec, x):
         return 2.0 * (np.where(x < 0.0, -mu, mu) / (1.0 - 2.0 * p))
     e = spec.heavy_exponent
     k = {"half_line": 1.0, "line_out": 1.0, "line_in": -1.0}[spec.regime] \
-        * p * (spec.heavy_scale() * e / (e - 1.0))
+        * p * (_plain_y0(spec) * e / (e - 1.0))
     if spec.regime != "half_line":
         neg = x < 0.0
         mu, k = np.where(neg, -mu, mu), np.where(neg, -k, k)
@@ -316,6 +323,67 @@ def test_sign_arithmetic_matches_where_oracle_bitwise(b):
                 assert got.dtype == want.dtype and got.shape == want.shape
                 assert got.tobytes() == want.tobytes(), (spec.regime, new.__name__, x)
 
+
+def _seeded_scalar_specs(n, seed):
+    """n feasible seeded specs over the four scalar regimes, drifted and not."""
+    rng = np.random.default_rng(seed)
+    makers = (half_line, line_out, line_in, balanced)
+    out = []
+    while len(out) < n:
+        make = makers[len(out) % 4]
+        e, c = float(rng.uniform(1.1, 1.9)), float(rng.uniform(0.5, 3.0))
+        gamma, b = float(rng.choice([0.0, e - 1.0, 2.0])), float(rng.uniform(-2.0, 1.0))
+        x0 = float(rng.choice([0.0, 2.0, 10.0]))
+        kw = dict(beta=e) if make is line_in else dict(alpha=e)
+        try:
+            out.append(make(gamma=gamma, b=b, c=c, x0=x0, **kw))
+        except (InfeasibleDrift, InfeasibleWeight):
+            continue
+    return out
+
+
+def test_cached_constants_keep_the_per_call_bits():
+    # y0 and k are taken once per spec, and a float state takes Python max and
+    # float power: build_law's fields and the array light width keep the bits
+    # of the per-call formulas (y0 recomputed, numpy max and power)
+    rng = np.random.default_rng(18)
+    for spec in _seeded_scalar_specs(40, seed=18):
+        xf = spec.x_floor()
+        xs = [0.0, -0.0, xf, -xf, 0.5 * xf, -0.5 * xf,
+              *(float(v) for v in rng.choice([-1.0, 1.0], 12) * 10.0 ** rng.uniform(-1, 6, 12))]
+        if spec.regime == "half_line":
+            xs = [x for x in xs if math.copysign(1.0, x) > 0.0]
+        states = np.array(xs)
+        assert spec.light_width(states).tobytes() == _where_light_width(spec, states).tobytes()
+        y0 = _plain_y0(spec)
+        for x in xs:
+            lw, mu = float(_where_light_width(spec, x)), float(_where_drift_target(spec, x))
+            if spec.regime == "line_balanced":
+                want = (spec.p_heavy, spec.tail.alpha, y0, True, lw if lw < 0.0 else abs(lw), mu)
+            else:
+                hs = int(_where_sign(spec, x) * {"line_in": -1.0}.get(spec.regime, 1.0))
+                want = (spec.p_heavy, spec.heavy_exponent, hs * y0, False, lw, mu)
+            law = build_law(spec, x)
+            got = (law.p, law.exponent, law.scale, law.two_sided, law.light, law.mean)
+            assert repr(got) == repr(want), (spec, x)
+
+
+def test_replaced_spec_gets_its_own_constants():
+    spec = line_in(beta=1.3, gamma=0.3, b=-1.0, x0=2.0)
+    y0, k = spec.heavy_scale(), spec._heavy_mean
+    others = [replace(spec, p_heavy=0.1), replace(spec, tail=replace(spec.tail, c=3.0)),
+              replace(spec, regime="line_out", tail=TailParams(alpha=1.5, x0=2.0))]
+    for other in others:
+        e = other.heavy_exponent
+        side = -1.0 if other.regime == "line_in" else 1.0
+        assert other.heavy_scale() == _plain_y0(other) != y0
+        assert other._heavy_mean == side * other.p_heavy * (_plain_y0(other) * e / (e - 1.0)) != k
+    assert (spec.heavy_scale(), spec._heavy_mean) == (y0, k)
+    # the cached y0 still refuses a support point below 1 as the spec is built
+    with pytest.raises(InfeasibleWeight):
+        replace(spec, tail=replace(spec.tail, c=0.05))
+    with pytest.raises(InfeasibleWeight):
+        replace(spec, p_heavy=0.5, tail=replace(spec.tail, c=0.4))
 
 def test_regime_parameter_validation():
     with pytest.raises(DomainError):
