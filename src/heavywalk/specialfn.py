@@ -138,9 +138,10 @@ def kappa1(b: float, nu: float) -> float:
     return -(1.0 - b + nu) * gamma_real(nu + 1.0) * gamma_real(1.0 - b) * rgamma(2.0 - b + nu)
 
 
-# Half-width of the nu ~ 0 band where the Gamma(nu) * O(nu) product in kappa2
-# is evaluated by its series instead (Gamma(nu) ~ 1/nu is catastrophic there).
-KAPPA2_GUARD = 1e-4
+# Half-width of the nu ~ 0 band where kappa2's Gamma(nu) * O(nu) product, which
+# cancels to about 7e-16/|nu| relative, gives way to its first-order series, off
+# by about 3 nu^2 relative: the two errors meet near 6e-6, at about 1.3e-10.
+KAPPA2_GUARD = 6e-6
 
 
 def kappa2_slope_at_zero(beta: float) -> float:

@@ -9,7 +9,7 @@ from heavywalk.classify import (CRITICAL, NULL_RECURRENT, POSITIVE_RECURRENT,
 from heavywalk.classify import (Classification, _gap_function, classify, drift_threshold,
                                 moment_exponent, nu_star, plane_equation_forms, plane_quantity)
 from heavywalk.errors import HeavywalkError, NoRootError, NotRecurrentError
-from heavywalk.specialfn import kappa0, kappa2
+from heavywalk.specialfn import KAPPA2_GUARD, kappa0, kappa2
 
 from conftest import balanced, half_line, line_in, line_out, plane
 
@@ -296,8 +296,10 @@ def _seeded_specs(regime, n, seed):
     return out
 
 
-# nu = 0, points inside the kappa2 series band on both signs, and just outside it
-BAND_NUS = (0.0, 1e-7, -1e-7, 5e-6, -5e-6, 4.9e-6, 5.1e-6, 9.99e-5, -9.99e-5, 1e-4, 1.0001e-4)
+# nu = 0, points inside the kappa2 series band on both signs, its edge, just
+# outside it, and the edge of the earlier, wider band (1e-4)
+BAND_NUS = (0.0, 1e-7, -1e-7, KAPPA2_GUARD, -KAPPA2_GUARD, 0.999 * KAPPA2_GUARD,
+            1.001 * KAPPA2_GUARD, 9.99e-5, -9.99e-5, 1e-4, 1.0001e-4)
 
 
 @pytest.mark.parametrize("regime", ["half_line", "line_out", "line_in", "line_balanced", "plane"])

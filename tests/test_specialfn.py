@@ -321,6 +321,25 @@ def test_kappa_matches_mpmath():
     assert {k: v for k, v in worst.items() if v > bounds[k]} == {}
 
 
+
+@pytest.mark.parametrize("b", [1.2, 1.3, 1.6, 1.8])
+def test_kappa2_near_zero_matches_mpmath(b):
+    # |nu| from 1e-7 to 1e-3 on both signs, the series band's edge and points
+    # just inside and outside it: within 2e-10 of 40-digit mpmath (measured
+    # 1.2e-10, at the edge; the earlier band, 1e-4 wide, was 3.2e-8 off at
+    # nu = 9.99e-5).  b = 1.5 is left out: kappa2(1.5, 0) = 0.
+    g = mp.gamma
+    g_ = sf.KAPPA2_GUARD
+    mags = [float(v) for v in np.geomspace(1e-7, 1e-3, 33)] + [
+        g_, 0.99 * g_, 1.01 * g_, 9.99e-5, 1.0001e-4]
+    worst = 0.0
+    with mp.workdps(40):
+        for v in (s * m for m in mags for s in (1.0, -1.0)):
+            bm, vm = mp.mpf(b), mp.mpf(v)
+            want = g(vm) * (g(bm - vm) / g(bm) - (1 - bm + vm) * g(1 - bm) / g(2 - bm + vm))
+            worst = max(worst, float(abs((mp.mpf(sf.kappa2(b, v)) - want) / want)))
+    assert worst < 2e-10
+
 def test_kappa_domain_errors():
     with pytest.raises(DomainError):
         sf.kappa0(2.5, 0.5)
