@@ -36,8 +36,8 @@ def load_config(path: str) -> dict:
     try:
         with open(path) as fh:
             cfg = json.load(fh)
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}")
+    except (OSError, UnicodeDecodeError) as ex:   # missing, a directory, not text
+        raise ConfigError(f"cannot read config file: {ex}")
     except json.JSONDecodeError as ex:
         raise ConfigError(f"{path}:{ex.lineno}:{ex.colno}: {ex.msg}")
     if not isinstance(cfg, dict):
@@ -327,9 +327,9 @@ def main(argv=None) -> int:
             seed = args.seed if args.seed is not None else _integer(cfg.get("seed", 0))
             workers = args.workers if args.workers is not None else _integer(cfg.get("workers", 1))
             out = Path(args.out if args.out is not None else cfg.get("out", "."))
-        except (TypeError, ValueError, OverflowError) as ex:
+            out.mkdir(parents=True, exist_ok=True)   # OSError: out is not a usable directory
+        except (TypeError, ValueError, OverflowError, OSError) as ex:
             raise ConfigError(f"seed, workers and out: {ex}")
-        out.mkdir(parents=True, exist_ok=True)
         return _COMMANDS[args.command](cfg, out, seed, workers)
     except ConfigError as ex:
         print(f"config error: {ex}", file=sys.stderr)

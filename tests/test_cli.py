@@ -204,6 +204,29 @@ BAD_SHAPES = {
 }
 
 
+def _fs_edge(tmp_path, case):
+    """(config, out) arguments for a config or --out the file system refuses."""
+    cfg, afile = write_config(tmp_path, HL), tmp_path / "afile"
+    afile.write_text("")
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b"\xff\xfe{}")
+    return {"out_is_a_file": (cfg, str(afile)),
+            "out_below_a_file": (cfg, str(afile / "sub")),
+            "config_is_a_directory": (str(tmp_path), str(tmp_path)),
+            "config_missing": (str(tmp_path / "nowhere.json"), str(tmp_path)),
+            "config_not_utf8": (str(binary), str(tmp_path))}[case]
+
+
+@pytest.mark.parametrize("case", ["out_is_a_file", "out_below_a_file", "config_is_a_directory",
+                                  "config_missing", "config_not_utf8"])
+def test_file_system_edges_exit_2(tmp_path, capsys, case):
+    # an unusable --out or an unreadable config is an invalid config: one
+    # stderr line and exit 2, not a traceback
+    cfg, out = _fs_edge(tmp_path, case)
+    assert main(["classify", "--config", cfg, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1 and "Traceback" not in err
+
 @pytest.mark.parametrize("case", sorted(BAD_SHAPES))
 def test_config_shape_errors_exit_2(tmp_path, capsys, case):
     command, cfg = BAD_SHAPES[case]
