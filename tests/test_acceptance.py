@@ -250,6 +250,7 @@ def test_criterion_4_drift_expansions():
 # Criterion 5: passage-time survival exponents at desk scale
 # ---------------------------------------------------------------------------
 
+@pytest.mark.slow
 def test_criterion_5_passage_time_exponents():
     t0 = time.time()
     seed = 20240
@@ -281,6 +282,7 @@ def test_criterion_5_passage_time_exponents():
 # Criterion 6: Rogozin-Foss dichotomy at desk scale
 # ---------------------------------------------------------------------------
 
+@pytest.mark.slow
 def test_criterion_6_rogozin_foss_dichotomy():
     seed = 61
     kw = dict(start=50.0, a=10.0, horizon=4 * 10 ** 4, n_traj=4000, master_seed=seed,
@@ -302,6 +304,7 @@ def test_criterion_6_rogozin_foss_dichotomy():
 # Criterion 7: plane example, both sides of the threshold + nu* equation forms
 # ---------------------------------------------------------------------------
 
+@pytest.mark.slow
 def test_criterion_7_plane_example():
     seed = 71
     kw = dict(start=(50.0, 0.0), a=10.0, horizon=10 ** 5, n_traj=1200, master_seed=seed,

@@ -333,6 +333,7 @@ def test_survival_monotone_and_censoring():
     assert surv[-1] * cfg.n_traj >= n_cens
 
 
+@pytest.mark.slow
 def test_estimate_passage_tail_half_line():
     cfg = SimConfig(half_line(), start=50.0, a=10.0, horizon=10 ** 5, n_traj=2000,
                     master_seed=23, workers=2)
@@ -349,6 +350,7 @@ def test_insufficient_data_raises():
         estimate_passage_tail(cfg)
 
 
+@pytest.mark.slow
 def test_seed_robustness_of_exponent():
     ests = []
     for seed in (101, 202, 303):
@@ -434,6 +436,7 @@ def test_plane_rotation_equivariance_exact():
     assert np.array_equal(b1["final_y"], b0["final_x"])
 
 
+@pytest.mark.slow
 def test_plane_isotropy_chi_square():
     # the pooled ensemble over 16 rotated starts is invariant under 1/16-turn
     # rotations, so the 16 angular sectors are equally likely; chi-square at 1%
