@@ -180,17 +180,16 @@ class ChainSpec:
         Taken per sign: the drift magnitude and k, the heavy side's share of the
         mean, are multiplied by _sign(x) = +-1.0.  That is an exact negation
         where x < 0, so the widths are bit for bit the per-sign formulas."""
-        return self._light_width(x, self._drift_magnitude(x))
+        return self._light_width(self._sign(x), self._drift_magnitude(x))
 
-    def _light_width(self, x, mu):
-        """light_width(x) given mu = _drift_magnitude(x)."""
+    def _light_width(self, sgn, mu):
+        """light_width(x) given sgn = _sign(x) and mu = _drift_magnitude(x)."""
         p = self.p_heavy
         if self.regime == "line_balanced":
             # the two heavy sides cancel; tuner carries the whole drift
-            return 2.0 * (self._sign(x) * mu / (1.0 - 2.0 * p))
+            return 2.0 * (sgn * mu / (1.0 - 2.0 * p))
         k = self._heavy_mean
         if self.regime != "half_line":
-            sgn = self._sign(x)
             mu, k = sgn * mu, sgn * k
         return 2.0 * ((mu - k) / (1.0 - p))
 
@@ -334,9 +333,9 @@ def build_law(spec: ChainSpec, x: float) -> IncrementLaw:
         raise DomainError("plane regime has separate radial/transverse laws; "
                           "use plane_radial_law / plane_transverse_law")
     p, e, y0 = spec.p_heavy, spec.heavy_exponent, spec._y0
-    mu = spec._drift_magnitude(x)
-    lw = float(spec._light_width(x, mu))
-    mean = float(spec._sign(x) * mu)
+    sgn, mu = spec._sign(x), spec._drift_magnitude(x)
+    lw = float(spec._light_width(sgn, mu))
+    mean = float(sgn * mu)
     if spec.regime == "line_balanced":
         if abs(lw) > y0:
             raise InfeasibleDrift(
@@ -345,7 +344,7 @@ def build_law(spec: ChainSpec, x: float) -> IncrementLaw:
         # a zero tuner (-0.0 at x < 0) sits on the positive side
         light = lw if lw < 0.0 else abs(lw)
         return IncrementLaw(p, e, y0, two_sided=True, light=light, mean=mean)
-    hs = int(spec._sign(x) * _HEAVY_SIDE[spec.regime])
+    hs = int(sgn * _HEAVY_SIDE[spec.regime])
     width = -hs * lw
     if not 0.0 < width < math.inf:
         bad = "<= 0" if width <= 0.0 else "is not finite"

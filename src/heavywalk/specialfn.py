@@ -157,16 +157,15 @@ def kappa2_slope_at_zero(beta: float) -> float:
 
 def kappa2_prepared(b: float) -> Callable[[float], float]:
     """nu -> kappa2(b, nu) = Gamma(nu) (Gamma(b-nu)/Gamma(b) - (1-b+nu) Gamma(1-b)/Gamma(2-b+nu)),
-    or pi cot(pi b) + nu kappa2'(0) within KAPPA2_GUARD of 0; b is checked and the
-    nu-free factors taken once, and -1 < nu < b is the caller's to check."""
+    or pi cot(pi b) + nu kappa2'(0) within KAPPA2_GUARD of 0 (a nu* solve enters that
+    band about once); b is checked and Gamma(b), Gamma(1 - b) taken once."""
     if not (1.0 < b < 2.0):
         raise DomainError(f"kappa2 exponent must be in (1,2), got {b}")
-    at_zero, slope = math.pi * cotpi(b), kappa2_slope_at_zero(b)
     gb, g1b = gamma_real(b), gamma_real(1.0 - b)
 
     def k2(nu: float) -> float:
         if abs(nu) <= KAPPA2_GUARD:
-            return at_zero + nu * slope
+            return math.pi * cotpi(b) + nu * kappa2_slope_at_zero(b)
         return gamma_real(nu) * (gamma_real(b - nu) / gb
                                  - (1.0 - b + nu) * g1b * rgamma(2.0 - b + nu))
     return k2
@@ -307,11 +306,15 @@ def integrate_power_weighted(phi: Callable[[float], float], power: float,
     return (1.0 / abs(aexp)) * integrate_adaptive(g, min(w_lo, w_hi), max(w_lo, w_hi), abs_tol * abs(aexp))
 
 
+# series term counts as floats: float-float arithmetic is faster, with the same values
+_COUNTS = tuple(float(n) for n in range(1, 4096))
+
+
 def _beta_series(z: float, p: float, q: float) -> float:
     """B_z(p, q) / z^p = sum_n (1-q)_n z^n / (n! (p+n)) for 0 <= z <= 1/2
     (DLMF 8.17.7), summed until a term is below 1e-17 of the sum."""
     acc, t = 1.0 / p, 1.0
-    for n in range(1, 4096):
+    for n in _COUNTS:
         t *= (n - q) * z / n
         term = t / (p + n)
         acc += term
@@ -367,7 +370,7 @@ def _beta_between(z1: float, z2: float, p: float, q: float) -> float:
     the plain difference, whose rounding is below 1e-16 of z2^(p+n)."""
     acc = _pow_diff(z1, z2, p)
     c, u1, u2 = 1.0, z1 ** p, z2 ** p
-    for n in range(1, 4096):
+    for n in _COUNTS:
         c *= (n - q) / n
         u1 *= z1
         u2 *= z2
