@@ -157,8 +157,8 @@ def kappa2_slope_at_zero(beta: float) -> float:
 
 def kappa2_prepared(b: float) -> Callable[[float], float]:
     """nu -> kappa2(b, nu) = Gamma(nu) (Gamma(b-nu)/Gamma(b) - (1-b+nu) Gamma(1-b)/Gamma(2-b+nu)),
-    or pi cot(pi b) + nu kappa2'(0) within KAPPA2_GUARD of 0 (a nu* solve enters that
-    band about once); b is checked and Gamma(b), Gamma(1 - b) taken once."""
+    or pi cot(pi b) + nu kappa2'(0) within KAPPA2_GUARD of 0 (a nu* solve enters that band
+    about once); b is checked and Gamma(b), Gamma(1 - b) taken once, nu left unchecked."""
     if not (1.0 < b < 2.0):
         raise DomainError(f"kappa2 exponent must be in (1,2), got {b}")
     gb, g1b = gamma_real(b), gamma_real(1.0 - b)
