@@ -14,10 +14,11 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .errors import NoRootError, NotRecurrentError, PoleError
+from .errors import DomainError, NoRootError, NotRecurrentError
 from .increments import ChainSpec
 # kappa2 is unused here, but perfbench/spans.py counts classify.kappa0/kappa2 calls
-from .specialfn import cospi, cotpi, kappa0, kappa0_prepared, kappa2, kappa2_prepared, sinpi  # noqa: F401
+from .specialfn import (cospi, cotpi, kappa0, kappa0_alt, kappa0_prepared, kappa2,  # noqa: F401
+                        kappa2_prepared, sinpi)
 
 TIE_TOL = 1e-9
 NU_MAX_ITER = 200         # guard on nu_star's gap evaluations
@@ -115,29 +116,14 @@ def _gap_function(spec: ChainSpec) -> tuple[Callable[[float], float], float]:
 def plane_equation_forms(spec: ChainSpec, nu: float) -> tuple[float, float]:
     """The plane nu* equation evaluated two ways: the displayed Gamma-ratio
     form and the kappa0 combination (they agree identically)."""
-    from .specialfn import gamma_real
     pl = spec.plane
     a = spec.tail.alpha
     p_t = 1.0 - pl.p_radial
-    direct = (pl.p_radial * pl.c_radial * gamma_real(a - nu) * gamma_real(1.0 - a) / gamma_real(1.0 - nu)
-              + p_t * pl.c_transverse * gamma_real((a - nu) / 2.0) * gamma_real(1.0 - a / 2.0)
-              / gamma_real(1.0 - nu / 2.0))
+    direct = (pl.p_radial * pl.c_radial * kappa0_alt(a, nu)
+              + p_t * pl.c_transverse * kappa0_alt(a / 2.0, nu / 2.0))
     combo = (pl.p_radial * pl.c_radial * kappa0(a, nu)
              + p_t * pl.c_transverse * kappa0(a / 2.0, nu / 2.0))
     return direct, combo
-
-
-def _eval_shrink(g: Callable[[float], float], v: float, lo: float, hi: float) -> tuple[float, float]:
-    """Evaluate g at v, nudging off Gamma poles (pole hit = bracket shrink)."""
-    width = hi - lo
-    shift = 1e-4 * width
-    for k in range(8):
-        try:
-            return g(v), v
-        except PoleError:
-            v = v + shift if v + shift < hi else v - shift
-            shift *= 2.0
-    raise PoleError(f"could not sidestep pole near nu={v}")
 
 
 def nu_star(spec: ChainSpec) -> NuStarResult:
@@ -155,24 +141,29 @@ def nu_star(spec: ChainSpec) -> NuStarResult:
     `bracket` the final sign-change pair, `residual` |g(nu_star)| and
     `iterations` the gap evaluations after the two bracket ends.
 
-    Raises NoRootError when the gap function has one sign over the whole
-    bracket (the transient side of the phase boundary).
+    Raises NoRootError when g(0) > 0 (the transient side of the phase
+    boundary), and DomainError when g < 0 at both ends: the root lies above
+    the bracket's upper end, within 1e-10 of the top on the lines.
     """
     g, top = _gap_function(spec)
-    g_lo, lo = _eval_shrink(g, 0.0, 0.0, top)
-    g_hi, hi = _eval_shrink(g, top - 1e-6, lo, top)
+    lo, hi = 0.0, top - 1e-6
+    g_lo, g_hi = g(lo), g(hi)
     if spec.regime != "plane":   # the pole at the top: move the end toward it
         for gap in (1e-8, 1e-10):
             if g_lo >= 0.0 or g_hi > 0.0:
                 break
-            g_hi, hi = _eval_shrink(g, top - gap, lo, top)
+            hi, g_hi = top - gap, g(top - gap)
     if g_lo >= 0.0 or g_hi <= 0.0:
         if g_lo == 0.0 or g_hi == 0.0:
             v = lo if g_lo == 0.0 else hi
             return NuStarResult(v, (lo, hi), 0.0, 0)
-        raise NoRootError(
-            f"no sign change on [{lo:.2g}, {hi:.2g}] (g={g_lo:.4g}, {g_hi:.4g}); "
-            "spec sits on the transient side")
+        if g_lo > 0.0:
+            raise NoRootError(
+                f"no sign change on [{lo:.2g}, {hi:.2g}] (g={g_lo:.4g}, {g_hi:.4g}); "
+                "spec sits on the transient side")
+        raise DomainError(
+            f"g < 0 on all of [{lo:.2g}, {top} - {top - hi:.0e}] (g={g_lo:.4g}, {g_hi:.4g}): "
+            "the root lies above the bracket's upper end")
     # b is the best point, a the previous one, c the other end of the bracket
     a, fa, b, fb, c, fc = lo, g_lo, hi, g_hi, hi, g_hi
     iters = 0
@@ -201,10 +192,7 @@ def nu_star(spec: ChainSpec) -> NuStarResult:
             e = d = m
         a, fa = b, fb
         b += d if abs(d) > tol else math.copysign(tol, m)
-        try:
-            fb = g(b)
-        except PoleError:
-            fb, b = _eval_shrink(g, b, min(a, c), max(a, c))
+        fb = g(b)
         iters += 1
     return NuStarResult(b, (min(b, c), max(b, c)), abs(fb), iters)
 

@@ -129,12 +129,9 @@ def cmd_drift_verify(cfg: dict, out: Path, seed: int, workers: int) -> int:
     except (KeyError, TypeError, ValueError, OverflowError) as ex:
         raise ConfigError(f"missing or malformed field: {ex}", field="drift_verify")
     rep = verify_expansion(spec, i, nu, list(grid))
-    path = out / "drift_report.csv"
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["x", "numeric", "predicted", "normalized_error"])
-        for row in rep.rows():
-            w.writerow([row["x"], row["numeric"], row["predicted"], row["normalized_error"]])
+    _write_csv(out / "drift_report.csv", {
+        "x": np.array(rep.x_grid), "numeric": np.array(rep.numeric),
+        "predicted": np.array(rep.predicted), "normalized_error": np.array(rep.normalized_error)})
     summary = {"i": i, "nu": nu, "coefficient": rep.coefficient, "converged": rep.converged,
                "final_normalized_error": rep.normalized_error[-1]}
     _write_json(out / "drift_report.json", summary)

@@ -261,10 +261,6 @@ class DriftReport:
     coefficient: float
     converged: bool
 
-    def rows(self):
-        for x, n, p, e in zip(self.x_grid, self.numeric, self.predicted, self.normalized_error):
-            yield {"x": x, "numeric": n, "predicted": p, "normalized_error": e}
-
 
 def verify_expansion(spec: ChainSpec, i: int, nu: float, x_grid: Sequence[float]) -> DriftReport:
     """Check that (D_i(x) - drift term) / x^(nu-exponent) converges to the

@@ -35,8 +35,7 @@ def _beta_grid():
     return [1.1, 1.2, 1.3, 1.4, 1.5, 1.6, 1.7, 1.8, 1.9]
 
 
-def run_selftest(gamma_impl: Optional[Callable[[float], float]] = None,
-                 quad_tol: float = QUAD_TOL) -> list[IdentityResult]:
+def run_selftest(gamma_impl: Optional[Callable[[float], float]] = None) -> list[IdentityResult]:
     """Run every identity; returns per-identity worst errors.
 
     gamma_impl (when given) replaces gamma_real inside the closed forms only,
@@ -109,10 +108,9 @@ def run_selftest(gamma_impl: Optional[Callable[[float], float]] = None,
         "negative_from": [(0.3, 0.5, 1e4), (-1.5, 0.9, 1e4), (0.05, 0.9, 1e4)],
     }
     for name, cases in cf_cases.items():
-        base = 1e-3 if name in ("negative_to", "negative_from") else 1e-6
-        tol = max(base, 4.0 * quad_tol)   # a looser oracle loosens the comparison
+        tol = 1e-3 if name in ("negative_to", "negative_from") else 1e-6
         pairs = [(sf.closed_form_integrals(name, p, q, x, gamma),
-                  sf.closed_form_integral_quad(name, p, q, x, abs_tol=quad_tol))
+                  sf.closed_form_integral_quad(name, p, q, x, abs_tol=QUAD_TOL))
                  for p, q, x in cases]
         check(name, pairs, tol)
 

@@ -4,10 +4,11 @@ Everything here is pure, with no cache: the gamma / digamma pair, the three
 kappa coefficient functions that drive the drift expansions and the critical
 exponent equations, the extended incomplete beta, the closed-form tail
 integrals (the drift's whole Pareto term among them), and the Gauss-Kronrod
-integrator that serves as their independent oracle.  No scipy: gamma is
-CPython's `math.gamma` behind a pole guard (at most 8.5e-16 relative from
-40-digit mpmath on [-12, 30]), and quadrature is deterministic so failures
-reproduce.
+integrator over finite intervals that serves as their independent oracle in
+the selftest and the tests (classify, nu* and the drift never run it).  No
+scipy: gamma is CPython's `math.gamma` behind a pole guard (at most 8.5e-16
+relative from 40-digit mpmath on [-12, 30]), and quadrature is deterministic
+so failures reproduce.
 """
 
 from __future__ import annotations
@@ -60,11 +61,14 @@ def gamma_real(z: float) -> float:
 
 
 def rgamma(z: float) -> float:
-    """1 / Gamma(z); entire, so returns 0.0 at the non-positive integers."""
+    """1 / Gamma(z): 0.0 at the non-positive integers, and copysign(inf, Gamma)
+    where Gamma is a subnormal or a signed zero (z below about -171), as
+    |1/Gamma| is then beyond the float range."""
     try:
-        return 1.0 / gamma_real(z)
+        g = gamma_real(z)
     except PoleError:
         return 0.0
+    return 1.0 / g if g != 0.0 else math.copysign(math.inf, g)
 
 
 # Bernoulli-number coefficients B_{2k}/(2k) of the digamma asymptotic series.
@@ -188,62 +192,48 @@ _MAX_INTERVALS = 200_000
 INCOMPLETE_BETA_TOL = 1e-10   # absolute tolerance of incomplete_beta_ext
 
 
+# Kronrod nodes of the GK 7-15 rule on [-1, 1] (positive half, centre last),
+# their Kronrod weights, and the Gauss weights (0 at the Kronrod-only nodes)
+_GK_NODES = (0.9914553711208126, 0.9491079123427585, 0.8648644233597691, 0.7415311855993944,
+             0.5860872354676911, 0.4058451513773972, 0.2077849550078985, 0.0)
+_GK_WK = (0.022935322010529224, 0.06309209262997855, 0.10479001032225018, 0.14065325971552592,
+          0.1690047266392679, 0.19035057806478542, 0.20443294007529889, 0.20948214108472782)
+_GK_WG = (0.0, 0.12948496616886969, 0.0, 0.2797053914892767, 0.0, 0.3818300505051189, 0.0,
+          0.41795918367346935)
+
+
 def _gk15(f: Callable[[float], float], lo: float, hi: float) -> tuple[float, float]:
     """One Gauss-Kronrod 7-15 panel: returns (K15 value, |K15-G7| estimate).
 
-    The rule is written out: for the 15-point Kronrod nodes +-x_j on [-1,1],
-    p_j = f(mid - half x_j) + f(mid + half x_j), then the centre.  The sums
-    run from 0.0 over the pairs, outermost first, then the centre.  The
-    7-point Gauss sum keeps the zero weight of each Kronrod-only pair, so an
-    inf or nan there still makes the error estimate nan.
+    The sums run from 0.0 over the pairs f(mid - half x_j) + f(mid + half x_j),
+    outermost first, then the centre.  The Gauss sum keeps the zero weight of
+    each Kronrod-only pair, so an inf or nan there makes the estimate nan.
     """
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
-    d = half * 0.9914553711208126
-    p0 = f(mid - d) + f(mid + d)
-    d = half * 0.9491079123427585
-    p1 = f(mid - d) + f(mid + d)
-    d = half * 0.8648644233597691
-    p2 = f(mid - d) + f(mid + d)
-    d = half * 0.7415311855993944
-    p3 = f(mid - d) + f(mid + d)
-    d = half * 0.5860872354676911
-    p4 = f(mid - d) + f(mid + d)
-    d = half * 0.4058451513773972
-    p5 = f(mid - d) + f(mid + d)
-    d = half * 0.2077849550078985
-    p6 = f(mid - d) + f(mid + d)
+    k = g = 0.0
+    for node, wk, wg in zip(_GK_NODES[:-1], _GK_WK[:-1], _GK_WG[:-1]):
+        pair = f(mid - half * node) + f(mid + half * node)
+        k += wk * pair
+        g += wg * pair
     fc = f(mid)
-    k = (0.0 + 0.022935322010529224 * p0 + 0.06309209262997855 * p1
-         + 0.10479001032225018 * p2 + 0.14065325971552592 * p3
-         + 0.1690047266392679 * p4 + 0.19035057806478542 * p5
-         + 0.20443294007529889 * p6 + 0.20948214108472782 * fc)
-    g = (0.0 + 0.0 * p0 + 0.12948496616886969 * p1 + 0.0 * p2 + 0.2797053914892767 * p3
-         + 0.0 * p4 + 0.3818300505051189 * p5 + 0.0 * p6 + 0.41795918367346935 * fc)
+    k += _GK_WK[-1] * fc
+    g += _GK_WG[-1] * fc
     return k * half, abs(k - g) * half
 
 
 def integrate_adaptive(f: Callable[[float], float], a: float, b: float,
                        abs_tol: float = 1e-10) -> float:
-    """Integrate f over (a, b) to absolute tolerance abs_tol.
+    """Integrate f over the finite interval (a, b) to absolute tolerance abs_tol.
 
-    b may be math.inf; the infinite range is mapped by u = t/(1-t).  Endpoint
-    algebraic singularities are handled by bisecting toward the endpoint; an
-    endpoint-adjacent interval whose whole contribution is below abs_tol/4 is
-    accepted as is.  Raises ConvergenceError at subdivision depth 60.  The map
-    turns a y^(-e) tail into an s^(e-2) singularity at s = 0, which 60
-    bisections do not resolve when e is well below 2: y^(-1.5) on (1, inf) at
-    abs_tol 1e-10 raises ConvergenceError.  Such tails take a closed form
-    (`pareto_tail_integral`).
+    Raises DomainError on a non-finite bound: slow power tails take a closed
+    form (`pareto_tail_integral`).  Endpoint algebraic singularities are
+    handled by bisecting toward the endpoint; an endpoint-adjacent interval
+    whose whole contribution is below abs_tol/4 is accepted as is.  Raises
+    ConvergenceError at subdivision depth 60.
     """
-    if math.isinf(b):
-        # u = t/(1-t); the upper half runs in s = 1-t so that bisection toward
-        # the (possibly singular) far endpoint happens at s = 0, where floats
-        # still have resolution.
-        g = lambda t: f(a + t / (1.0 - t)) / ((1.0 - t) * (1.0 - t))
-        g_flip = lambda s: f(a + (1.0 - s) / s) / (s * s)
-        return (integrate_adaptive(g, 0.0, 0.5, abs_tol / 2)
-                + integrate_adaptive(g_flip, 0.0, 0.5, abs_tol / 2))
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise DomainError(f"integrate_adaptive needs finite bounds, got ({a!r}, {b!r})")
     if a == b:
         return 0.0
     if a > b:

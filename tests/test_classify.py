@@ -8,7 +8,8 @@ from heavywalk.classify import (CRITICAL, NULL_RECURRENT, POSITIVE_RECURRENT,
                                 TRANSIENT, TRANSIENT_DIRECTIONAL, TRANSIENT_OSCILLATORY)
 from heavywalk.classify import (Classification, _gap_function, classify, drift_threshold,
                                 moment_exponent, nu_star, plane_equation_forms, plane_quantity)
-from heavywalk.errors import HeavywalkError, NoRootError, NotRecurrentError
+from heavywalk import specialfn as sf
+from heavywalk.errors import DomainError, HeavywalkError, NoRootError, NotRecurrentError
 from heavywalk.specialfn import KAPPA2_GUARD, kappa0, kappa2
 
 from conftest import balanced, half_line, line_in, line_out, plane
@@ -273,6 +274,72 @@ def test_nu_star_root_within_1e6_of_the_top(b):
     ns = nu_star(spec)
     assert ns.bracket[0] <= ns.nu_star <= ns.bracket[1]
 
+
+
+def test_root_above_the_bracket_is_a_domain_error():
+    # recurrent (b far below the threshold), but g(top - 1e-10) is still
+    # negative: the root lies above the bracket, which is not the transient side
+    spec = half_line(alpha=1.5, gamma=0.5, b=-1e10, x0=40.0)
+    g, top = _gap_function(spec)
+    assert g(0.0) < 0.0 and g(top - 1e-10) <= 0.0
+    with pytest.raises(DomainError, match="root lies above the bracket"):
+        nu_star(spec)
+    with pytest.raises(DomainError, match="root lies above the bracket"):
+        classify(spec)
+
+
+def _pole_distance(z):
+    """Distance from z to the nearest non-positive integer, a pole of Gamma."""
+    return z if z > 0.0 else abs(z - round(z))
+
+
+def _edge_specs(n, seed):
+    """n seeded specs with exponents near 1 and 2 half of the time: critical
+    drift b from 1e8 below the threshold to just below it, and planes."""
+    rng = np.random.default_rng(seed)
+    edges = (1.0 + 1e-9, 1.0 + 1e-6, 2.0 - 1e-6, 2.0 - 1e-9)
+    out = []
+    while len(out) < n:
+        regime = ("half_line", "line_out", "line_in", "line_balanced", "plane")[len(out) % 5]
+        e = float(edges[rng.integers(4)] if rng.random() < 0.5 else rng.uniform(1.0, 2.0))
+        c = float(10.0 ** rng.uniform(-2.0, 0.3))
+        try:
+            if regime == "plane":
+                out.append(plane(alpha=e, p_radial=float(rng.uniform(0.05, 0.95)), c_radial=c,
+                                 c_transverse=float(rng.uniform(0.5, 2.0))))
+                continue
+            make = {"half_line": half_line, "line_out": line_out,
+                    "line_balanced": balanced}.get(regime)
+            proto = line_in(beta=e, c=c) if make is None else make(alpha=e, c=c)
+            b = drift_threshold(proto) - float(10.0 ** rng.uniform(-8.0, 8.0))
+            out.append(line_in(beta=e, gamma=e - 1.0, b=b, c=c, x0=4.0) if make is None
+                       else make(alpha=e, gamma=e - 1.0, b=b, c=c, x0=4.0))
+        except HeavywalkError:
+            continue
+    return out
+
+
+def test_nu_star_gamma_arguments_stay_off_the_poles(monkeypatch):
+    """nu_star calls its gap with no pole sidestep: every Gamma argument of a
+    solve stays at least 1e-10 (the top's nearest bracket end, up to its
+    rounding) from a pole, 100 times gamma_real's 1e-12 guard."""
+    args = []
+    real = sf.gamma_real
+
+    def recorder(z):
+        args.append(z)
+        return real(z)
+
+    monkeypatch.setattr(sf, "gamma_real", recorder)
+    solved = 0
+    for spec in _edge_specs(1000, seed=19):
+        try:
+            nu_star(spec)
+            solved += 1
+        except (NoRootError, DomainError):   # the transient side, a root above the bracket
+            pass
+    assert solved >= 800
+    assert min(map(_pole_distance, args)) >= 1e-10 - 2.0 ** -52
 
 
 def _seeded_specs(regime, n, seed):

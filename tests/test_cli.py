@@ -12,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from heavywalk.cli import _CSV_BLOCK, _write_csv, main, sim_from_config, spec_from_config
+from heavywalk.lyapunov import verify_expansion
 from heavywalk.montecarlo import _simulate_batch, survival_curve, survival_grid
 from heavywalk.selftest import run_selftest
 from heavywalk import specialfn as sf
@@ -99,6 +100,20 @@ def test_cmd_nu_star_transient_side(tmp_path):
     rc = main(["nu-star", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path)])
     assert rc == 0
     assert json.loads((tmp_path / "nu_star.json").read_text())["no_root"] is True
+
+
+@pytest.mark.parametrize("command, name", [("classify", "classify.json"),
+                                           ("nu-star", "nu_star.json")])
+def test_root_above_the_bracket_exits_2(tmp_path, capsys, command, name):
+    # recurrent, with nu* above the bracket's last upper end (alpha - 1e-10):
+    # a refusal, not a no_root answer that would call the spec transient
+    cfg = {"regime": "half_line", "alpha": 1.5, "c": 1.0, "gamma": 0.5, "b": -1e10,
+           "p_heavy": 0.25, "x0": 40.0}
+    rc = main([command, "--config", write_config(tmp_path, cfg), "--out", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: DomainError") and "root lies above the bracket" in err
+    assert not (tmp_path / name).exists()
 
 
 # ---------------------------------------------------------------------------
@@ -473,6 +488,24 @@ def test_cmd_drift_verify(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out) == report
 
 
+@pytest.mark.parametrize("cfg", [
+    {"regime": "line_in", "alpha": 2.5, "beta": 1.3, "gamma": 0.3, "b": -3.0, "x0": 2.0,
+     "drift_verify": {"i": 2, "nu": 0.4, "x_min": -1e5, "x_max": -1e2, "points": 5}},
+    dict(HL, gamma=0.5, b=-1.0, drift_verify={"i": 0, "nu": 0.0, "points": 4}),
+], ids=["negative_grid", "nu_zero"])
+def test_drift_report_csv_is_csv_writer_bytes(tmp_path, cfg):
+    assert main(["drift-verify", "--config", write_config(tmp_path, cfg),
+                 "--out", str(tmp_path)]) == 0
+    d = cfg["drift_verify"]
+    grid = np.geomspace(d.get("x_min", 1e2), d.get("x_max", 1e5), d["points"])
+    rep = verify_expansion(spec_from_config(cfg), d["i"], d["nu"], list(grid))
+    buf = io.StringIO(newline="")
+    w = csv.writer(buf)
+    w.writerow(["x", "numeric", "predicted", "normalized_error"])
+    w.writerows(zip(rep.x_grid, rep.numeric, rep.predicted, rep.normalized_error))
+    assert (tmp_path / "drift_report.csv").read_bytes() == buf.getvalue().encode()
+
+
 NEAR_TAIL = {"regime": "half_line", "alpha": 1.5, "beta": 2.5, "gamma": 0.5, "b": -1.0,
              "drift_verify": {"i": 0, "nu": 1.499, "x_min": 100, "x_max": 1000, "points": 2}}
 
@@ -522,9 +555,3 @@ def test_selftest_fault_injection_names_identity():
     failed = [r.name for r in results if not r.passed]
     assert "positive_part" in failed
 
-
-def test_selftest_loose_quadrature_still_passes():
-    # identities are far from any sensible tolerance, so loosening the
-    # quadrature oracle to 1e-2 still verifies everything
-    results = run_selftest(quad_tol=1e-2)
-    assert all(r.passed for r in results)

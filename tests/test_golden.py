@@ -15,6 +15,7 @@ import json
 
 import pytest
 
+from heavywalk import specialfn as sf
 from heavywalk.classify import classify, nu_star
 from heavywalk.cli import main
 from heavywalk.errors import NoRootError
@@ -140,3 +141,19 @@ def analytic_digest(name: str) -> str:
 @pytest.mark.parametrize("name", sorted(ANALYTIC))
 def test_analytic_reprs_match_golden(name):
     assert analytic_digest(name) == ANALYTIC_DIGESTS[name]
+
+
+def test_analytic_path_calls_no_quadrature_panel(monkeypatch):
+    # classify, nu_star, verify_expansion and criteria_check are closed forms:
+    # the GK15 panel serves only the selftest's quadrature oracles
+    panels = []
+    real = sf._gk15
+
+    def recorder(f, lo, hi):
+        panels.append((lo, hi))
+        return real(f, lo, hi)
+
+    monkeypatch.setattr(sf, "_gk15", recorder)
+    for name in sorted(ANALYTIC):
+        assert analytic_digest(name) == ANALYTIC_DIGESTS[name]
+    assert panels == []

@@ -92,6 +92,13 @@ def test_rgamma_zero_at_poles():
     assert sf.rgamma(2.0) == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("z", [-171.5, -176.5, -178.5, -200.5, -1000.5])
+def test_rgamma_beyond_the_float_range_is_a_signed_inf(z):
+    # Gamma is a subnormal from about -171 on and a signed zero from about
+    # -178 on; 1/Gamma is then beyond the float range, with Gamma's sign
+    assert sf.rgamma(z) == math.copysign(math.inf, float(mp.sign(mp.gamma(z))))
+
+
 def test_digamma_recurrence_psi2_minus_psi1():
     assert sf.digamma(2.0) - sf.digamma(1.0) == pytest.approx(1.0, abs=1e-12)
 
@@ -357,73 +364,23 @@ def test_kappa_domain_errors():
 # adaptive quadrature
 # ---------------------------------------------------------------------------
 
-# Kronrod nodes (positive half, centre last), Kronrod weights and Gauss
-# weights (0 at Kronrod-only nodes) of the GK 7-15 rule, and the panel in its
-# loop form: the oracle for the written-out _gk15.
-GK_NODES = (0.9914553711208126, 0.9491079123427585, 0.8648644233597691, 0.7415311855993944,
-            0.5860872354676911, 0.4058451513773972, 0.2077849550078985, 0.0)
-GK_WK = (0.022935322010529224, 0.06309209262997855, 0.10479001032225018, 0.14065325971552592,
-         0.1690047266392679, 0.19035057806478542, 0.20443294007529889, 0.20948214108472782)
-GK_WG = (0.0, 0.12948496616886969, 0.0, 0.2797053914892767, 0.0, 0.3818300505051189, 0.0,
-         0.41795918367346935)
-
-
-def gk15_loop(f, lo, hi):
-    mid = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    k = 0.0
-    g = 0.0
-    for node, wk, wg in zip(GK_NODES[:-1], GK_WK[:-1], GK_WG[:-1]):
-        pair = f(mid - half * node) + f(mid + half * node)
-        k += wk * pair
-        g += wg * pair
-    fv = f(mid)
-    k += GK_WK[-1] * fv
-    g += GK_WG[-1] * fv
-    return k * half, abs(k - g) * half
-
-
-GK_INTEGRANDS = {
-    "cubic": lambda u: u ** 3 - 2.0 * u + 0.5,
-    "exp": lambda u: math.exp(-u),
-    "sin": math.sin,                                   # sign changes inside the panel
-    "sqrt_abs": lambda u: math.sqrt(abs(u)),
-    "step": lambda u: 1.0 if u > 0.3 else -1.0,
-    "neg_zero": lambda u: -0.0,                        # every node -0.0
-    "neg_zero_left": lambda u: -0.0 if u < 0.0 else u * 1e-300,
-    "tiny": lambda u: 1e-310 * u,                      # subnormal products
-    "cancel": lambda u: u,                             # pairs cancel on symmetric panels
-    "power_tail": lambda u: (1.0 + abs(u)) ** -1.7,
-    "inf_kronrod_only": lambda u: math.inf if u > 0.99 else 1.0,   # first node pair
-    "inf_gauss": lambda u: math.inf if 0.97 < u < 0.98 else 1.0,   # second node pair
-    "nan": lambda u: math.nan if u == 0.0 else 1.0,
-}
-GK_PANELS = [(0.0, 1.0), (-1.0, 1.0), (-3.0, 4.0), (1e-12, 2e-12), (-5e-324, 5e-324),
-             (1e10, 1e12), (-1e300, 1e300), (2.0, -1.0), (0.25, 0.25)]
-
-
-def test_gk15_matches_loop_oracle_bitwise():
-    mismatches = []
-    for name, f in GK_INTEGRANDS.items():
-        for lo, hi in GK_PANELS:
-            got, want = _outcome(sf._gk15, f, lo, hi), _outcome(gk15_loop, f, lo, hi)
-            if got != want:
-                mismatches.append((name, lo, hi, got, want))
-    assert mismatches == []
+def test_gk15_kronrod_only_inf_makes_the_error_estimate_nan():
+    # the Gauss sum keeps the zero weight of the Kronrod-only pair at
+    # +-0.991, so 0 * inf turns its estimate, and so |K - G|, into nan
+    f = lambda u: math.inf if u > 0.99 else 1.0
+    value, err = sf._gk15(f, -1.0, 1.0)
+    assert value == math.inf and math.isnan(err)
 
 
 def test_integrate_constant():
     assert sf.integrate_adaptive(lambda u: 1.0, 0.0, 1.0, 1e-12) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_integrate_exponential_infinite_range():
-    v = sf.integrate_adaptive(lambda u: math.exp(-u), 0.0, math.inf, 1e-10)
-    assert v == pytest.approx(1.0, abs=1e-9)
-
-
-def test_integrate_beta_half_half():
-    v = sf.integrate_adaptive(lambda u: u ** -0.5 / (1.0 + u), 0.0, math.inf, 1e-8)
-    assert v == pytest.approx(math.pi, abs=1e-7)
+@pytest.mark.parametrize("a, b", [(0.0, math.inf), (-math.inf, 0.0), (math.inf, 1.0),
+                                  (0.0, math.nan)])
+def test_integrate_refuses_non_finite_bounds(a, b):
+    with pytest.raises(DomainError):
+        sf.integrate_adaptive(lambda u: 1.0, a, b, 1e-10)
 
 
 def test_integrate_reversed_and_empty():
@@ -455,17 +412,6 @@ def test_quad_stats_panels_and_depth(monkeypatch):
     assert len(widths) % 2 == 1 and widths[0] == 1.0
     depths = [-math.log2(w) for w in widths]
     assert all(d == round(d) for d in depths) and max(depths) > 5
-    # the infinite range runs its two halves, each from one panel
-    widths.clear()
-    sf.integrate_adaptive(lambda u: math.exp(-u), 0.0, math.inf, 1e-10)
-    assert len(widths) > 2 and widths.count(0.5) >= 2
-
-
-def test_infinite_range_cannot_take_a_slow_power_tail():
-    # u = t/(1-t) maps y^-1.5 on (1, inf) to an s^-0.5 endpoint singularity
-    # that 60 bisections do not resolve at 1e-10: an error, not a wrong value
-    with pytest.raises(ConvergenceError):
-        sf.integrate_adaptive(lambda y: y ** -1.5, 1.0, math.inf, 1e-10)
 
 
 # ---------------------------------------------------------------------------
