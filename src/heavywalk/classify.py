@@ -132,8 +132,10 @@ def nu_star(spec: ChainSpec) -> NuStarResult:
 
     The bracket starts at [0, top - 1e-6]; at nu = 0 the gap is exactly the
     threshold gap (b - thr on the lines, pi/sin(pi alpha) times the plane
-    quantity).  On the lines g has its pole at the top, so where g(top - 1e-6)
-    <= 0 < -g(0) the upper end moves to top - 1e-8, then to top - 1e-10.
+    quantity).  Where g(top - 1e-6) <= 0 < -g(0) the upper end moves up: on
+    the lines, where g has its pole at the top, to top - 1e-8, then to
+    top - 1e-10; on the plane to top = 1 itself, where g = p_T c_T
+    kappa0(alpha/2, 1/2) > 0 (kappa0(alpha, 1) = 0).
     Each step is an inverse-quadratic or secant step kept strictly inside the
     current sign-change bracket, or a bisection where that would stall.  It
     stops at an exact zero of g or when the bracket's half-width is at most
@@ -142,17 +144,16 @@ def nu_star(spec: ChainSpec) -> NuStarResult:
     `iterations` the gap evaluations after the two bracket ends.
 
     Raises NoRootError when g(0) > 0 (the transient side of the phase
-    boundary), and DomainError when g < 0 at both ends: the root lies above
-    the bracket's upper end, within 1e-10 of the top on the lines.
+    boundary), and DomainError when g < 0 at both ends on a line: the root
+    lies above the bracket's upper end, within 1e-10 of the top.
     """
     g, top = _gap_function(spec)
     lo, hi = 0.0, top - 1e-6
     g_lo, g_hi = g(lo), g(hi)
-    if spec.regime != "plane":   # the pole at the top: move the end toward it
-        for gap in (1e-8, 1e-10):
-            if g_lo >= 0.0 or g_hi > 0.0:
-                break
-            hi, g_hi = top - gap, g(top - gap)
+    for gap in (0.0,) if spec.regime == "plane" else (1e-8, 1e-10):
+        if g_lo >= 0.0 or g_hi > 0.0:
+            break
+        hi, g_hi = top - gap, g(top - gap)
     if g_lo >= 0.0 or g_hi <= 0.0:
         if g_lo == 0.0 or g_hi == 0.0:
             v = lo if g_lo == 0.0 else hi

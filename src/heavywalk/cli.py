@@ -10,10 +10,13 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import math
 import sys
 import time
+from contextlib import contextmanager
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -21,13 +24,15 @@ import numpy as np
 from . import __version__
 from .classify import classify, nu_star
 from .errors import ConfigError, HeavywalkError, NoRootError
-from .increments import ChainSpec, _real
+from .increments import ChainSpec, DriftParams, PlaneParams, TailParams, _real
 from .lyapunov import verify_expansion
 from .montecarlo import SimConfig, _simulate_batch, survival_curve, survival_grid
 from .selftest import run_selftest
 
-_SPEC_KEYS = ("regime", "alpha", "beta", "c", "gamma", "b", "p_heavy", "x0", "plane")
-_PLANE_KEYS = ("p_radial", "c_radial", "c_transverse")
+_PLANE_KEYS = {f.name for f in fields(PlaneParams)}
+# the sweep parameters: every numeric spec field
+_SWEEPABLE = {"p_heavy", *_PLANE_KEYS,
+              *(f.name for rec in (TailParams, DriftParams) for f in fields(rec))}
 # rows per string that simulate's CSV writer converts and writes at once
 _CSV_BLOCK = 8192
 
@@ -45,13 +50,23 @@ def load_config(path: str) -> dict:
     return cfg
 
 
-def spec_from_config(cfg: dict) -> ChainSpec:
-    if "regime" not in cfg:
-        raise ConfigError("missing required field", field="regime")
+@contextmanager
+def _reading(field: str):
+    """Read the config entries of `field`: a missing entry, a malformed value
+    and a spec or run they do not allow are each a ConfigError for it."""
     try:
-        return ChainSpec.from_json({k: cfg[k] for k in _SPEC_KEYS if k in cfg})
-    except (KeyError, TypeError, ValueError, OverflowError, HeavywalkError) as ex:
-        raise ConfigError(str(ex), field="spec")
+        yield
+    except ConfigError:
+        raise
+    except KeyError as ex:
+        raise ConfigError(f"missing field {ex}", field=field)
+    except (TypeError, ValueError, OverflowError, OSError, HeavywalkError) as ex:
+        raise ConfigError(str(ex), field=field)
+
+
+def spec_from_config(cfg: dict) -> ChainSpec:
+    with _reading("spec"):
+        return ChainSpec.from_json(cfg)
 
 
 def _integer(value) -> int:
@@ -69,19 +84,12 @@ def sim_from_config(cfg: dict, spec: ChainSpec, seed: int, workers: int) -> SimC
     sim = cfg.get("sim")
     if not isinstance(sim, dict):
         raise ConfigError("missing sim section", field="sim")
-    try:
+    with _reading("sim"):
         start = sim["start"]
-        if isinstance(start, list):
-            start = tuple(_real(v) for v in start)
-        else:
-            start = _real(start)
+        start = tuple(map(_real, start)) if isinstance(start, list) else _real(start)
         return SimConfig(spec=spec, start=start, a=_real(sim["a"]),
                          horizon=_integer(sim["horizon"]), n_traj=_integer(sim["n_traj"]),
                          master_seed=seed, workers=workers)
-    except KeyError as ex:
-        raise ConfigError(f"missing field {ex}", field="sim")
-    except (TypeError, ValueError, OverflowError, HeavywalkError) as ex:
-        raise ConfigError(str(ex), field="sim")
 
 
 def _write_json(path: Path, obj: dict) -> None:
@@ -116,7 +124,7 @@ def cmd_drift_verify(cfg: dict, out: Path, seed: int, workers: int) -> int:
     if not isinstance(d, dict):
         raise ConfigError("missing drift_verify section {i, nu, x_min, x_max, points}",
                           field="drift_verify")
-    try:
+    with _reading("drift_verify"):
         i = _integer(d["i"])
         nu = _real(d["nu"])
         x_min, x_max = _real(d.get("x_min", 1e2)), _real(d.get("x_max", 1e5))
@@ -126,8 +134,6 @@ def cmd_drift_verify(cfg: dict, out: Path, seed: int, workers: int) -> int:
             raise ValueError(f"x_min and x_max must be non-zero and of one sign, "
                              f"got {x_min!r}, {x_max!r}")
         grid = np.geomspace(x_min, x_max, _integer(d.get("points", 4)))
-    except (KeyError, TypeError, ValueError, OverflowError) as ex:
-        raise ConfigError(f"missing or malformed field: {ex}", field="drift_verify")
     rep = verify_expansion(spec, i, nu, list(grid))
     _write_csv(out / "drift_report.csv", {
         "x": np.array(rep.x_grid), "numeric": np.array(rep.numeric),
@@ -169,12 +175,10 @@ def _write_csv(path: Path, cols: dict) -> None:
 def cmd_simulate(cfg: dict, out: Path, seed: int, workers: int) -> int:
     spec = spec_from_config(cfg)
     sim = sim_from_config(cfg, spec, seed, workers)
-    try:
+    with _reading("m_level"):
         m_level = _real(cfg.get("m_level", math.inf))
-    except (TypeError, ValueError, OverflowError) as ex:
-        raise ConfigError(str(ex), field="m_level")
-    if math.isnan(m_level):
-        raise ConfigError("must be a number, got NaN", field="m_level")
+        if math.isnan(m_level):
+            raise ValueError("must be a number, got NaN")
     t_simulate = time.perf_counter()
     batch = _simulate_batch(sim, m_level)
 
@@ -221,6 +225,21 @@ def _axis_values(ax: dict) -> np.ndarray:
     return np.linspace(lo, hi, _integer(ax["steps"]))
 
 
+def _phase_row(cfg: dict, point: dict) -> list:
+    """The phase and q_crit of the spec at a sweep point: cfg with the point's
+    values, a plane parameter's merged into a copy of the plane section.  A
+    point with no spec or no phase is an error: row."""
+    at = dict(cfg, **point)
+    plane = {k: v for k, v in point.items() if k in _PLANE_KEYS}
+    if plane:
+        at["plane"] = {**cfg.get("plane", {}), **plane}
+    try:
+        cl = classify(ChainSpec.from_json(at))
+    except HeavywalkError as ex:
+        return [f"error:{type(ex).__name__}", ""]
+    return [cl.phase, "" if cl.moment_exponent is None else cl.moment_exponent]
+
+
 def cmd_phase_diagram(cfg: dict, out: Path, seed: int, workers: int) -> int:
     axes = cfg.get("grid")
     if not axes:
@@ -230,52 +249,22 @@ def cmd_phase_diagram(cfg: dict, out: Path, seed: int, workers: int) -> int:
         axes = [axes]
     if not isinstance(axes, list) or len(axes) > 2:
         raise ConfigError("one sweep axis, or a list of at most two", field="grid")
-    sweepable = {"alpha", "beta", "c", "gamma", "b", "p_heavy", "x0", *_PLANE_KEYS}
-    try:
+    with _reading("grid"):
         grids = [_axis_values(ax) for ax in axes]
         names = [str(ax["param"]) for ax in axes]
-    except KeyError as ex:
-        raise ConfigError(f"axis missing {ex}", field="grid")
-    except (TypeError, ValueError, OverflowError) as ex:
-        raise ConfigError(f"malformed axis: {ex}", field="grid")
     for name, g in zip(names, grids):
         if len(g) < 2:
             raise ConfigError("steps must be >= 2", field="grid")
-        if name not in sweepable:
+        if name not in _SWEEPABLE:
             raise ConfigError(f"unknown sweep parameter {name!r}; "
-                              f"expected one of {sorted(sweepable)}", field="grid")
-
-    base = {k: cfg[k] for k in _SPEC_KEYS if k in cfg}
-
-    def spec_at(point: dict) -> ChainSpec:
-        obj = json.loads(json.dumps(base))
-        for name, val in point.items():
-            if name in _PLANE_KEYS:
-                obj.setdefault("plane", {})[name] = val
-            else:
-                obj[name] = val
-        try:
-            return ChainSpec.from_json(obj)
-        except (KeyError, TypeError, ValueError, OverflowError) as ex:
-            raise ConfigError(f"cannot build a spec at {point}: {ex!r}", field="grid")
-
-    points = [dict(zip(names, [float(v)])) for v in grids[0]] if len(axes) == 1 else [
-        {names[0]: float(v0), names[1]: float(v1)} for v0 in grids[0] for v1 in grids[1]]
-
+                              f"expected one of {sorted(_SWEEPABLE)}", field="grid")
+    points = [dict(zip(names, v)) for v in itertools.product(*(g.tolist() for g in grids))]
+    # a spec entry or plane section that cannot be read exits 2, not a row
+    with _reading("spec"):
+        rows = [[pt[n] for n in names] + _phase_row(cfg, pt) for pt in points]
     path = out / "phase_diagram.csv"
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(names + ["phase", "q_crit"])
-        for pt in points:
-            try:
-                cl = classify(spec_at(pt))
-                row = [pt[n] for n in names] + [cl.phase,
-                                                "" if cl.moment_exponent is None else cl.moment_exponent]
-            except ConfigError:
-                raise
-            except HeavywalkError as ex:
-                row = [pt[n] for n in names] + [f"error:{type(ex).__name__}", ""]
-            w.writerow(row)
+        csv.writer(fh).writerows([names + ["phase", "q_crit"], *rows])
     print(json.dumps({"rows": len(points), "output": path.name}))
     return 0
 
@@ -320,13 +309,11 @@ def main(argv=None) -> int:
         cfg = load_config(args.config) if args.config else {}
         if args.command != "selftest" and not cfg:
             raise ConfigError("--config is required for this command")
-        try:
+        with _reading("seed, workers and out"):
             seed = args.seed if args.seed is not None else _integer(cfg.get("seed", 0))
             workers = args.workers if args.workers is not None else _integer(cfg.get("workers", 1))
             out = Path(args.out if args.out is not None else cfg.get("out", "."))
             out.mkdir(parents=True, exist_ok=True)   # OSError: out is not a usable directory
-        except (TypeError, ValueError, OverflowError, OSError) as ex:
-            raise ConfigError(f"seed, workers and out: {ex}")
         return _COMMANDS[args.command](cfg, out, seed, workers)
     except ConfigError as ex:
         print(f"config error: {ex}", file=sys.stderr)

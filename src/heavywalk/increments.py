@@ -16,7 +16,7 @@ illegal light side, and a ChainSpec builds its law at x_floor, the binding state
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from functools import cached_property
 from typing import Optional
 
@@ -41,11 +41,19 @@ def _real(value) -> float:
     return float(value)
 
 
+def _record(cls, obj: dict):
+    """A parameter record from the config entries named by its fields, each a
+    JSON number, or null where the field's default is None; absent fields
+    take the record's defaults, and a field with none raises KeyError."""
+    return cls(**{f.name: None if obj[f.name] is None and f.default is None else _real(obj[f.name])
+                  for f in fields(cls) if f.name in obj or f.default is MISSING})
+
+
 @dataclass(frozen=True)
 class TailParams:
     """Tail exponents and constant: alpha / beta roles depend on the regime."""
 
-    alpha: float
+    alpha: float = 1.5
     beta: Optional[float] = None
     c: float = 1.0
     x0: float = 1.0
@@ -78,8 +86,7 @@ class ChainSpec:
         if self.regime not in REGIMES:
             raise DomainError(f"unknown regime {self.regime!r}")
         t, d = self.tail, self.drift
-        values = dict(alpha=t.alpha, beta=t.beta, c=t.c, x0=t.x0, gamma=d.gamma, b=d.b,
-                      **(vars(self.plane) if self.plane is not None else {}))
+        values = {**vars(t), **vars(d), **(vars(self.plane) if self.plane is not None else {})}
         bad = [k for k, v in values.items() if v is not None and not math.isfinite(v)]
         if bad:
             raise DomainError(f"{', '.join(bad)} must be finite")
@@ -207,47 +214,22 @@ class ChainSpec:
     # -- serialization -----------------------------------------------------
 
     def to_json(self) -> dict:
-        out = {
-            "regime": self.regime,
-            "alpha": self.tail.alpha,
-            "c": self.tail.c,
-            "x0": self.tail.x0,
-            "gamma": self.drift.gamma,
-            "b": self.drift.b,
-            "p_heavy": self.p_heavy,
-        }
-        if self.tail.beta is not None:
-            out["beta"] = self.tail.beta
+        out = {"regime": self.regime, **asdict(self.tail), **asdict(self.drift),
+               "p_heavy": self.p_heavy}
+        if out["beta"] is None:
+            del out["beta"]
         if self.plane is not None:
-            out["plane"] = {
-                "p_radial": self.plane.p_radial,
-                "c_radial": self.plane.c_radial,
-                "c_transverse": self.plane.c_transverse,
-            }
+            out["plane"] = asdict(self.plane)
         return out
 
     @staticmethod
     def from_json(obj: dict) -> "ChainSpec":
-        plane = None
-        if obj.get("plane") is not None:
-            p = obj["plane"]
-            plane = PlaneParams(
-                p_radial=_real(p["p_radial"]),
-                c_radial=_real(p["c_radial"]),
-                c_transverse=_real(p["c_transverse"]),
-            )
-        return ChainSpec(
-            regime=obj["regime"],
-            tail=TailParams(
-                alpha=_real(obj.get("alpha", 1.5)),
-                beta=_real(obj["beta"]) if obj.get("beta") is not None else None,
-                c=_real(obj.get("c", 1.0)),
-                x0=_real(obj.get("x0", 1.0)),
-            ),
-            drift=DriftParams(gamma=_real(obj.get("gamma", 0.0)), b=_real(obj.get("b", 0.0))),
-            p_heavy=_real(obj.get("p_heavy", 0.25)),
-            plane=plane,
-        )
+        """The spec a config object describes, read from its own entries alone
+        (see _record); a null or absent plane is no plane."""
+        plane = obj.get("plane")
+        return ChainSpec(obj["regime"], _record(TailParams, obj), _record(DriftParams, obj),
+                         _real(obj.get("p_heavy", ChainSpec.p_heavy)),
+                         None if plane is None else _record(PlaneParams, plane))
 
 
 def _quantile(u1, u2, pw, p, scale, light, p_mirror):

@@ -76,9 +76,10 @@ class SimConfig:
         elif not np.isscalar(self.start):
             raise DomainError(f"{self.spec.regime} start must be a number")
         # with a non-finite a or start the return test means nothing (every
-        # trajectory returns at once, or none ever does), and NaN has no sign
-        if not math.isfinite(self.a):
-            raise DomainError(f"a must be finite, got {self.a!r}")
+        # trajectory returns at once, or none ever does), and NaN has no sign;
+        # no state is within a negative distance of the origin
+        if not (math.isfinite(self.a) and self.a >= 0.0):
+            raise DomainError(f"a must be finite and >= 0, got {self.a!r}")
         start = self.start if self.spec.regime == "plane" else (self.start,)
         if not all(math.isfinite(v) for v in start):
             raise DomainError(f"start must be finite, got {self.start!r}")
@@ -178,7 +179,7 @@ def _chunk(cfg: SimConfig, m_level: float, lo: int, hi: int) -> tuple[dict, dict
     half = spec.regime == "half_line"
     signed = not (plane or half)
     exits = m_level < math.inf
-    a, zero, one, izero = _const(cfg.a), _const(0.0), _const(1.0), _const(0, np.int64)
+    a, zero, izero = _const(cfg.a), _const(0.0), _const(0, np.int64)
     m_pos, m_neg = _const(m_level), _const(-m_level)
     u_min = _const(_U_MIN)
     # the Pareto quantile's power; every plane law's heavy exponent is alpha
@@ -255,11 +256,8 @@ def _chunk(cfg: SimConfig, m_level: float, lo: int, hi: int) -> tuple[dict, dict
             radial = u[0] < p_radial
             th_r = _quantile(u1, u2, pw, *radial_law)
             th_t = _quantile(u1, u2, pw, *transverse_law)
-            # the origin (r = 0) is live only when a < 0: step along the x axis
-            off = r > zero
-            safe = np.where(off, r, one)
-            ux = np.where(off, x / safe, one)
-            uy = np.where(off, y / safe, zero)
+            # a live radius exceeds a >= 0, so the unit vector u is defined
+            ux, uy = x / r, y / r
             # transverse unit vector: u rotated a quarter turn anticlockwise
             theta = np.where(radial, th_r, th_t)
             x += np.where(radial, ux, -uy) * theta

@@ -288,6 +288,24 @@ def test_root_above_the_bracket_is_a_domain_error():
         classify(spec)
 
 
+@pytest.mark.parametrize("alpha, p_radial", [(1.0 + 1e-7, 0.5), (1.0 + 1e-7, 0.9),
+                                             (1.0 + 1e-6, 0.9), (1.0 + 1e-9, 0.5)])
+@mp.workdps(40)
+def test_plane_root_above_1_minus_1e6_is_bracketed_at_1(alpha, p_radial):
+    # with alpha this close to 1, g(1 - 1e-6) <= 0: the upper end moves to
+    # nu = 1, where kappa0(alpha, 1) = 0 and the transverse term is positive
+    spec = plane(alpha=alpha, p_radial=p_radial)
+    g, top = _gap_function(spec)
+    assert g(0.0) < 0.0 and g(top - 1e-6) <= 0.0 < g(top)
+    c = classify(spec)
+    assert c.phase == NULL_RECURRENT
+    want = oracle_nu_star("plane", alpha, p_radial=p_radial, c_radial=1.0, c_transverse=1.0,
+                          below_top="1e-30")
+    assert abs(c.nu_star - want) <= 1e-16
+    ns = nu_star(spec)
+    assert ns.bracket[0] <= ns.nu_star <= ns.bracket[1] <= top
+
+
 def _pole_distance(z):
     """Distance from z to the nearest non-positive integer, a pole of Gamma."""
     return z if z > 0.0 else abs(z - round(z))

@@ -1,17 +1,21 @@
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import math
 import os
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from heavywalk.cli import _CSV_BLOCK, _write_csv, main, sim_from_config, spec_from_config
+from heavywalk import ChainSpec, DriftParams, PlaneParams, TailParams
+from heavywalk.cli import (_CSV_BLOCK, _SWEEPABLE, _write_csv, main, sim_from_config,
+                           spec_from_config)
 from heavywalk.lyapunov import verify_expansion
 from heavywalk.montecarlo import _simulate_batch, survival_curve, survival_grid
 from heavywalk.selftest import run_selftest
@@ -216,6 +220,14 @@ BAD_SHAPES = {
                         dict(HL, grid={"param": "b", "min": "0", "max": 1.0, "steps": 3})),
     "axis_max_bool": ("phase-diagram",
                       dict(HL, grid={"param": "gamma", "min": 0.0, "max": True, "steps": 3})),
+    # no state lies within a negative distance of the origin
+    "sim_a_negative": ("simulate", dict(HL, sim=dict(HL["sim"], a=-1))),
+    # a plane parameter swept over a plane section that is not an object
+    **{f"plane_{kind}_under_p_radial_axis": (
+        "phase-diagram", dict(HL, regime="plane", p_heavy=0.2, plane=value,
+                              grid={"param": "p_radial", "min": 0.1, "max": 0.9, "steps": 3}))
+       for kind, value in (("null", None), ("list", [["c_radial", 1.0], ["c_transverse", 1.0]]),
+                           ("string", "plane"), ("number", 0.7), ("true", True))},
 }
 
 
@@ -269,15 +281,18 @@ JUNK = st.one_of(st.text(max_size=4), st.lists(st.integers(-2, 2), max_size=3),
 
 @settings(max_examples=50, deadline=None)
 # found by this test: an infinite count raised OverflowError, an empty drift grid IndexError
-@example("simulate", [(("sim", "horizon"), math.inf)], "half_line")
-@example("drift-verify", [(("drift_verify", "points"), False)], "half_line")
-@example("phase-diagram", [(("grid", "min"), -math.inf)], "half_line")
+@example("simulate", [(("sim", "horizon"), math.inf)], "half_line", "b")
+@example("drift-verify", [(("drift_verify", "points"), False)], "half_line", "b")
+@example("phase-diagram", [(("grid", "min"), -math.inf)], "half_line", "b")
+# a null plane section under a plane-parameter axis raised TypeError
+@example("phase-diagram", [(("plane",), None)], "plane", "p_radial")
 @given(st.sampled_from(["classify", "nu-star", "drift-verify", "simulate", "phase-diagram"]),
        st.lists(st.tuples(st.sampled_from(FUZZ_FIELDS), JUNK), min_size=1, max_size=2),
-       st.sampled_from(["half_line", "line_in", "plane"]))
-def test_fuzzed_config_exits_0_or_2(command, edits, regime):
+       st.sampled_from(["half_line", "line_in", "plane"]), st.sampled_from(sorted(_SWEEPABLE)))
+def test_fuzzed_config_exits_0_or_2(command, edits, regime, swept):
     cfg = json.loads(json.dumps(FUZZ_BASE))
     cfg["regime"] = regime
+    cfg["grid"]["param"] = swept
     if regime == "line_in":
         cfg.update(alpha=2.5, beta=1.3)
     for (*section, key), value in edits:
@@ -293,6 +308,22 @@ def test_fuzzed_config_exits_0_or_2(command, edits, regime):
         rc = main([command, "--config", path, "--out", tmp])
     assert rc in (0, 2)
     assert "Traceback" not in err.getvalue()
+
+
+def test_readme_schema_lists_the_spec_records_fields():
+    # the spec entries of README's config schema are the parameter records'
+    # fields, with ChainSpec's tail and drift records written out flat
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("Config schema", 1)[1].split("```json\n", 1)[1].split("```", 1)[0]
+    schema = json.loads(block)
+
+    def names(record):
+        return {f.name for f in dataclasses.fields(record)}
+
+    run_keys = {"sim", "grid", "drift_verify", "seed", "workers", "out"}
+    assert set(schema) - run_keys == (names(ChainSpec) - {"tail", "drift"}
+                                      | names(TailParams) | names(DriftParams))
+    assert set(schema["plane"]) == names(PlaneParams)
 
 
 def test_config_roundtrip_byte_stable(tmp_path):

@@ -5,13 +5,15 @@ that alters a byte here is a behaviour change and must say so.
 each with a finite m_level so that the exit, crossing and sign-flip columns
 are exercised, plus two drift-free (b = 0) configs without an m_level, where
 the engine takes the light width from the sign of the state alone, and three
-configs that start beyond m_level.  The
+configs that start beyond m_level.  `phase-diagram`: the CSV of one- and
+two-axis sweeps, on the lines and the plane, one with error rows.  The
 analytic path: the reprs of the closed-form drifts, criteria drifts,
 classification and nu* per scalar regime and test function.
 """
 
 import hashlib
 import json
+import math
 
 import pytest
 
@@ -78,6 +80,42 @@ def simulate_digest(tmp_path, regime: str) -> str:
 @pytest.mark.parametrize("regime", sorted(CONFIGS))
 def test_simulate_bytes_match_golden(tmp_path, regime):
     assert simulate_digest(tmp_path, regime) == DIGESTS[regime]
+
+
+# phase-diagram sweeps: a one-axis sweep across the half line's critical-drift
+# threshold, two-axis sweeps on line_in and on the plane (a plane parameter
+# merged into the plane section), and one whose points include specs that
+# cannot be built (error:DomainError, error:InfeasibleDrift rows)
+SWEEPS = {
+    "half_line_b": {"regime": "half_line", "alpha": 1.5, "gamma": 0.5, "p_heavy": 0.4, "x0": 60.0,
+                    "grid": {"param": "b", "min": math.pi - 0.2, "max": math.pi + 0.2, "steps": 9}},
+    "line_in_beta_gamma": {"regime": "line_in", "alpha": 2.5, "beta": 1.3, "b": -0.5, "x0": 2.0,
+                           "grid": [{"param": "beta", "min": 1.2, "max": 1.8, "steps": 4},
+                                    {"param": "gamma", "min": 0.1, "max": 0.9, "steps": 5}]},
+    "plane_p_radial_alpha": {"regime": "plane", "alpha": 1.5, "p_heavy": 0.2,
+                             "plane": {"p_radial": 0.5, "c_radial": 1.0, "c_transverse": 2.0},
+                             "grid": [{"param": "p_radial", "min": 0.1, "max": 0.9, "steps": 5},
+                                      {"param": "alpha", "min": 1.2, "max": 1.8, "steps": 4}]},
+    "error_rows": {"regime": "half_line", "alpha": 1.5, "gamma": 0.5,
+                   "grid": [{"param": "alpha", "min": 0.8, "max": 2.0, "steps": 4},
+                            {"param": "b", "min": -1.0, "max": 11.0, "steps": 3}]},
+}
+
+SWEEP_DIGESTS = {
+    "half_line_b": "53d1658953dcb1105c1d243f9cd5604a443d1660e44b2e7e55e94549775b62b3",
+    "line_in_beta_gamma": "b5e3c6153f563ad1247477c352d98317d457fa6bf2024021764ce25740b63f60",
+    "plane_p_radial_alpha": "bc00cdc27bf316244507c077e812fa1a0bd4156338adfb8425770d874edb703f",
+    "error_rows": "76910bba3c4de4780f6481eb74bfffe6ae1828c5d0c114448ed0b49a2d6f77fe",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SWEEPS))
+def test_phase_diagram_bytes_match_golden(tmp_path, name):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(SWEEPS[name]))
+    assert main(["phase-diagram", "--config", str(path), "--out", str(tmp_path)]) == 0
+    data = (tmp_path / "phase_diagram.csv").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == SWEEP_DIGESTS[name]
 
 
 # ---------------------------------------------------------------------------

@@ -414,6 +414,16 @@ def test_non_finite_spec_fields_rejected(regime, field, value):
         ChainSpec.from_json(obj)
 
 
+def test_config_defaults_are_the_records_defaults():
+    # an entry a config leaves out takes the parameter record's default
+    assert ChainSpec.from_json({"regime": "half_line"}) == ChainSpec("half_line", TailParams())
+    assert TailParams().alpha == 1.5
+    # null stands for a field's default only where that default is None
+    assert ChainSpec.from_json({"regime": "half_line", "beta": None}).tail.beta is None
+    with pytest.raises(ValueError, match="expected a number"):
+        ChainSpec.from_json({"regime": "half_line", "c": None})
+
+
 def test_spec_json_roundtrip():
     for spec in (half_line(gamma=0.5, b=-2.0), line_in(beta=1.7, b=0.1, gamma=0.7),
                  plane(p_radial=0.7)):

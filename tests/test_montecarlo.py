@@ -390,6 +390,20 @@ def test_nan_m_level_is_rejected():
         run_trajectories(cfg, m_level=math.nan)
 
 
+@pytest.mark.parametrize("a", [-1.0, -5e-324])
+def test_return_level_must_be_non_negative(a):
+    # no state lies within a negative distance of the origin, so a live plane
+    # radius always exceeds a >= 0 and the engine's unit vector is defined
+    for spec, start in ((half_line(), 30.0), (plane(), 30.0)):
+        with pytest.raises(DomainError, match="a must be finite and >= 0"):
+            SimConfig(spec, start=start, a=a, horizon=10, n_traj=2)
+
+
+def test_plane_start_at_the_origin_returns_at_once_for_a_zero():
+    cfg = SimConfig(plane(), start=(0.0, 0.0), a=0.0, horizon=10, n_traj=3)
+    assert _simulate_batch(cfg)["tau"].tolist() == [0, 0, 0]
+
+
 def test_phase_diagnostic_outward_drift_is_directional():
     # outward-heavy walk with positive drift escapes with one fixed sign
     spec = line_out(alpha=1.5, gamma=0.1, b=1.0)
