@@ -9,7 +9,10 @@ the fields of the laws `build_law`, `plane_radial_law` and
 The engine runs chunks of trajectories in vectorized lockstep on compacted
 live columns: each step touches only the trajectories still out, and draws
 exactly one uniform per draw counter for each of them (draws_per_step *
-sum(min(tau, horizon)) uniforms in all).  A live trajectory carries the max
+sum(min(tau, horizon)) uniforms in all).  A step with more than _SLICE live
+trajectories runs on contiguous slices of the columns, so that its
+temporaries stay in cache; every operation is elementwise, so the slices
+change no bit.  A live trajectory carries the max
 and min of its level over steps >= 1; when it settles (returns, or reaches
 the horizon) the start level is folded into them and its crossings of
 +-m_level are read off them, so a start beyond m_level is no crossing.  The
@@ -38,6 +41,13 @@ from .rng import _const, seed_key, uniform_array
 # (rng.uniform_at), and the trajectory index the high 32
 _COUNTER_SPAN = 2 ** 32
 SURVIVAL_POINTS = 60   # geometric survival grid points, before rounding and deduplication
+# a step with more live trajectories runs on contiguous slices of at most this
+# many, so that each slice's temporaries stay in cache
+_SLICE = 2 ** 14
+
+
+def _is_real(v) -> bool:
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
 
 
 @dataclass(frozen=True)
@@ -51,7 +61,8 @@ class SimConfig:
     workers: int = 1
 
     def __post_init__(self):
-        for name in ("horizon", "n_traj", "workers"):
+        # numpy integers are stored as int: seed_key's mixing needs Python ints
+        for name in ("horizon", "n_traj", "workers", "master_seed"):
             v = getattr(self, name)
             if not isinstance(v, numbers.Integral) or isinstance(v, bool):
                 raise DomainError(f"{name} must be an integer, got {v!r}")
@@ -66,23 +77,23 @@ class SimConfig:
             raise DomainError(f"{self.spec.regime} horizon must be <= {_COUNTER_SPAN // self.draws_per_step}")
         if self.n_traj > _COUNTER_SPAN:
             raise DomainError("n_traj must be <= 2^32")
+        start = self.start
         if self.spec.regime == "plane":
-            s = self.start
-            if np.isscalar(s):
+            if _is_real(start):
                 # a radius: start on the positive x axis
-                object.__setattr__(self, "start", (float(s), 0.0))
-            elif len(s) != 2:
+                start = (float(start), 0.0)
+                object.__setattr__(self, "start", start)
+            elif not isinstance(start, (tuple, list, np.ndarray)) or len(start) != 2:
                 raise DomainError("plane start must be a radius or an (x, y) pair")
-        elif not np.isscalar(self.start):
-            raise DomainError(f"{self.spec.regime} start must be a number")
+        else:
+            start = (start,)
         # with a non-finite a or start the return test means nothing (every
         # trajectory returns at once, or none ever does), and NaN has no sign;
-        # no state is within a negative distance of the origin
-        if not (math.isfinite(self.a) and self.a >= 0.0):
+        # no state is within a negative distance of the origin; a bool is no level
+        if not (_is_real(self.a) and math.isfinite(self.a) and self.a >= 0.0):
             raise DomainError(f"a must be finite and >= 0, got {self.a!r}")
-        start = self.start if self.spec.regime == "plane" else (self.start,)
-        if not all(math.isfinite(v) for v in start):
-            raise DomainError(f"start must be finite, got {self.start!r}")
+        if not all(_is_real(v) and math.isfinite(v) for v in start):
+            raise DomainError(f"start must be a finite number, got {self.start!r}")
 
     @property
     def draws_per_step(self) -> int:
@@ -157,7 +168,12 @@ def _chunk(cfg: SimConfig, m_level: float, lo: int, hi: int) -> tuple[dict, dict
     The tracked level is x on the line and the radius in the plane; step n
     draws the uniforms with counters draws_per_step * (n - 1) + j, for
     exactly the trajectories still out at step n: one draw per live
-    trajectory-step.  Each step works on compacted live columns: trajectory
+    trajectory-step.  With more than _SLICE of them out, the step's body
+    runs on k = ceil(live / _SLICE) equal contiguous slices (bounds
+    live * i // k), as views written in place: each slice draws (one
+    uniform_array call per draw per slice), moves its states and tests its
+    returns, and the batch is settled and compacted once per step from the
+    whole return mask.  Each step works on compacted live columns: trajectory
     index, state, the level's max and min over steps >= 1, the first exit
     and the last flip where they can fire, and on the line the sign of the
     state, which the next step's law pick and flip test read.  A
@@ -238,21 +254,19 @@ def _chunk(cfg: SimConfig, m_level: float, lo: int, hi: int) -> tuple[dict, dict
         if exits and signed:
             batch["crossed_neg"][at] = bottom < m_neg
 
-    steps = traj_steps = uniforms = 0
-    for nstep in range(1, cfg.horizon + 1):
-        gid = live["index"]
-        if gid.size == 0:
-            break
-        steps += 1
-        traj_steps += gid.size
+    def advance(cols: dict, nstep: int, out) -> np.ndarray:
+        """Step nstep on live columns cols, all of them or views of a slice,
+        written in place: draws, state, extrema, flips and first exits.
+        Returns the return test, into out when it is not None."""
+        nonlocal pending
+        gid = cols["index"]
         base = dps * (nstep - 1)
         u = [uniform_array(key, gid, base + j) for j in range(dps)]
-        uniforms += len(u) * gid.size
         u1, u2 = u[-2], np.maximum(u[-1], u_min, out=u[-1])
         pw = u2 ** power
-        x = live["final_x"]
+        x = cols["final_x"]
         if plane:
-            y, r = live["final_y"], live["radius"]
+            y, r = cols["final_y"], cols["radius"]
             radial = u[0] < p_radial
             th_r = _quantile(u1, u2, pw, *radial_law)
             th_t = _quantile(u1, u2, pw, *transverse_law)
@@ -263,10 +277,10 @@ def _chunk(cfg: SimConfig, m_level: float, lo: int, hi: int) -> tuple[dict, dict
             x += np.where(radial, ux, -uy) * theta
             y += np.where(radial, uy, ux) * theta
             # carried to the next step: the same hypot of the same inputs
-            vn = dist = live["radius"] = np.hypot(x, y)
+            vn = dist = np.hypot(x, y, out=r)
         else:
             if signed:
-                neg = live["neg"]
+                neg = cols["neg"]
             if drifted:
                 lw = spec.light_width(x)
             else:
@@ -278,26 +292,44 @@ def _chunk(cfg: SimConfig, m_level: float, lo: int, hi: int) -> tuple[dict, dict
             vn = dist = x
             if signed:
                 # states are finite, so x < 0 is the negation of x >= 0
-                now = live["neg"] = x < zero
-                live["last_flip"][now != neg] = nstep
+                now = x < zero
+                cols["last_flip"][now != neg] = nstep
+                neg[...] = now
                 dist = np.abs(x)
-        np.maximum(live["max"], vn, out=live["max"])
-        np.minimum(live["min"], vn, out=live["min"])
+        np.maximum(cols["max"], vn, out=cols["max"])
+        np.minimum(cols["min"], vn, out=cols["min"])
         if pending:
-            fe = live["first_exit"]
+            fe = cols["first_exit"]
             first = (dist > m_pos) & (fe < izero)
             fresh = np.count_nonzero(first)
             if fresh:
                 fe[first] = nstep
                 pending -= fresh
-        ret = dist <= a
+        return np.less_equal(dist, a, out=out)
+
+    steps = traj_steps = uniforms = 0
+    for nstep in range(1, cfg.horizon + 1):
+        width = live["index"].size
+        if width == 0:
+            break
+        steps += 1
+        traj_steps += width
+        uniforms += dps * width
+        k = -(-width // _SLICE)
+        if k == 1:
+            ret = advance(live, nstep, None)
+        else:
+            ret = np.empty(width, dtype=bool)
+            for i in range(k):
+                s = slice(width * i // k, width * (i + 1) // k)
+                advance({name: col[s] for name, col in live.items()}, nstep, ret[s])
         if np.count_nonzero(ret):
             sel = np.flatnonzero(ret)
-            batch["tau"][gid[sel] - lo] = nstep
+            batch["tau"][live["index"][sel] - lo] = nstep
             settle(sel)
             keep = np.flatnonzero(~ret)
-            for k in live:
-                live[k] = live[k][keep]
+            for name in live:
+                live[name] = live[name][keep]
             if pending:
                 pending = np.count_nonzero(live["first_exit"] < izero)
     settle(slice(None))
@@ -441,6 +473,10 @@ def moment_diagnostic(cfg: SimConfig, q_list: Sequence[float]) -> dict:
     if cfg.horizon < 100:
         # the checkpoints horizon // 100, // 10 and horizon would coincide or run backwards
         raise DomainError(f"moment_diagnostic needs horizon >= 100, got {cfg.horizon}")
+    for q in q_list:
+        # q = 0 makes every moment 1, and a negative q shrinks as tau grows
+        if not (_is_real(q) and math.isfinite(q) and q > 0.0):
+            raise DomainError(f"moment order q must be finite and > 0, got {q!r}")
     batch = _simulate_batch(cfg)
     tau = batch["tau"].astype(float)
     tau[tau < 0] = cfg.horizon

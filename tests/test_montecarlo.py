@@ -301,6 +301,58 @@ def test_engine_counts_match_tau(spec, start, workers):
     assert counts["steps"] == sum(int(ran[lo:hi].max()) for lo, hi in zip(bounds, bounds[1:]))
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("m_level", [math.inf, 60.0], ids=["inf", "finite"])
+@REGIME_STARTS
+def test_sliced_steps_are_invisible(monkeypatch, spec, start, m_level, workers):
+    # a step wider than _SLICE runs on slices of the live columns; forked
+    # workers inherit the patched width, and no output bit or count moves
+    cfg = SimConfig(spec, start=start, a=10.0, horizon=200, n_traj=40, master_seed=23,
+                    workers=workers)
+    whole = _simulate_batch(cfg, m_level)
+    for width in (1, 3, 7, 16):
+        monkeypatch.setattr("heavywalk.montecarlo._SLICE", width)
+        sliced = _simulate_batch(cfg, m_level)
+        assert sliced.keys() == whole.keys()
+        for k, v in whole.items():
+            if isinstance(v, np.ndarray):
+                assert np.array_equal(sliced[k], v), (width, k)
+            else:
+                assert sliced[k] == v, (width, k)
+
+
+@pytest.mark.parametrize("width", [3, 7])
+@REGIME_STARTS
+def test_sliced_draws_keep_the_draw_contract(monkeypatch, spec, start, width):
+    # each draw of step n is one uniform_array call per slice, with counter
+    # draws_per_step * (n - 1) + j; the calls' trajectory arrays, at most
+    # _SLICE long, concatenate to the live set in index order
+    calls = []
+
+    def counted(key, traj, counter):
+        calls.append((counter, traj.copy()))
+        return uniform_array(key, traj, counter)
+
+    monkeypatch.setattr("heavywalk.montecarlo.uniform_array", counted)
+    monkeypatch.setattr("heavywalk.montecarlo._SLICE", width)
+    cfg = SimConfig(spec, start=start, a=10.0, horizon=300, n_traj=40, master_seed=19)
+    batch = _simulate_batch(cfg, 60.0)
+    dps = cfg.draws_per_step
+    ran = np.where(batch["tau"] < 0, cfg.horizon, batch["tau"])
+    by_counter = {}
+    for counter, traj in calls:
+        assert len(traj) <= width
+        by_counter.setdefault(counter, []).append(traj)
+    assert sorted(by_counter) == list(range(dps * int(ran.max())))
+    for n in range(1, int(ran.max()) + 1):
+        live = np.flatnonzero(ran >= n)
+        for j in range(dps):
+            parts = by_counter[dps * (n - 1) + j]
+            assert len(parts) == -(-live.size // width)
+            assert np.array_equal(np.concatenate(parts), live)
+    assert sum(len(t) for _, t in calls) == dps * int(ran.sum())
+
+
 def test_seed_changes_output():
     mk = lambda s: _simulate_batch(SimConfig(half_line(), start=20.0, a=10.0,
                                              horizon=500, n_traj=50, master_seed=s))
@@ -419,10 +471,17 @@ def test_moment_diagnostic_flags():
     cfg = SimConfig(spec, start=30.0, a=10.0, horizon=2 * 10 ** 4, n_traj=1500,
                     master_seed=31)
     q_crit = 1.0 / 1.5
-    diag = moment_diagnostic(cfg, [0.0, q_crit / 2.0, 2.0 * q_crit])
-    assert diag[0.0]["values"] == [1.0, 1.0, 1.0]
+    diag = moment_diagnostic(cfg, [q_crit / 2.0, 2.0 * q_crit])
     assert diag[q_crit / 2.0]["flag"] == "bounded"
     assert diag[2.0 * q_crit]["flag"] == "growing"
+
+
+@pytest.mark.parametrize("q", [math.nan, math.inf, 0.0, -1.0, True, "1"])
+def test_moment_diagnostic_rejects_bad_orders(q):
+    # a NaN order read "growing" with ratio inf, and q <= 0 read "bounded"
+    cfg = SimConfig(half_line(), start=30.0, a=10.0, horizon=100, n_traj=10, master_seed=1)
+    with pytest.raises(DomainError, match="moment order q"):
+        moment_diagnostic(cfg, [0.5, q])
 
 
 @pytest.mark.parametrize("horizon", [0, 5, 99])
@@ -506,6 +565,38 @@ def test_sim_config_rejects_non_integers():
             args[field] = bad
             with pytest.raises(DomainError):
                 SimConfig(half_line(), **args)
+
+
+def test_sim_config_seed_must_be_an_integer():
+    # a numpy seed is stored as int (seed_key overflowed on it); a bool or a
+    # float seed would alias an integer stream or fail mid-run
+    kw = dict(start=30.0, a=10.0, horizon=200, n_traj=20)
+    cfg = SimConfig(half_line(), master_seed=np.int64(7), **kw)
+    assert type(cfg.master_seed) is int and cfg.master_seed == 7
+    for k in ("tau", "final_x", "max", "min"):
+        assert np.array_equal(_simulate_batch(cfg)[k],
+                              _simulate_batch(SimConfig(half_line(), master_seed=7, **kw))[k])
+    assert SimConfig(half_line(), master_seed=np.uint64(2 ** 63), **kw).master_seed == 2 ** 63
+    for bad in (True, False, np.True_, 1.5, 1.0, "1", None):
+        with pytest.raises(DomainError, match="master_seed"):
+            SimConfig(half_line(), master_seed=bad, **kw)
+
+
+@pytest.mark.parametrize("spec, field, bad", [
+    (half_line(), "a", True), (balanced(), "a", False), (plane(), "a", np.True_),
+    (half_line(), "a", "10"), (half_line(), "start", True), (balanced(), "start", False),
+    (line_in(), "start", "30"), (line_in(), "start", None), (plane(), "start", True),
+    (plane(), "start", (True, 0.0)), (plane(), "start", (30.0, None)),
+    (plane(), "start", None)],
+    ids=["a_true", "a_false", "plane_a_np_true", "a_string", "start_true", "start_false",
+         "start_string", "start_none", "plane_radius_true", "plane_x_true", "plane_y_none",
+         "plane_start_none"])
+def test_sim_config_rejects_bools_and_non_numbers(spec, field, bad):
+    # True ran as a level of 1.0; a string or None failed mid-run
+    args = dict(start=30.0, a=10.0, horizon=10, n_traj=4)
+    args[field] = bad
+    with pytest.raises(DomainError):
+        SimConfig(spec, **args)
 
 
 @pytest.mark.parametrize("spec, field, bad", [
