@@ -307,14 +307,13 @@ def _chunk(cfg: SimConfig, m_level: float, lo: int, hi: int) -> tuple[dict, dict
                 pending -= fresh
         return np.less_equal(dist, a, out=out)
 
-    steps = traj_steps = uniforms = 0
+    steps = traj_steps = 0
     for nstep in range(1, cfg.horizon + 1):
         width = live["index"].size
         if width == 0:
             break
         steps += 1
         traj_steps += width
-        uniforms += dps * width
         k = -(-width // _SLICE)
         if k == 1:
             ret = advance(live, nstep, None)
@@ -333,7 +332,7 @@ def _chunk(cfg: SimConfig, m_level: float, lo: int, hi: int) -> tuple[dict, dict
             if pending:
                 pending = np.count_nonzero(live["first_exit"] < izero)
     settle(slice(None))
-    return batch, {"steps": steps, "traj_steps": traj_steps, "uniforms": uniforms}
+    return batch, {"steps": steps, "traj_steps": traj_steps, "uniforms": dps * traj_steps}
 
 
 def _simulate_batch(cfg: SimConfig, m_level: float = math.inf) -> dict:
