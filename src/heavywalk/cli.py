@@ -24,6 +24,7 @@ import numpy as np
 from . import __version__
 from .classify import classify, nu_star
 from .errors import ConfigError, HeavywalkError, NoRootError
+from .floatrepr import repr_floats
 from .increments import ChainSpec, DriftParams, PlaneParams, TailParams, _real
 from .lyapunov import verify_expansion
 from .montecarlo import SimConfig, _simulate_batch, survival_curve, survival_grid
@@ -152,7 +153,7 @@ def _cells(col: np.ndarray):
     if col.dtype == bool:
         return np.array(["0", "1"], dtype=object).take(col.view(np.uint8)).tolist()
     if col.dtype.kind == "f":
-        return map(repr, col.tolist())   # tolist() yields Python floats
+        return repr_floats(col)
     lo, hi = int(col.min()), int(col.max())
     if hi - lo >= len(col):
         return map(str, col.tolist())

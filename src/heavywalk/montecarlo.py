@@ -26,9 +26,10 @@ from __future__ import annotations
 import math
 import numbers
 import os
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import partial
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -83,7 +84,7 @@ class SimConfig:
                 # a radius: start on the positive x axis
                 start = (float(start), 0.0)
                 object.__setattr__(self, "start", start)
-            elif not isinstance(start, (tuple, list, np.ndarray)) or len(start) != 2:
+            elif not (isinstance(start, Sequence) or np.ndim(start) == 1) or len(start) != 2:
                 raise DomainError("plane start must be a radius or an (x, y) pair")
         else:
             start = (start,)
@@ -292,9 +293,9 @@ def _chunk(cfg: SimConfig, m_level: float, lo: int, hi: int) -> tuple[dict, dict
             vn = dist = x
             if signed:
                 # states are finite, so x < 0 is the negation of x >= 0
-                now = x < zero
-                cols["last_flip"][now != neg] = nstep
-                neg[...] = now
+                flip = np.not_equal(x < zero, neg)
+                cols["last_flip"][flip] = nstep
+                np.logical_xor(neg, flip, out=neg)
                 dist = np.abs(x)
         np.maximum(cols["max"], vn, out=cols["max"])
         np.minimum(cols["min"], vn, out=cols["min"])
@@ -315,6 +316,8 @@ def _chunk(cfg: SimConfig, m_level: float, lo: int, hi: int) -> tuple[dict, dict
         steps += 1
         traj_steps += width
         k = -(-width // _SLICE)
+        # one slice is the whole live set: the views, the mask and the loop
+        # cost a narrow step about 5%
         if k == 1:
             ret = advance(live, nstep, None)
         else:

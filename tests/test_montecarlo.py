@@ -1,3 +1,4 @@
+import collections
 import math
 import os
 import subprocess
@@ -587,16 +588,33 @@ def test_sim_config_seed_must_be_an_integer():
     (half_line(), "a", "10"), (half_line(), "start", True), (balanced(), "start", False),
     (line_in(), "start", "30"), (line_in(), "start", None), (plane(), "start", True),
     (plane(), "start", (True, 0.0)), (plane(), "start", (30.0, None)),
-    (plane(), "start", None)],
+    (plane(), "start", None), (half_line(), "a", np.array(10.0)),
+    (balanced(), "start", np.array(30.0)), (plane(), "start", np.array(30.0)),
+    (plane(), "start", np.array([[30.0, 0.0]])), (plane(), "start", {30.0, 4.0})],
     ids=["a_true", "a_false", "plane_a_np_true", "a_string", "start_true", "start_false",
          "start_string", "start_none", "plane_radius_true", "plane_x_true", "plane_y_none",
-         "plane_start_none"])
+         "plane_start_none", "a_0d_array", "start_0d_array", "plane_start_0d_array",
+         "plane_start_2d_array", "plane_start_set"])
 def test_sim_config_rejects_bools_and_non_numbers(spec, field, bad):
-    # True ran as a level of 1.0; a string or None failed mid-run
+    # True ran as a level of 1.0; a string or None failed mid-run; a 0-d array
+    # is no number (pass float(v)), and a plane pair is a 1-d sequence
     args = dict(start=30.0, a=10.0, horizon=10, n_traj=4)
     args[field] = bad
     with pytest.raises(DomainError):
         SimConfig(spec, **args)
+
+
+@pytest.mark.parametrize("pair", [[30.0, 4.0], np.array([30.0, 4.0]),
+                                  collections.UserList([30.0, 4.0]), (np.float32(30.0), 4)],
+                         ids=["list", "array", "user_sequence", "numpy_scalars"])
+def test_sim_config_plane_start_is_any_pair(pair):
+    # any length-2 sequence or 1-d array of numbers is an (x, y) start
+    kw = dict(a=10.0, horizon=50, n_traj=20, master_seed=5)
+    cfg = SimConfig(plane(), start=pair, **kw)
+    ref = _simulate_batch(SimConfig(plane(), start=(30.0, 4.0), **kw))
+    batch = _simulate_batch(cfg)
+    for k in ("tau", "final_x", "final_y", "max", "min"):
+        assert np.array_equal(batch[k], ref[k]), k
 
 
 @pytest.mark.parametrize("spec, field, bad", [
