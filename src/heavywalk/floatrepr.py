@@ -7,13 +7,13 @@ the same float, the nearest such string when several are that short.
 and for the rare x whose digits it cannot settle exactly.
 
 The digits are found exactly.  With E = floor(log10 |x|), V = |x| * 10^(16 - E)
-lies in [1e16, 1e17), and Dekker's product gives it as N + f, N an int64 and
-|f| <= 1/2, with no rounding.  The neighbours of x are 2H away, H half a unit
-in its last place times 10^(16 - E), and the interval is symmetric because x
-is not a power of two.  The 17 - m digit candidate is V rounded half-even to
-a multiple of 10^m; it reads back as x when it lies within H of V.  The
-shortest candidate that does is repr's.  The one comparison that float
-rounding could decide wrongly, a distance equal to H, sends x to repr.
+lies in [1e16, 1e17), and Dekker's product gives it as big + f, big an int64
+and |f| <= 1/2, with no rounding.  The neighbours of x are 2H away, H half a
+unit in its last place times 10^(16 - E), and the interval is symmetric
+because x is not a power of two.  The 17 - m digit candidate is V rounded
+half-even to a multiple of 10^m; it reads back as x when it lies within H of
+V.  The shortest candidate that does is repr's.  The one comparison that
+float rounding could decide wrongly, a distance equal to H, sends x to repr.
 """
 
 from __future__ import annotations
@@ -23,7 +23,8 @@ import numpy as np
 _P10 = 10 ** np.arange(18, dtype=np.int64)
 _F10 = np.array([float(10 ** k) for k in range(17)])   # exact doubles
 _SPLIT = 134217729.0   # 2^27 + 1: Veltkamp's splitting constant
-# V's range, with a margin for the rounding in log10 and in the product
+# V's range: the margin exceeds |f| <= 8 (see below) plus H < 12, so every
+# candidate that reads back has 17 digits; a log10 off by one lands outside
 _V_LO, _V_HI = float(10 ** 16 + 32), float(10 ** 17 - 32)
 _MANTISSA = np.uint64(2 ** 52 - 1)
 _TEN = np.uint32(10)
@@ -55,13 +56,15 @@ def repr_floats(col: np.ndarray) -> list[str]:
     scale = _F10[16 - e10]
     p, err = _two_product(ax, scale)
     fast &= (p >= _V_LO) & (p < _V_HI)
-    # V = big + f exactly: err - rint(err) is exact (Sterbenz)
+    # V = big + f exactly, with |err| <= 8 (p < 2^57) and err - rint(err)
+    # exact (Sterbenz).  big is V rounded half-even: p >= 2^53 is even, and
+    # rint rounds err's halves to even
     r = np.rint(err)
     big = np.where(fast, p, _V_LO).astype(np.int64) + r.astype(np.int64)
     f = err - r
     h = np.spacing(ax) * 0.5 * scale   # a power of two times an exact double: exact
-    # 17 digits always read back; round V half-even to an integer
-    digits = big + ((np.abs(f) == 0.5) & (big & 1 == 1)) * np.sign(f).astype(np.int64)
+    # 17 digits always read back (|f| <= 1/2 < H)
+    digits = big.copy()
     ndig = np.full(n, 17, dtype=np.int8)
     # fewer digits read back only where one more does, so each pass keeps
     # the entries whose candidate still reads back
@@ -85,7 +88,6 @@ def repr_floats(col: np.ndarray) -> list[str]:
         at, big, f, h, cand = at[keep], big[keep], f[keep], h[keep], cand[keep]
         digits[at] = cand
         ndig[at] = 17 - m
-    fast &= digits < _P10[17]
     digits = np.where(fast, digits, _P10[16])
     e10 = np.where(fast, e10, 0).astype(np.int8)
     ndig = np.where(fast, ndig, 1)
