@@ -316,8 +316,8 @@ def _chunk(cfg: SimConfig, m_level: float, lo: int, hi: int) -> tuple[dict, dict
         steps += 1
         traj_steps += width
         k = -(-width // _SLICE)
-        # one slice is the whole live set: the views, the mask and the loop
-        # cost a narrow step about 5%
+        # a one-slice step runs on the columns themselves: the slice views,
+        # the mask and the loop cost narrow steps 3-7%
         if k == 1:
             ret = advance(live, nstep, None)
         else:
