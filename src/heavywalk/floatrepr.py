@@ -20,9 +20,10 @@ from __future__ import annotations
 
 import numpy as np
 
+from .specialfn import _two_product
+
 _P10 = 10 ** np.arange(18, dtype=np.int64)
 _F10 = np.array([float(10 ** k) for k in range(17)])   # exact doubles
-_SPLIT = 134217729.0   # 2^27 + 1: Veltkamp's splitting constant
 # V's range: the margin exceeds |f| <= 8 (see below) plus H < 12, so every
 # candidate that reads back has 17 digits; a log10 off by one lands outside
 _V_LO, _V_HI = float(10 ** 16 + 32), float(10 ** 17 - 32)
@@ -30,19 +31,6 @@ _MANTISSA = np.uint64(2 ** 52 - 1)
 _TEN = np.uint32(10)
 _CHAR = np.arange(20, dtype=np.int8)[:, None]   # character positions
 _WIDTH = 20   # '-', 17 digits, '.', and one '0' past a 16-digit integer part
-
-
-def _two_product(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """p, e with p + e == a * b exactly (Dekker), for products that neither
-    overflow nor underflow."""
-    p = a * b
-    c = _SPLIT * a
-    ah = c - (c - a)
-    al = a - ah
-    c = _SPLIT * b
-    bh = c - (c - b)
-    bl = b - bh
-    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
 
 
 def repr_floats(col: np.ndarray) -> list[str]:

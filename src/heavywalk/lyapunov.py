@@ -23,8 +23,8 @@ import numpy as np
 
 from .errors import DivergentError, DomainError
 from .increments import ChainSpec, IncrementLaw, build_law
-from .specialfn import (_pow_m1, kappa0, kappa1, kappa2, pareto_finite_integral,
-                        pareto_tail_integral)
+from .specialfn import (_pow_m1, _two_product, kappa0, kappa1, kappa2,
+                        pareto_finite_integral, pareto_tail_integral)
 from .classify import classify as _classify_phase
 
 CONVERGED_REL_TOL = 0.05   # verify_expansion: converged iff |last error| < this * |K|
@@ -88,20 +88,6 @@ def _pareto_term(law: IncrementLaw, side: int, i: int, nu: float, x: float) -> f
     return p * (_f_step(i, nu, x, side * y0) + nu * y0 ** e * part)
 
 
-_SPLIT = 134217729.0   # 2^27 + 1: Veltkamp's split of a double into halves
-
-
-def _two_prod(a: float, b: float) -> tuple[float, float]:
-    """(p, e) with p = fl(a b) and p + e = a b exactly (Dekker 1971)."""
-    p = a * b
-    c = _SPLIT * a
-    ah = c - (c - a)
-    c = _SPLIT * b
-    bh = c - (c - b)
-    al, bl = a - ah, b - bh
-    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
-
-
 def _mean_pow_m1(length: float, a: float, nu: float) -> tuple[float, float]:
     """S(t) = ((1+t)^(nu+1) - 1 - (nu+1) t) / ((nu+1) t), the mean of (1+y)^nu - 1
     over (0, t), t = length/a > -1, as hi + lo: for |t| < 1/2 its series
@@ -111,8 +97,8 @@ def _mean_pow_m1(length: float, a: float, nu: float) -> tuple[float, float]:
     if abs(t) >= 0.5:
         m, lp = nu + 1.0, math.log1p(t)
         return ((math.expm1(m * lp) / m if m != 0.0 else lp) - t) / t, 0.0
-    p, e = _two_prod(t, a)
-    head, head_lo = _two_prod(0.5 * nu, t)
+    p, e = _two_product(t, a)
+    head, head_lo = _two_product(0.5 * nu, t)
     head_lo += 0.5 * nu * ((length - p - e) / a)
     term, rest, j = head, 0.0, 1
     while abs(term) > 1e-17 * abs(head):
@@ -142,13 +128,13 @@ def _light_term(law: IncrementLaw, side: int, i: int, nu: float, x: float) -> fl
         if (abs(mid) if even else mid) > 1.0:
             s_hi, s_lo = _mean_pow_m1(side * (end - y), a, nu)
             pa = abs(a) ** nu
-            p, e = _two_prod(pa, s_hi)
+            p, e = _two_product(pa, s_hi)
             hi += frac * p
             lo += frac * (e + pa * s_lo)
         if y > 0.0:   # from a kink, where f_i = 1
             hi += frac * (1.0 - f_x)
         a, y = kink, end
-    p, e = _two_prod(law.light_weight, hi)
+    p, e = _two_product(law.light_weight, hi)
     return p + (e + law.light_weight * lo)
 
 

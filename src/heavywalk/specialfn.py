@@ -2,13 +2,15 @@
 
 Everything here is pure, with no cache: the gamma / digamma pair, the three
 kappa coefficient functions that drive the drift expansions and the critical
-exponent equations, the extended incomplete beta, the closed-form tail
-integrals (the drift's whole Pareto term among them), and the Gauss-Kronrod
-integrator over finite intervals that serves as their independent oracle in
-the selftest and the tests (classify, nu* and the drift never run it).  No
-scipy: gamma is CPython's `math.gamma` behind a pole guard (at most 8.5e-16
-relative from 40-digit mpmath on [-12, 30]), and quadrature is deterministic
-so failures reproduce.
+exponent equations, the closed-form tail integrals (the drift's whole Pareto
+term among them), and the Gauss-Kronrod integrator over finite intervals that
+serves as their independent oracle in the selftest and the tests (classify,
+nu* and the drift never run it).  The extended incomplete beta
+`incomplete_beta_ext` is the drift's own hypergeometric series (DLMF 8.17.7),
+at most 1.1e-15 relative from 40-digit mpmath over x in [0.05, 0.95], 0.999
+and 1, p in [0.1, 3] and q in [-2, 2].  No scipy: gamma is CPython's
+`math.gamma` behind a pole guard (at most 8.5e-16 relative from 40-digit
+mpmath on [-12, 30]), and quadrature is deterministic so failures reproduce.
 """
 
 from __future__ import annotations
@@ -119,10 +121,10 @@ def kappa0_prepared(a: float) -> Callable[[float], float]:
 
 
 def kappa0(a: float, nu: float) -> float:
-    """kappa0 at exponent a and nu < a (see kappa0_prepared)."""
+    """kappa0 at exponent a and finite nu < a (see kappa0_prepared)."""
     k0 = kappa0_prepared(a)
-    if nu >= a:
-        raise DomainError(f"kappa0 requires nu < exponent, got nu={nu}, exponent={a}")
+    if not (-math.inf < nu < a):
+        raise DomainError(f"kappa0 requires finite nu < exponent, got nu={nu}, exponent={a}")
     return k0(nu)
 
 
@@ -137,8 +139,8 @@ def kappa1(b: float, nu: float) -> float:
     b = exponent; equals -1 at nu = 0."""
     if not (1.0 < b < 2.0):
         raise DomainError(f"kappa1 exponent must be in (1,2), got {b}")
-    if nu <= -1.0:
-        raise DomainError(f"kappa1 requires nu > -1, got {nu}")
+    if not (-1.0 < nu < math.inf):
+        raise DomainError(f"kappa1 requires finite nu > -1, got {nu}")
     return -(1.0 - b + nu) * gamma_real(nu + 1.0) * gamma_real(1.0 - b) * rgamma(2.0 - b + nu)
 
 
@@ -189,7 +191,6 @@ def kappa2(b: float, nu: float) -> float:
 
 _MAX_DEPTH = 60
 _MAX_INTERVALS = 200_000
-INCOMPLETE_BETA_TOL = 1e-10   # absolute tolerance of incomplete_beta_ext
 
 
 # Kronrod nodes of the GK 7-15 rule on [-1, 1] (positive half, centre last),
@@ -296,6 +297,16 @@ def integrate_power_weighted(phi: Callable[[float], float], power: float,
     return (1.0 / abs(aexp)) * integrate_adaptive(g, min(w_lo, w_hi), max(w_lo, w_hi), abs_tol * abs(aexp))
 
 
+def _beta(a: float, b: float) -> float:
+    """B(a, b) = Gamma(a) Gamma(b) / Gamma(a + b) for a, b off the poles of Gamma,
+    by `math.gamma` without gamma_real's guard: 0.0 where a + b is a pole, as
+    1/Gamma is 0 there."""
+    s = a + b
+    if s <= 0.0 and s == round(s):
+        return 0.0
+    return math.gamma(a) * math.gamma(b) / math.gamma(s)
+
+
 # series term counts as floats: float-float arithmetic is faster, with the same values
 _COUNTS = tuple(float(n) for n in range(1, 4096))
 
@@ -335,10 +346,8 @@ def pareto_tail_integral(x: float, upper: float, nu: float, e: float) -> float:
     if z <= 0.5:
         return den ** -a * _beta_series(z, a, b)
     w = rest / den
-    # math.gamma without gamma_real's pole guard: 1/Gamma(a + b) is 0 at
-    # a + b = 0, which only nu = 1 gives
-    beta_ab = math.gamma(a) * math.gamma(b) / math.gamma(a + b) if a + b != 0.0 else 0.0
-    return num ** -a * (beta_ab - w ** b * _beta_series(w, b, a))
+    # a + b is a pole of Gamma only at 0, which only nu = 1 gives
+    return num ** -a * (_beta(a, b) - w ** b * _beta_series(w, b, a))
 
 
 def _pow_diff(z1: float, z2: float, k: float) -> float:
@@ -391,10 +400,7 @@ def pareto_finite_integral(c: float, lo: float, hi: float, nu: float, e: float) 
     t_lo, t_hi = lo / c, hi / c
     if t_lo < 0.5 < t_hi and -1.0 < nu != 0.0:
         s = (c - hi) / c
-        ab = a + nu
-        pole = ab <= 0.0 and ab == round(ab)
-        beta = 0.0 if pole else math.gamma(a) * math.gamma(nu) / math.gamma(ab)
-        acc = (beta - s ** nu * _beta_series(s, nu, a)
+        acc = (_beta(a, nu) - s ** nu * _beta_series(s, nu, a)
                - t_lo ** a * _beta_series(t_lo, a, nu))
     else:
         acc = 0.0
@@ -411,24 +417,35 @@ def pareto_finite_integral(c: float, lo: float, hi: float, nu: float, e: float) 
 
 
 def incomplete_beta_ext(x: float, p: float, q: float) -> float:
-    """B_x(p, q) = integral_0^x u^(p-1) (1-u)^(q-1) du to INCOMPLETE_BETA_TOL,
-    for x < 1, p > 0 and any real q (x = 1 allowed when q > 0)."""
+    """B_x(p, q) = integral_0^x u^(p-1) (1-u)^(q-1) du for 0 <= x < 1, p > 0 and
+    any real q, and B(p, q) at x = 1 when q > 0: x^p `_beta_series`(x, p, q) up
+    to x = 1/2, and B_{1/2}(p, q) + `_beta_between`(1 - x, 1/2, q, p) beyond."""
+    if not (math.isfinite(x) and math.isfinite(p) and math.isfinite(q)):
+        raise DomainError(f"incomplete_beta_ext needs finite arguments, got x={x}, p={p}, q={q}")
     if p <= 0.0:
         raise DomainError(f"incomplete_beta_ext requires p > 0, got {p}")
     if x < 0.0 or x > 1.0 or (x == 1.0 and q <= 0.0):
         raise DomainError(f"incomplete_beta_ext domain violation: x={x}, q={q}")
-    if x == 0.0:
-        return 0.0
-    x_split = min(x, 0.5)
-    left = integrate_power_weighted(
-        lambda u: math.pow(1.0 - u, q - 1.0), p - 1.0, 0.0, x_split, INCOMPLETE_BETA_TOL / 2)
     if x <= 0.5:
-        return left
-    # remaining piece over u in (1/2, x], as s = 1-u in [1-x, 1/2)
-    s_lo = 1.0 - x
-    right = integrate_power_weighted(
-        lambda s: math.pow(1.0 - s, p - 1.0), q - 1.0, s_lo, 0.5, INCOMPLETE_BETA_TOL / 2)
-    return left + right
+        return x ** p * _beta_series(x, p, q)
+    if x == 1.0:
+        return _beta(p, q)
+    return 0.5 ** p * _beta_series(0.5, p, q) + _beta_between(1.0 - x, 0.5, q, p)
+
+
+_SPLIT = 134217729.0   # 2^27 + 1: Veltkamp's split of a double into halves
+
+
+def _two_product(a, b):
+    """(p, e) with p = fl(a b) and p + e = a b exactly (Dekker 1971), for floats
+    or arrays whose products neither overflow nor underflow."""
+    p = a * b
+    c = _SPLIT * a
+    ah = c - (c - a)
+    c = _SPLIT * b
+    bh = c - (c - b)
+    al, bl = a - ah, b - bh
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
 
 
 def _pow_m1(u: float, e: float) -> float:
