@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .classify import classify, nu_star
-from .errors import ConfigError, HeavywalkError, NoRootError
+from .errors import ConfigError, DomainError, HeavywalkError, NoRootError
 from .floatrepr import repr_floats
 from .increments import ChainSpec, DriftParams, PlaneParams, TailParams, _real
 from .lyapunov import verify_expansion
@@ -34,7 +34,7 @@ _PLANE_KEYS = {f.name for f in fields(PlaneParams)}
 # the sweep parameters: every numeric spec field
 _SWEEPABLE = {"p_heavy", *_PLANE_KEYS,
               *(f.name for rec in (TailParams, DriftParams) for f in fields(rec))}
-# rows per string that simulate's CSV writer converts and writes at once
+# rows that simulate's CSV writer converts and writes at once
 _CSV_BLOCK = 8192
 
 
@@ -147,30 +147,30 @@ def cmd_drift_verify(cfg: dict, out: Path, seed: int, workers: int) -> int:
 
 
 def _cells(col: np.ndarray):
-    """A column's CSV fields as csv.writer writes them: repr for floats, 0/1
-    for flags and str for ints, the last two read from a table of their
-    strings where an int column's range is no longer than the column."""
+    """A column's CSV fields as the ASCII bytes csv.writer writes: repr for
+    floats, 0/1 for flags and %d for ints, the last two read from a table of
+    their bytes where an int column's range is no longer than the column."""
     if col.dtype == bool:
-        return np.array(["0", "1"], dtype=object).take(col.view(np.uint8)).tolist()
+        return np.array([b"0", b"1"], dtype=object).take(col.view(np.uint8)).tolist()
     if col.dtype.kind == "f":
         return repr_floats(col)
     lo, hi = int(col.min()), int(col.max())
     if hi - lo >= len(col):
-        return map(str, col.tolist())
-    return np.array([str(v) for v in range(lo, hi + 1)], dtype=object).take(col - lo).tolist()
+        return map(b"%d".__mod__, col.tolist())
+    return np.array([b"%d" % v for v in range(lo, hi + 1)], dtype=object).take(col - lo).tolist()
 
 
 def _write_csv(path: Path, cols: dict) -> None:
     """Write equal-length columns under a header of their names, with the
     bytes csv.writer gives (fields joined by ',', rows ended by \\r\\n; numbers
     need no quoting).  Each block of _CSV_BLOCK rows is converted column by
-    column and written as one string, so only one block's fields are held."""
+    column and written as one bytes object, so only one block's fields are held."""
     n = len(next(iter(cols.values())))
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(cols) + "\r\n")
+    with open(path, "wb") as fh:
+        fh.write(",".join(cols).encode() + b"\r\n")
         for lo in range(0, n, _CSV_BLOCK):
             rows = zip(*(_cells(c[lo:lo + _CSV_BLOCK]) for c in cols.values()))
-            fh.write("\r\n".join(map(",".join, rows)) + "\r\n")
+            fh.write(b"\r\n".join(map(b",".join, rows)) + b"\r\n")
 
 
 def cmd_simulate(cfg: dict, out: Path, seed: int, workers: int) -> int:
@@ -178,10 +178,11 @@ def cmd_simulate(cfg: dict, out: Path, seed: int, workers: int) -> int:
     sim = sim_from_config(cfg, spec, seed, workers)
     with _reading("m_level"):
         m_level = _real(cfg.get("m_level", math.inf))
-        if math.isnan(m_level):
-            raise ValueError("must be a number, got NaN")
     t_simulate = time.perf_counter()
-    batch = _simulate_batch(sim, m_level)
+    try:
+        batch = _simulate_batch(sim, m_level)
+    except DomainError as ex:   # its one check: m_level must exceed a
+        raise ConfigError(str(ex), field="m_level")
 
     cols = {"index": batch["index"], "tau": batch["tau"], "censored": batch["tau"] < 0,
             "max_excursion": batch["max"], "min_excursion": batch["min"],

@@ -1,10 +1,12 @@
-"""repr of many floats at once, with the same strings.
+"""repr of many floats at once, with the same characters, as ASCII bytes.
 
 Python's repr of a float is the shortest decimal string that reads back as
 the same float, the nearest such string when several are that short.
 `repr_floats` builds it with array arithmetic for every finite x with
 1 <= |x| < 1e16 that is not a power of two, and calls repr for the rest
-and for the rare x whose digits it cannot settle exactly.
+and for the rare x whose digits it cannot settle exactly.  An
+integer-valued x skips the digit search: below 1e16 its integer digits are
+already the shortest, and repr writes them with ".0".
 
 The digits are found exactly.  With E = floor(log10 |x|), V = |x| * 10^(16 - E)
 lies in [1e16, 1e17), and Dekker's product gives it as big + f, big an int64
@@ -33,13 +35,13 @@ _CHAR = np.arange(20, dtype=np.int8)[:, None]   # character positions
 _WIDTH = 20   # '-', 17 digits, '.', and one '0' past a 16-digit integer part
 
 
-def repr_floats(col: np.ndarray) -> list[str]:
-    """[repr(v) for v in col.tolist()], for a 1-d float array."""
+def repr_floats(col: np.ndarray) -> list[bytes]:
+    """[repr(v).encode() for v in col.tolist()], for a 1-d float array."""
     x = np.ascontiguousarray(col, dtype=np.float64)
     n = x.size
     ax = np.abs(x)
     fast = (ax >= 1.0) & (ax < 1e16) & ((x.view(np.uint64) & _MANTISSA) != 0)
-    ax = np.where(fast, ax, 1.5)
+    ax = np.where(fast, ax, 1.0)   # integer-valued: the digit search skips it
     e10 = np.floor(np.log10(ax)).astype(np.int64)
     scale = _F10[16 - e10]
     p, err = _two_product(ax, scale)
@@ -53,10 +55,14 @@ def repr_floats(col: np.ndarray) -> list[str]:
     h = np.spacing(ax) * 0.5 * scale   # a power of two times an exact double: exact
     # 17 digits always read back (|f| <= 1/2 < H)
     digits = big.copy()
-    ndig = np.full(n, 17, dtype=np.int8)
+    # an integer-valued x needs no search: below 1e16 its integer digits are
+    # repr's, and the layout prints them and ".0" whatever ndig says
+    whole = np.rint(ax) == ax
+    ndig = np.where(whole, np.int8(1), np.int8(17))
+    at = np.flatnonzero(~whole)
+    big, f, h = big[at], f[at], h[at]
     # fewer digits read back only where one more does, so each pass keeps
     # the entries whose candidate still reads back
-    at = np.arange(n)
     for m in range(1, 17):
         pm = _P10[m]
         q = big // pm
@@ -100,7 +106,7 @@ def repr_floats(col: np.ndarray) -> list[str]:
     out += (_CHAR == point + 1).view(np.uint8) * (ord(".") - out)
     # the fraction runs to the last significant digit, or is one '0'
     out *= (_CHAR <= np.maximum(ndig, e10 + 2) + neg.view(np.int8)).view(np.uint8)
-    cells = out.T.astype(np.uint32, order="C").view(f"U{_WIDTH}").ravel().tolist()
+    cells = np.ascontiguousarray(out.T).view(f"S{_WIDTH}").ravel().tolist()
     for i in np.flatnonzero(~fast).tolist():
-        cells[i] = repr(float(x[i]))
+        cells[i] = repr(float(x[i])).encode()
     return cells

@@ -12,13 +12,14 @@ exactly one uniform per draw counter for each of them (draws_per_step *
 sum(min(tau, horizon)) uniforms in all).  A step with more than _SLICE live
 trajectories runs on contiguous slices of the columns, so that its
 temporaries stay in cache; every operation is elementwise, so the slices
-change no bit.  A live trajectory carries the max
-and min of its level over steps >= 1; when it settles (returns, or reaches
-the horizon) the start level is folded into them and its crossings of
-+-m_level are read off them, so a start beyond m_level is no crossing.  The
-scalar step() path in `increments` consumes the same streams and agrees with
-it: the same return times, and states equal to rounding (vectorized and
-scalar powers may differ in the last bit).
+change no bit.  A return step compacts in O(returns), so the live set is in
+compaction order; draws and write-backs go by index.  A live trajectory
+carries the max and min of its level over steps >= 1; when it settles
+(returns, or reaches the horizon) the start level is folded into them and
+its crossings of +-m_level are read off them, so a start beyond m_level is
+no crossing.  The scalar step() path in `increments` consumes the same
+streams and agrees with it: the same return times, and states equal to
+rounding (vectorized and scalar powers may differ in the last bit).
 """
 
 from __future__ import annotations
@@ -174,17 +175,19 @@ def _chunk(cfg: SimConfig, m_level: float, lo: int, hi: int) -> tuple[dict, dict
     live * i // k), as views written in place: each slice draws (one
     uniform_array call per draw per slice), moves its states and tests its
     returns, and the batch is settled and compacted once per step from the
-    whole return mask.  Each step works on compacted live columns: trajectory
-    index, state, the level's max and min over steps >= 1, the first exit
-    and the last flip where they can fire, and on the line the sign of the
-    state, which the next step's law pick and flip test read.  A
-    trajectory's columns are written to the batch once, when it returns or
-    at the horizon; only then are the start level folded into its max and
-    min and its crossings of +-m_level read off the step >= 1 extrema.  Sign
-    flips and crossings of -m_level exist only on the whole line, crossings
-    of +m_level only off the plane.  None of the exit work is done when
-    m_level is inf, and first exits are looked for only while a live
-    trajectory has none.  Law and test constants are 0-d arrays, built once.
+    whole return mask: with r of w returned, each returned row below w - r
+    takes a kept row from w - r or above (swap-fill, O(r)), and the columns
+    become views of their first w - r rows.  Each step works on compacted live
+    columns: trajectory index, state, the level's max and min over steps
+    >= 1, the first exit and the last flip where they can fire, and on the
+    line the sign of the state, which the next step's law pick and flip test read.
+    A trajectory's columns are written to the batch once, when it returns or
+    at the horizon; only then are the start level folded into its max and min
+    and its crossings of +-m_level read off the step >= 1 extrema.  Sign flips
+    and crossings of -m_level exist only on the whole line, crossings of
+    +m_level only off the plane.  None of the exit work is done when m_level
+    is inf, and first exits are looked for only while a live trajectory has
+    none.  Law and test constants are 0-d arrays, built once.
 
     The counts are Python ints: "steps" iterated, "traj_steps" (the live
     trajectories summed over steps) and "uniforms" drawn."""
@@ -329,11 +332,15 @@ def _chunk(cfg: SimConfig, m_level: float, lo: int, hi: int) -> tuple[dict, dict
             sel = np.flatnonzero(ret)
             batch["tau"][live["index"][sel] - lo] = nstep
             settle(sel)
-            keep = np.flatnonzero(~ret)
-            for name in live:
-                live[name] = live[name][keep]
             if pending:
-                pending = np.count_nonzero(live["first_exit"] < izero)
+                pending -= np.count_nonzero(live["first_exit"][sel] < izero)
+            # swap-fill the returned rows below the kept width
+            kept = width - sel.size
+            holes = sel[:np.searchsorted(sel, kept)]
+            fill = np.flatnonzero(~ret[kept:]) + kept
+            for name, col in live.items():
+                col[holes] = col[fill]
+                live[name] = col[:kept]
     settle(slice(None))
     return batch, {"steps": steps, "traj_steps": traj_steps, "uniforms": dps * traj_steps}
 
@@ -345,8 +352,8 @@ def _simulate_batch(cfg: SimConfig, m_level: float = math.inf) -> dict:
     cores: more worker processes than cores only add overhead.  "workers" is
     the number of chunks (and processes) actually used, and "engine" holds
     the chunks' counts summed (steps iterated, trajectory-steps, uniforms)."""
-    if math.isnan(m_level):
-        raise DomainError("m_level must be a number, got nan")
+    if not m_level > cfg.a:   # a level at or below a (or NaN) is no exit level
+        raise DomainError(f"m_level must exceed the return level a, got {m_level!r}")
     w = min(cfg.workers, cfg.n_traj, os.cpu_count() or 1)
     bounds = [cfg.n_traj * i // w for i in range(w + 1)]
     kernel = partial(_chunk, cfg, m_level)
@@ -440,8 +447,6 @@ def phase_diagnostic(cfg: SimConfig, m_level: float) -> PhaseDiagnostic:
     change happened after the first exit beyond m_level.  directional-like:
     escaped with no sign change after the first exit.
     """
-    if not m_level > cfg.a:
-        raise DomainError(f"m_level must exceed the return level a, got {m_level!r}")
     batch = _simulate_batch(cfg, m_level)
     tau = batch["tau"]
     returned = tau >= 0

@@ -175,6 +175,10 @@ BAD_SHAPES = {
                                                       "x_max": 1000})),
     # non-finite levels: every trajectory would be reported censored
     "m_level_nan": ("simulate", dict(HL, m_level=math.nan)),
+    # a level at or below a: every row would read crossed and exited at step 1
+    "m_level_below_a": ("simulate", dict(HL, m_level=-5.0)),
+    "m_level_at_a": ("simulate", dict(HL, m_level=HL["sim"]["a"])),
+    "m_level_minus_inf": ("simulate", dict(HL, m_level=-math.inf)),
     "a_nan": ("simulate", dict(HL, sim=dict(HL["sim"], a=math.nan))),
     "start_nan": ("simulate", dict(HL, sim=dict(HL["sim"], start=math.nan))),
     "start_inf": ("simulate", dict(HL, sim=dict(HL["sim"], start=math.inf))),

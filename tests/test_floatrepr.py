@@ -7,7 +7,7 @@ from heavywalk.floatrepr import repr_floats
 
 def _same(x):
     x = np.asarray(x, dtype=np.float64)
-    got, want = repr_floats(x), list(map(repr, x.tolist()))
+    got, want = repr_floats(x), [repr(v).encode() for v in x.tolist()]
     assert len(got) == len(want)
     bad = [(g, w) for g, w in zip(got, want) if g != w]
     assert not bad, bad[:5]
@@ -44,6 +44,20 @@ def test_edges():
     _same(np.concatenate([p2, p10, *near, halves, -halves,
                           [0.0, -0.0, np.inf, -np.inf, np.nan, 1.0, 1e16, 9999999999999998.0,
                            30.0, -30.0, 0.1, 5e-324, 1.7976931348623157e308]]))
+
+
+def test_integer_valued_floats():
+    # the digit search is skipped for these: every magnitude from 1 to 1e16
+    # on both signs, the ends of the exact-integer range and the start levels
+    # the tests and the benchmark use
+    mags = np.append(np.arange(1, 10) * 10.0 ** np.arange(16)[:, None], 1e16)
+    _same(np.concatenate([mags, -mags, [2.0 ** 52 - 1, 2.0 ** 52 + 1, 2.0 ** 53 - 1,
+                                        2.0 ** 53 + 2, 2.0 - 2.0 ** 53, 9999999999999998.0,
+                                        30.0, 50.0]]))
+    rng = np.random.default_rng(3)
+    _same(np.arange(-3000.0, 3001.0))
+    _same(rng.integers(-2 ** 53, 2 ** 53, 20_000).astype(np.float64))
+    _same(np.rint(rng.normal(size=20_000) * 1e6))
 
 
 def test_empty_and_strided():

@@ -215,6 +215,60 @@ def test_crossings_and_exits_follow_the_scalar_path(start):
         assert ((batch["min"] < -m) & ~batch["crossed_neg"]).any()
 
 
+@pytest.mark.parametrize("width", [None, 3], ids=["default_slice", "slice_3"])
+@pytest.mark.parametrize("spec, a, n_traj, seed, kinds",
+                         [(half_line(), 25.0, 16, 13, {"below", "above", "all"}),
+                          (balanced(), 10.0, 20, 0, {"below", "above"})],
+                         ids=["half_line", "line_balanced"])
+def test_swap_fill_follows_the_scalar_path(monkeypatch, spec, a, n_traj, seed, kinds, width):
+    # a return step of r out of w live trajectories moves the kept rows at or
+    # above w - r into the returned rows below it.  The seeds give steps whose
+    # returns lie only below w - r, steps whose returns lie only at or above
+    # it, and on the half line a step where all w >= 2 live trajectories return
+    calls = collections.defaultdict(list)
+
+    def counted(key, traj, counter):
+        calls[counter].append(traj.copy())
+        return uniform_array(key, traj, counter)
+
+    monkeypatch.setattr("heavywalk.montecarlo.uniform_array", counted)
+    if width is not None:
+        monkeypatch.setattr("heavywalk.montecarlo._SLICE", width)
+    m = 60.0
+    cfg = SimConfig(spec, start=30.0, a=a, horizon=300, n_traj=n_traj, master_seed=seed)
+    batch = _simulate_batch(cfg, m_level=m)
+    seen = set()
+    for counter in range(0, len(calls), 2):
+        live = np.concatenate(calls[counter])   # in compaction order
+        ret = np.flatnonzero(batch["tau"][live] == counter // 2 + 1)
+        w, r = live.size, ret.size
+        if r == w > 1:
+            seen.add("all")
+        elif 0 < r < w and ret[-1] < w - r:
+            seen.add("below")
+        elif 0 < r < w and ret[0] >= w - r:
+            seen.add("above")
+    assert kinds <= seen
+    for k in range(n_traj):
+        stream = CounterStream(seed, k)
+        path = [30.0]
+        for _ in range(cfg.horizon):
+            path.append(step(spec, path[-1], stream))
+            if abs(path[-1]) <= a:
+                break
+        after = np.array(path[1:])
+        exits = np.flatnonzero(np.abs(after) > m)
+        flips = np.flatnonzero(np.diff(np.array(path) < 0.0))
+        assert batch["tau"][k] == (len(path) - 1 if abs(path[-1]) <= a else -1)
+        assert batch["final_x"][k] == pytest.approx(path[-1], abs=1e-12)
+        assert batch["max"][k] == pytest.approx(max(path), abs=1e-12)
+        assert batch["min"][k] == pytest.approx(min(path), abs=1e-12)
+        assert batch["crossed_pos"][k] == (after > m).any()
+        assert batch["crossed_neg"][k] == (after < -m).any()
+        assert batch["first_exit"][k] == (exits[0] + 1 if exits.size else -1)
+        assert batch["last_flip"][k] == (flips[-1] + 1 if flips.size else -1)
+
+
 @pytest.mark.parametrize("spec, start", [(balanced(gamma=0.5, b=0.5), 30.0),
                                          (plane(p_radial=0.7), (30.0, 0.0))],
                          ids=["line_balanced", "plane"])
@@ -282,7 +336,7 @@ def test_one_draw_per_live_trajectory_step(monkeypatch, spec, start, m_level):
     for i, (counter, traj) in enumerate(calls):
         step = i // dps + 1
         assert counter == dps * (step - 1) + i % dps
-        assert np.array_equal(traj, np.flatnonzero(ran >= step))
+        assert np.array_equal(np.sort(traj), np.flatnonzero(ran >= step))
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -327,7 +381,7 @@ def test_sliced_steps_are_invisible(monkeypatch, spec, start, m_level, workers):
 def test_sliced_draws_keep_the_draw_contract(monkeypatch, spec, start, width):
     # each draw of step n is one uniform_array call per slice, with counter
     # draws_per_step * (n - 1) + j; the calls' trajectory arrays, at most
-    # _SLICE long, concatenate to the live set in index order
+    # _SLICE long, concatenate to the live set (in compaction order)
     calls = []
 
     def counted(key, traj, counter):
@@ -350,7 +404,7 @@ def test_sliced_draws_keep_the_draw_contract(monkeypatch, spec, start, width):
         for j in range(dps):
             parts = by_counter[dps * (n - 1) + j]
             assert len(parts) == -(-live.size // width)
-            assert np.array_equal(np.concatenate(parts), live)
+            assert np.array_equal(np.sort(np.concatenate(parts)), live)
     assert sum(len(t) for _, t in calls) == dps * int(ran.sum())
 
 
@@ -441,6 +495,15 @@ def test_nan_m_level_is_rejected():
         phase_diagnostic(cfg, m_level=math.nan)
     with pytest.raises(DomainError):
         run_trajectories(cfg, m_level=math.nan)
+
+
+@pytest.mark.parametrize("m_level", [10.0, 0.0, -math.inf], ids=["a", "zero", "minus_inf"])
+def test_m_level_must_exceed_a(m_level):
+    # a state is beyond a level at or below a before it can return: every row
+    # would read crossed and exited at step 1
+    cfg = SimConfig(balanced(), start=30.0, a=10.0, horizon=100, n_traj=10, master_seed=1)
+    with pytest.raises(DomainError, match="m_level must exceed"):
+        _simulate_batch(cfg, m_level)
 
 
 @pytest.mark.parametrize("a", [-1.0, -5e-324])
