@@ -23,11 +23,12 @@ import numpy as np
 
 from . import __version__
 from .classify import classify, nu_star
-from .errors import ConfigError, DomainError, HeavywalkError, NoRootError
+from .errors import ConfigError, HeavywalkError, NoRootError
 from .floatrepr import repr_floats
 from .increments import ChainSpec, DriftParams, PlaneParams, TailParams, _real
 from .lyapunov import verify_expansion
-from .montecarlo import SimConfig, _simulate_batch, survival_curve, survival_grid
+from .montecarlo import (SimConfig, _check_exit_level, _simulate_batch, survival_curve,
+                         survival_grid)
 from .selftest import run_selftest
 
 _PLANE_KEYS = {f.name for f in fields(PlaneParams)}
@@ -178,11 +179,9 @@ def cmd_simulate(cfg: dict, out: Path, seed: int, workers: int) -> int:
     sim = sim_from_config(cfg, spec, seed, workers)
     with _reading("m_level"):
         m_level = _real(cfg.get("m_level", math.inf))
+        _check_exit_level(sim, m_level)
     t_simulate = time.perf_counter()
-    try:
-        batch = _simulate_batch(sim, m_level)
-    except DomainError as ex:   # its one check: m_level must exceed a
-        raise ConfigError(str(ex), field="m_level")
+    batch = _simulate_batch(sim, m_level)
 
     cols = {"index": batch["index"], "tau": batch["tau"], "censored": batch["tau"] < 0,
             "max_excursion": batch["max"], "min_excursion": batch["min"],

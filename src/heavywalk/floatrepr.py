@@ -56,7 +56,8 @@ def repr_floats(col: np.ndarray) -> list[bytes]:
     # 17 digits always read back (|f| <= 1/2 < H)
     digits = big.copy()
     # an integer-valued x needs no search: below 1e16 its integer digits are
-    # repr's, and the layout prints them and ".0" whatever ndig says
+    # repr's, and the layout prints them and ".0" whatever ndig says.  It is
+    # the x the search would keep longest (30.0 reads back down to 2 digits)
     whole = np.rint(ax) == ax
     ndig = np.where(whole, np.int8(1), np.int8(17))
     at = np.flatnonzero(~whole)

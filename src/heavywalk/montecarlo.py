@@ -345,6 +345,14 @@ def _chunk(cfg: SimConfig, m_level: float, lo: int, hi: int) -> tuple[dict, dict
     return batch, {"steps": steps, "traj_steps": traj_steps, "uniforms": dps * traj_steps}
 
 
+def _check_exit_level(cfg: SimConfig, m_level: float) -> None:
+    """A level at or below a (or NaN) is no exit level: every state is beyond
+    it before it can return."""
+    if not m_level > cfg.a:
+        raise DomainError(f"the exit level must exceed the return level a = {cfg.a!r}, "
+                          f"got {m_level!r}")
+
+
 def _simulate_batch(cfg: SimConfig, m_level: float = math.inf) -> dict:
     """Run all trajectories, merging per-chunk arrays in index order.
 
@@ -352,8 +360,7 @@ def _simulate_batch(cfg: SimConfig, m_level: float = math.inf) -> dict:
     cores: more worker processes than cores only add overhead.  "workers" is
     the number of chunks (and processes) actually used, and "engine" holds
     the chunks' counts summed (steps iterated, trajectory-steps, uniforms)."""
-    if not m_level > cfg.a:   # a level at or below a (or NaN) is no exit level
-        raise DomainError(f"m_level must exceed the return level a, got {m_level!r}")
+    _check_exit_level(cfg, m_level)
     w = min(cfg.workers, cfg.n_traj, os.cpu_count() or 1)
     bounds = [cfg.n_traj * i // w for i in range(w + 1)]
     kernel = partial(_chunk, cfg, m_level)
