@@ -27,8 +27,7 @@ from .errors import ConfigError, HeavywalkError, NoRootError
 from .floatrepr import repr_floats
 from .increments import ChainSpec, DriftParams, PlaneParams, TailParams, _real
 from .lyapunov import verify_expansion
-from .montecarlo import (SimConfig, _check_exit_level, _simulate_batch, survival_curve,
-                         survival_grid)
+from .montecarlo import SimConfig, _check_exit_level, _simulate_batch, survival_curve, survival_grid
 from .selftest import run_selftest
 
 _PLANE_KEYS = {f.name for f in fields(PlaneParams)}

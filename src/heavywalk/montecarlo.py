@@ -346,11 +346,8 @@ def _chunk(cfg: SimConfig, m_level: float, lo: int, hi: int) -> tuple[dict, dict
 
 
 def _check_exit_level(cfg: SimConfig, m_level: float) -> None:
-    """A level at or below a (or NaN) is no exit level: every state is beyond
-    it before it can return."""
-    if not m_level > cfg.a:
-        raise DomainError(f"the exit level must exceed the return level a = {cfg.a!r}, "
-                          f"got {m_level!r}")
+    if not m_level > cfg.a:   # a state is beyond such a level (or NaN) before it returns
+        raise DomainError(f"exit level {m_level!r} must exceed the return level a = {cfg.a!r}")
 
 
 def _simulate_batch(cfg: SimConfig, m_level: float = math.inf) -> dict:

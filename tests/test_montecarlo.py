@@ -502,7 +502,7 @@ def test_m_level_must_exceed_a(m_level):
     # a state is beyond a level at or below a before it can return: every row
     # would read crossed and exited at step 1
     cfg = SimConfig(balanced(), start=30.0, a=10.0, horizon=100, n_traj=10, master_seed=1)
-    with pytest.raises(DomainError, match="exit level must exceed"):
+    with pytest.raises(DomainError, match="must exceed the return level a"):
         _simulate_batch(cfg, m_level)
 
 
