@@ -146,31 +146,51 @@ def cmd_drift_verify(cfg: dict, out: Path, seed: int, workers: int) -> int:
     return 0
 
 
-def _cells(col: np.ndarray):
-    """A column's CSV fields as the ASCII bytes csv.writer writes: repr for
-    floats, 0/1 for flags and %d for ints, the last two read from a table of
-    their bytes where an int column's range is no longer than the column."""
+def _int_chars(col: np.ndarray) -> np.ndarray:
+    """%d of each int as a uint8 matrix, one row per value: the sign, then
+    the digits right-aligned, NUL where a value has no character."""
+    col = col.astype(np.int64, copy=False)
+    a = np.abs(col).view(np.uint64)   # |-2^63| wraps to 2^63, right as unsigned
+    top = int(a.max())
+    if top < 2 ** 32:
+        a = a.astype(np.uint32)
+    out = np.empty((1 + len(str(top)), a.size), dtype=np.uint8)
+    out[0] = (col < 0).view(np.uint8) * ord("-")
+    for j in range(len(out) - 1, 0, -1):
+        q = a // 10
+        # a digit while the value left is non-zero, and the units digit always
+        lit = (a != 0).view(np.uint8) if j < len(out) - 1 else 1
+        out[j] = (a - q * 10).astype(np.uint8) + lit * ord("0")
+        a = q
+    return out.T
+
+
+def _chars(col: np.ndarray) -> np.ndarray:
+    """A column's CSV fields as the ASCII bytes csv.writer writes, as the
+    non-NUL bytes of the rows of a uint8 matrix: repr for floats, 0/1 for
+    flags and %d for ints."""
     if col.dtype == bool:
-        return np.array([b"0", b"1"], dtype=object).take(col.view(np.uint8)).tolist()
+        return (col.view(np.uint8) + ord("0"))[:, None]
     if col.dtype.kind == "f":
         return repr_floats(col)
-    lo, hi = int(col.min()), int(col.max())
-    if hi - lo >= len(col):
-        return map(b"%d".__mod__, col.tolist())
-    return np.array([b"%d" % v for v in range(lo, hi + 1)], dtype=object).take(col - lo).tolist()
+    return _int_chars(col)
 
 
 def _write_csv(path: Path, cols: dict) -> None:
     """Write equal-length columns under a header of their names, with the
     bytes csv.writer gives (fields joined by ',', rows ended by \\r\\n; numbers
-    need no quoting).  Each block of _CSV_BLOCK rows is converted column by
-    column and written as one bytes object, so only one block's fields are held."""
+    need no quoting).  Each block of _CSV_BLOCK rows is laid out as one uint8
+    matrix, each column's characters, a ',' or \\r\\n after it, and written
+    without its NULs in one call, so no Python object is made per field."""
     n = len(next(iter(cols.values())))
     with open(path, "wb") as fh:
         fh.write(",".join(cols).encode() + b"\r\n")
         for lo in range(0, n, _CSV_BLOCK):
-            rows = zip(*(_cells(c[lo:lo + _CSV_BLOCK]) for c in cols.values()))
-            fh.write(b"\r\n".join(map(b",".join, rows)) + b"\r\n")
+            fields = [_chars(c[lo:lo + _CSV_BLOCK]) for c in cols.values()]
+            comma, end = (np.broadcast_to(np.frombuffer(s, np.uint8), (len(fields[0]), len(s)))
+                          for s in (b",", b"\r\n"))
+            rows = np.concatenate([p for f in fields for p in (f, comma)][:-1] + [end], axis=1)
+            fh.write(rows.tobytes().translate(None, b"\0"))
 
 
 def cmd_simulate(cfg: dict, out: Path, seed: int, workers: int) -> int:

@@ -406,10 +406,14 @@ def survival_grid(horizon: int) -> np.ndarray:
 
 
 def survival_curve(batch: dict, grid: np.ndarray) -> np.ndarray:
+    """P[tau_eff > n] at each integer n of grid, tau_eff = horizon + 1 for a
+    censored trajectory: count/N from one count of the times, the same float
+    as the mean of the 0/1 array tau_eff > n."""
     tau = batch["tau"]
-    horizon = batch["horizon"]
-    tau_eff = np.where(tau < 0, horizon + 1, tau)
-    return np.array([(tau_eff > n).mean() for n in grid])
+    counts = np.bincount(np.where(tau < 0, batch["horizon"] + 1, tau))
+    # above[k] trajectories have tau_eff > k - 1; above[-1] = 0
+    above = len(tau) - np.concatenate(([0], np.cumsum(counts)))
+    return above[np.clip(grid + 1, 0, len(above) - 1)] / len(tau)
 
 
 def estimate_passage_tail(cfg: SimConfig) -> SurvivalEstimate:

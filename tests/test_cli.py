@@ -412,10 +412,18 @@ def test_simulate_csv_bytes_match_csv_writer(tmp_path, cfg):
 def test_csv_edge_values_match_csv_writer(tmp_path):
     rng = np.random.default_rng(11)
     n = N_BLOCKS_PLUS
+    # int ranges short and wider than a block, up to the engine's -1 .. 2^32
     cols = {"index": np.arange(n, dtype=np.int64), "tau": rng.integers(-1, 50, n),
+            "wide": rng.integers(-1, 2 ** 32 + 1, n), "spread": rng.integers(-1, 3 * _CSV_BLOCK, n),
             "censored": rng.random(n) < 0.5, "x": rng.standard_cauchy(n),
             "y": rng.standard_cauchy(n)}
-    edges = [-0.0, 0.0, 1e16, -1e16, 1e-7, 5e-324, -5e-324, math.inf, -math.inf, math.nan]
+    cols["wide"][:4] = [-1, 0, 2 ** 32, 2 ** 32 - 1]
+    # both sides of 1e-4, 1 and 1e16, where the array path ends
+    ends = np.array([1e-4, 1.0, 1e16])
+    cols["x"][3 * _CSV_BLOCK // 2:][:12] = np.concatenate(
+        [ends, np.nextafter(ends, 0.0), np.nextafter(ends, np.inf), -ends])
+    edges = [-0.0, 0.0, 1e16, -1e16, 1e-7, 5e-324, -5e-324, math.inf, -math.inf, math.nan,
+             0.0001, 0.1, 0.5, 1e-5, -0.5, 2.2250738585072014e-308, 1e-310]
     # at the ends and on both sides of each block boundary
     at = [0, _CSV_BLOCK - 1, _CSV_BLOCK, 2 * _CSV_BLOCK - 1, 2 * _CSV_BLOCK, n - 1]
     for k, pos in enumerate(at):
@@ -425,6 +433,22 @@ def test_csv_edge_values_match_csv_writer(tmp_path):
     cols["y"][_CSV_BLOCK + 1:_CSV_BLOCK + 1 + len(edges)] = edges
     _write_csv(tmp_path / "edges.csv", cols)
     assert (tmp_path / "edges.csv").read_bytes() == _csv_writer_bytes(cols)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 2 * _CSV_BLOCK + 2), st.integers(0, 2 ** 32))
+def test_any_columns_match_csv_writer(n, seed):
+    # random flag, int64 and float64 columns, across block boundaries
+    rng = np.random.default_rng(seed)
+    ints = rng.integers(0, 2 ** 64, n, dtype=np.uint64).view(np.int64)
+    ints[0], ints[-1] = -2 ** 63, 2 ** 63 - 1
+    cols = {"flag": rng.random(n) < 0.5, "small": rng.integers(-3, 30, n),
+            "int": ints >> rng.integers(0, 64, n),
+            "float": rng.integers(0, 2 ** 64, n, dtype=np.uint64).view(np.float64),
+            "unit": rng.random(n) * 10.0 ** rng.integers(-6, 17, n)}
+    with tempfile.TemporaryDirectory() as d:
+        _write_csv(Path(d) / "any.csv", cols)
+        assert (Path(d) / "any.csv").read_bytes() == _csv_writer_bytes(cols)
 
 
 def test_integral_float_counts_accepted(tmp_path):

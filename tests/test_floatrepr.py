@@ -6,10 +6,12 @@ from heavywalk.floatrepr import repr_floats
 
 
 def _same(x):
+    # each matrix row, its NULs dropped, is repr's bytes
     x = np.asarray(x, dtype=np.float64)
     got, want = repr_floats(x), [repr(v).encode() for v in x.tolist()]
-    assert len(got) == len(want)
-    bad = [(g, w) for g, w in zip(got, want) if g != w]
+    assert got.dtype == np.uint8 and len(got) == len(want)
+    bad = [(g, w) for g, w in zip((r.tobytes().replace(b"\0", b"") for r in got), want)
+           if g != w]
     assert not bad, bad[:5]
 
 
@@ -46,6 +48,20 @@ def test_edges():
                            30.0, -30.0, 0.1, 5e-324, 1.7976931348623157e308]]))
 
 
+def test_below_one():
+    # |x| < 1 in the array path down to 1e-4, and repr's scientific form
+    # below it: every binade from 2^-20 to 1, the boundaries and their
+    # neighbours, and short decimals at each exponent
+    rng = np.random.default_rng(4)
+    bits = rng.integers(0x3EB0000000000000, 0x3FF0000000000000, 200_000, dtype=np.int64)
+    x = bits.view(np.float64)
+    p10 = 10.0 ** np.arange(-6, 1)
+    short = rng.integers(1, 10 ** 6, 20_000) * 10.0 ** rng.integers(-10, -6, 20_000)
+    ends = np.concatenate([p10, 5 * p10, 1.5 * p10, 0.999 * p10, [0.1, 0.5, 1e-5, 0.3, 0.7]])
+    near = [np.nextafter(ends, d) for d in (0.0, np.inf)]
+    _same(np.concatenate([x, -x, short, -short, ends, -ends, *near]))
+
+
 def test_integer_valued_floats():
     # the digit search is skipped for these: every magnitude from 1 to 1e16
     # on both signs, the ends of the exact-integer range and the start levels
@@ -61,7 +77,7 @@ def test_integer_valued_floats():
 
 
 def test_empty_and_strided():
-    assert repr_floats(np.array([], dtype=np.float64)) == []
+    assert repr_floats(np.array([], dtype=np.float64)).size == 0
     x = np.linspace(-50.0, 50.0, 1001)
     _same(x[::3])
     _same(x.astype(np.float32))
