@@ -440,16 +440,18 @@ def test_survival_monotone_and_censoring():
     assert surv[-1] * cfg.n_traj >= n_cens
 
 
-@pytest.mark.parametrize("horizon", [0, 1, 2])
+@pytest.mark.parametrize("horizon", [0, 1, 2, 2 ** 31 - 1])
 @pytest.mark.parametrize("kind", ["all_censored", "none_censored", "mixed"])
 def test_survival_curve_is_the_per_point_mean(horizon, kind):
     # the one-pass count against the mean of tau_eff > n at each point, on
-    # every integer grid point from below 0 to beyond horizon + 1
+    # the integers from below 0 and up to beyond horizon + 1 (every one of
+    # them for a short horizon) and at each time and its neighbours
     rng = np.random.default_rng(horizon)
     returned = rng.integers(0, horizon + 1, 37)
     tau = {"all_censored": np.full(37, -1), "none_censored": returned,
            "mixed": np.where(rng.random(37) < 0.4, -1, returned)}[kind]
-    grid = np.arange(-3, horizon + 5)
+    ends = np.arange(-3, 5)
+    grid = np.unique(np.concatenate([ends, horizon + ends, returned - 1, returned, returned + 1]))
     tau_eff = np.where(tau < 0, horizon + 1, tau)
     want = np.array([(tau_eff > n).mean() for n in grid])
     got = survival_curve({"tau": tau, "horizon": horizon}, grid)
