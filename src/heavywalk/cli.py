@@ -27,7 +27,8 @@ from .errors import ConfigError, HeavywalkError, NoRootError
 from .floatrepr import repr_floats
 from .increments import ChainSpec, DriftParams, PlaneParams, TailParams, _real
 from .lyapunov import verify_expansion
-from .montecarlo import SimConfig, _check_exit_level, _simulate_batch, survival_curve, survival_grid
+from .montecarlo import (TRAJECTORY_COLUMNS, SimConfig, _check_exit_level, _simulate_batch,
+                         survival_curve, survival_grid)
 from .selftest import run_selftest
 
 _PLANE_KEYS = {f.name for f in fields(PlaneParams)}
@@ -202,16 +203,9 @@ def cmd_simulate(cfg: dict, out: Path, seed: int, workers: int) -> int:
     t_simulate = time.perf_counter()
     batch = _simulate_batch(sim, m_level)
 
-    cols = {"index": batch["index"], "tau": batch["tau"], "censored": batch["tau"] < 0,
-            "max_excursion": batch["max"], "min_excursion": batch["min"],
-            "final_x": batch["final_x"]}
-    if "final_y" in batch:
-        cols["final_y"] = batch["final_y"]
-    cols.update(crossed_pos=batch["crossed_pos"], crossed_neg=batch["crossed_neg"],
-                first_exit=batch["first_exit"], last_sign_change=batch["last_flip"])
     traj_path = out / "trajectories.csv"
     t_write = time.perf_counter()
-    _write_csv(traj_path, cols)
+    _write_csv(traj_path, {k: batch[k] for k in TRAJECTORY_COLUMNS if k in batch})
     grid = survival_grid(sim.horizon)
     surv_path = out / "survival.csv"
     _write_csv(surv_path, {"n": grid, "survival": survival_curve(batch, grid)})
@@ -278,6 +272,9 @@ def cmd_phase_diagram(cfg: dict, out: Path, seed: int, workers: int) -> int:
         if name not in _SWEEPABLE:
             raise ConfigError(f"unknown sweep parameter {name!r}; "
                               f"expected one of {sorted(_SWEEPABLE)}", field="grid")
+    if len(set(names)) < len(names):
+        # a point holds one value per parameter: the first axis's would be lost
+        raise ConfigError(f"two sweep axes on {names[0]!r}", field="grid")
     points = [dict(zip(names, v)) for v in itertools.product(*(g.tolist() for g in grids))]
     # a spec entry or plane section that cannot be read exits 2, not a row
     with _reading("spec"):

@@ -16,6 +16,7 @@ cross-checks.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -286,6 +287,8 @@ def mc_drift(spec: ChainSpec, i: int, nu: float, x: float, n: int,
     """Monte Carlo oracle for drift_numeric: (mean, standard error) of
     f_i(x + theta) - f_i(x) over n sampled increments."""
     _check_regime_i(spec, i)
+    if not isinstance(n, numbers.Integral) or isinstance(n, bool) or n < 1:
+        raise DomainError(f"sample count n must be an integer >= 1, got {n!r}")
     law = build_law(spec, x)
     fx = lyapunov_f(i, nu, x if spec.regime != "half_line" else max(x, 0.0))
     rng = np.random.default_rng(seed)
@@ -327,6 +330,9 @@ def criteria_check(spec: ChainSpec, nu: float, x_probe: Sequence[float]) -> Crit
     compares the sign pattern against the classified phase.
     """
     probes = [float(x) for x in x_probe]
+    if not probes:
+        # all() of no drifts is True: every sign would read non-positive
+        raise DomainError("x_probe must not be empty")
     if any(x <= 0.0 for x in probes):
         raise DomainError("probe points are magnitudes; use positive values")
     phase = _classify_phase(spec).phase

@@ -37,7 +37,7 @@ import numpy as np
 from .errors import DomainError, InsufficientDataError
 from .increments import (_U_MIN, ChainSpec, IncrementLaw, _quantile, build_law,
                          plane_radial_law, plane_transverse_law)
-from .rng import _const, seed_key, uniform_array
+from .rng import _MASK, _const, seed_key, uniform_array
 
 # a uniform's counter fills the low 32 bits of its stream word
 # (rng.uniform_at), and the trajectory index the high 32
@@ -46,6 +46,10 @@ SURVIVAL_POINTS = 60   # geometric survival grid points, before rounding and ded
 # a step with more live trajectories runs on contiguous slices of at most this
 # many, so that each slice's temporaries stay in cache
 _SLICE = 2 ** 14
+# a batch's per-trajectory columns in trajectories.csv's order, which is also
+# TrajectorySummary's with final_x and final_y as its final
+TRAJECTORY_COLUMNS = ("index", "tau", "censored", "max_excursion", "min_excursion", "final_x",
+                      "final_y", "crossed_pos", "crossed_neg", "first_exit", "last_sign_change")
 
 
 def _is_real(v) -> bool:
@@ -63,22 +67,18 @@ class SimConfig:
     workers: int = 1
 
     def __post_init__(self):
-        # numpy integers are stored as int: seed_key's mixing needs Python ints
-        for name in ("horizon", "n_traj", "workers", "master_seed"):
+        # (field, low, high): a uniform's counter and a trajectory index each
+        # fill 32 bits of the stream word, and the seed is the stream's 64-bit
+        # key, so no two accepted seeds share a stream
+        limits = (("horizon", 0, _COUNTER_SPAN // self.draws_per_step),
+                  ("n_traj", 1, _COUNTER_SPAN), ("workers", 1, math.inf),
+                  ("master_seed", 0, _MASK))
+        for name, low, high in limits:
             v = getattr(self, name)
-            if not isinstance(v, numbers.Integral) or isinstance(v, bool):
-                raise DomainError(f"{name} must be an integer, got {v!r}")
+            if not isinstance(v, numbers.Integral) or isinstance(v, bool) or not low <= int(v) <= high:
+                raise DomainError(f"{name} must be an integer in [{low}, {high}], got {v!r}")
+            # numpy integers are stored as int: seed_key's mixing needs Python ints
             object.__setattr__(self, name, int(v))
-        if self.horizon < 0:
-            raise DomainError("horizon must be >= 0")
-        if self.n_traj < 1:
-            raise DomainError("n_traj must be >= 1")
-        if self.workers < 1:
-            raise DomainError("workers must be >= 1")
-        if self.draws_per_step * self.horizon > _COUNTER_SPAN:
-            raise DomainError(f"{self.spec.regime} horizon must be <= {_COUNTER_SPAN // self.draws_per_step}")
-        if self.n_traj > _COUNTER_SPAN:
-            raise DomainError("n_traj must be <= 2^32")
         start = self.start
         if self.spec.regime == "plane":
             if _is_real(start):
@@ -167,27 +167,24 @@ def _chunk(cfg: SimConfig, m_level: float, lo: int, hi: int) -> tuple[dict, dict
     """Trajectories lo..hi-1 of cfg in vectorized lockstep: the batch columns
     and the engine counts.
 
-    The tracked level is x on the line and the radius in the plane; step n
-    draws the uniforms with counters draws_per_step * (n - 1) + j, for
-    exactly the trajectories still out at step n: one draw per live
-    trajectory-step.  With more than _SLICE of them out, the step's body
+    Every trajectory starts at cfg.start, so the start level (x on the line,
+    the radius in the plane) is one number: within a, all n rows return at
+    step 0 (tau 0, max and min the start level) and none goes live;
+    otherwise all n go live.  Step n draws the counters
+    draws_per_step * (n - 1) + j.  With more than _SLICE live, the step's body
     runs on k = ceil(live / _SLICE) equal contiguous slices (bounds
-    live * i // k), as views written in place: each slice draws (one
-    uniform_array call per draw per slice), moves its states and tests its
-    returns, and the batch is settled and compacted once per step from the
-    whole return mask: with r of w returned, each returned row below w - r
-    takes a kept row from w - r or above (swap-fill, O(r)), and the columns
-    become views of their first w - r rows.  Each step works on compacted live
-    columns: trajectory index, state, the level's max and min over steps
-    >= 1, the first exit and the last flip where they can fire, and on the
-    line the sign of the state, which the next step's law pick and flip test read.
-    A trajectory's columns are written to the batch once, when it returns or
-    at the horizon; only then are the start level folded into its max and min
-    and its crossings of +-m_level read off the step >= 1 extrema.  Sign flips
-    and crossings of -m_level exist only on the whole line, crossings of
-    +m_level only off the plane.  None of the exit work is done when m_level
-    is inf, and first exits are looked for only while a live trajectory has
-    none.  Law and test constants are 0-d arrays, built once.
+    live * i // k), as views written in place, and the step settles and
+    compacts once from the whole return mask: with r of w returned, each
+    returned row below w - r takes a kept row from w - r or above
+    (swap-fill), and the columns become views of their first w - r rows.
+    The live columns are the trajectory index, the state, the level's max
+    and min over steps >= 1, the first exit and the last sign change where
+    they can fire, and on the line the sign of the state, which the next
+    step's law pick and flip test read.  Sign flips and crossings of
+    -m_level exist only on the whole line, crossings of +m_level only off
+    the plane.  None of the exit work is done when m_level is inf, and first
+    exits are looked for only while a live trajectory has none.  Law and
+    test constants are 0-d arrays, built once.
 
     The counts are Python ints: "steps" iterated, "traj_steps" (the live
     trajectories summed over steps) and "uniforms" drawn."""
@@ -208,9 +205,9 @@ def _chunk(cfg: SimConfig, m_level: float, lo: int, hi: int) -> tuple[dict, dict
         radial_law = _law_constants(plane_radial_law(spec))
         transverse_law = _law_constants(plane_transverse_law(spec))
         p_radial = _const(spec.plane.p_radial)
-        start = {"final_x": np.full(n, float(cfg.start[0])),
-                 "final_y": np.full(n, float(cfg.start[1]))}
-        level = np.hypot(*start.values())
+        x0, y0 = map(float, cfg.start)
+        start = {"final_x": np.full(n, x0), "final_y": np.full(n, y0)}
+        level0 = np.hypot(x0, y0)
     else:
         # (at x >= 0, at x < 0) pairs, looked up by sign where they differ; when
         # b != 0 the light width also depends on |x| and is taken at x per step
@@ -219,29 +216,27 @@ def _chunk(cfg: SimConfig, m_level: float, lo: int, hi: int) -> tuple[dict, dict
         scale, light = zip(at_pos, at_neg)
         sign_scale, sign_light = (signed and v[0] != v[1] for v in (scale, light))
         drifted = spec.drift.b != 0.0
-        start = {"final_x": np.full(n, float(cfg.start))}
-        level = start["final_x"]
-    level0 = level[0]
-    batch = {"index": np.arange(lo, hi, dtype=np.int64), "tau": np.full(n, -1, dtype=np.int64),
-             "max": level.copy(), "min": level.copy(), "final_x": start["final_x"],
+        level0 = float(cfg.start)
+        start = {"final_x": np.full(n, level0)}
+    # all n trajectories return at step 0, or none does
+    width = 0 if (abs(level0) if signed else level0) <= a else n
+    batch = {"index": np.arange(lo, hi, dtype=np.int64),
+             "tau": np.full(n, -1 if width else 0, dtype=np.int64),
+             "max_excursion": np.full(n, level0), "min_excursion": np.full(n, level0),
              "crossed_pos": np.zeros(n, dtype=bool), "crossed_neg": np.zeros(n, dtype=bool),
              "first_exit": np.full(n, -1, dtype=np.int64),
-             "last_flip": np.full(n, -1, dtype=np.int64), **start}
-
-    returned0 = (np.abs(level) if signed else level) <= a
-    batch["tau"][returned0] = 0
-    keep = np.flatnonzero(~returned0)
-    names = ["index", *start] + [k for k, fires in (("first_exit", exits), ("last_flip", signed))
-                                 if fires]
-    live = {k: batch[k][keep] for k in names}
-    live["max"] = np.full(keep.size, -np.inf)
-    live["min"] = np.full(keep.size, np.inf)
+             "last_sign_change": np.full(n, -1, dtype=np.int64), **start}
+    names = ["index", *start] + [k for k, fires in (("first_exit", exits),
+                                                     ("last_sign_change", signed)) if fires]
+    live = {k: batch[k][:width].copy() for k in names}
+    live["max"] = np.full(width, -np.inf)
+    live["min"] = np.full(width, np.inf)
     if plane:
-        live["radius"] = level[keep]
+        live["radius"] = np.full(width, level0)
     if signed:
         live["neg"] = live["final_x"] < zero
     # live trajectories with no first exit yet
-    pending = keep.size if exits else 0
+    pending = width if exits else 0
 
     def settle(sel) -> None:
         """Write the live columns at positions sel back to the batch."""
@@ -251,8 +246,8 @@ def _chunk(cfg: SimConfig, m_level: float, lo: int, hi: int) -> tuple[dict, dict
         top, bottom = live["max"][sel], live["min"][sel]
         # the start level first: numpy resolves a tie (+0.0 against -0.0) by
         # operand position, so this matches a running max and min from the start
-        batch["max"][at] = np.maximum(level0, top)
-        batch["min"][at] = np.minimum(level0, bottom)
+        batch["max_excursion"][at] = np.maximum(level0, top)
+        batch["min_excursion"][at] = np.minimum(level0, bottom)
         if exits and not plane:
             batch["crossed_pos"][at] = top > m_pos
         if exits and signed:
@@ -297,7 +292,7 @@ def _chunk(cfg: SimConfig, m_level: float, lo: int, hi: int) -> tuple[dict, dict
             if signed:
                 # states are finite, so x < 0 is the negation of x >= 0
                 flip = np.not_equal(x < zero, neg)
-                cols["last_flip"][flip] = nstep
+                cols["last_sign_change"][flip] = nstep
                 np.logical_xor(neg, flip, out=neg)
                 dist = np.abs(x)
         np.maximum(cols["max"], vn, out=cols["max"])
@@ -368,32 +363,23 @@ def _simulate_batch(cfg: SimConfig, m_level: float = math.inf) -> dict:
         with ProcessPoolExecutor(max_workers=w) as ex:
             parts = list(ex.map(kernel, bounds[:-1], bounds[1:]))
     merged = {k: np.concatenate([cols[k] for cols, _ in parts]) for k in parts[0][0]}
+    merged["censored"] = merged["tau"] < 0
     merged["horizon"] = cfg.horizon
     merged["workers"] = w
     merged["engine"] = {k: sum(counts[k] for _, counts in parts) for k in parts[0][1]}
     return merged
 
 
-def _summaries_from_batch(batch: dict) -> list[TrajectorySummary]:
-    final = batch["final_x"].tolist()
-    if "final_y" in batch:
-        final = list(zip(final, batch["final_y"].tolist()))
-    rows = zip(batch["index"].tolist(), batch["tau"].tolist(), batch["max"].tolist(),
-               batch["min"].tolist(), final, batch["crossed_pos"].tolist(),
-               batch["crossed_neg"].tolist(), batch["first_exit"].tolist(),
-               batch["last_flip"].tolist())
-    return [TrajectorySummary(index=k, tau=None if tau < 0 else tau, censored=tau < 0,
-                              max_excursion=hi, min_excursion=lo, final=f,
-                              crossed_pos=cp, crossed_neg=cn,
-                              first_exit=None if fe < 0 else fe,
-                              last_sign_change=None if lf < 0 else lf)
-            for k, tau, hi, lo, f, cp, cn, fe, lf in rows]
-
-
 def run_trajectories(cfg: SimConfig, m_level: float = math.inf) -> list[TrajectorySummary]:
     """Simulate n_traj independent trajectories; bit-identical for any worker
     count (trajectory k's stream depends only on (master_seed, k))."""
-    return _summaries_from_batch(_simulate_batch(cfg, m_level))
+    batch = _simulate_batch(cfg, m_level)
+    cols = {k: batch[k].tolist() for k in TRAJECTORY_COLUMNS if k in batch}
+    if "final_y" in cols:
+        cols["final_x"] = list(zip(cols["final_x"], cols.pop("final_y")))
+    for k in ("tau", "first_exit", "last_sign_change"):
+        cols[k] = [None if v < 0 else v for v in cols[k]]
+    return [TrajectorySummary(*row) for row in zip(*cols.values())]
 
 
 # ---------------------------------------------------------------------------
@@ -463,7 +449,7 @@ def phase_diagnostic(cfg: SimConfig, m_level: float) -> PhaseDiagnostic:
     direc = np.zeros(n, dtype=bool)
     if cfg.spec.regime not in ("half_line", "plane"):
         fe = batch["first_exit"]
-        lf = batch["last_flip"]
+        lf = batch["last_sign_change"]
         osc = escaped & batch["crossed_pos"] & batch["crossed_neg"] & (fe >= 0) & (lf > fe)
         direc = escaped & (fe >= 0) & (lf <= fe)
     return PhaseDiagnostic(

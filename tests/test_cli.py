@@ -164,6 +164,12 @@ BAD_SHAPES = {
     "horizon_fraction": ("simulate", dict(HL, sim=dict(HL["sim"], horizon=20.7))),
     "n_traj_bool": ("simulate", dict(HL, sim=dict(HL["sim"], n_traj=True))),
     "seed_fraction": ("simulate", dict(HL, seed=1.5)),
+    # the seed is the stream's 64-bit key, which no two seeds may share
+    "seed_beyond_64_bits": ("simulate", dict(HL, seed=2 ** 64)),
+    # a point holds one value per parameter, so the first axis was never computed
+    "two_axes_on_one_param": ("phase-diagram",
+                              dict(HL, grid=[{"param": "b", "min": -1, "max": 1, "steps": 2},
+                                             {"param": "b", "min": 5, "max": 6, "steps": 2}])),
     "workers_bool": ("simulate", dict(HL, workers=True)),
     "seed_numeric_string": ("classify", dict(HL, seed="7")),
     "verify_i_fraction": ("drift-verify", dict(HL, drift_verify={"i": 1.9, "nu": 0.5})),
@@ -397,12 +403,12 @@ def test_simulate_csv_bytes_match_csv_writer(tmp_path, cfg):
     sim = sim_from_config(cfg, spec, 3, 1)
     batch = _simulate_batch(sim, cfg["m_level"])
     cols = {"index": batch["index"], "tau": batch["tau"], "censored": batch["tau"] < 0,
-            "max_excursion": batch["max"], "min_excursion": batch["min"],
+            "max_excursion": batch["max_excursion"], "min_excursion": batch["min_excursion"],
             "final_x": batch["final_x"]}
     if spec.regime == "plane":
         cols["final_y"] = batch["final_y"]
     cols.update(crossed_pos=batch["crossed_pos"], crossed_neg=batch["crossed_neg"],
-                first_exit=batch["first_exit"], last_sign_change=batch["last_flip"])
+                first_exit=batch["first_exit"], last_sign_change=batch["last_sign_change"])
     assert (tmp_path / "trajectories.csv").read_bytes() == _csv_writer_bytes(cols)
     grid = survival_grid(sim.horizon)
     surv = {"n": grid, "survival": survival_curve(batch, grid)}
@@ -480,6 +486,19 @@ def test_simulate_repeat_same_seed_identical(tmp_path):
     assert (outa / "trajectories.csv").read_bytes() == (outb / "trajectories.csv").read_bytes()
     main(["simulate", "--config", cfgp, "--seed", "34", "--out", str(outb)])
     assert (outa / "trajectories.csv").read_bytes() != (outb / "trajectories.csv").read_bytes()
+
+
+@pytest.mark.parametrize("seed, code", [("-1", 2), ("0", 0), (str(2 ** 64 - 1), 0), (str(2 ** 64), 2)])
+def test_simulate_seed_is_a_64_bit_key(tmp_path, capsys, seed, code):
+    # the seed is the stream's 64-bit key: 2^64 ran 0's stream, and -1 ran 2^64 - 1's
+    cfg = dict(HL, sim=dict(HL["sim"], horizon=20, n_traj=4))
+    assert main(["simulate", "--config", write_config(tmp_path, cfg), f"--seed={seed}",
+                 "--out", str(tmp_path)]) == code
+    err = capsys.readouterr().err
+    if code:
+        assert err.startswith("config error:") and err.count("\n") == 1 and "master_seed" in err
+    else:
+        assert json.loads((tmp_path / "manifest.json").read_text())["master_seed"] == int(seed)
 
 
 # ---------------------------------------------------------------------------

@@ -599,6 +599,22 @@ def test_criteria_rejects_nonpositive_probes():
         criteria_check(half_line(), 0.5, [-10.0])
 
 
+@pytest.mark.parametrize("spec", [half_line(), line_in(beta=1.3, gamma=1.0)],
+                         ids=["half_line", "line_in"])
+def test_criteria_rejects_no_probes(spec):
+    # all() of no drifts read True: every sign non-positive, for any spec
+    with pytest.raises(DomainError, match="x_probe must not be empty"):
+        criteria_check(spec, 0.5, [])
+
+
+@pytest.mark.parametrize("n", [0, -3, 2.0, True, None],
+                         ids=["zero", "negative", "float", "bool", "none"])
+def test_mc_drift_rejects_bad_counts(n):
+    # n = 0 divided by zero, and n = -3 returned (-0.0, 0.0) from no samples
+    with pytest.raises(DomainError, match="sample count n"):
+        mc_drift(half_line(), 0, 0.5, 50.0, n)
+
+
 def test_drift_numeric_law_matches_spec_path():
     spec = line_out(alpha=1.5, gamma=0.4, b=0.1)
     x = 120.0

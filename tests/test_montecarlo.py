@@ -129,6 +129,25 @@ def test_start_below_a_returns_immediately():
     out = run_trajectories(SimConfig(half_line(), start=5.0, a=10.0, horizon=50,
                                      n_traj=4, master_seed=1))
     assert all(t.tau == 0 and not t.censored for t in out)
+    assert all(t.max_excursion == t.min_excursion == t.final == 5.0 for t in out)
+
+
+@pytest.mark.parametrize("spec, start, a, level",
+                         [(balanced(), -5.0, 10.0, -5.0), (line_in(), 10.0, 10.0, 10.0),
+                          (plane(), (3.0, -4.0), 5.0, 5.0), (plane(), 2.5, 5.0, 2.5)],
+                         ids=["line_negative", "line_at_a", "plane_pair_at_a", "plane_radius"])
+@pytest.mark.parametrize("m_level", [math.inf, 60.0], ids=["inf", "finite"])
+def test_start_within_a_returns_every_row_at_step_0(monkeypatch, spec, start, a, level, m_level):
+    # every trajectory starts at the one start: within a, all rows return at
+    # step 0 with the start level as max and min, and nothing is drawn
+    monkeypatch.setattr("heavywalk.montecarlo.uniform_array", None)
+    cfg = SimConfig(spec, start=start, a=a, horizon=50, n_traj=6, master_seed=1)
+    batch = _simulate_batch(cfg, m_level)
+    assert batch["tau"].tolist() == [0] * 6 and not batch["censored"].any()
+    assert batch["max_excursion"].tolist() == batch["min_excursion"].tolist() == [level] * 6
+    assert not (batch["crossed_pos"].any() or batch["crossed_neg"].any())
+    assert batch["first_exit"].tolist() == batch["last_sign_change"].tolist() == [-1] * 6
+    assert batch["engine"] == {"steps": 0, "traj_steps": 0, "uniforms": 0}
 
 
 def test_engine_matches_scalar_step_path():
@@ -205,14 +224,14 @@ def test_crossings_and_exits_follow_the_scalar_path(start):
         assert batch["crossed_pos"][k] == (after > m).any()
         assert batch["crossed_neg"][k] == (after < -m).any()
         assert batch["first_exit"][k] == (exits[0] + 1 if exits.size else -1)
-        assert batch["last_flip"][k] == (flips[-1] + 1 if flips.size else -1)
-        assert batch["max"][k] == pytest.approx(max(path), abs=1e-12)
-        assert batch["min"][k] == pytest.approx(min(path), abs=1e-12)
+        assert batch["last_sign_change"][k] == (flips[-1] + 1 if flips.size else -1)
+        assert batch["max_excursion"][k] == pytest.approx(max(path), abs=1e-12)
+        assert batch["min_excursion"][k] == pytest.approx(min(path), abs=1e-12)
     # the case this test is for: beyond m_level only at the start
     if start > 0:
-        assert ((batch["max"] > m) & ~batch["crossed_pos"]).any()
+        assert ((batch["max_excursion"] > m) & ~batch["crossed_pos"]).any()
     else:
-        assert ((batch["min"] < -m) & ~batch["crossed_neg"]).any()
+        assert ((batch["min_excursion"] < -m) & ~batch["crossed_neg"]).any()
 
 
 @pytest.mark.parametrize("width", [None, 3], ids=["default_slice", "slice_3"])
@@ -261,12 +280,12 @@ def test_swap_fill_follows_the_scalar_path(monkeypatch, spec, a, n_traj, seed, k
         flips = np.flatnonzero(np.diff(np.array(path) < 0.0))
         assert batch["tau"][k] == (len(path) - 1 if abs(path[-1]) <= a else -1)
         assert batch["final_x"][k] == pytest.approx(path[-1], abs=1e-12)
-        assert batch["max"][k] == pytest.approx(max(path), abs=1e-12)
-        assert batch["min"][k] == pytest.approx(min(path), abs=1e-12)
+        assert batch["max_excursion"][k] == pytest.approx(max(path), abs=1e-12)
+        assert batch["min_excursion"][k] == pytest.approx(min(path), abs=1e-12)
         assert batch["crossed_pos"][k] == (after > m).any()
         assert batch["crossed_neg"][k] == (after < -m).any()
         assert batch["first_exit"][k] == (exits[0] + 1 if exits.size else -1)
-        assert batch["last_flip"][k] == (flips[-1] + 1 if flips.size else -1)
+        assert batch["last_sign_change"][k] == (flips[-1] + 1 if flips.size else -1)
 
 
 @pytest.mark.parametrize("spec, start", [(balanced(gamma=0.5, b=0.5), 30.0),
@@ -293,7 +312,7 @@ def test_worker_count_is_invisible(workers):
                     master_seed=11, workers=workers)
     b1 = _simulate_batch(base)
     b2 = _simulate_batch(alt)
-    for k in ("tau", "max", "min", "final_x", "first_exit", "last_flip"):
+    for k in ("tau", "max_excursion", "min_excursion", "final_x", "first_exit", "last_sign_change"):
         assert np.array_equal(b1[k], b2[k])
 
 
@@ -624,16 +643,23 @@ def test_sim_config_validation():
     assert cfg.start == (25.0, 0.0)
 
 
-def test_sim_config_rejects_counter_overflow():
-    # a trajectory's counter has 32 bits: 2 uniforms per step on the line and
-    # 3 in the plane, and at most 2^32 trajectory indices
-    kw = dict(start=20.0, a=10.0)
-    SimConfig(half_line(), horizon=2 ** 31, n_traj=2 ** 32, **kw)
-    SimConfig(plane(), horizon=2 ** 32 // 3, n_traj=1, **kw)
-    for spec, horizon, n_traj in ((half_line(), 2 ** 31 + 1, 1), (plane(), 2 ** 32 // 3 + 1, 1),
-                                  (half_line(), 10, 2 ** 32 + 1)):
-        with pytest.raises(DomainError):
-            SimConfig(spec, horizon=horizon, n_traj=n_traj, **kw)
+@pytest.mark.parametrize("spec, field, edge, past", [
+    (half_line(), "horizon", 0, -1), (half_line(), "horizon", 2 ** 31, 2 ** 31 + 1),
+    (plane(), "horizon", 2 ** 32 // 3, 2 ** 32 // 3 + 1), (half_line(), "n_traj", 1, 0),
+    (half_line(), "n_traj", 2 ** 32, 2 ** 32 + 1), (half_line(), "workers", 1, 0),
+    (half_line(), "master_seed", 0, -1), (half_line(), "master_seed", 2 ** 64 - 1, 2 ** 64)],
+    ids=["horizon_low", "horizon_line_high", "horizon_plane_high", "n_traj_low",
+         "n_traj_high", "workers_low", "seed_low", "seed_high"])
+def test_sim_config_limit_edges(spec, field, edge, past):
+    # a trajectory's counter has 32 bits (2 uniforms per step on the line, 3
+    # in the plane), an index too, and the seed is the stream's 64-bit key:
+    # one past a limit would alias another run's uniforms.  Only constructed
+    args = dict(start=20.0, a=10.0, horizon=10, n_traj=1)
+    for v in (edge, np.uint64(edge)):
+        cfg = SimConfig(spec, **dict(args, **{field: v}))
+        assert type(getattr(cfg, field)) is int and getattr(cfg, field) == edge
+    with pytest.raises(DomainError, match=f"{field} must be an integer in"):
+        SimConfig(spec, **dict(args, **{field: past}))
 
 
 def test_sim_config_rejects_non_integers():
@@ -655,7 +681,7 @@ def test_sim_config_seed_must_be_an_integer():
     kw = dict(start=30.0, a=10.0, horizon=200, n_traj=20)
     cfg = SimConfig(half_line(), master_seed=np.int64(7), **kw)
     assert type(cfg.master_seed) is int and cfg.master_seed == 7
-    for k in ("tau", "final_x", "max", "min"):
+    for k in ("tau", "final_x", "max_excursion", "min_excursion"):
         assert np.array_equal(_simulate_batch(cfg)[k],
                               _simulate_batch(SimConfig(half_line(), master_seed=7, **kw))[k])
     assert SimConfig(half_line(), master_seed=np.uint64(2 ** 63), **kw).master_seed == 2 ** 63
@@ -694,7 +720,7 @@ def test_sim_config_plane_start_is_any_pair(pair):
     cfg = SimConfig(plane(), start=pair, **kw)
     ref = _simulate_batch(SimConfig(plane(), start=(30.0, 4.0), **kw))
     batch = _simulate_batch(cfg)
-    for k in ("tau", "final_x", "final_y", "max", "min"):
+    for k in ("tau", "final_x", "final_y", "max_excursion", "min_excursion"):
         assert np.array_equal(batch[k], ref[k]), k
 
 
