@@ -16,7 +16,6 @@ cross-checks.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -27,6 +26,7 @@ from .increments import ChainSpec, IncrementLaw, build_law
 from .specialfn import (_pow_m1, _two_product, kappa0, kappa1, kappa2,
                         pareto_finite_integral, pareto_tail_integral)
 from .classify import classify as _classify_phase
+from .rng import checked_seed, integer_in
 
 CONVERGED_REL_TOL = 0.05   # verify_expansion: converged iff |last error| < this * |K|
 MC_CHUNK = 1_000_000       # mc_drift: increments sampled per vectorized batch
@@ -287,11 +287,11 @@ def mc_drift(spec: ChainSpec, i: int, nu: float, x: float, n: int,
     """Monte Carlo oracle for drift_numeric: (mean, standard error) of
     f_i(x + theta) - f_i(x) over n sampled increments."""
     _check_regime_i(spec, i)
-    if not isinstance(n, numbers.Integral) or isinstance(n, bool) or n < 1:
-        raise DomainError(f"sample count n must be an integer >= 1, got {n!r}")
+    n = integer_in("sample count n", n, 1, math.inf)
+    # numpy's generator keeps its samples; the seed follows every stream's rule
+    rng = np.random.default_rng(checked_seed(seed))
     law = build_law(spec, x)
     fx = lyapunov_f(i, nu, x if spec.regime != "half_line" else max(x, 0.0))
-    rng = np.random.default_rng(seed)
     total = 0.0
     total_sq = 0.0
     done = 0

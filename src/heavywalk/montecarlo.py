@@ -2,17 +2,16 @@
 
 Trajectories are independent units of work: trajectory k draws its uniforms
 from the counter stream (master_seed, k), so any partition of the index
-range over workers produces bit-identical results.  Every regime draws
-through `IncrementLaw.quantile`'s sampler, `increments._quantile`, fed with
-the fields of the laws `build_law`, `plane_radial_law` and
-`plane_transverse_law` build.
-The engine runs chunks of trajectories in vectorized lockstep on compacted
-live columns: each step touches only the trajectories still out, and draws
-exactly one uniform per draw counter for each of them (draws_per_step *
-sum(min(tau, horizon)) uniforms in all).  A step with more than _SLICE live
-trajectories runs on contiguous slices of the columns, so that its
-temporaries stay in cache; every operation is elementwise, so the slices
-change no bit.  A return step compacts in O(returns), so the live set is in
+range into chunks and over workers produces bit-identical results.  Every
+regime draws through `IncrementLaw.quantile`'s sampler,
+`increments._quantile`, fed with the fields of the laws `build_law`,
+`plane_radial_law` and `plane_transverse_law` build.
+The engine splits a run into chunks of at most _CHUNK trajectories, so that
+a chunk's columns stay in cache, and runs each chunk in vectorized lockstep
+on compacted live columns: each step touches only the trajectories still
+out, and draws exactly one uniform per draw counter for each of them, one
+uniform_array call per draw (draws_per_step * sum(min(tau, horizon))
+uniforms in all).  A return step compacts in O(returns), so the live set is in
 compaction order; draws and write-backs go by index.  A live trajectory
 carries the max and min of its level over steps >= 1; when it settles
 (returns, or reaches the horizon) the start level is folded into them and
@@ -37,15 +36,12 @@ import numpy as np
 from .errors import DomainError, InsufficientDataError
 from .increments import (_U_MIN, ChainSpec, IncrementLaw, _quantile, build_law,
                          plane_radial_law, plane_transverse_law)
-from .rng import _MASK, _const, seed_key, uniform_array
+from .rng import _COUNTER_SPAN, _const, checked_seed, integer_in, seed_key, uniform_array
 
-# a uniform's counter fills the low 32 bits of its stream word
-# (rng.uniform_at), and the trajectory index the high 32
-_COUNTER_SPAN = 2 ** 32
 SURVIVAL_POINTS = 60   # geometric survival grid points, before rounding and deduplication
-# a step with more live trajectories runs on contiguous slices of at most this
-# many, so that each slice's temporaries stay in cache
-_SLICE = 2 ** 14
+# a run is split into chunks of at most this many trajectories, so that a
+# chunk's live columns and each step's temporaries stay in cache
+_CHUNK = 2 ** 15
 # a batch's per-trajectory columns in trajectories.csv's order, which is also
 # TrajectorySummary's with final_x and final_y as its final
 TRAJECTORY_COLUMNS = ("index", "tau", "censored", "max_excursion", "min_excursion", "final_x",
@@ -68,17 +64,13 @@ class SimConfig:
 
     def __post_init__(self):
         # (field, low, high): a uniform's counter and a trajectory index each
-        # fill 32 bits of the stream word, and the seed is the stream's 64-bit
-        # key, so no two accepted seeds share a stream
+        # fill 32 bits of the stream word; numpy integers are stored as int,
+        # since seed_key's mixing needs Python ints
         limits = (("horizon", 0, _COUNTER_SPAN // self.draws_per_step),
-                  ("n_traj", 1, _COUNTER_SPAN), ("workers", 1, math.inf),
-                  ("master_seed", 0, _MASK))
+                  ("n_traj", 1, _COUNTER_SPAN), ("workers", 1, math.inf))
         for name, low, high in limits:
-            v = getattr(self, name)
-            if not isinstance(v, numbers.Integral) or isinstance(v, bool) or not low <= int(v) <= high:
-                raise DomainError(f"{name} must be an integer in [{low}, {high}], got {v!r}")
-            # numpy integers are stored as int: seed_key's mixing needs Python ints
-            object.__setattr__(self, name, int(v))
+            object.__setattr__(self, name, integer_in(name, getattr(self, name), low, high))
+        object.__setattr__(self, "master_seed", checked_seed(self.master_seed, "master_seed"))
         start = self.start
         if self.spec.regime == "plane":
             if _is_real(start):
@@ -171,16 +163,14 @@ def _chunk(cfg: SimConfig, m_level: float, lo: int, hi: int) -> tuple[dict, dict
     the radius in the plane) is one number: within a, all n rows return at
     step 0 (tau 0, max and min the start level) and none goes live;
     otherwise all n go live.  Step n draws the counters
-    draws_per_step * (n - 1) + j.  With more than _SLICE live, the step's body
-    runs on k = ceil(live / _SLICE) equal contiguous slices (bounds
-    live * i // k), as views written in place, and the step settles and
-    compacts once from the whole return mask: with r of w returned, each
-    returned row below w - r takes a kept row from w - r or above
-    (swap-fill), and the columns become views of their first w - r rows.
-    The live columns are the trajectory index, the state, the level's max
-    and min over steps >= 1, the first exit and the last sign change where
-    they can fire, and on the line the sign of the state, which the next
-    step's law pick and flip test read.  Sign flips and crossings of
+    draws_per_step * (n - 1) + j, one uniform_array call per draw on the live
+    columns, and the step settles and compacts from its return mask: with r
+    of w returned, each returned row below w - r takes a kept row from w - r
+    or above (swap-fill), and the columns become views of their first w - r
+    rows.  The live columns are the trajectory index, the state, the level's
+    max and min over steps >= 1, and the first exit and the last sign change
+    where they can fire; on the line the law pick and the flip test read the
+    sign of the state at the start of the step.  Sign flips and crossings of
     -m_level exist only on the whole line, crossings of +m_level only off
     the plane.  None of the exit work is done when m_level is inf, and first
     exits are looked for only while a live trajectory has none.  Law and
@@ -233,8 +223,6 @@ def _chunk(cfg: SimConfig, m_level: float, lo: int, hi: int) -> tuple[dict, dict
     live["min"] = np.full(width, np.inf)
     if plane:
         live["radius"] = np.full(width, level0)
-    if signed:
-        live["neg"] = live["final_x"] < zero
     # live trajectories with no first exit yet
     pending = width if exits else 0
 
@@ -253,19 +241,20 @@ def _chunk(cfg: SimConfig, m_level: float, lo: int, hi: int) -> tuple[dict, dict
         if exits and signed:
             batch["crossed_neg"][at] = bottom < m_neg
 
-    def advance(cols: dict, nstep: int, out) -> np.ndarray:
-        """Step nstep on live columns cols, all of them or views of a slice,
-        written in place: draws, state, extrema, flips and first exits.
-        Returns the return test, into out when it is not None."""
-        nonlocal pending
-        gid = cols["index"]
+    steps = traj_steps = 0
+    for nstep in range(1, cfg.horizon + 1):
+        width = live["index"].size
+        if width == 0:
+            break
+        steps += 1
+        traj_steps += width
         base = dps * (nstep - 1)
-        u = [uniform_array(key, gid, base + j) for j in range(dps)]
+        u = [uniform_array(key, live["index"], base + j) for j in range(dps)]
         u1, u2 = u[-2], np.maximum(u[-1], u_min, out=u[-1])
         pw = u2 ** power
-        x = cols["final_x"]
+        x = live["final_x"]
         if plane:
-            y, r = cols["final_y"], cols["radius"]
+            y, r = live["final_y"], live["radius"]
             radial = u[0] < p_radial
             th_r = _quantile(u1, u2, pw, *radial_law)
             th_t = _quantile(u1, u2, pw, *transverse_law)
@@ -279,7 +268,7 @@ def _chunk(cfg: SimConfig, m_level: float, lo: int, hi: int) -> tuple[dict, dict
             vn = dist = np.hypot(x, y, out=r)
         else:
             if signed:
-                neg = cols["neg"]
+                neg = x < zero
             if drifted:
                 lw = spec.light_width(x)
             else:
@@ -290,39 +279,20 @@ def _chunk(cfg: SimConfig, m_level: float, lo: int, hi: int) -> tuple[dict, dict
                 np.maximum(x, zero, out=x)
             vn = dist = x
             if signed:
-                # states are finite, so x < 0 is the negation of x >= 0
-                flip = np.not_equal(x < zero, neg)
-                cols["last_sign_change"][flip] = nstep
-                np.logical_xor(neg, flip, out=neg)
+                # a sign change: x < 0 at the end of the step and not at its
+                # start, or the reverse (states are finite, so never NaN)
+                live["last_sign_change"][np.not_equal(x < zero, neg)] = nstep
                 dist = np.abs(x)
-        np.maximum(cols["max"], vn, out=cols["max"])
-        np.minimum(cols["min"], vn, out=cols["min"])
+        np.maximum(live["max"], vn, out=live["max"])
+        np.minimum(live["min"], vn, out=live["min"])
         if pending:
-            fe = cols["first_exit"]
+            fe = live["first_exit"]
             first = (dist > m_pos) & (fe < izero)
             fresh = np.count_nonzero(first)
             if fresh:
                 fe[first] = nstep
                 pending -= fresh
-        return np.less_equal(dist, a, out=out)
-
-    steps = traj_steps = 0
-    for nstep in range(1, cfg.horizon + 1):
-        width = live["index"].size
-        if width == 0:
-            break
-        steps += 1
-        traj_steps += width
-        k = -(-width // _SLICE)
-        # a one-slice step runs on the columns themselves: the slice views,
-        # the mask and the loop cost narrow steps 3-7%
-        if k == 1:
-            ret = advance(live, nstep, None)
-        else:
-            ret = np.empty(width, dtype=bool)
-            for i in range(k):
-                s = slice(width * i // k, width * (i + 1) // k)
-                advance({name: col[s] for name, col in live.items()}, nstep, ret[s])
+        ret = dist <= a
         if np.count_nonzero(ret):
             sel = np.flatnonzero(ret)
             batch["tau"][live["index"][sel] - lo] = nstep
@@ -348,16 +318,19 @@ def _check_exit_level(cfg: SimConfig, m_level: float) -> None:
 def _simulate_batch(cfg: SimConfig, m_level: float = math.inf) -> dict:
     """Run all trajectories, merging per-chunk arrays in index order.
 
-    Results do not depend on the partition, so chunks never outnumber the
-    cores: more worker processes than cores only add overhead.  "workers" is
-    the number of chunks (and processes) actually used, and "engine" holds
-    the chunks' counts summed (steps iterated, trajectory-steps, uniforms)."""
+    Results do not depend on the partition.  The run is split into
+    k = max(w, ceil(n_traj / _CHUNK)) even chunks, w the worker processes:
+    never more than the cores, since more only add overhead.  The chunks run
+    in turn at w = 1 and over a pool of w processes otherwise.  "workers" is
+    w, and "engine" holds the chunks' counts summed (lockstep steps,
+    trajectory-steps, uniforms)."""
     _check_exit_level(cfg, m_level)
     w = min(cfg.workers, cfg.n_traj, os.cpu_count() or 1)
-    bounds = [cfg.n_traj * i // w for i in range(w + 1)]
+    chunks = max(w, -(-cfg.n_traj // _CHUNK))
+    bounds = [cfg.n_traj * i // chunks for i in range(chunks + 1)]
     kernel = partial(_chunk, cfg, m_level)
     if w == 1:
-        parts = [kernel(0, cfg.n_traj)]
+        parts = list(map(kernel, bounds[:-1], bounds[1:]))
     else:
         from concurrent.futures import ProcessPoolExecutor   # loads multiprocessing
         with ProcessPoolExecutor(max_workers=w) as ex:

@@ -9,9 +9,16 @@ same arithmetic (mod 2^64).
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
+from .errors import DomainError
+
 _MASK = (1 << 64) - 1
+# a uniform's counter fills the low 32 bits of its stream word (uniform_at),
+# and the trajectory index the high 32
+_COUNTER_SPAN = 2 ** 32
 _PHI = 0x9E3779B97F4A7C15
 _M1 = 0xBF58476D1CE4E5B9
 _M2 = 0x94D049BB133111EB
@@ -28,9 +35,23 @@ def _mix_int(z: int) -> int:
     return z ^ (z >> 31)
 
 
+def integer_in(name: str, v, low: int, high: float) -> int:
+    """v as an int if it is an integer (numpy's too, not a bool) in [low, high];
+    otherwise a DomainError naming name and the range."""
+    if not isinstance(v, numbers.Integral) or isinstance(v, bool) or not low <= int(v) <= high:
+        raise DomainError(f"{name} must be an integer in [{low}, {high}], got {v!r}")
+    return int(v)
+
+
+def checked_seed(seed, name: str = "seed") -> int:
+    """The seed rule of every stream: a seed is the stream's 64-bit key, so it
+    is an integer in [0, 2^64) and no two accepted seeds share a stream."""
+    return integer_in(name, seed, 0, _MASK)
+
+
 def seed_key(master_seed: int) -> int:
-    """Fold an arbitrary integer seed into the 64-bit stream key."""
-    return _mix_int(((master_seed & _MASK) + _PHI) * _PHI)
+    """The 64-bit stream key of a seed that keeps the seed rule."""
+    return _mix_int((checked_seed(master_seed) + _PHI) * _PHI)
 
 
 def uniform_at(key: int, traj: int, counter: int) -> float:
@@ -85,7 +106,7 @@ class CounterStream:
 
     def __init__(self, master_seed: int, traj_index: int = 0):
         self.key = seed_key(master_seed)
-        self.traj = traj_index
+        self.traj = integer_in("traj_index", traj_index, 0, _COUNTER_SPAN - 1)
         self.counter = 0
 
     def random(self) -> float:

@@ -6,8 +6,8 @@ import pytest
 
 from heavywalk.classify import (CRITICAL, NULL_RECURRENT, POSITIVE_RECURRENT,
                                 TRANSIENT, TRANSIENT_DIRECTIONAL, TRANSIENT_OSCILLATORY)
-from heavywalk.classify import (Classification, _gap_function, classify, drift_threshold,
-                                moment_exponent, nu_star, plane_equation_forms, plane_quantity)
+from heavywalk.classify import (_gap_function, classify, drift_threshold, moment_exponent,
+                                nu_star, plane_equation_forms, plane_quantity)
 from heavywalk import specialfn as sf
 from heavywalk.errors import DomainError, HeavywalkError, NoRootError, NotRecurrentError
 from heavywalk.specialfn import KAPPA2_GUARD, kappa0, kappa2

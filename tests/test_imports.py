@@ -1,16 +1,21 @@
-"""No orphaned imports in the package, checked with the standard library's
-ast, so no linter needs to be installed: every name a module-level import
-binds in src/heavywalk/*.py is read somewhere in its module, unless the
-import's statement carries `# noqa: F401` (a name kept for a caller outside
-the module).  `__init__.py`, which imports to re-export, and `from
-__future__` imports are skipped."""
+"""No orphaned imports in the package or its tests, checked with the
+standard library's ast, so no linter needs to be installed: every name a
+module-level import binds in src/heavywalk/*.py, tests/*.py and both
+conftest.py files is read somewhere in its module, unless the import's
+statement carries `# noqa: F401` (a name kept for a caller outside the
+module).  The package's `__init__.py`, which imports to re-export, and
+`from __future__` imports are skipped."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "heavywalk"
+TESTS = Path(__file__).resolve().parent
+ROOT = TESTS.parent
+PACKAGE = ROOT / "src" / "heavywalk"
+CHECKED = sorted([p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
+                 + list(TESTS.glob("*.py")) + [ROOT / "conftest.py"])
 
 
 def unused_imports(source: str) -> list[str]:
@@ -39,7 +44,7 @@ def test_the_check_finds_an_unused_import():
     assert unused_imports(src) == ["line 2: os", "line 4: pi"]
 
 
-@pytest.mark.parametrize("path", sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"),
-                         ids=lambda p: p.name)
+@pytest.mark.parametrize("path", CHECKED, ids=lambda p: p.name if p.parent == PACKAGE
+                         else str(p.relative_to(ROOT)))
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []

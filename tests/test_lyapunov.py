@@ -615,6 +615,22 @@ def test_mc_drift_rejects_bad_counts(n):
         mc_drift(half_line(), 0, 0.5, 50.0, n)
 
 
+@pytest.mark.parametrize("seed", [-1, 1.5, True, 2 ** 64],
+                         ids=["negative", "float", "bool", "past_2_64"])
+def test_mc_drift_follows_the_seed_rule(seed):
+    # -1 and 1.5 raised numpy's own errors, and True and 2^64 ran
+    with pytest.raises(DomainError, match="seed must be an integer in"):
+        mc_drift(half_line(), 0, 0.5, 50.0, 10, seed=seed)
+
+
+@pytest.mark.parametrize("seed, mean", [(0, -0.005640688268741884), (np.int64(3), 0.05780149644274406),
+                                        (2 ** 64 - 1, -0.04775550391447245)],
+                         ids=["zero", "numpy_int", "top"])
+def test_mc_drift_runs_at_the_seed_edges(seed, mean):
+    # numpy's generator is kept, so each seed draws the samples it drew before
+    assert mc_drift(half_line(), 0, 0.5, 50.0, 100, seed=seed)[0] == pytest.approx(mean, rel=1e-12)
+
+
 def test_drift_numeric_law_matches_spec_path():
     spec = line_out(alpha=1.5, gamma=0.4, b=0.1)
     x = 120.0

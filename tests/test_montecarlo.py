@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import math
 import os
 import subprocess
@@ -40,6 +41,27 @@ def test_rng_stream_is_pure():
     assert vals1 == [s2.random() for _ in range(10)]
     assert CounterStream(8, 3).random() != vals1[0]
     assert CounterStream(7, 4).random() != vals1[0]
+
+
+@pytest.mark.parametrize("seed, traj", [(2 ** 64, 0), (-1, 0), (True, 0), (1.5, 0),
+                                        (5, 2 ** 32), (5, -1), (5, True)],
+                         ids=["seed_past_2_64", "seed_negative", "seed_bool", "seed_float",
+                              "traj_past_2_32", "traj_negative", "traj_bool"])
+def test_counter_stream_refuses_what_would_alias(seed, traj):
+    # the seed is the stream's 64-bit key and the index the stream word's high
+    # 32 bits: 2^64 drew seed 0's uniforms, index 2^32 trajectory 0's and
+    # index -1 those of 2^32 - 1
+    with pytest.raises(DomainError, match="must be an integer in"):
+        CounterStream(seed, traj)
+
+
+def test_counter_stream_runs_at_its_edges():
+    for seed, traj in ((0, 0), (2 ** 64 - 1, 2 ** 32 - 1), (np.uint64(2 ** 64 - 1), np.int64(7))):
+        stream = CounterStream(seed, traj)
+        assert type(stream.traj) is int
+        assert stream.random() == uniform_at(seed_key(int(seed)), int(traj), 0)
+    with pytest.raises(DomainError):
+        seed_key(2 ** 64)
 
 
 def test_rng_rough_uniformity():
@@ -234,31 +256,34 @@ def test_crossings_and_exits_follow_the_scalar_path(start):
         assert ((batch["min_excursion"] < -m) & ~batch["crossed_neg"]).any()
 
 
-@pytest.mark.parametrize("width", [None, 3], ids=["default_slice", "slice_3"])
-@pytest.mark.parametrize("spec, a, n_traj, seed, kinds",
-                         [(half_line(), 25.0, 16, 13, {"below", "above", "all"}),
-                          (balanced(), 10.0, 20, 0, {"below", "above"})],
-                         ids=["half_line", "line_balanced"])
+@pytest.mark.parametrize("spec, a, n_traj, seed, kinds, width", [
+    pytest.param(half_line(), 25.0, 16, 13, {"below", "above", "all"}, None,
+                 id="half_line-default_slice"),
+    pytest.param(half_line(), 25.0, 16, 1, {"below", "above", "all"}, 3, id="half_line-slice_3"),
+    pytest.param(balanced(), 10.0, 20, 0, {"below", "above"}, None,
+                 id="line_balanced-default_slice"),
+    pytest.param(balanced(), 10.0, 20, 0, {"below", "above"}, 3, id="line_balanced-slice_3")])
 def test_swap_fill_follows_the_scalar_path(monkeypatch, spec, a, n_traj, seed, kinds, width):
-    # a return step of r out of w live trajectories moves the kept rows at or
-    # above w - r into the returned rows below it.  The seeds give steps whose
-    # returns lie only below w - r, steps whose returns lie only at or above
-    # it, and on the half line a step where all w >= 2 live trajectories return
-    calls = collections.defaultdict(list)
+    # a return step of r out of w live trajectories of a chunk moves the kept
+    # rows at or above w - r into the returned rows below it; width 3 cuts
+    # the run into chunks of at most 3.  The seeds give steps whose returns
+    # lie only below w - r, steps whose returns lie only at or above it, and
+    # on the half line a step where all w >= 2 live trajectories of a chunk
+    # return (at width 3 seed 13 has none, seed 1 does)
+    calls = []
 
     def counted(key, traj, counter):
-        calls[counter].append(traj.copy())
+        calls.append((counter, traj.copy()))
         return uniform_array(key, traj, counter)
 
     monkeypatch.setattr("heavywalk.montecarlo.uniform_array", counted)
     if width is not None:
-        monkeypatch.setattr("heavywalk.montecarlo._SLICE", width)
+        monkeypatch.setattr("heavywalk.montecarlo._CHUNK", width)
     m = 60.0
     cfg = SimConfig(spec, start=30.0, a=a, horizon=300, n_traj=n_traj, master_seed=seed)
     batch = _simulate_batch(cfg, m_level=m)
     seen = set()
-    for counter in range(0, len(calls), 2):
-        live = np.concatenate(calls[counter])   # in compaction order
+    for counter, live in calls[::2]:   # a chunk's live set at a step, in compaction order
         ret = np.flatnonzero(batch["tau"][live] == counter // 2 + 1)
         w, r = live.size, ret.size
         if r == w > 1:
@@ -375,32 +400,44 @@ def test_engine_counts_match_tau(spec, start, workers):
     assert counts["steps"] == sum(int(ran[lo:hi].max()) for lo, hi in zip(bounds, bounds[1:]))
 
 
+def _chunk_bounds(n_traj: int, workers: int, width: int) -> list[int]:
+    """The partition _simulate_batch makes: max(workers, ceil(n_traj / width))
+    even chunks."""
+    k = max(workers, -(-n_traj // width))
+    return [n_traj * i // k for i in range(k + 1)]
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("m_level", [math.inf, 60.0], ids=["inf", "finite"])
 @REGIME_STARTS
 def test_sliced_steps_are_invisible(monkeypatch, spec, start, m_level, workers):
-    # a step wider than _SLICE runs on slices of the live columns; forked
-    # workers inherit the patched width, and no output bit or count moves
+    # a run is sliced into chunks of at most _CHUNK trajectories; forked
+    # workers inherit the patched width, no output bit moves, and the steps
+    # add up over the chunks, each stepping until its last trajectory is done
     cfg = SimConfig(spec, start=start, a=10.0, horizon=200, n_traj=40, master_seed=23,
                     workers=workers)
-    whole = _simulate_batch(cfg, m_level)
-    for width in (1, 3, 7, 16):
-        monkeypatch.setattr("heavywalk.montecarlo._SLICE", width)
-        sliced = _simulate_batch(cfg, m_level)
-        assert sliced.keys() == whole.keys()
+    whole = _simulate_batch(dataclasses.replace(cfg, workers=1), m_level)
+    ran = np.where(whole["tau"] < 0, cfg.horizon, whole["tau"])
+    for width in (1, 3, 7, 16, heavywalk.montecarlo._CHUNK):
+        monkeypatch.setattr("heavywalk.montecarlo._CHUNK", width)
+        chunked = _simulate_batch(cfg, m_level)
+        assert chunked.keys() == whole.keys()
         for k, v in whole.items():
             if isinstance(v, np.ndarray):
-                assert np.array_equal(sliced[k], v), (width, k)
-            else:
-                assert sliced[k] == v, (width, k)
+                assert np.array_equal(chunked[k], v), (width, k)
+        counts = chunked["engine"]
+        assert counts["traj_steps"] == whole["engine"]["traj_steps"]
+        assert counts["uniforms"] == whole["engine"]["uniforms"]
+        bounds = _chunk_bounds(cfg.n_traj, chunked["workers"], width)
+        assert counts["steps"] == sum(int(ran[lo:hi].max()) for lo, hi in zip(bounds, bounds[1:]))
 
 
 @pytest.mark.parametrize("width", [3, 7])
 @REGIME_STARTS
 def test_sliced_draws_keep_the_draw_contract(monkeypatch, spec, start, width):
-    # each draw of step n is one uniform_array call per slice, with counter
-    # draws_per_step * (n - 1) + j; the calls' trajectory arrays, at most
-    # _SLICE long, concatenate to the live set (in compaction order)
+    # each draw of step n is one uniform_array call per chunk still out, with
+    # counter draws_per_step * (n - 1) + j, on at most _CHUNK trajectories all
+    # of one chunk; a counter's calls together draw for exactly the live set
     calls = []
 
     def counted(key, traj, counter):
@@ -408,23 +445,42 @@ def test_sliced_draws_keep_the_draw_contract(monkeypatch, spec, start, width):
         return uniform_array(key, traj, counter)
 
     monkeypatch.setattr("heavywalk.montecarlo.uniform_array", counted)
-    monkeypatch.setattr("heavywalk.montecarlo._SLICE", width)
+    monkeypatch.setattr("heavywalk.montecarlo._CHUNK", width)
     cfg = SimConfig(spec, start=start, a=10.0, horizon=300, n_traj=40, master_seed=19)
     batch = _simulate_batch(cfg, 60.0)
     dps = cfg.draws_per_step
     ran = np.where(batch["tau"] < 0, cfg.horizon, batch["tau"])
-    by_counter = {}
+    bounds = _chunk_bounds(cfg.n_traj, 1, width)
+    by_counter = collections.defaultdict(list)
     for counter, traj in calls:
-        assert len(traj) <= width
-        by_counter.setdefault(counter, []).append(traj)
+        assert 0 < len(traj) <= width
+        assert np.unique(np.searchsorted(bounds, traj, side="right")).size == 1
+        by_counter[counter].append(traj)
     assert sorted(by_counter) == list(range(dps * int(ran.max())))
     for n in range(1, int(ran.max()) + 1):
         live = np.flatnonzero(ran >= n)
         for j in range(dps):
-            parts = by_counter[dps * (n - 1) + j]
-            assert len(parts) == -(-live.size // width)
-            assert np.array_equal(np.sort(np.concatenate(parts)), live)
-    assert sum(len(t) for _, t in calls) == dps * int(ran.sum())
+            assert np.array_equal(np.sort(np.concatenate(by_counter[dps * (n - 1) + j])), live)
+
+
+@pytest.mark.parametrize("m_level", [math.inf, 60.0], ids=["inf", "finite"])
+@REGIME_STARTS
+def test_engine_steps_count_the_kernel_iterations(monkeypatch, spec, start, m_level):
+    # every lockstep step of every chunk makes one draw-0 uniform_array call,
+    # and the engine's steps count exactly those calls
+    draws0 = []
+
+    def counted(key, traj, counter):
+        if counter % dps == 0:
+            draws0.append(counter)
+        return uniform_array(key, traj, counter)
+
+    monkeypatch.setattr("heavywalk.montecarlo.uniform_array", counted)
+    monkeypatch.setattr("heavywalk.montecarlo._CHUNK", 6)
+    cfg = SimConfig(spec, start=start, a=10.0, horizon=300, n_traj=40, master_seed=19)
+    dps = cfg.draws_per_step
+    batch = _simulate_batch(cfg, m_level)
+    assert batch["engine"]["steps"] == len(draws0) > int(batch["tau"].max())
 
 
 def test_seed_changes_output():
