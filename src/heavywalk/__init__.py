@@ -56,7 +56,6 @@ from .montecarlo import (
     PhaseDiagnostic,
     SimConfig,
     SurvivalEstimate,
-    TrajectorySummary,
     estimate_passage_tail,
     moment_diagnostic,
     phase_diagnostic,

@@ -86,43 +86,50 @@ def drift_threshold(spec: ChainSpec) -> float:
     raise NotRecurrentError("plane regime has no drift threshold (zero drift)")
 
 
+def _plane_weights(spec: ChainSpec) -> tuple[float, float]:
+    """The plane's radial and transverse weights (p_R c_R, p_T c_T)."""
+    pl = spec.plane
+    return pl.p_radial * pl.c_radial, (1.0 - pl.p_radial) * pl.c_transverse
+
+
 def plane_quantity(spec: ChainSpec) -> float:
     """Sign decides the plane phase: p_R c_R + 2 p_T c_T cos(pi alpha / 2)."""
-    pl = spec.plane
-    p_t = 1.0 - pl.p_radial
-    return pl.p_radial * pl.c_radial + 2.0 * p_t * pl.c_transverse * cospi(spec.tail.alpha / 2.0)
+    w_r, w_t = _plane_weights(spec)
+    return w_r + 2.0 * w_t * cospi(spec.tail.alpha / 2.0)
+
+
+def _regime_kappa(spec: ChainSpec) -> Callable[[float], float]:
+    """The regime's kappa, prepared (nu unchecked): nu* solves b + c kappa = 0
+    on the lines and kappa = 0 on the plane, and K = c nu kappa(nu)."""
+    t = spec.tail
+    if spec.regime in ("half_line", "line_out"):
+        return kappa0_prepared(t.alpha)
+    if spec.regime == "line_in":
+        return kappa2_prepared(t.beta)
+    if spec.regime == "line_balanced":
+        k0, k2 = kappa0_prepared(t.alpha), kappa2_prepared(t.alpha)
+        return lambda v: k0(v) + k2(v)
+    w_r, w_t = _plane_weights(spec)
+    k0, k0_half = kappa0_prepared(t.alpha), kappa0_prepared(t.alpha / 2.0)
+    return lambda v: w_r * k0(v) + w_t * k0_half(v / 2.0)
 
 
 def _gap_function(spec: ChainSpec) -> tuple[Callable[[float], float], float]:
     """Monotone increasing g(nu) whose root is nu*, and the upper bracket end."""
-    t, b, c = spec.tail, spec.drift.b, spec.tail.c
-    if spec.regime in ("half_line", "line_out"):
-        k0 = kappa0_prepared(t.alpha)
-        return (lambda v: b + c * k0(v)), t.alpha
-    if spec.regime == "line_in":
-        k2 = kappa2_prepared(t.beta)
-        return (lambda v: b + c * k2(v)), t.beta
-    if spec.regime == "line_balanced":
-        k0, k2 = kappa0_prepared(t.alpha), kappa2_prepared(t.alpha)
-        return (lambda v: b + c * (k0(v) + k2(v))), t.alpha
-    # plane: zero drift, two radial/transverse kappa0 contributions
-    pl = spec.plane
-    p_t = 1.0 - pl.p_radial
-    k0, k0_half = kappa0_prepared(t.alpha), kappa0_prepared(t.alpha / 2.0)
-    return (lambda v: pl.p_radial * pl.c_radial * k0(v)
-            + p_t * pl.c_transverse * k0_half(v / 2.0)), 1.0
+    kappa = _regime_kappa(spec)
+    if spec.regime == "plane":
+        return kappa, 1.0
+    b, c = spec.drift.b, spec.tail.c
+    return (lambda v: b + c * kappa(v)), spec.heavy_exponent
 
 
 def plane_equation_forms(spec: ChainSpec, nu: float) -> tuple[float, float]:
     """The plane nu* equation evaluated two ways: the displayed Gamma-ratio
     form and the kappa0 combination (they agree identically)."""
-    pl = spec.plane
     a = spec.tail.alpha
-    p_t = 1.0 - pl.p_radial
-    direct = (pl.p_radial * pl.c_radial * kappa0_alt(a, nu)
-              + p_t * pl.c_transverse * kappa0_alt(a / 2.0, nu / 2.0))
-    combo = (pl.p_radial * pl.c_radial * kappa0(a, nu)
-             + p_t * pl.c_transverse * kappa0(a / 2.0, nu / 2.0))
+    w_r, w_t = _plane_weights(spec)
+    direct = w_r * kappa0_alt(a, nu) + w_t * kappa0_alt(a / 2.0, nu / 2.0)
+    combo = w_r * kappa0(a, nu) + w_t * kappa0(a / 2.0, nu / 2.0)
     return direct, combo
 
 

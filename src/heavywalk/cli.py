@@ -152,10 +152,7 @@ def _int_chars(col: np.ndarray) -> np.ndarray:
     the digits right-aligned, NUL where a value has no character."""
     col = col.astype(np.int64, copy=False)
     a = np.abs(col).view(np.uint64)   # |-2^63| wraps to 2^63, right as unsigned
-    top = int(a.max())
-    if top < 2 ** 32:   # ~18% faster digits than uint64 (BENCH_24.json)
-        a = a.astype(np.uint32)
-    out = np.empty((1 + len(str(top)), a.size), dtype=np.uint8)
+    out = np.empty((1 + len(str(int(a.max()))), a.size), dtype=np.uint8)
     out[0] = (col < 0).view(np.uint8) * ord("-")
     for j in range(len(out) - 1, 0, -1):
         q = a // 10

@@ -23,9 +23,9 @@ import numpy as np
 
 from .errors import DivergentError, DomainError
 from .increments import ChainSpec, IncrementLaw, build_law
-from .specialfn import (_pow_m1, _two_product, kappa0, kappa1, kappa2,
-                        pareto_finite_integral, pareto_tail_integral)
-from .classify import classify as _classify_phase
+from .specialfn import (_pow_m1, _two_product, kappa0, kappa1, pareto_finite_integral,
+                        pareto_tail_integral)
+from .classify import _regime_kappa, classify as _classify_phase
 from .rng import checked_seed, integer_in
 
 CONVERGED_REL_TOL = 0.05   # verify_expansion: converged iff |last error| < this * |K|
@@ -179,22 +179,21 @@ def _check_regime_i(spec: ChainSpec, i: int) -> None:
 
 
 def expansion_coefficient(spec: ChainSpec, i: int, nu: float) -> float:
-    """Coefficient K of the |x|^(nu - exponent) fluctuation term of D_i."""
-    _check_regime_i(spec, i)
+    """Coefficient K of the |x|^(nu - exponent) fluctuation term of D_i, for nu
+    in the lemma's range: c nu kappa(nu) with the regime's kappa, but c kappa1
+    for i = 1 on line_in and c (nu kappa0 + kappa1) on line_balanced."""
+    _check_lemma_range(spec, i, nu)
     c = spec.tail.c
-    a = spec.tail.alpha
-    if spec.regime in ("half_line", "line_out"):
-        return c * nu * kappa0(a, nu)
-    if spec.regime == "line_in":
-        b = spec.tail.beta
-        return c * kappa1(b, nu) if i == 1 else c * nu * kappa2(b, nu)
-    # balanced
-    if i == 1:
+    if i == 1 and spec.regime == "line_in":
+        return c * kappa1(spec.tail.beta, nu)
+    if i == 1 and spec.regime == "line_balanced":
+        a = spec.tail.alpha
         return c * (nu * kappa0(a, nu) + kappa1(a, nu))
-    return c * nu * (kappa0(a, nu) + kappa2(a, nu))
+    return c * nu * _regime_kappa(spec)(nu)
 
 
 def _check_lemma_range(spec: ChainSpec, i: int, nu: float) -> None:
+    _check_regime_i(spec, i)
     t = spec.tail
     if spec.regime in ("half_line", "line_out"):
         lo = t.alpha - t.beta if t.beta is not None else -math.inf
@@ -213,7 +212,6 @@ def _check_lemma_range(spec: ChainSpec, i: int, nu: float) -> None:
 def drift_predicted(spec: ChainSpec, i: int, nu: float, x: float) -> float:
     """Leading terms of the drift expansion (remainder dropped):
     the drift part nu sign(x) |x|^(nu-1) mu(x) plus K |x|^(nu - exponent)."""
-    _check_regime_i(spec, i)
     _check_lemma_range(spec, i, nu)
     k_coef = expansion_coefficient(spec, i, nu) if nu != 0.0 else 0.0
     return _predicted(spec, i, nu, x, k_coef, float(spec.drift_target(x)))
@@ -253,7 +251,6 @@ def verify_expansion(spec: ChainSpec, i: int, nu: float, x_grid: Sequence[float]
     """Check that (D_i(x) - drift term) / x^(nu-exponent) converges to the
     predicted coefficient K; converged iff the last grid point is within
     CONVERGED_REL_TOL * |K|."""
-    _check_regime_i(spec, i)
     _check_lemma_range(spec, i, nu)
     xs = [float(x) for x in x_grid]
     if not xs:

@@ -29,7 +29,7 @@ import os
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import partial
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
@@ -42,8 +42,7 @@ SURVIVAL_POINTS = 60   # geometric survival grid points, before rounding and ded
 # a run is split into chunks of at most this many trajectories, so that a
 # chunk's live columns and each step's temporaries stay in cache
 _CHUNK = 2 ** 15
-# a batch's per-trajectory columns in trajectories.csv's order, which is also
-# TrajectorySummary's with final_x and final_y as its final
+# a batch's per-trajectory columns in trajectories.csv's order
 TRAJECTORY_COLUMNS = ("index", "tau", "censored", "max_excursion", "min_excursion", "final_x",
                       "final_y", "crossed_pos", "crossed_neg", "first_exit", "last_sign_change")
 
@@ -104,20 +103,6 @@ class SimConfig:
             "master_seed": self.master_seed,
             "workers": self.workers,
         }
-
-
-@dataclass(frozen=True)
-class TrajectorySummary:
-    index: int
-    tau: Optional[int]
-    censored: bool
-    max_excursion: float
-    min_excursion: float
-    final: Union[float, tuple]
-    crossed_pos: bool
-    crossed_neg: bool
-    first_exit: Optional[int]
-    last_sign_change: Optional[int]
 
 
 @dataclass
@@ -343,16 +328,13 @@ def _simulate_batch(cfg: SimConfig, m_level: float = math.inf) -> dict:
     return merged
 
 
-def run_trajectories(cfg: SimConfig, m_level: float = math.inf) -> list[TrajectorySummary]:
-    """Simulate n_traj independent trajectories; bit-identical for any worker
-    count (trajectory k's stream depends only on (master_seed, k))."""
+def run_trajectories(cfg: SimConfig, m_level: float = math.inf) -> np.recarray:
+    """One record per trajectory of the batch's columns in TRAJECTORY_COLUMNS
+    order (final_y on the plane only), -1 where there is no tau, first exit or
+    sign change; bit-identical for any worker count."""
     batch = _simulate_batch(cfg, m_level)
-    cols = {k: batch[k].tolist() for k in TRAJECTORY_COLUMNS if k in batch}
-    if "final_y" in cols:
-        cols["final_x"] = list(zip(cols["final_x"], cols.pop("final_y")))
-    for k in ("tau", "first_exit", "last_sign_change"):
-        cols[k] = [None if v < 0 else v for v in cols[k]]
-    return [TrajectorySummary(*row) for row in zip(*cols.values())]
+    names = [k for k in TRAJECTORY_COLUMNS if k in batch]
+    return np.rec.fromarrays([batch[k] for k in names], names=names)
 
 
 # ---------------------------------------------------------------------------

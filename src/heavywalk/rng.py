@@ -110,6 +110,8 @@ class CounterStream:
         self.counter = 0
 
     def random(self) -> float:
+        if self.counter >= _COUNTER_SPAN:   # counter 2^32 is the next trajectory's counter 0
+            raise DomainError(f"trajectory {self.traj}'s stream is spent: 2^32 uniforms drawn")
         u = uniform_at(self.key, self.traj, self.counter)
         self.counter += 1
         return u

@@ -1,16 +1,15 @@
 """Identity suite behind the `selftest` CLI subcommand.
 
-Each identity pits a closed form against an independent route (quadrature,
-reflection, recurrence); the runner reports the max error per identity and
-an overall pass flag.  A gamma_impl hook lets tests inject a perturbed gamma
-to confirm that failures are attributed to the right identity.
+Each identity pits the library's own function against an independent route
+(a closed form, quadrature, reflection, recurrence); the runner reports the
+max error per identity and an overall pass flag.  A test patches
+`specialfn.gamma_real` to see failures attributed to the right identities.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
 
 from . import specialfn as sf
 from .increments import ChainSpec, DriftParams, TailParams
@@ -18,6 +17,7 @@ from .classify import nu_star
 from .rng import CounterStream
 
 QUAD_TOL = 1e-8
+BETA_GRID = (1.1, 1.2, 1.3, 1.4, 1.5, 1.6, 1.7, 1.8, 1.9)
 
 
 @dataclass
@@ -31,38 +31,37 @@ class IdentityResult:
         return self.max_error <= self.tolerance
 
 
-def _beta_grid():
-    return [1.1, 1.2, 1.3, 1.4, 1.5, 1.6, 1.7, 1.8, 1.9]
+def _monotone(name: str, kappa, lo: float, trim: float, tol: float) -> IdentityResult:
+    """The largest fall of kappa(e, nu) from one point to the next of
+    nu = lo + k (e - trim) / 40, k = 0..40, over the exponents e of BETA_GRID."""
+    worst = 0.0
+    for e in BETA_GRID:
+        vals = [kappa(e, v) for v in [lo + k * (e - trim) / 40.0 for k in range(41)]]
+        worst = max(worst, max(max(x - y, 0.0) for x, y in zip(vals[:-1], vals[1:])))
+    return IdentityResult(name, worst, tol)
 
 
-def run_selftest(gamma_impl: Optional[Callable[[float], float]] = None) -> list[IdentityResult]:
-    """Run every identity; returns per-identity worst errors.
-
-    gamma_impl (when given) replaces gamma_real inside the closed forms only,
-    never in the quadrature oracles: the fault-injection hook.
-    """
-    gamma = gamma_impl or sf.gamma_real
+def run_selftest() -> list[IdentityResult]:
+    """Run every identity; returns per-identity worst errors."""
     results = []
 
     def check(name, pairs, tol):
         worst = max(abs(a - b) for a, b in pairs)
         results.append(IdentityResult(name, worst, tol))
 
-    grid = _beta_grid()
     check("kappa0_at_zero",  # (1-0) G(a)G(1-a)/G(2) vs pi cosec(pi a)
-          [(gamma(a) * gamma(1.0 - a), math.pi / sf.sinpi(a)) for a in grid], 1e-8)
-    check("kappa1_at_zero",
-          [(-(1.0 - b) * gamma(1.0) * gamma(1.0 - b) / gamma(2.0 - b), -1.0) for b in grid], 1e-8)
+          [(sf.kappa0(a, 0.0), math.pi / sf.sinpi(a)) for a in BETA_GRID], 1e-8)
+    check("kappa1_at_zero", [(sf.kappa1(b, 0.0), -1.0) for b in BETA_GRID], 1e-8)
     check("kappa2_at_zero",
-          [(sf.kappa2(b, 0.0), math.pi * sf.cotpi(b)) for b in grid], 1e-8)
+          [(sf.kappa2(b, 0.0), math.pi * sf.cotpi(b)) for b in BETA_GRID], 1e-8)
     check("kappa2_root",
-          [(sf.kappa2(b, 2.0 * b - 3.0), 0.0) for b in grid], 1e-8)
+          [(sf.kappa2(b, 2.0 * b - 3.0), 0.0) for b in BETA_GRID], 1e-8)
     check("balanced_cotangent_sum",
-          [(gamma(a) * gamma(1.0 - a) + sf.kappa2(a, 0.0), math.pi * sf.cotpi(a / 2.0))
-           for a in grid], 1e-8)
+          [(sf.kappa0(a, 0.0) + sf.kappa2(a, 0.0), math.pi * sf.cotpi(a / 2.0))
+           for a in BETA_GRID], 1e-8)
     check("kappa0_two_forms",
           [(sf.kappa0(a, v), sf.kappa0_alt(a, v))
-           for a in grid for v in (-0.5, 0.3, 0.9, a - 0.05) if abs(v - 1.0) > 1e-3], 1e-12)
+           for a in BETA_GRID for v in (-0.5, 0.3, 0.9, a - 0.05) if abs(v - 1.0) > 1e-3], 1e-12)
 
     # reflection over pseudo-random points away from the poles
     stream = CounterStream(1234, 0)
@@ -72,19 +71,12 @@ def run_selftest(gamma_impl: Optional[Callable[[float], float]] = None) -> list[
         if abs(z - round(z)) > 1e-3:
             pts.append(z)
     check("gamma_reflection",
-          [(gamma(z) * gamma(1.0 - z) * sf.sinpi(z) / math.pi, 1.0) for z in pts], 1e-10)
+          [(sf.gamma_real(z) * sf.gamma_real(1.0 - z) * sf.sinpi(z) / math.pi, 1.0)
+           for z in pts], 1e-10)
 
     # monotonicity of the kappa coefficient functions
-    mono_viol = 0.0
-    for a in grid:
-        vals = [sf.kappa0(a, v) for v in [k * (a - 1e-3) / 40.0 for k in range(41)]]
-        mono_viol = max(mono_viol, max(max(x - y, 0.0) for x, y in zip(vals[:-1], vals[1:])))
-    results.append(IdentityResult("kappa0_monotone", mono_viol, 0.0))
-    mono_viol = 0.0
-    for b in grid:
-        vals = [sf.kappa2(b, v) for v in [0.01 + k * (b - 0.02) / 40.0 for k in range(41)]]
-        mono_viol = max(mono_viol, max(max(x - y, 0.0) for x, y in zip(vals[:-1], vals[1:])))
-    results.append(IdentityResult("kappa2_nondecreasing", mono_viol, 1e-12))
+    results.append(_monotone("kappa0_monotone", sf.kappa0, 0.0, 1e-3, 0.0))
+    results.append(_monotone("kappa2_nondecreasing", sf.kappa2, 0.01, 0.02, 1e-12))
 
     # incomplete-beta recurrence over random in-range draws
     stream = CounterStream(99, 0)
@@ -109,7 +101,7 @@ def run_selftest(gamma_impl: Optional[Callable[[float], float]] = None) -> list[
     }
     for name, cases in cf_cases.items():
         tol = 1e-3 if name in ("negative_to", "negative_from") else 1e-6
-        pairs = [(sf.closed_form_integrals(name, p, q, x, gamma),
+        pairs = [(sf.closed_form_integrals(name, p, q, x),
                   sf.closed_form_integral_quad(name, p, q, x, abs_tol=QUAD_TOL))
                  for p, q, x in cases]
         check(name, pairs, tol)

@@ -484,8 +484,7 @@ def _validate_cf(name: str, p: float, q: float, x: float | None) -> None:
         raise DomainError(f"unknown closed-form integral {name!r}; expected one of {_CF_NAMES}")
 
 
-def closed_form_integrals(name: str, p: float, q: float, x: float | None = None,
-                          gamma: Callable[[float], float] = gamma_real) -> float:
+def closed_form_integrals(name: str, p: float, q: float, x: float | None = None) -> float:
     """Closed-form value of the named tail integral (o(1) terms dropped for
     the x-dependent forms).
 
@@ -495,9 +494,10 @@ def closed_form_integrals(name: str, p: float, q: float, x: float | None = None,
     beta_const    : lim_(x->1) integral_0^x u^(p-1) ((1-u)^(q-1) - 1) du
     beta_linear   : lim_(x->1) integral_0^x u^(p-2) ((1-u)^q + q u - 1) du
 
-    gamma replaces gamma_real; the selftest injects faults through it.
+    gamma_real is read at each call, so a test injects a fault by patching it.
     """
     _validate_cf(name, p, q, x)
+    gamma = gamma_real
     if name == "positive_part":
         return (1.0 - q) * gamma(1.0 - p - q) * gamma(p) / gamma(2.0 - q)
     if name == "negative_to":

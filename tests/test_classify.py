@@ -150,6 +150,16 @@ def test_uncovered_corners_return_critical():
     thr = drift_threshold(half_line(alpha=1.5))
     c2 = classify(half_line(alpha=1.5, gamma=0.5, b=thr, x0=30.0))
     assert c2.phase == CRITICAL
+    # a plane quantity of exactly zero: sqrt(2)/2 + 2 (1/2) cos(3 pi / 4)
+    pl = plane(alpha=1.5, p_radial=0.5, c_radial=math.sqrt(2.0), c_transverse=1.0)
+    assert plane_quantity(pl) == 0.0
+    c3 = classify(pl)
+    assert (c3.phase, c3.theorem_tag) == (CRITICAL, "uncovered: plane threshold quantity is zero")
+    # b within TIE_TOL of 0 where the drift scale dominates (gamma < alpha - 1)
+    c4 = classify(half_line(alpha=1.5, gamma=0.1, b=1e-12))
+    assert (c4.phase, c4.theorem_tag) == (CRITICAL, "uncovered: b at zero with dominant drift scale")
+    with pytest.raises(NotRecurrentError, match="no drift threshold"):
+        drift_threshold(pl)
 
 
 def test_rogozin_foss_split():

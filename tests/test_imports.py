@@ -1,10 +1,12 @@
-"""No orphaned imports in the package or its tests, checked with the
-standard library's ast, so no linter needs to be installed: every name a
-module-level import binds in src/heavywalk/*.py, tests/*.py and both
-conftest.py files is read somewhere in its module, unless the import's
+"""No orphaned imports or private helpers in the package or its tests,
+checked with the standard library's ast, so no linter needs to be installed.
+Every name a module-level import binds in src/heavywalk/*.py, tests/*.py and
+both conftest.py files is read somewhere in its module, unless the import's
 statement carries `# noqa: F401` (a name kept for a caller outside the
-module).  The package's `__init__.py`, which imports to re-export, and
-`from __future__` imports are skipped."""
+module); the package's `__init__.py`, which imports to re-export, and
+`from __future__` imports are skipped.  Every module-level private name
+(leading underscore) that src/heavywalk/*.py defines is read somewhere in
+those files."""
 
 import ast
 from pathlib import Path
@@ -48,3 +50,47 @@ def test_the_check_finds_an_unused_import():
                          else str(p.relative_to(ROOT)))
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def orphaned_private_names(modules: dict[str, str], readers: list[str]) -> list[str]:
+    """The module-level private names (one leading underscore) that the sources
+    in modules (name -> source) define and that no source among them or in
+    readers reads: as a name, an attribute, an imported name, or a string
+    equal to it (monkeypatch.setattr's form)."""
+    read = set()
+    for source in [*modules.values(), *readers]:
+        for n in ast.walk(ast.parse(source)):
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                read.add(n.id)
+            elif isinstance(n, ast.Attribute):
+                read.add(n.attr)
+            elif isinstance(n, ast.alias):
+                read.add(n.name)
+            elif isinstance(n, ast.Constant) and isinstance(n.value, str):
+                read.add(n.value)
+    orphans = []
+    for module, source in modules.items():
+        for node in ast.parse(source).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            orphans += [f"{module} line {node.lineno}: {name}" for name in names
+                        if name.startswith("_") and not name.startswith("__") and name not in read]
+    return orphans
+
+
+def test_the_check_finds_an_orphaned_private_name():
+    src = ("_A, _B = 1, 2\n_C: int = 3\n__version__ = '0'\ndef _f():\n    return _A\n"
+           "class _K:\n    pass\ndef _g():\n    pass\n")
+    readers = ["from m import _g\n", "import m\nm._C = 4\n", "setattr(m, '_f', None)\n"]
+    assert orphaned_private_names({"m": src}, readers) == ["m line 1: _B", "m line 6: _K"]
+
+
+def test_no_orphaned_private_names():
+    modules = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    assert orphaned_private_names(modules, [p.read_text() for p in CHECKED
+                                            if p.parent != PACKAGE]) == []

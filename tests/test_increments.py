@@ -399,6 +399,37 @@ def test_regime_parameter_validation():
         ChainSpec("no_such", TailParams(alpha=1.5), DriftParams(), 0.2)
 
 
+REFUSALS = [
+    (lambda: half_line(c=0.0), DomainError, "tail constant c must be positive"),
+    (lambda: half_line(x0=-1.0), DomainError, "x0 must be >= 0"),
+    (lambda: half_line(gamma=-0.5), DomainError, "gamma must be >= 0"),
+    (lambda: half_line(beta=1.5), DomainError, "half_line requires beta > alpha"),
+    (lambda: line_out(beta=1.4), DomainError, "line_out requires beta > alpha"),
+    (lambda: line_in(beta=2.2), DomainError, "line_in requires 1 < beta < 2"),
+    (lambda: balanced(alpha=2.5), DomainError, "line_balanced requires 1 < alpha < 2"),
+    (lambda: plane(alpha=2.5), DomainError, "plane requires 1 < alpha < 2"),
+    (lambda: plane(p_radial=1.0), DomainError, "p_radial must be in"),
+    (lambda: plane(c_radial=0.0), DomainError, "plane tail constants must be positive"),
+    (lambda: plane(c_transverse=-1.0), DomainError, "plane tail constants must be positive"),
+    (lambda: plane(p_heavy=0.5), InfeasibleWeight, "plane transverse law needs p_heavy < 1/2"),
+    (lambda: build_law(half_line(), 5.0).tail_pos(-1.0), DomainError, "defined for y >= 0"),
+    (lambda: plane_radial_law(half_line()), DomainError, "requires the plane regime"),
+    (lambda: plane_transverse_law(balanced()), DomainError, "requires the plane regime"),
+]
+
+
+@pytest.mark.parametrize("make, error, message", REFUSALS,
+                         ids=["c_zero", "x0_negative", "gamma_negative", "half_line_beta",
+                              "line_out_beta", "line_in_beta", "balanced_alpha", "plane_alpha",
+                              "p_radial_one", "c_radial_zero", "c_transverse_negative",
+                              "plane_p_heavy", "tail_negative_y", "radial_law_on_line",
+                              "transverse_law_on_line"])
+def test_each_guard_refuses_its_case(make, error, message):
+    # each message belongs to one guard, so the case fails when that guard goes
+    with pytest.raises(error, match=message):
+        make()
+
+
 NON_FINITE_CASES = [(regime, field) for regime in ("half_line", "line_in")
                     for field in ("alpha", "beta", "c", "x0", "gamma", "b")] + [
     ("plane", field) for field in ("p_radial", "c_radial", "c_transverse")]
@@ -514,6 +545,16 @@ def test_plane_laws_mean_zero_and_symmetric():
     # exact transverse tail constant
     y0t = spec.heavy_scale(0.5)
     assert tl.tail_pos(2 * y0t) == pytest.approx(0.5 * (2 * y0t) ** -1.5, rel=1e-13)
+
+
+def test_plane_step_from_the_origin():
+    # at r = 0 the radial direction is (1, 0) and the transverse one (0, 1)
+    spec = plane()
+    origin = np.array([0.0, 0.0])
+    theta_r = float(plane_radial_law(spec).quantile(0.0, 0.5))
+    theta_t = float(plane_transverse_law(spec).quantile(0.0, 0.5))
+    assert step(spec, origin, CountingStream([0.0, 0.0, 0.5])).tolist() == [theta_r, 0.0]
+    assert step(spec, origin, CountingStream([0.99, 0.0, 0.5])).tolist() == [0.0, theta_t]
 
 
 def test_build_law_rejects_plane():

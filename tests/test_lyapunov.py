@@ -511,6 +511,9 @@ def test_predicted_range_validation():
         drift_predicted(line_in(), 1, -0.2, 100.0)   # i=1 needs nu > 0
     with pytest.raises(DomainError):
         drift_predicted(half_line(), 0, 0.5, 0.5)    # x below truncation
+    # K itself is refused outside the lemma's range, where kappa1 has a value
+    with pytest.raises(DomainError, match="requires 0.0 < nu"):
+        expansion_coefficient(line_in(), 1, -0.2)
 
 
 # ---------------------------------------------------------------------------

@@ -13,9 +13,10 @@ import heavywalk
 from heavywalk import build_law, plane_radial_law, plane_transverse_law, step
 from heavywalk.errors import DomainError, InsufficientDataError
 from heavywalk.increments import _U_MIN, _quantile
-from heavywalk.montecarlo import (SimConfig, _chunk, _law_constants, _simulate_batch,
-                                  estimate_passage_tail, moment_diagnostic, phase_diagnostic,
-                                  run_trajectories, survival_curve, survival_grid)
+from heavywalk.montecarlo import (TRAJECTORY_COLUMNS, SimConfig, _chunk, _law_constants,
+                                  _simulate_batch, estimate_passage_tail, moment_diagnostic,
+                                  phase_diagnostic, run_trajectories, survival_curve,
+                                  survival_grid)
 from heavywalk.rng import CounterStream, _const, seed_key, uniform_array, uniform_at
 
 from conftest import balanced, half_line, line_in, line_out, plane
@@ -62,6 +63,16 @@ def test_counter_stream_runs_at_its_edges():
         assert stream.random() == uniform_at(seed_key(int(seed)), int(traj), 0)
     with pytest.raises(DomainError):
         seed_key(2 ** 64)
+
+
+def test_counter_stream_refuses_a_spent_counter():
+    # the counter fills the stream word's low 32 bits: counter 2^32 of
+    # trajectory 0 is counter 0 of trajectory 1
+    stream = CounterStream(5, 0)
+    stream.counter = 2 ** 32 - 1
+    assert stream.random() == uniform_at(seed_key(5), 0, 2 ** 32 - 1)
+    with pytest.raises(DomainError, match="spent"):
+        stream.random()
 
 
 def test_rng_rough_uniformity():
@@ -144,14 +155,14 @@ def test_mixture_is_the_law_quantile(spec, x, law):
 def test_horizon_zero_all_censored():
     out = run_trajectories(SimConfig(half_line(), start=20.0, a=10.0, horizon=0,
                                      n_traj=4, master_seed=1))
-    assert all(t.censored and t.tau is None and t.final == 20.0 for t in out)
+    assert all(t.censored and t.tau == -1 and t.final_x == 20.0 for t in out)
 
 
 def test_start_below_a_returns_immediately():
     out = run_trajectories(SimConfig(half_line(), start=5.0, a=10.0, horizon=50,
                                      n_traj=4, master_seed=1))
     assert all(t.tau == 0 and not t.censored for t in out)
-    assert all(t.max_excursion == t.min_excursion == t.final == 5.0 for t in out)
+    assert all(t.max_excursion == t.min_excursion == t.final_x == 5.0 for t in out)
 
 
 @pytest.mark.parametrize("spec, start, a, level",
@@ -495,8 +506,16 @@ def test_summary_flags_consistent_with_extrema():
     for t in run_trajectories(cfg, m_level=100.0):
         assert t.crossed_pos == (t.max_excursion > 100.0)
         assert t.crossed_neg == (t.min_excursion < -100.0)
-        if t.tau is not None:
-            assert abs(t.final) <= 5.0
+        if t.tau >= 0:
+            assert abs(t.final_x) <= 5.0
+
+
+def test_run_trajectories_records_are_the_batch_columns():
+    cfg = SimConfig(plane(), start=(3.0, 4.0), a=1.0, horizon=30, n_traj=16, master_seed=5)
+    rec, batch = run_trajectories(cfg), _simulate_batch(cfg)
+    assert rec.dtype.names == TRAJECTORY_COLUMNS   # final_y on the plane
+    for k in TRAJECTORY_COLUMNS:
+        assert np.array_equal(rec[k], batch[k])
 
 
 # ---------------------------------------------------------------------------
