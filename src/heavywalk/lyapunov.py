@@ -212,8 +212,7 @@ def _check_lemma_range(spec: ChainSpec, i: int, nu: float) -> None:
 def drift_predicted(spec: ChainSpec, i: int, nu: float, x: float) -> float:
     """Leading terms of the drift expansion (remainder dropped):
     the drift part nu sign(x) |x|^(nu-1) mu(x) plus K |x|^(nu - exponent)."""
-    _check_lemma_range(spec, i, nu)
-    k_coef = expansion_coefficient(spec, i, nu) if nu != 0.0 else 0.0
+    k_coef = expansion_coefficient(spec, i, nu)
     return _predicted(spec, i, nu, x, k_coef, float(spec.drift_target(x)))
 
 
