@@ -43,7 +43,7 @@ from .specialfn import (
     kappa1,
     kappa2,
 )
-from .classify import Classification, NuStarResult, classify, moment_exponent, nu_star
+from .classify import Classification, NuStarResult, classify, nu_star
 from .lyapunov import (
     DriftReport,
     criteria_check,

@@ -32,8 +32,6 @@ TRANSIENT_DIRECTIONAL = "TransientDirectional"
 TRANSIENT_OSCILLATORY = "TransientOscillatory"
 CRITICAL = "Critical"
 
-RECURRENT_PHASES = (POSITIVE_RECURRENT, NULL_RECURRENT)
-
 # boundary inclusivity of the critical moment: is E[tau^q_crit] itself
 # finite, infinite, or left open
 INCLUSIVE_INFINITE = "infinite"
@@ -59,10 +57,6 @@ class Classification:
     moment_exponent: Optional[float] = None
     boundary_inclusive: Optional[str] = None
     nu_star: Optional[float] = None
-
-    @property
-    def is_recurrent(self) -> bool:
-        return self.phase in RECURRENT_PHASES
 
     def to_json(self) -> dict:
         out = {"phase": self.phase, "theorem_tag": self.theorem_tag}
@@ -275,10 +269,3 @@ def classify(spec: ChainSpec) -> Classification:
                        q=exp / (d.gamma + 1.0), inclusive=INCLUSIVE_INFINITE)
     return _tagged(directional, f"{tagbase}.transient.supercritical_drift")
 
-
-def moment_exponent(spec: ChainSpec) -> tuple[float, str]:
-    """Critical q for E[tau_a^q] plus the inclusivity flag at q itself."""
-    cl = classify(spec)
-    if not cl.is_recurrent:
-        raise NotRecurrentError(f"phase {cl.phase} has no passage-time moment exponent")
-    return cl.moment_exponent, cl.boundary_inclusive

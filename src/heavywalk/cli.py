@@ -9,7 +9,6 @@ bulk data; exit codes: 0 ok, 1 selftest failure, 2 invalid config.
 from __future__ import annotations
 
 import argparse
-import csv
 import itertools
 import json
 import math
@@ -166,7 +165,10 @@ def _int_chars(col: np.ndarray) -> np.ndarray:
 def _chars(col: np.ndarray) -> np.ndarray:
     """A column's CSV fields as the ASCII bytes csv.writer writes, as the
     non-NUL bytes of the rows of a uint8 matrix: repr for floats, 0/1 for
-    flags and %d for ints."""
+    flags, %d for ints, and a bytes column's own bytes (fields that need no
+    quoting)."""
+    if col.dtype.kind == "S":
+        return col.view(np.uint8).reshape(len(col), -1)
     if col.dtype == bool:
         return (col.view(np.uint8) + ord("0"))[:, None]
     if col.dtype.kind == "f":
@@ -176,8 +178,8 @@ def _chars(col: np.ndarray) -> np.ndarray:
 
 def _write_csv(path: Path, cols: dict) -> None:
     """Write equal-length columns under a header of their names, with the
-    bytes csv.writer gives (fields joined by ',', rows ended by \\r\\n; numbers
-    need no quoting).  Each block of _CSV_BLOCK rows is laid out as one uint8
+    bytes csv.writer gives (fields joined by ',', rows ended by \\r\\n; no
+    field needs quoting).  Each block of _CSV_BLOCK rows is laid out as one uint8
     matrix, each column's characters, a ',' or \\r\\n after it, and written
     without its NULs in one call, so no Python object is made per field."""
     n = len(next(iter(cols.values())))
@@ -236,10 +238,10 @@ def _axis_values(ax: dict) -> np.ndarray:
     return np.linspace(lo, hi, _integer(ax["steps"]))
 
 
-def _phase_row(cfg: dict, point: dict) -> list:
-    """The phase and q_crit of the spec at a sweep point: cfg with the point's
-    values, a plane parameter's merged into a copy of the plane section.  A
-    point with no spec or no phase is an error: row."""
+def _phase_row(cfg: dict, point: dict) -> tuple[bytes, bytes]:
+    """The phase and q_crit (its repr, or empty) of the spec at a sweep point:
+    cfg with the point's values, a plane parameter's merged into a copy of the
+    plane section.  A point with no spec or no phase is an error: row."""
     at = dict(cfg, **point)
     plane = {k: v for k, v in point.items() if k in _PLANE_KEYS}
     if plane:
@@ -247,8 +249,9 @@ def _phase_row(cfg: dict, point: dict) -> list:
     try:
         cl = classify(ChainSpec.from_json(at))
     except HeavywalkError as ex:
-        return [f"error:{type(ex).__name__}", ""]
-    return [cl.phase, "" if cl.moment_exponent is None else cl.moment_exponent]
+        return f"error:{type(ex).__name__}".encode(), b""
+    q = cl.moment_exponent
+    return cl.phase.encode(), b"" if q is None else repr(q).encode()
 
 
 def cmd_phase_diagram(cfg: dict, out: Path, seed: int, workers: int) -> int:
@@ -272,14 +275,15 @@ def cmd_phase_diagram(cfg: dict, out: Path, seed: int, workers: int) -> int:
     if len(set(names)) < len(names):
         # a point holds one value per parameter: the first axis's would be lost
         raise ConfigError(f"two sweep axes on {names[0]!r}", field="grid")
-    points = [dict(zip(names, v)) for v in itertools.product(*(g.tolist() for g in grids))]
+    values = list(itertools.product(*(g.tolist() for g in grids)))
     # a spec entry or plane section that cannot be read exits 2, not a row
     with _reading("spec"):
-        rows = [[pt[n] for n in names] + _phase_row(cfg, pt) for pt in points]
+        rows = [_phase_row(cfg, dict(zip(names, v))) for v in values]
+    cols = dict(zip(names, np.array(values).T))
+    cols["phase"], cols["q_crit"] = (np.array(c, dtype=bytes) for c in zip(*rows))
     path = out / "phase_diagram.csv"
-    with open(path, "w", newline="") as fh:
-        csv.writer(fh).writerows([names + ["phase", "q_crit"], *rows])
-    print(json.dumps({"rows": len(points), "output": path.name}))
+    _write_csv(path, cols)
+    print(json.dumps({"rows": len(values), "output": path.name}))
     return 0
 
 
@@ -332,7 +336,7 @@ def main(argv=None) -> int:
     except ConfigError as ex:
         print(f"config error: {ex}", file=sys.stderr)
         return 2
-    except HeavywalkError as ex:
+    except (HeavywalkError, OverflowError) as ex:   # OverflowError: past the float range
         print(f"error: {type(ex).__name__}: {ex}", file=sys.stderr)
         return 2
 

@@ -16,9 +16,9 @@ illegal light side, and a ChainSpec builds its law at x_floor, the binding state
 from __future__ import annotations
 
 import math
-from dataclasses import MISSING, asdict, dataclass, field, fields, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from functools import cached_property
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -245,15 +245,15 @@ def _quantile(u1, u2, pw, p, scale, light, p_mirror):
     return np.where(u1 < p, pareto, light * u2)
 
 
-@dataclass(frozen=True)
-class IncrementLaw:
+class IncrementLaw(NamedTuple):
     """Concrete increment law at one state, with exact tails and mean.
 
     A Pareto side of weight p, P[side * theta > y] = p * (|scale| / y)^exponent
     for y >= |scale| on the side of scale's sign; when two_sided, its mirror
     image with the same weight; then a uniform on (0, light) with the
     remaining weight.  `light` is a signed width whose sign bit picks its side,
-    so a 0.0 width (a point mass at 0) still has one.
+    so a 0.0 width (a point mass at 0) still has one.  An immutable tuple
+    record: a law equals the tuple of its fields and unpacks like one.
     """
 
     p: float
@@ -296,7 +296,7 @@ class IncrementLaw:
 
     def mirrored(self) -> "IncrementLaw":
         """The law of -theta (both sides flipped, mean negated)."""
-        return replace(self, scale=-self.scale, light=-self.light, mean=-self.mean)
+        return self._replace(scale=-self.scale, light=-self.light, mean=-self.mean)
 
     def quantile(self, u1, u2):
         """Increment from two uniforms: u1 selects the piece, u2 inverts its

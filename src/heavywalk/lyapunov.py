@@ -213,23 +213,24 @@ def drift_predicted(spec: ChainSpec, i: int, nu: float, x: float) -> float:
     """Leading terms of the drift expansion (remainder dropped):
     the drift part nu sign(x) |x|^(nu-1) mu(x) plus K |x|^(nu - exponent)."""
     k_coef = expansion_coefficient(spec, i, nu)
-    return _predicted(spec, i, nu, x, k_coef, float(spec.drift_target(x)))
+    return _predicted(spec, i, nu, x, k_coef, float(spec.drift_target(x)))[0]
 
 
 def _predicted(spec: ChainSpec, i: int, nu: float, x: float, k_coef: float,
-               mu: float) -> float:
+               mu: float) -> tuple[float, float]:
     """drift_predicted at x for a checked (i, nu), given K = k_coef and the
-    drift target mu = mu(x), the mean of the law at x."""
-    if i in (0, 1) and x < 1.0:
+    drift target mu = mu(x), the mean of the law at x, and the scale
+    |x|^(nu - exponent) of its K term; x is checked before any power is taken."""
+    if i in (0, 1) and not x >= 1.0:
         raise DomainError("one-sided expansions hold as x -> +inf (need x >= 1)")
-    if abs(x) < 1.0:
+    if not abs(x) >= 1.0:
         raise DomainError("expansions hold for |x| >= 1")
-    if nu == 0.0:
-        return 0.0
     ax = abs(x)
-    sgn = math.copysign(1.0, x)
-    drift_part = nu * (sgn if i == 2 else 1.0) * ax ** (nu - 1.0) * mu
-    return drift_part + k_coef * ax ** (nu - spec.heavy_exponent)
+    scale = ax ** (nu - spec.heavy_exponent)
+    if nu == 0.0:
+        return 0.0, scale
+    drift_part = nu * (math.copysign(1.0, x) if i == 2 else 1.0) * ax ** (nu - 1.0) * mu
+    return drift_part + k_coef * scale, scale
 
 
 @dataclass
@@ -262,13 +263,11 @@ def verify_expansion(spec: ChainSpec, i: int, nu: float, x_grid: Sequence[float]
         zeros = [0.0] * len(xs)
         return DriftReport(i, nu, xs, zeros, zeros, zeros, 0.0, True)
     k_coef = expansion_coefficient(spec, i, nu)
-    e = spec.heavy_exponent
     numeric, predicted, nerr = [], [], []
     for x in xs:
-        scale = abs(x) ** (nu - e)
         law = build_law(spec, x)
+        p, scale = _predicted(spec, i, nu, x, k_coef, law.mean)
         d = drift_numeric_law(law, i, nu, x)
-        p = _predicted(spec, i, nu, x, k_coef, law.mean)
         drift_term = p - k_coef * scale
         numeric.append(d)
         predicted.append(p)

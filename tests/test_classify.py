@@ -6,8 +6,8 @@ import pytest
 
 from heavywalk.classify import (CRITICAL, NULL_RECURRENT, POSITIVE_RECURRENT,
                                 TRANSIENT, TRANSIENT_DIRECTIONAL, TRANSIENT_OSCILLATORY)
-from heavywalk.classify import (_gap_function, classify, drift_threshold, moment_exponent,
-                                nu_star, plane_equation_forms, plane_quantity)
+from heavywalk.classify import (_gap_function, classify, drift_threshold, nu_star,
+                                plane_equation_forms, plane_quantity)
 from heavywalk import specialfn as sf
 from heavywalk.errors import DomainError, HeavywalkError, NoRootError, NotRecurrentError
 from heavywalk.specialfn import KAPPA2_GUARD, kappa0, kappa2
@@ -452,22 +452,29 @@ def test_plane_equation_forms_agree():
 # moment exponents
 # ---------------------------------------------------------------------------
 
+def _moment(spec):
+    cl = classify(spec)
+    return cl.moment_exponent, cl.boundary_inclusive
+
+
 def test_moment_exponent_examples():
-    q, inc = moment_exponent(half_line(alpha=1.6, gamma=1.0))
+    q, inc = _moment(half_line(alpha=1.6, gamma=1.0))
     assert q == pytest.approx(0.625) and inc == "unknown"
-    q, inc = moment_exponent(line_in(beta=1.8, gamma=1.0, alpha=2.8))
+    q, inc = _moment(line_in(beta=1.8, gamma=1.0, alpha=2.8))
     assert q == pytest.approx(1.0 / 3.0)
-    q, inc = moment_exponent(half_line(alpha=1.5, gamma=0.2, b=-1.0))
+    q, inc = _moment(half_line(alpha=1.5, gamma=0.2, b=-1.0))
     assert q == pytest.approx(1.25) and inc == "infinite"
-    q, inc = moment_exponent(balanced(alpha=1.5, gamma=1.0))
+    q, inc = _moment(balanced(alpha=1.5, gamma=1.0))
     assert q == pytest.approx(1.0 - 1.0 / 1.5)
 
 
 def test_moment_exponent_requires_recurrence():
-    with pytest.raises(NotRecurrentError):
-        moment_exponent(line_in(beta=1.3, gamma=1.0))
-    with pytest.raises(NotRecurrentError):
-        moment_exponent(plane(alpha=1.5, p_radial=0.1))
+    # off the recurrent phases there is no moment exponent and no inclusivity
+    for spec in (line_in(beta=1.3, gamma=1.0), plane(alpha=1.5, p_radial=0.1),
+                 line_in(beta=1.5, gamma=1.0)):
+        cl = classify(spec)
+        assert cl.phase in (TRANSIENT, TRANSIENT_OSCILLATORY, CRITICAL)
+        assert _moment(spec) == (None, None) and "q_crit" not in cl.to_json()
 
 
 def test_classification_json_shape():

@@ -374,14 +374,20 @@ def test_simulate_outputs_and_manifest(tmp_path):
     assert len(surv) > 10
 
 
+def _csv_fields(col: np.ndarray) -> list:
+    """A column as Python values: flags as 0/1, bytes as ASCII text."""
+    if col.dtype == bool:
+        return col.astype(np.int64).tolist()
+    return col.astype(str).tolist() if col.dtype.kind == "S" else col.tolist()
+
+
 def _csv_writer_bytes(cols: dict) -> bytes:
-    """Oracle: the columns as csv.writer writes them, from Python ints and
-    floats, with flags as 0/1."""
+    """Oracle: the columns as csv.writer writes them, from Python ints,
+    floats and strings, with flags as 0/1."""
     buf = io.StringIO(newline="")
     w = csv.writer(buf)
     w.writerow(list(cols))
-    w.writerows(zip(*(c.astype(np.int64).tolist() if c.dtype == bool else c.tolist()
-                      for c in cols.values())))
+    w.writerows(zip(*(_csv_fields(c) for c in cols.values())))
     return buf.getvalue().encode()
 
 
@@ -444,14 +450,19 @@ def test_csv_edge_values_match_csv_writer(tmp_path):
 @settings(max_examples=40, deadline=None)
 @given(st.integers(1, 2 * _CSV_BLOCK + 2), st.integers(0, 2 ** 32))
 def test_any_columns_match_csv_writer(n, seed):
-    # random flag, int64 and float64 columns, across block boundaries
+    # random flag, int64, float64 and bytes columns (fields of 0 to 12
+    # characters, and one column of empty fields), across block boundaries
     rng = np.random.default_rng(seed)
     ints = rng.integers(0, 2 ** 64, n, dtype=np.uint64).view(np.int64)
     ints[0], ints[-1] = -2 ** 63, 2 ** 63 - 1
+    letters = b"abcXYZ019:.+-_"
     cols = {"flag": rng.random(n) < 0.5, "small": rng.integers(-3, 30, n),
             "int": ints >> rng.integers(0, 64, n),
             "float": rng.integers(0, 2 ** 64, n, dtype=np.uint64).view(np.float64),
-            "unit": rng.random(n) * 10.0 ** rng.integers(-6, 17, n)}
+            "unit": rng.random(n) * 10.0 ** rng.integers(-6, 17, n),
+            "text": np.array([bytes(rng.choice(list(letters), k).tolist())
+                              for k in rng.integers(0, 13, n)]),
+            "blank": np.full(n, b"")}
     with tempfile.TemporaryDirectory() as d:
         _write_csv(Path(d) / "any.csv", cols)
         assert (Path(d) / "any.csv").read_bytes() == _csv_writer_bytes(cols)
@@ -616,6 +627,24 @@ def test_drift_verify_beyond_two_to_the_53_exits_2(tmp_path, capsys):
     assert not (tmp_path / "drift_report.csv").exists()
 
 
+NO_BETA = {k: v for k, v in HL.items() if k != "beta"}
+
+
+@pytest.mark.parametrize("verify, error", [
+    # a subnormal grid point: |x|^(nu - alpha) would overflow
+    ({"i": 0, "nu": 0.5, "x_min": 1e-320, "x_max": 1e3, "points": 3}, "error: DomainError: "),
+    # no beta, so the lemma's range has no lower end: kappa0 takes Gamma(201.5)
+    ({"i": 0, "nu": -200.0, "points": 2}, "error: OverflowError: "),
+], ids=["subnormal_x_min", "nu_past_the_gamma_range"])
+def test_drift_verify_past_the_float_range_exits_2(tmp_path, capsys, verify, error):
+    cfg = dict(NO_BETA, drift_verify=verify)
+    rc = main(["drift-verify", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(error) and err.count("\n") == 1
+    assert not (tmp_path / "drift_report.csv").exists()
+
+
 # ---------------------------------------------------------------------------
 # selftest
 # ---------------------------------------------------------------------------
@@ -633,3 +662,40 @@ def test_selftest_fault_injection_names_identity(monkeypatch):
     failed = [r.name for r in run_selftest() if not r.passed]
     assert "positive_part" in failed and "kappa1_at_zero" in failed
 
+
+# ---------------------------------------------------------------------------
+# exits no other test reaches
+# ---------------------------------------------------------------------------
+
+AXIS = {"param": "b", "min": -1.0, "max": 1.0, "steps": 2}
+NO_SIM = {k: v for k, v in HL.items() if k != "sim"}
+# (command, config or None for no --config, Gamma faulted, exit code, stderr start)
+EXIT_CASES = {
+    "simulate_without_sim": ("simulate", NO_SIM, False, 2,
+                             "config error: sim: missing sim section"),
+    "drift_verify_without_section": ("drift-verify", NO_SIM, False, 2,
+                                     "config error: drift_verify: missing drift_verify section"),
+    "three_sweep_axes": ("phase-diagram",
+                         dict(HL, grid=[AXIS, dict(AXIS, param="gamma"), dict(AXIS, param="c")]),
+                         False, 2, "config error: grid: one sweep axis, or a list of at most two"),
+    "axis_of_one_step": ("phase-diagram", dict(HL, grid=dict(AXIS, steps=1)), False, 2,
+                         "config error: grid: steps must be >= 2"),
+    "classify_without_config": ("classify", None, False, 2,
+                                "config error: --config is required for this command"),
+    "selftest_failure": ("selftest", None, True, 1, "selftest FAILED: "),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EXIT_CASES))
+def test_guarded_exits(tmp_path, capsys, monkeypatch, case):
+    command, cfg, faulted, code, err_start = EXIT_CASES[case]
+    if faulted:
+        real = sf.gamma_real
+        monkeypatch.setattr(sf, "gamma_real", lambda z: real(z) * (1.0 + 1e-4))
+    argv = [command, "--out", str(tmp_path)]
+    if cfg is not None:
+        argv += ["--config", write_config(tmp_path, cfg)]
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert err.startswith(err_start) and err.count("\n") == 1, err
+    assert not (tmp_path / "phase_diagram.csv").exists()

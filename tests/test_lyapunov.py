@@ -11,7 +11,7 @@ from heavywalk.lyapunov import (_light_term, criteria_check, drift_numeric,
                                 lyapunov_f, mc_drift, verify_expansion)
 from heavywalk import specialfn as sf
 
-from conftest import balanced, half_line, line_in, line_out
+from conftest import balanced, half_line, line_in, line_out, plane
 
 
 # ---------------------------------------------------------------------------
@@ -474,6 +474,8 @@ def test_regime_i_compatibility():
         drift_numeric(half_line(), 1, 0.5, 50.0)
     with pytest.raises(DomainError):
         drift_numeric(line_in(), 0, 0.5, 50.0)
+    with pytest.raises(DomainError, match="scalar regimes only"):
+        drift_numeric(plane(), 2, 0.5, 10.0)
 
 
 # ---------------------------------------------------------------------------
@@ -514,6 +516,11 @@ def test_predicted_range_validation():
     # K itself is refused outside the lemma's range, where kappa1 has a value
     with pytest.raises(DomainError, match="requires 0.0 < nu"):
         expansion_coefficient(line_in(), 1, -0.2)
+    for x in (0.5, -0.5):    # i = 2 covers both sides, from |x| = 1 out
+        with pytest.raises(DomainError, match=r"\|x\| >= 1"):
+            drift_predicted(line_in(), 2, 0.4, x)
+    # nu = 0: a positive zero, where K |x|^(nu - e) and mu < 0 would give -0.0
+    assert repr(drift_predicted(half_line(gamma=0.5, b=-1.0), 0, 0.0, 50.0)) == "0.0"
 
 
 # ---------------------------------------------------------------------------
@@ -553,6 +560,14 @@ def test_expansion_grid_validation():
     for bad in ([math.nan], [1e2, math.inf], [-math.inf, 1e2]):
         with pytest.raises(DomainError, match="finite"):
             verify_expansion(half_line(), 0, 0.5, bad)
+    with pytest.raises(DomainError, match="must not be empty"):
+        verify_expansion(half_line(), 0, 0.5, [])
+    # a point below 1 is refused before |x|^(nu - e), which divides by zero
+    # at 0 and overflows at a subnormal
+    for spec, i in ((half_line(), 0), (line_in(), 2)):
+        for point in (0.0, -0.0, 1e-320):
+            with pytest.raises(DomainError, match="expansions hold"):
+                verify_expansion(spec, i, 0.4, [point, 100.0])
 
 
 def test_big_drift_ratio_tends_to_one():

@@ -569,6 +569,29 @@ def test_insufficient_data_raises():
         estimate_passage_tail(cfg)
 
 
+def test_survival_fit_is_ols_on_its_window():
+    # the fit recomputed with plain numpy from the curve it reports: the window
+    # keeps survival in (10/n_traj, 0.9), and the stderr has n - 2 degrees of
+    # freedom; the rule cuts points at both ends, and some sit exactly at 10/n_traj
+    cfg = SimConfig(half_line(), start=30.0, a=10.0, horizon=3000, n_traj=100, master_seed=7)
+    est = estimate_passage_tail(cfg)
+    grid = survival_grid(cfg.horizon)
+    surv = survival_curve(_simulate_batch(cfg), grid)
+    assert est.grid == grid.tolist() and est.survival == surv.tolist()
+    floor = 10.0 / cfg.n_traj
+    use = (surv > floor) & (surv < 0.9)
+    assert (surv >= 0.9).any() and (surv == floor).any() and (surv < floor).any()
+    assert est.fit_window == (grid[use][0], grid[use][-1])
+    lx, ly = np.log(grid[use].astype(float)), np.log(surv[use])
+    slope, intercept = np.polyfit(lx, ly, 1)
+    resid = ly - (intercept + slope * lx)
+    dx = lx - lx.mean()
+    stderr = math.sqrt((resid @ resid) / (use.sum() - 2) / (dx @ dx))
+    assert est.slope == pytest.approx(slope, rel=1e-9)
+    assert est.stderr == pytest.approx(stderr, rel=1e-9)
+    assert est.exponent == -est.slope
+
+
 @pytest.mark.slow
 def test_seed_robustness_of_exponent():
     ests = []

@@ -358,6 +358,10 @@ def test_kappa_domain_errors():
         sf.kappa1(1.5, -1.5)
     with pytest.raises(DomainError):
         sf.kappa2(1.5, 1.7)
+    for b in (1.0, 2.0, 0.5, 2.5):
+        for kappa in (sf.kappa1, sf.kappa2):
+            with pytest.raises(DomainError, match=r"exponent must be in \(1,2\)"):
+                kappa(b, 0.3)
 
 
 @pytest.mark.parametrize("kappa, nu", [(sf.kappa0, math.nan), (sf.kappa0, -math.inf),
@@ -575,6 +579,33 @@ def test_closed_form_domain_errors():
         sf.closed_form_integrals("beta_const", 0.5, -0.2)
     with pytest.raises(DomainError):
         sf.closed_form_integrals("nonsense", 0.5, 0.2)
+    refusals = [("negative_to", 0.0, 0.5, 3.0, "negative_to requires p>-1"),
+                ("negative_to", 0.5, -1.0, 3.0, "negative_to requires p>-1"),
+                ("negative_to", 0.5, 0.5, 1.0, "negative_to requires x > 1"),
+                ("negative_from", 0.3, 0.0, 3.0, "negative_from requires q>-1"),
+                ("negative_from", 0.6, 0.5, 3.0, "negative_from requires q>-1"),
+                ("negative_from", 0.3, 0.5, 0.0, "negative_from requires x > 0"),
+                ("negative_from", 0.3, 0.5, None, "negative_from requires x > 0"),
+                ("beta_linear", 1.0, 0.5, None, "beta_linear requires p>-1"),
+                ("beta_linear", 0.5, -1.0, None, "beta_linear requires p>-1")]
+    for name, p, q, x, msg in refusals:
+        for integral in (sf.closed_form_integrals, sf.closed_form_integral_quad):
+            with pytest.raises(DomainError, match=msg):
+                integral(name, p, q, x)
+
+
+@pytest.mark.parametrize("x", [1.05, 1.5, 2.0])
+def test_negative_to_near_one(x):
+    # 1 < x <= 2: the quadrature integrates up to 1 - 1/x <= 1/2 in one piece.
+    # At p = 1 the o(1) terms closed_form_integrals drops are exactly 1/x;
+    # for any p > 0 the integral is B(1 - 1/x; p, q) - (1 - 1/x)^p / p.
+    u = 1.0 - 1.0 / x
+    for p, q in ((1.0, 0.5), (1.0, 1.7), (0.5, 0.3), (2.2, 0.8)):
+        quad = sf.closed_form_integral_quad("negative_to", p, q, x, abs_tol=1e-8)
+        assert quad == pytest.approx(sf.incomplete_beta_ext(u, p, q) - u ** p / p, abs=1e-6)
+        if p == 1.0:
+            assert quad == pytest.approx(sf.closed_form_integrals("negative_to", p, q, x) + 1.0 / x,
+                                         abs=1e-6)
 
 
 def test_sinpi_cospi_exact_values():
@@ -583,3 +614,6 @@ def test_sinpi_cospi_exact_values():
     assert sf.cospi(0.5) == 0.0
     assert sf.cospi(1.0) == -1.0
     assert sf.cotpi(1.25) == pytest.approx(1.0, abs=1e-15)
+    for z in (-1.0, 0.0, 2.0):
+        with pytest.raises(PoleError):
+            sf.cotpi(z)
