@@ -57,12 +57,10 @@ def _reading(field: str):
     and a spec or run they do not allow are each a ConfigError for it."""
     try:
         yield
-    except ConfigError:
-        raise
     except KeyError as ex:
-        raise ConfigError(f"missing field {ex}", field=field)
+        raise ConfigError(f"{field}: missing field {ex}")
     except (TypeError, ValueError, OverflowError, OSError, HeavywalkError) as ex:
-        raise ConfigError(str(ex), field=field)
+        raise ConfigError(f"{field}: {ex}")
 
 
 def spec_from_config(cfg: dict) -> ChainSpec:
@@ -84,7 +82,7 @@ def _integer(value) -> int:
 def sim_from_config(cfg: dict, spec: ChainSpec, seed: int, workers: int) -> SimConfig:
     sim = cfg.get("sim")
     if not isinstance(sim, dict):
-        raise ConfigError("missing sim section", field="sim")
+        raise ConfigError("sim: missing sim section")
     with _reading("sim"):
         start = sim["start"]
         start = tuple(map(_real, start)) if isinstance(start, list) else _real(start)
@@ -97,7 +95,7 @@ def _write_json(path: Path, obj: dict) -> None:
     path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 
-def cmd_classify(cfg: dict, out: Path, seed: int, workers: int) -> int:
+def cmd_classify(cfg: dict, out: Path, _seed: int, _workers: int) -> int:
     spec = spec_from_config(cfg)
     report = classify(spec).to_json()
     _write_json(out / "classify.json", report)
@@ -105,7 +103,7 @@ def cmd_classify(cfg: dict, out: Path, seed: int, workers: int) -> int:
     return 0
 
 
-def cmd_nu_star(cfg: dict, out: Path, seed: int, workers: int) -> int:
+def cmd_nu_star(cfg: dict, out: Path, _seed: int, _workers: int) -> int:
     spec = spec_from_config(cfg)
     try:
         ns = nu_star(spec)
@@ -119,12 +117,11 @@ def cmd_nu_star(cfg: dict, out: Path, seed: int, workers: int) -> int:
     return 0
 
 
-def cmd_drift_verify(cfg: dict, out: Path, seed: int, workers: int) -> int:
+def cmd_drift_verify(cfg: dict, out: Path, _seed: int, _workers: int) -> int:
     spec = spec_from_config(cfg)
     d = cfg.get("drift_verify")
     if not isinstance(d, dict):
-        raise ConfigError("missing drift_verify section {i, nu, x_min, x_max, points}",
-                          field="drift_verify")
+        raise ConfigError("drift_verify: missing drift_verify section {i, nu, x_min, x_max, points}")
     with _reading("drift_verify"):
         i = _integer(d["i"])
         nu = _real(d["nu"])
@@ -254,27 +251,26 @@ def _phase_row(cfg: dict, point: dict) -> tuple[bytes, bytes]:
     return cl.phase.encode(), b"" if q is None else repr(q).encode()
 
 
-def cmd_phase_diagram(cfg: dict, out: Path, seed: int, workers: int) -> int:
+def cmd_phase_diagram(cfg: dict, out: Path, _seed: int, _workers: int) -> int:
     axes = cfg.get("grid")
     if not axes:
-        raise ConfigError("phase-diagram requires grid: [{param, min, max, steps}, ...]",
-                          field="grid")
+        raise ConfigError("grid: phase-diagram requires grid: [{param, min, max, steps}, ...]")
     if isinstance(axes, dict):
         axes = [axes]
     if not isinstance(axes, list) or len(axes) > 2:
-        raise ConfigError("one sweep axis, or a list of at most two", field="grid")
+        raise ConfigError("grid: one sweep axis, or a list of at most two")
     with _reading("grid"):
         grids = [_axis_values(ax) for ax in axes]
         names = [str(ax["param"]) for ax in axes]
     for name, g in zip(names, grids):
         if len(g) < 2:
-            raise ConfigError("steps must be >= 2", field="grid")
+            raise ConfigError("grid: steps must be >= 2")
         if name not in _SWEEPABLE:
-            raise ConfigError(f"unknown sweep parameter {name!r}; "
-                              f"expected one of {sorted(_SWEEPABLE)}", field="grid")
+            raise ConfigError(f"grid: unknown sweep parameter {name!r}; "
+                              f"expected one of {sorted(_SWEEPABLE)}")
     if len(set(names)) < len(names):
         # a point holds one value per parameter: the first axis's would be lost
-        raise ConfigError(f"two sweep axes on {names[0]!r}", field="grid")
+        raise ConfigError(f"grid: two sweep axes on {names[0]!r}")
     values = list(itertools.product(*(g.tolist() for g in grids)))
     # a spec entry or plane section that cannot be read exits 2, not a row
     with _reading("spec"):
@@ -287,7 +283,7 @@ def cmd_phase_diagram(cfg: dict, out: Path, seed: int, workers: int) -> int:
     return 0
 
 
-def cmd_selftest(cfg: dict, out: Path, seed: int, workers: int) -> int:
+def cmd_selftest(_cfg: dict, _out: Path, _seed: int, _workers: int) -> int:
     results = run_selftest()
     ok = True
     for r in results:

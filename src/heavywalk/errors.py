@@ -47,7 +47,3 @@ class InsufficientDataError(HeavywalkError):
 
 class ConfigError(HeavywalkError):
     """Invalid run configuration (CLI exit code 2)."""
-
-    def __init__(self, message: str, field: str | None = None):
-        super().__init__(message if field is None else f"{field}: {message}")
-        self.field = field

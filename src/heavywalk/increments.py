@@ -16,6 +16,8 @@ illegal light side, and a ChainSpec builds its law at x_floor, the binding state
 from __future__ import annotations
 
 import math
+import numbers
+import sys
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from functools import cached_property
 from typing import NamedTuple, Optional
@@ -34,9 +36,14 @@ _U_MIN = 2.0 ** -53
 _HEAVY_SIDE = {"half_line": 1.0, "line_out": 1.0, "line_in": -1.0}
 
 
+def _is_real(value) -> bool:
+    """The one real-number test: an int, a float or a numpy real scalar, not a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def _real(value) -> float:
-    """An int or float from a JSON config; booleans and strings raise ValueError."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    """A number from a JSON config as a float; booleans and strings raise ValueError."""
+    if not _is_real(value):
         raise ValueError(f"expected a number, got {value!r}")
     return float(value)
 
@@ -87,7 +94,11 @@ class ChainSpec:
             raise DomainError(f"unknown regime {self.regime!r}")
         t, d = self.tail, self.drift
         values = {**vars(t), **vars(d), **(vars(self.plane) if self.plane is not None else {})}
-        bad = [k for k, v in values.items() if v is not None and not math.isfinite(v)]
+        for k, v in values.items():
+            if v is not None and not _is_real(v):
+                raise DomainError(f"{k} must be a real number, got {v!r}")
+        # an int past the float range is no finite float either
+        bad = [k for k, v in values.items() if v is not None and not abs(v) <= sys.float_info.max]
         if bad:
             raise DomainError(f"{', '.join(bad)} must be finite")
         if t.c <= 0.0:
@@ -98,24 +109,20 @@ class ChainSpec:
             raise DomainError("gamma must be >= 0")
         if not (0.0 < self.p_heavy < 1.0):
             raise InfeasibleWeight(f"p_heavy must be in (0,1), got {self.p_heavy}")
+        e = self.heavy_exponent
+        if e is None or not 1.0 < e < 2.0:
+            name = "beta" if self.regime == "line_in" else "alpha"
+            raise DomainError(f"{self.regime} requires 1 < {name} < 2")
         if self.regime in ("half_line", "line_out"):
-            if not (1.0 < t.alpha < 2.0):
-                raise DomainError(f"{self.regime} requires 1 < alpha < 2")
             if t.beta is not None and t.beta <= t.alpha:
                 raise DomainError(f"{self.regime} requires beta > alpha")
         elif self.regime == "line_in":
-            if t.beta is None or not (1.0 < t.beta < 2.0):
-                raise DomainError("line_in requires 1 < beta < 2")
             if t.alpha <= t.beta:
                 raise DomainError("line_in requires alpha > beta")
         elif self.regime == "line_balanced":
-            if not (1.0 < t.alpha < 2.0):
-                raise DomainError("line_balanced requires 1 < alpha < 2")
             if self.p_heavy >= 0.5:
                 raise InfeasibleWeight("line_balanced needs p_heavy < 1/2 (one heavy component per side)")
         elif self.regime == "plane":
-            if not (1.0 < t.alpha < 2.0):
-                raise DomainError("plane requires 1 < alpha < 2")
             if self.plane is None:
                 raise DomainError("plane regime requires plane parameters")
             pl = self.plane
@@ -136,10 +143,8 @@ class ChainSpec:
         """Exponent of the exactly-Pareto (heavy) side for this regime."""
         return self.tail.beta if self.regime == "line_in" else self.tail.alpha
 
-    def heavy_scale(self, c: Optional[float] = None) -> float:
-        """Support point y0 = (c / p_heavy)^(1/heavy_exponent) of a heavy component."""
-        if c is None:
-            return self._y0
+    def heavy_scale(self, c: float) -> float:
+        """Support point y0 = (c / p_heavy)^(1/heavy_exponent) of a tail of constant c."""
         y0 = (c / self.p_heavy) ** (1.0 / self.heavy_exponent)
         if y0 < 1.0:
             raise InfeasibleWeight(

@@ -16,7 +16,7 @@ cross-checks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -251,7 +251,7 @@ def verify_expansion(spec: ChainSpec, i: int, nu: float, x_grid: Sequence[float]
     """Check that (D_i(x) - drift term) / x^(nu-exponent) converges to the
     predicted coefficient K; converged iff the last grid point is within
     CONVERGED_REL_TOL * |K|."""
-    _check_lemma_range(spec, i, nu)
+    k_coef = expansion_coefficient(spec, i, nu)
     xs = [float(x) for x in x_grid]
     if not xs:
         raise DomainError("x_grid must not be empty")
@@ -262,7 +262,6 @@ def verify_expansion(spec: ChainSpec, i: int, nu: float, x_grid: Sequence[float]
     if nu == 0.0:
         zeros = [0.0] * len(xs)
         return DriftReport(i, nu, xs, zeros, zeros, zeros, 0.0, True)
-    k_coef = expansion_coefficient(spec, i, nu)
     numeric, predicted, nerr = [], [], []
     for x in xs:
         law = build_law(spec, x)
@@ -312,8 +311,8 @@ class CriteriaReport:
     nu: float
     probes: list[float]
     phase: str
-    drifts: dict = field(default_factory=dict)          # name -> list of drift values
-    all_nonpositive: dict = field(default_factory=dict)  # name -> bool
+    drifts: dict            # name -> list of drift values
+    all_nonpositive: dict   # name -> bool
 
 
 def criteria_check(spec: ChainSpec, nu: float, x_probe: Sequence[float]) -> CriteriaReport:
@@ -331,19 +330,14 @@ def criteria_check(spec: ChainSpec, nu: float, x_probe: Sequence[float]) -> Crit
     if any(x <= 0.0 for x in probes):
         raise DomainError("probe points are magnitudes; use positive values")
     phase = _classify_phase(spec).phase
-    rep = CriteriaReport(nu=nu, probes=probes, phase=phase)
-
-    def record(name, values):
-        rep.drifts[name] = values
-        rep.all_nonpositive[name] = all(v <= 0.0 for v in values)
-
     if spec.regime == "half_line":
-        record("d0", [drift_numeric(spec, 0, nu, x) for x in probes])
-        return rep
-    record("d2_pos", [drift_numeric(spec, 2, nu, x) for x in probes])
-    record("d2_neg", [drift_numeric(spec, 2, nu, -x) for x in probes])
-    record("d1_pos", [drift_numeric(spec, 1, nu, x) for x in probes])
-    # mirrored orientation: f1 applied to -chain, i.e. the law at -x reflected
-    record("d1_neg", [drift_numeric_law(build_law(spec, -x).mirrored(), 1, nu, x)
-                      for x in probes])
-    return rep
+        drifts = {"d0": [drift_numeric(spec, 0, nu, x) for x in probes]}
+    else:
+        drifts = {"d2_pos": [drift_numeric(spec, 2, nu, x) for x in probes],
+                  "d2_neg": [drift_numeric(spec, 2, nu, -x) for x in probes],
+                  "d1_pos": [drift_numeric(spec, 1, nu, x) for x in probes],
+                  # mirrored orientation: f1 applied to -chain, i.e. the law at -x reflected
+                  "d1_neg": [drift_numeric_law(build_law(spec, -x).mirrored(), 1, nu, x)
+                             for x in probes]}
+    return CriteriaReport(nu, probes, phase, drifts,
+                          {name: all(v <= 0.0 for v in vals) for name, vals in drifts.items()})

@@ -24,7 +24,6 @@ rounding (vectorized and scalar powers may differ in the last bit).
 from __future__ import annotations
 
 import math
-import numbers
 import os
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -34,7 +33,7 @@ from typing import Union
 import numpy as np
 
 from .errors import DomainError, InsufficientDataError
-from .increments import (_U_MIN, ChainSpec, IncrementLaw, _quantile, build_law,
+from .increments import (_U_MIN, ChainSpec, IncrementLaw, _is_real, _quantile, build_law,
                          plane_radial_law, plane_transverse_law)
 from .rng import _COUNTER_SPAN, _const, checked_seed, integer_in, seed_key, uniform_array
 
@@ -45,10 +44,6 @@ _CHUNK = 2 ** 15
 # a batch's per-trajectory columns in trajectories.csv's order
 TRAJECTORY_COLUMNS = ("index", "tau", "censored", "max_excursion", "min_excursion", "final_x",
                       "final_y", "crossed_pos", "crossed_neg", "first_exit", "last_sign_change")
-
-
-def _is_real(v) -> bool:
-    return isinstance(v, numbers.Real) and not isinstance(v, bool)
 
 
 @dataclass(frozen=True)
@@ -71,15 +66,13 @@ class SimConfig:
             object.__setattr__(self, name, integer_in(name, getattr(self, name), low, high))
         object.__setattr__(self, "master_seed", checked_seed(self.master_seed, "master_seed"))
         start = self.start
-        if self.spec.regime == "plane":
-            if _is_real(start):
-                # a radius: start on the positive x axis
-                start = (float(start), 0.0)
-                object.__setattr__(self, "start", start)
-            elif not (isinstance(start, Sequence) or np.ndim(start) == 1) or len(start) != 2:
-                raise DomainError("plane start must be a radius or an (x, y) pair")
-        else:
+        plane = self.spec.regime == "plane"
+        if not plane:
             start = (start,)
+        elif _is_real(start):
+            start = (start, 0.0)   # a radius: start on the positive x axis
+        elif not (isinstance(start, Sequence) or np.ndim(start) == 1) or len(start) != 2:
+            raise DomainError("plane start must be a radius or an (x, y) pair")
         # with a non-finite a or start the return test means nothing (every
         # trajectory returns at once, or none ever does), and NaN has no sign;
         # no state is within a negative distance of the origin; a bool is no level
@@ -87,6 +80,10 @@ class SimConfig:
             raise DomainError(f"a must be finite and >= 0, got {self.a!r}")
         if not all(_is_real(v) and math.isfinite(v) for v in start):
             raise DomainError(f"start must be a finite number, got {self.start!r}")
+        # stored as the Python floats to_json writes: a plane start as an (x, y) tuple
+        start = tuple(map(float, start))
+        object.__setattr__(self, "start", start if plane else start[0])
+        object.__setattr__(self, "a", float(self.a))
 
     @property
     def draws_per_step(self) -> int:
@@ -399,16 +396,12 @@ def phase_diagnostic(cfg: SimConfig, m_level: float) -> PhaseDiagnostic:
     fr = (np.hypot(batch["final_x"], batch["final_y"]) if "final_y" in batch
           else np.abs(batch["final_x"]))
     escaped = (~returned) & (fr > m_level)
-    n = cfg.n_traj
-    osc = np.zeros(n, dtype=bool)
-    direc = np.zeros(n, dtype=bool)
-    if cfg.spec.regime not in ("half_line", "plane"):
-        fe = batch["first_exit"]
-        lf = batch["last_sign_change"]
-        osc = escaped & batch["crossed_pos"] & batch["crossed_neg"] & (fe >= 0) & (lf > fe)
-        direc = escaped & (fe >= 0) & (lf <= fe)
+    # on the half line and the plane no sign changes (lf is -1), so osc is false
+    fe, lf = batch["first_exit"], batch["last_sign_change"]
+    osc = escaped & batch["crossed_pos"] & batch["crossed_neg"] & (fe >= 0) & (lf > fe)
+    direc = escaped & (fe >= 0) & (lf <= fe) & (cfg.spec.regime not in ("half_line", "plane"))
     return PhaseDiagnostic(
-        n_traj=n,
+        n_traj=cfg.n_traj,
         threshold=m_level,
         return_fraction=float(returned.mean()),
         escape_fraction=float(escaped.mean()),

@@ -31,14 +31,14 @@ class IdentityResult:
         return self.max_error <= self.tolerance
 
 
-def _monotone(name: str, kappa, lo: float, trim: float, tol: float) -> IdentityResult:
-    """The largest fall of kappa(e, nu) from one point to the next of
+def _falls(kappa, lo: float, trim: float) -> list[tuple[float, float]]:
+    """(fall, 0) pairs: each fall of kappa(e, nu) from one point to the next of
     nu = lo + k (e - trim) / 40, k = 0..40, over the exponents e of BETA_GRID."""
-    worst = 0.0
+    pairs = []
     for e in BETA_GRID:
-        vals = [kappa(e, v) for v in [lo + k * (e - trim) / 40.0 for k in range(41)]]
-        worst = max(worst, max(max(x - y, 0.0) for x, y in zip(vals[:-1], vals[1:])))
-    return IdentityResult(name, worst, tol)
+        vals = [kappa(e, lo + k * (e - trim) / 40.0) for k in range(41)]
+        pairs += [(max(x - y, 0.0), 0.0) for x, y in zip(vals[:-1], vals[1:])]
+    return pairs
 
 
 def run_selftest() -> list[IdentityResult]:
@@ -75,20 +75,17 @@ def run_selftest() -> list[IdentityResult]:
            for z in pts], 1e-10)
 
     # monotonicity of the kappa coefficient functions
-    results.append(_monotone("kappa0_monotone", sf.kappa0, 0.0, 1e-3, 0.0))
-    results.append(_monotone("kappa2_nondecreasing", sf.kappa2, 0.01, 0.02, 1e-12))
+    check("kappa0_monotone", _falls(sf.kappa0, 0.0, 1e-3), 0.0)
+    check("kappa2_nondecreasing", _falls(sf.kappa2, 0.01, 0.02), 1e-12)
 
-    # incomplete-beta recurrence over random in-range draws
+    # incomplete-beta recurrence over random in-range draws of (x, p, q)
     stream = CounterStream(99, 0)
-    worst = 0.0
-    for _ in range(100):
-        x = 0.05 + 0.9 * stream.random()
-        p = 0.1 + 2.9 * stream.random()
-        q = -2.0 + 4.0 * stream.random()
-        lhs = q * sf.incomplete_beta_ext(x, p, q)
-        rhs = (p + q) * sf.incomplete_beta_ext(x, p, q + 1.0) - x ** p * (1.0 - x) ** q
-        worst = max(worst, abs(lhs - rhs))
-    results.append(IdentityResult("beta_recurrence", worst, 1e-8))
+    draws = [(0.05 + 0.9 * stream.random(), 0.1 + 2.9 * stream.random(),
+              -2.0 + 4.0 * stream.random()) for _ in range(100)]
+    check("beta_recurrence",
+          [(q * sf.incomplete_beta_ext(x, p, q),
+            (p + q) * sf.incomplete_beta_ext(x, p, q + 1.0) - x ** p * (1.0 - x) ** q)
+           for x, p, q in draws], 1e-8)
 
     # closed forms vs adaptive quadrature (fixed representative points; the
     # randomized sweep lives in the acceptance suite)

@@ -9,7 +9,7 @@ nu* and the drift never run it).  The extended incomplete beta
 `incomplete_beta_ext` is the drift's own hypergeometric series (DLMF 8.17.7),
 at most 1.1e-15 relative from 40-digit mpmath over x in [0.05, 0.95], 0.999
 and 1, p in [0.1, 3] and q in [-2, 2].  No scipy: gamma is CPython's
-`math.gamma` behind a pole guard (at most 8.5e-16 relative from 40-digit
+`math.gamma` behind a pole and range guard (at most 8.5e-16 relative from 40-digit
 mpmath on [-12, 30]), and quadrature is deterministic so failures reproduce.
 """
 
@@ -51,14 +51,20 @@ def cotpi(z: float) -> float:
     return cospi(z) / s
 
 
+# the last argument with a finite Gamma: Gamma(GAMMA_MAX) = 1.7976931348622e308
+GAMMA_MAX = 171.6243769563027
+
+
 def gamma_real(z: float) -> float:
     """Euler gamma for real z: `math.gamma`, CPython's C implementation.
 
-    Raises PoleError within 1e-12 of a non-positive integer, and
-    OverflowError from z = 172 (171.62 is the last finite argument).
+    Raises PoleError within 1e-12 of a non-positive integer, and DomainError
+    past GAMMA_MAX, where Gamma is beyond the float range.
     """
     if z <= 0.5 and abs(z - round(z)) < _POLE_TOL and round(z) <= 0:
         raise PoleError(f"gamma pole at z={z}")
+    if z > GAMMA_MAX:
+        raise DomainError(f"Gamma({z!r}) is beyond the float range (z > {GAMMA_MAX})")
     return math.gamma(z)
 
 
@@ -286,10 +292,10 @@ def integrate_power_weighted(phi: Callable[[float], float], power: float,
     phi only ever needs to be smooth.  Requires power > -1 when lo == 0.
     """
     aexp = 1.0 + power
-    if aexp == 0.0:
-        return integrate_adaptive(lambda s: phi(s) / s, lo, hi, abs_tol)
     if lo == 0.0 and aexp <= 0.0:
         raise DomainError(f"power weight s^{power} not integrable at 0")
+    if aexp == 0.0:
+        return integrate_adaptive(lambda s: phi(s) / s, lo, hi, abs_tol)
     w_lo = 0.0 if lo == 0.0 else math.pow(lo, aexp)
     w_hi = math.pow(hi, aexp)
     inv = 1.0 / aexp
@@ -299,11 +305,13 @@ def integrate_power_weighted(phi: Callable[[float], float], power: float,
 
 def _beta(a: float, b: float) -> float:
     """B(a, b) = Gamma(a) Gamma(b) / Gamma(a + b) for a, b off the poles of Gamma,
-    by `math.gamma` without gamma_real's guard: 0.0 where a + b is a pole, as
-    1/Gamma is 0 there."""
+    by `math.gamma` without gamma_real's pole guard: 0.0 where a + b is a pole, as
+    1/Gamma is 0 there, and DomainError where a, b or a + b is past GAMMA_MAX."""
     s = a + b
     if s <= 0.0 and s == round(s):
         return 0.0
+    if a > GAMMA_MAX or b > GAMMA_MAX or s > GAMMA_MAX:
+        raise DomainError(f"B({a!r}, {b!r}) takes Gamma beyond the float range (> {GAMMA_MAX})")
     return math.gamma(a) * math.gamma(b) / math.gamma(s)
 
 
@@ -565,12 +573,16 @@ def closed_form_integral_quad(name: str, p: float, q: float, x: float | None = N
         tail_main = integrate_power_weighted(
             lambda v: math.pow(1.0 + v, q - 1.0), -p - q, 0.0, 1.0, tol)
         return left + tail_main + 1.0 / p
-    if name == "beta_const":
+    if name == "negative_to" and 1.0 - 1.0 / x <= 0.5:
+        return integrate_power_weighted(_phi_one_minus(q), p, 0.0, 1.0 - 1.0 / x, tol)
+    if name in ("beta_const", "negative_to"):
+        # up to u = 1 - s_lo, split at u = 1/2 and taken in s = 1 - u beyond
+        s_lo = 0.0 if name == "beta_const" else 1.0 / x
         left = integrate_power_weighted(_phi_one_minus(q), p, 0.0, 0.5, tol)
         right_sing = integrate_power_weighted(
-            lambda s: math.pow(1.0 - s, p - 1.0), q - 1.0, 0.0, 0.5, tol)
+            lambda s: math.pow(1.0 - s, p - 1.0), q - 1.0, s_lo, 0.5, tol)
         right_smooth = integrate_adaptive(
-            lambda s: math.pow(1.0 - s, p - 1.0), 0.0, 0.5, tol)
+            lambda s: math.pow(1.0 - s, p - 1.0), s_lo, 0.5, tol)
         return left + right_sing - right_smooth
     if name == "beta_linear":
         left = integrate_power_weighted(_chi_linear(q), p, 0.0, 0.5, tol)
@@ -579,17 +591,6 @@ def closed_form_integral_quad(name: str, p: float, q: float, x: float | None = N
         right_plain = integrate_adaptive(
             lambda s: math.pow(1.0 - s, p - 2.0) * (q * (1.0 - s) - 1.0), 0.0, 0.5, tol)
         return left + right_sing + right_plain
-    if name == "negative_to":
-        upper = 1.0 - 1.0 / x
-        if upper <= 0.5:
-            return integrate_power_weighted(_phi_one_minus(q), p, 0.0, upper, tol)
-        s_lo = 1.0 / x
-        left = integrate_power_weighted(_phi_one_minus(q), p, 0.0, 0.5, tol)
-        right_sing = integrate_power_weighted(
-            lambda s: math.pow(1.0 - s, p - 1.0), q - 1.0, s_lo, 0.5, tol)
-        right_smooth = integrate_adaptive(
-            lambda s: math.pow(1.0 - s, p - 1.0), s_lo, 0.5, tol)
-        return left + right_sing - right_smooth
     # negative_from: u = 1 + s, split at s = 1, invert the far piece
     s_lo = 1.0 / x
     near = integrate_power_weighted(

@@ -6,7 +6,8 @@ statement carries `# noqa: F401` (a name kept for a caller outside the
 module); the package's `__init__.py`, which imports to re-export, and
 `from __future__` imports are skipped.  Every module-level private name
 (leading underscore) that src/heavywalk/*.py defines is read somewhere in
-those files."""
+those files.  Every parameter of a function or lambda in src/heavywalk/*.py is
+read in its body, unless its name starts with an underscore."""
 
 import ast
 from pathlib import Path
@@ -94,3 +95,34 @@ def test_no_orphaned_private_names():
     modules = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
     assert orphaned_private_names(modules, [p.read_text() for p in CHECKED
                                             if p.parent != PACKAGE]) == []
+
+
+def unread_parameters(source: str) -> list[str]:
+    """The parameters of each function or lambda in source that its body never
+    reads; a name with a leading underscore marks one a fixed signature requires."""
+    unread = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        a = node.args
+        params = [*a.posonlyargs, *a.args, *a.kwonlyargs, *filter(None, (a.vararg, a.kwarg))]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {n.id for part in body for n in ast.walk(part)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        unread += [f"line {node.lineno}: {getattr(node, 'name', 'lambda')}({p.arg})"
+                   for p in params if not p.arg.startswith("_") and p.arg not in read]
+    return unread
+
+
+def test_the_check_finds_an_unread_parameter():
+    src = ("def f(a, b, _c, *args, d=1, **kw):\n    b = 2\n    return a + d + len(kw)\n"
+           "def g(x):\n    return lambda y, z: (x, y)\n"
+           "class K:\n    def m(self, *, q):\n        def inner():\n            return q\n"
+           "        return inner\n")
+    assert unread_parameters(src) == ["line 1: f(b)", "line 1: f(args)", "line 7: m(self)",
+                                      "line 5: lambda(z)"]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_unread_parameters(path):
+    assert unread_parameters(path.read_text()) == []

@@ -172,14 +172,14 @@ def _oracle_light_mean(spec, x):
     mu = _oracle_drift_target(spec, x)
     if spec.regime == "line_balanced":
         return mu / (1.0 - 2.0 * p)
-    y0 = spec.heavy_scale()
+    y0 = spec.heavy_scale(spec.tail.c)
     e = spec.heavy_exponent
     m_h = y0 * e / (e - 1.0)
     return (mu - _oracle_heavy_sign(spec, x) * p * m_h) / (1.0 - p)
 
 
 def _oracle_check_feasible(spec):
-    y0 = spec.heavy_scale()
+    y0 = spec.heavy_scale(spec.tail.c)
     xf = spec.x_floor()
     grid = [xf, 2.0 * xf, 10.0 * xf, 1e6]
     if spec.drift.gamma > 0:
@@ -231,14 +231,14 @@ def test_feasibility_matches_grid_scan_oracle():
                     tail = TailParams(c=c, x0=x0, **tail_kw)
                     probe = _unchecked_spec(regime, tail, DriftParams(gamma, 0.0), p)
                     xf = probe.x_floor()
-                    if _outcome(probe.heavy_scale) is not None:
+                    if _outcome(lambda: probe.heavy_scale(c)) is not None:
                         thr = 1.0   # y0 < 1: rejected before any drift is tried
                     elif regime == "line_balanced":
-                        thr = probe.heavy_scale() * (1.0 - 2.0 * p) / 2.0 * xf ** gamma
+                        thr = probe.heavy_scale(c) * (1.0 - 2.0 * p) / 2.0 * xf ** gamma
                     else:
                         e = probe.heavy_exponent
                         hs = {"line_in": -1.0}.get(regime, 1.0)
-                        thr = hs * p * probe.heavy_scale() * e / (e - 1.0) * xf ** gamma
+                        thr = hs * p * probe.heavy_scale(c) * e / (e - 1.0) * xf ** gamma
                     for k in (-2.0, -1.0001, -1.0, -0.9999, 0.0, 0.5, 0.9999, 1.0,
                               1.0001, 2.0):
                         drift = DriftParams(gamma, k * thr)
@@ -370,15 +370,15 @@ def test_cached_constants_keep_the_per_call_bits():
 
 def test_replaced_spec_gets_its_own_constants():
     spec = line_in(beta=1.3, gamma=0.3, b=-1.0, x0=2.0)
-    y0, k = spec.heavy_scale(), spec._heavy_mean
+    y0, k = spec._y0, spec._heavy_mean
     others = [replace(spec, p_heavy=0.1), replace(spec, tail=replace(spec.tail, c=3.0)),
               replace(spec, regime="line_out", tail=TailParams(alpha=1.5, x0=2.0))]
     for other in others:
         e = other.heavy_exponent
         side = -1.0 if other.regime == "line_in" else 1.0
-        assert other.heavy_scale() == _plain_y0(other) != y0
+        assert other._y0 == _plain_y0(other) != y0
         assert other._heavy_mean == side * other.p_heavy * (_plain_y0(other) * e / (e - 1.0)) != k
-    assert (spec.heavy_scale(), spec._heavy_mean) == (y0, k)
+    assert (spec._y0, spec._heavy_mean) == (y0, k)
     # the cached y0 still refuses a support point below 1 as the spec is built
     with pytest.raises(InfeasibleWeight):
         replace(spec, tail=replace(spec.tail, c=0.05))
@@ -428,6 +428,16 @@ def test_each_guard_refuses_its_case(make, error, message):
     # each message belongs to one guard, so the case fails when that guard goes
     with pytest.raises(error, match=message):
         make()
+
+
+@pytest.mark.parametrize("bad", [True, "1.5", 10 ** 400], ids=["bool", "string", "int_past_float"])
+@pytest.mark.parametrize("record, name", [("tail", "c"), ("drift", "gamma"), ("plane", "c_radial")])
+def test_spec_fields_must_be_real_numbers(record, name, bad):
+    # True was kept (to_json wrote true), a string leaked TypeError and an int
+    # past the float range OverflowError; each is refused naming its field
+    spec = plane()
+    with pytest.raises(DomainError, match=rf"^{name} must be"):
+        replace(spec, **{record: replace(getattr(spec, record), **{name: bad})})
 
 
 NON_FINITE_CASES = [(regime, field) for regime in ("half_line", "line_in")

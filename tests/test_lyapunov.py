@@ -655,3 +655,17 @@ def test_drift_numeric_law_matches_spec_path():
     law = build_law(spec, x)
     assert drift_numeric_law(law, 2, 0.5, x) \
         == pytest.approx(drift_numeric(spec, 2, 0.5, x), abs=1e-13)
+
+
+@pytest.mark.parametrize("call", [
+    lambda s: verify_expansion(s, 0, -200.0, [100.0]),
+    lambda s: drift_numeric(s, 0, -200.0, 100.0),
+    lambda s: criteria_check(s, -200.0, [100.0]),
+    lambda s: sf.kappa0(1.5, -200.0),
+    lambda s: sf.kappa1(1.5, 500.0)],
+    ids=["verify_expansion", "drift_numeric", "criteria_check", "kappa0", "kappa1"])
+def test_gamma_past_the_float_range_is_a_domain_error(call):
+    # with no beta the lemma's nu-range has no lower end; Gamma(201.5) and
+    # Gamma(501) raised a bare OverflowError from math.gamma
+    with pytest.raises(DomainError, match="beyond the float range"):
+        call(half_line(beta=None))

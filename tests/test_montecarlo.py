@@ -1,5 +1,6 @@
 import collections
 import dataclasses
+import json
 import math
 import os
 import subprocess
@@ -820,6 +821,21 @@ def test_sim_config_plane_start_is_any_pair(pair):
     batch = _simulate_batch(cfg)
     for k in ("tau", "final_x", "final_y", "max_excursion", "min_excursion"):
         assert np.array_equal(batch[k], ref[k]), k
+
+
+@pytest.mark.parametrize("spec, start, stored", [
+    (half_line(), np.float32(30.0), 30.0), (line_in(), np.int64(30), 30.0),
+    (plane(), np.array([30.0, 4.0]), (30.0, 4.0)),
+    (plane(), np.array([30.0, 4.0], dtype=np.float32), (30.0, 4.0)),
+    (plane(), np.float32(30.0), (30.0, 0.0))],
+    ids=["float32", "int64", "plane_array", "plane_float32_array", "plane_float32_radius"])
+def test_sim_config_stores_python_floats(spec, start, stored):
+    # numpy scalars were kept as given, and to_json then failed in json.dumps
+    cfg = SimConfig(spec, start=start, a=np.float32(10.0), horizon=10, n_traj=4)
+    values = cfg.start if isinstance(stored, tuple) else (cfg.start,)
+    assert {type(v) for v in (cfg.a, *values)} == {float} and type(cfg.start) is type(stored)
+    assert (cfg.start, cfg.a) == (stored, 10.0)
+    assert json.loads(json.dumps(cfg.to_json()))["a"] == 10.0
 
 
 @pytest.mark.parametrize("spec, field, bad", [

@@ -54,7 +54,7 @@ def _outcome(fn, *args):
     """repr of the value (it tells -0.0 and every last bit), or the error."""
     try:
         return repr(fn(*args))
-    except (ArithmeticError, PoleError) as ex:
+    except (ArithmeticError, PoleError, DomainError) as ex:
         return type(ex).__name__
 
 
@@ -65,8 +65,9 @@ def test_gamma_matches_mpmath():
     rng = np.random.default_rng(7)
     zs = [float(z) for z in rng.uniform(0.5, 30.0, 3000)]
     zs += [float(z) for z in rng.uniform(-12.0, 0.5, 3000)]
-    # Gamma(171.5) = 9.48e307 is finite, and 172 overflows
-    zs += [0.5, math.nextafter(0.5, 0.0), math.nextafter(0.5, 1.0), 1.0, 2.0, 30.0, 171.5]
+    # Gamma(171.5) = 9.48e307 is finite, and GAMMA_MAX is the last finite argument
+    zs += [0.5, math.nextafter(0.5, 0.0), math.nextafter(0.5, 1.0), 1.0, 2.0, 30.0, 171.5,
+           sf.GAMMA_MAX]
     poles = [-0.0, 1e-300, -1e-300]
     for n in range(0, -8, -1):
         for d in (1e-13, 5e-13):
@@ -81,8 +82,10 @@ def test_gamma_matches_mpmath():
                 bad.append(z)
     assert bad == []
     assert [_outcome(sf.gamma_real, z) for z in poles] == ["PoleError"] * len(poles)
-    assert _outcome(sf.gamma_real, 172.0) == "OverflowError"
-    assert sf.gamma_real(math.inf) == math.inf
+    # past it math.gamma overflows, and gamma_real refuses
+    beyond = [math.nextafter(sf.GAMMA_MAX, math.inf), 172.0, 1e300, math.inf]
+    assert [_outcome(sf.gamma_real, z) for z in beyond] == ["DomainError"] * len(beyond)
+    assert _outcome(math.gamma, beyond[0]) == "OverflowError"
     assert math.isnan(sf.gamma_real(math.nan))
 
 
@@ -406,6 +409,40 @@ def test_integrate_depth_limit_raises():
     # a non-integrable endpoint blows the subdivision budget
     with pytest.raises(ConvergenceError):
         sf.integrate_adaptive(lambda u: 1.0 / u, 0.0, 1.0, 1e-10)
+
+
+def test_integrate_accepts_endpoint_slivers(monkeypatch):
+    # at abs_tol 1e-2 a panel beside an end whose whole contribution is below
+    # abs_tol / 4 is kept as it is, while interior panels of its width still split
+    panels = []
+    real = sf._gk15
+
+    def recorder(f, lo, hi):
+        panels.append((lo, hi))
+        return real(f, lo, hi)
+
+    monkeypatch.setattr(sf, "_gk15", recorder)
+    v = sf.integrate_adaptive(lambda u: math.sin(3000.0 * u), 0.0, 1.0, abs_tol=1e-2)
+    assert abs(v - (1.0 - math.cos(3000.0)) / 3000.0) <= 1e-2
+    at_ends = [hi - lo for lo, hi in panels if lo == 0.0 or hi == 1.0]
+    assert min(at_ends) > min(hi - lo for lo, hi in panels)
+
+
+def test_integrate_keeps_an_unsplittable_interval():
+    # (1, 1 + ulp) has no float midpoint: its panel is kept, not split to the
+    # depth limit, though its jump at 1 keeps the estimate above 1e-300
+    v = sf.integrate_adaptive(lambda u: 0.0 if u == 1.0 else 1.0,
+                              1.0, math.nextafter(1.0, 2.0), abs_tol=1e-300)
+    assert math.isfinite(v)
+
+
+def test_integrate_power_weighted_edges():
+    # power -1 integrates phi(s) / s directly: the integral of 1/s over (1, e) is 1
+    assert sf.integrate_power_weighted(lambda s: 1.0, -1.0, 1.0, math.e) == pytest.approx(
+        1.0, abs=1e-10)
+    for power in (-1.0, -1.5, -3.0):
+        with pytest.raises(DomainError, match="not integrable at 0"):
+            sf.integrate_power_weighted(lambda s: 1.0, power, 0.0, 1.0)
 
 
 def test_quad_stats_panels_and_depth(monkeypatch):
