@@ -35,7 +35,6 @@ from .increments import (
 )
 from .specialfn import (
     closed_form_integrals,
-    digamma,
     gamma_real,
     incomplete_beta_ext,
     integrate_adaptive,

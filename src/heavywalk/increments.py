@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 import numbers
-import sys
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from functools import cached_property
 from typing import NamedTuple, Optional
@@ -39,6 +38,16 @@ _HEAVY_SIDE = {"half_line": 1.0, "line_out": 1.0, "line_in": -1.0}
 def _is_real(value) -> bool:
     """The one real-number test: an int, a float or a numpy real scalar, not a bool."""
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _is_finite(value) -> bool:
+    """The one finiteness test for a real number (`_is_real`): nan, inf and an int
+    past the float range fail (`math.isfinite` raises OverflowError on such an int;
+    comparing with the largest float would pass a numpy float32 inf)."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 def _real(value) -> float:
@@ -93,12 +102,12 @@ class ChainSpec:
         if self.regime not in REGIMES:
             raise DomainError(f"unknown regime {self.regime!r}")
         t, d = self.tail, self.drift
-        values = {**vars(t), **vars(d), **(vars(self.plane) if self.plane is not None else {})}
+        values = {**vars(t), **vars(d), "p_heavy": self.p_heavy,
+                  **(vars(self.plane) if self.plane is not None else {})}
         for k, v in values.items():
             if v is not None and not _is_real(v):
                 raise DomainError(f"{k} must be a real number, got {v!r}")
-        # an int past the float range is no finite float either
-        bad = [k for k, v in values.items() if v is not None and not abs(v) <= sys.float_info.max]
+        bad = [k for k, v in values.items() if v is not None and not _is_finite(v)]
         if bad:
             raise DomainError(f"{', '.join(bad)} must be finite")
         if t.c <= 0.0:

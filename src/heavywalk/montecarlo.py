@@ -33,8 +33,8 @@ from typing import Union
 import numpy as np
 
 from .errors import DomainError, InsufficientDataError
-from .increments import (_U_MIN, ChainSpec, IncrementLaw, _is_real, _quantile, build_law,
-                         plane_radial_law, plane_transverse_law)
+from .increments import (_U_MIN, ChainSpec, IncrementLaw, _is_finite, _is_real, _quantile,
+                         build_law, plane_radial_law, plane_transverse_law)
 from .rng import _COUNTER_SPAN, _const, checked_seed, integer_in, seed_key, uniform_array
 
 SURVIVAL_POINTS = 60   # geometric survival grid points, before rounding and deduplication
@@ -76,9 +76,9 @@ class SimConfig:
         # with a non-finite a or start the return test means nothing (every
         # trajectory returns at once, or none ever does), and NaN has no sign;
         # no state is within a negative distance of the origin; a bool is no level
-        if not (_is_real(self.a) and math.isfinite(self.a) and self.a >= 0.0):
+        if not (_is_real(self.a) and _is_finite(self.a) and self.a >= 0.0):
             raise DomainError(f"a must be finite and >= 0, got {self.a!r}")
-        if not all(_is_real(v) and math.isfinite(v) for v in start):
+        if not all(_is_real(v) and _is_finite(v) for v in start):
             raise DomainError(f"start must be a finite number, got {self.start!r}")
         # stored as the Python floats to_json writes: a plane start as an (x, y) tuple
         start = tuple(map(float, start))
@@ -421,7 +421,7 @@ def moment_diagnostic(cfg: SimConfig, q_list: Sequence[float]) -> dict:
         raise DomainError(f"moment_diagnostic needs horizon >= 100, got {cfg.horizon}")
     for q in q_list:
         # q = 0 makes every moment 1, and a negative q shrinks as tau grows
-        if not (_is_real(q) and math.isfinite(q) and q > 0.0):
+        if not (_is_real(q) and _is_finite(q) and q > 0.0):
             raise DomainError(f"moment order q must be finite and > 0, got {q!r}")
     batch = _simulate_batch(cfg)
     tau = batch["tau"].astype(float)

@@ -1,6 +1,6 @@
 """Real-line special functions and deterministic adaptive quadrature.
 
-Everything here is pure, with no cache: the gamma / digamma pair, the three
+Everything here is pure, with no cache: gamma and its reciprocal, the three
 kappa coefficient functions that drive the drift expansions and the critical
 exponent equations, the closed-form tail integrals (the drift's whole Pareto
 term among them), and the Gauss-Kronrod integrator over finite intervals that
@@ -20,8 +20,6 @@ import math
 from typing import Callable
 
 from .errors import ConvergenceError, DomainError, PoleError
-
-EULER_GAMMA = 0.5772156649015328606
 
 _POLE_TOL = 1e-12
 
@@ -79,37 +77,6 @@ def rgamma(z: float) -> float:
     return 1.0 / g if g != 0.0 else math.copysign(math.inf, g)
 
 
-# Bernoulli-number coefficients B_{2k}/(2k) of the digamma asymptotic series.
-_PSI_ASYMP = (
-    1.0 / 12.0,
-    -1.0 / 120.0,
-    1.0 / 252.0,
-    -1.0 / 240.0,
-    1.0 / 132.0,
-    -691.0 / 32760.0,
-    1.0 / 12.0,
-)
-
-
-def digamma(z: float) -> float:
-    """psi(z) = d/dz log Gamma(z), by recurrence up to z >= 8 then the
-    asymptotic series; reflection for z < 0.5."""
-    if z < 0.5:
-        gamma_real(z)   # raises PoleError within 1e-12 of a pole
-        return digamma(1.0 - z) - math.pi * cotpi(z)
-    acc = 0.0
-    while z < 8.0:
-        acc -= 1.0 / z
-        z += 1.0
-    inv2 = 1.0 / (z * z)
-    series = 0.0
-    power = inv2
-    for coef in _PSI_ASYMP:
-        series += coef * power
-        power *= inv2
-    return acc + math.log(z) - 0.5 / z - series
-
-
 # ---------------------------------------------------------------------------
 # kappa coefficient functions
 # ---------------------------------------------------------------------------
@@ -150,36 +117,20 @@ def kappa1(b: float, nu: float) -> float:
     return -(1.0 - b + nu) * gamma_real(nu + 1.0) * gamma_real(1.0 - b) * rgamma(2.0 - b + nu)
 
 
-# Half-width of the nu ~ 0 band where kappa2's Gamma(nu) * O(nu) product, which
-# cancels to about 7e-16/|nu| relative, gives way to its first-order series, off
-# by about 3 nu^2 relative: the two errors meet near 6e-6, at about 1.3e-10.
-KAPPA2_GUARD = 6e-6
-
-
-def kappa2_slope_at_zero(beta: float) -> float:
-    """d/dnu kappa2(beta, nu) at nu = 0, in closed form.
-
-    From Gamma(nu) = 1/nu - euler_gamma + O(nu) and the reflection identities
-    psi(1-b) - psi(b) = pi cot(pi b), psi'(b) + psi'(1-b) = pi^2 / sin^2(pi b).
-    """
-    s = sinpi(beta)
-    d1 = math.pi * cospi(beta) / s
-    return math.pi * math.pi / (2.0 * s * s) - d1 * (EULER_GAMMA + digamma(beta) + 0.5 * d1)
-
-
 def kappa2_prepared(b: float) -> Callable[[float], float]:
-    """nu -> kappa2(b, nu) = Gamma(nu) (Gamma(b-nu)/Gamma(b) - (1-b+nu) Gamma(1-b)/Gamma(2-b+nu)),
-    or pi cot(pi b) + nu kappa2'(0) within KAPPA2_GUARD of 0 (a nu* solve enters that band
-    about once); b is checked and Gamma(b), Gamma(1 - b) taken once, nu left unchecked."""
+    """nu -> kappa2(b, nu) = Gamma(nu) (Gamma(b-nu)/Gamma(b) - (1-b+nu) Gamma(1-b)/Gamma(2-b+nu))
+    as the product Gamma's reflection formula (DLMF 5.5.3) gives, which does not cancel,
+    2/(Gamma(b) sin(pi b)) Gamma(1+nu) [sin(pi nu/2)/nu] Gamma(b-nu) sin(pi((b-3/2) - nu/2)):
+    b - 3/2 is exact, so nu = 2b - 3 is an exact zero, and sin(pi nu/2)/nu is pi/2 below
+    2^-1021, where nu/2 is no normal float.  b is checked and 2/(Gamma(b) sin(pi b)) taken
+    once, nu left unchecked."""
     if not (1.0 < b < 2.0):
         raise DomainError(f"kappa2 exponent must be in (1,2), got {b}")
-    gb, g1b = gamma_real(b), gamma_real(1.0 - b)
+    scale, shift = 2.0 / (gamma_real(b) * sinpi(b)), b - 1.5
 
     def k2(nu: float) -> float:
-        if abs(nu) <= KAPPA2_GUARD:
-            return math.pi * cotpi(b) + nu * kappa2_slope_at_zero(b)
-        return gamma_real(nu) * (gamma_real(b - nu) / gb
-                                 - (1.0 - b + nu) * g1b * rgamma(2.0 - b + nu))
+        half = sinpi(0.5 * nu) / nu if abs(nu) >= 2.0 ** -1021 else 0.5 * math.pi
+        return scale * gamma_real(1.0 + nu) * half * gamma_real(b - nu) * sinpi(shift - 0.5 * nu)
     return k2
 
 

@@ -10,7 +10,7 @@ from heavywalk.classify import (_gap_function, classify, drift_threshold, nu_sta
                                 plane_equation_forms, plane_quantity)
 from heavywalk import specialfn as sf
 from heavywalk.errors import DomainError, HeavywalkError, NoRootError, NotRecurrentError
-from heavywalk.specialfn import KAPPA2_GUARD, kappa0, kappa2
+from heavywalk.specialfn import kappa0, kappa2
 
 from conftest import balanced, half_line, line_in, line_out, plane
 
@@ -264,9 +264,10 @@ def test_nu_star_just_below_threshold(gap):
         c = classify(spec)
         assert c.phase == NULL_RECURRENT
         assert 0.0 < c.nu_star < 1e-6
-    # line_in is left out here: within KAPPA2_GUARD its gap is linearised
     want = oracle_nu_star("half_line", 1.5, b=hl.drift.b, lo="1e-30")
     assert abs(classify(hl).nu_star - want) <= 1e-14
+    want = oracle_nu_star("line_in", 1.3, b=li.drift.b, lo="1e-30")
+    assert abs(classify(li).nu_star - want) <= 1e-14
 
 
 @pytest.mark.parametrize("b", [-1e6, -1e8])
@@ -391,10 +392,9 @@ def _seeded_specs(regime, n, seed):
     return out
 
 
-# nu = 0, points inside the kappa2 series band on both signs, its edge, just
-# outside it, and the edge of the earlier, wider band (1e-4)
-BAND_NUS = (0.0, 1e-7, -1e-7, KAPPA2_GUARD, -KAPPA2_GUARD, 0.999 * KAPPA2_GUARD,
-            1.001 * KAPPA2_GUARD, 9.99e-5, -9.99e-5, 1e-4, 1.0001e-4)
+# nu = 0, where kappa2 takes sin(pi nu/2)/nu as pi/2, and small nu on both signs
+BAND_NUS = (0.0, 1e-7, -1e-7, 6e-6, -6e-6, 5.994e-6, 6.006e-6, 9.99e-5, -9.99e-5, 1e-4,
+            1.0001e-4)
 
 
 @pytest.mark.parametrize("regime", ["half_line", "line_out", "line_in", "line_balanced", "plane"])

@@ -129,11 +129,13 @@ def test_phase_diagram_bytes_match_golden(tmp_path, name):
 # at most 8e-15 of that scale: rounding-level noise, as a correctly rounded
 # light share would still leave 25 of its 50 changed values farther.
 # The nu* rows (the Classification and NuStarResult reprs), K, the predicted
-# drifts and the normalized errors were last re-pinned when gamma_real moved
-# from a Lanczos sum to math.gamma; no drift value moved.  Against a 40-digit
-# mpmath root of the same gap the six nu* values are at most 1.5e-16 off
-# (2.5e-16 before; line_balanced_b0's is now exactly 0.5).  line_in_b0 has
-# no root; its row is the NoRootError text.
+# drifts and the normalized errors of line_in, line_in_b0, line_balanced and
+# line_balanced_b0 were last re-pinned when kappa2 became the reflection
+# product (`specialfn.kappa2_prepared`); no drift value moved.  Against a
+# 40-digit mpmath root of the same gap the six nu* values are at most 1.5e-16
+# off; line_balanced_b0's, 0.49999999999999994, is an exact zero of the float
+# gap 5.6e-17 below the root 0.5.  line_in_b0 has no root; its row is the
+# NoRootError text.
 # ---------------------------------------------------------------------------
 
 ANALYTIC = {
@@ -152,10 +154,10 @@ PROBES = [50.0, 1e3]
 
 ANALYTIC_DIGESTS = {
     "half_line": "c9d8de4b94cbd70362e6896f4f2642cf9d726dd1c783792b6b0c816ae384737d",
-    "line_balanced": "ce483afad72369683913d6bd6ac1b3060978e91e4e8488308fd1073625677b57",
-    "line_balanced_b0": "cf844b443595ce0efc00fa23e34b4669db746b745ec89fc97fbf521dd5891a07",
-    "line_in": "79733e78451dfad86d3ee7957ba73b53cd3bb2bf920650edc5f61e412dcffe19",
-    "line_in_b0": "6f3f364186da764727f0e2c88bb5f22f77ac0bf32d8b65f5da6608d5d910b065",
+    "line_balanced": "a5f62e1aba167e815b4bc3eb0b6c478a5d6ca48d7d0a057d6524e72fa262d52e",
+    "line_balanced_b0": "605e4f2b7ddabe3fab53f2c9e6d4a39fffd14dd93393822004f92a7e485f4d1f",
+    "line_in": "fd6b6a416ed38230df2c88e08c92dc4cc84c034801dce8635d0fe61fb8fddf5b",
+    "line_in_b0": "97f5c0b685fd0f9210bc84c723790278756ba26b239a12e338dd97bf6a42e389",
     "line_out": "c534203289227b3ccc435d5fed4c7fcc6d3b3229eeb18e927baec53e3228bc19",
     "plane": "c89ca7c42b6cc7160ddbde34128d934a9e877de235e7a7484ecb364f2950a756",
 }
@@ -195,3 +197,13 @@ def test_analytic_path_calls_no_quadrature_panel(monkeypatch):
     for name in sorted(ANALYTIC):
         assert analytic_digest(name) == ANALYTIC_DIGESTS[name]
     assert panels == []
+
+
+# `heavywalk selftest`: its stdout, each identity's worst error to four
+# digits, last re-pinned when kappa2 became the reflection product.
+SELFTEST_DIGEST = "d023ee6da7bebef66466084ff9ca016c23c7ec5b868724b70d749bdc04d42051"
+
+
+def test_selftest_stdout_matches_golden(tmp_path, capsys):
+    assert main(["selftest", "--out", str(tmp_path)]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == SELFTEST_DIGEST

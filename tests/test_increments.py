@@ -431,13 +431,15 @@ def test_each_guard_refuses_its_case(make, error, message):
 
 
 @pytest.mark.parametrize("bad", [True, "1.5", 10 ** 400], ids=["bool", "string", "int_past_float"])
-@pytest.mark.parametrize("record, name", [("tail", "c"), ("drift", "gamma"), ("plane", "c_radial")])
+@pytest.mark.parametrize("record, name", [("tail", "c"), ("drift", "gamma"), ("plane", "c_radial"),
+                                          (None, "p_heavy")])
 def test_spec_fields_must_be_real_numbers(record, name, bad):
     # True was kept (to_json wrote true), a string leaked TypeError and an int
     # past the float range OverflowError; each is refused naming its field
     spec = plane()
+    new = {name: bad} if record is None else {record: replace(getattr(spec, record), **{name: bad})}
     with pytest.raises(DomainError, match=rf"^{name} must be"):
-        replace(spec, **{record: replace(getattr(spec, record), **{name: bad})})
+        replace(spec, **new)
 
 
 NON_FINITE_CASES = [(regime, field) for regime in ("half_line", "line_in")

@@ -676,7 +676,8 @@ def test_moment_diagnostic_flags():
     assert diag[2.0 * q_crit]["flag"] == "growing"
 
 
-@pytest.mark.parametrize("q", [math.nan, math.inf, 0.0, -1.0, True, "1"])
+@pytest.mark.parametrize("q", [math.nan, math.inf, 0.0, -1.0, True, "1",
+                               pytest.param(10 ** 400, id="int_past_float")])
 def test_moment_diagnostic_rejects_bad_orders(q):
     # a NaN order read "growing" with ratio inf, and q <= 0 read "bounded"
     cfg = SimConfig(half_line(), start=30.0, a=10.0, horizon=100, n_traj=10, master_seed=1)
@@ -842,11 +843,15 @@ def test_sim_config_stores_python_floats(spec, start, stored):
     (half_line(), "a", math.nan), (half_line(), "a", math.inf), (balanced(), "a", -math.inf),
     (half_line(), "start", math.nan), (balanced(), "start", math.inf),
     (line_in(), "start", -math.inf), (plane(), "start", math.nan),
-    (plane(), "start", (30.0, math.nan)), (plane(), "start", (math.inf, 0.0))],
+    (plane(), "start", (30.0, math.nan)), (plane(), "start", (math.inf, 0.0)),
+    (half_line(), "a", 10 ** 400), (half_line(), "start", 10 ** 400),
+    (plane(), "start", (10 ** 400, 0.0))],
     ids=["a_nan", "a_inf", "a_minus_inf", "start_nan", "start_inf", "start_minus_inf",
-         "plane_radius_nan", "plane_y_nan", "plane_x_inf"])
+         "plane_radius_nan", "plane_y_nan", "plane_x_inf", "a_int_past_float",
+         "start_int_past_float", "plane_x_int_past_float"])
 def test_sim_config_rejects_non_finite(spec, field, bad):
-    # a NaN or infinite level would run every trajectory to the horizon as censored
+    # a NaN or infinite level would run every trajectory to the horizon as
+    # censored; an int past the float range leaked OverflowError
     args = dict(start=30.0, a=10.0, horizon=10, n_traj=4)
     args[field] = bad
     with pytest.raises(DomainError):

@@ -18,7 +18,7 @@ def _mp_precision():
 
 
 # ---------------------------------------------------------------------------
-# gamma / digamma
+# gamma
 # ---------------------------------------------------------------------------
 
 def test_gamma_at_one():
@@ -100,24 +100,6 @@ def test_rgamma_beyond_the_float_range_is_a_signed_inf(z):
     # Gamma is a subnormal from about -171 on and a signed zero from about
     # -178 on; 1/Gamma is then beyond the float range, with Gamma's sign
     assert sf.rgamma(z) == math.copysign(math.inf, float(mp.sign(mp.gamma(z))))
-
-
-def test_digamma_recurrence_psi2_minus_psi1():
-    assert sf.digamma(2.0) - sf.digamma(1.0) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_digamma_at_one_finite_difference_oracle():
-    # oracle: central difference of log gamma_real
-    h = 1e-6
-    fd = (math.log(sf.gamma_real(1.0 + h)) - math.log(sf.gamma_real(1.0 - h))) / (2 * h)
-    assert sf.digamma(1.0) == pytest.approx(fd, abs=1e-9)
-    assert sf.digamma(1.0) == pytest.approx(-0.5772156649015329, abs=1e-12)
-
-
-def test_digamma_reflection_cotangent():
-    beta = 1.25
-    # cot(1.25 pi) = 1, so the difference is exactly pi
-    assert sf.digamma(1 - beta) - sf.digamma(beta) == pytest.approx(math.pi, abs=1e-12)
 
 
 @given(st.floats(-4.99, 4.99))
@@ -238,13 +220,6 @@ def test_kappa2_quadrature_matched():
     assert sf.kappa2(1.5, 0.4) == pytest.approx(kappa2_quad(1.5, 0.4, abs_tol=1e-9), abs=1e-7)
 
 
-def test_kappa2_guard_band_consistent_with_slope():
-    for b in (1.2, 1.45, 1.8):
-        d = mp.diff(lambda n: mp.gamma(n) * (mp.gamma(b - n) / mp.gamma(b)
-                    - (1 - b + n) * mp.gamma(1 - b) / mp.gamma(2 - b + n)), mp.mpf("1e-20"))
-        assert sf.kappa2_slope_at_zero(b) == pytest.approx(float(d), rel=1e-10)
-
-
 def test_kappa2_nondecreasing():
     for bi in range(1, 10):
         b = 1.0 + bi / 10.0
@@ -265,11 +240,9 @@ def kappa0_plain(a, nu):
 
 
 def kappa2_plain(b, nu):
-    if abs(nu) <= sf.KAPPA2_GUARD:
-        return math.pi * sf.cotpi(b) + nu * sf.kappa2_slope_at_zero(b)
-    bracket = sf.gamma_real(b - nu) / sf.gamma_real(b) \
-        - (1.0 - b + nu) * sf.gamma_real(1.0 - b) * sf.rgamma(2.0 - b + nu)
-    return sf.gamma_real(nu) * bracket
+    half = sf.sinpi(0.5 * nu) / nu if nu else 0.5 * math.pi
+    return (2.0 / (sf.gamma_real(b) * sf.sinpi(b)) * sf.gamma_real(1.0 + nu) * half
+            * sf.gamma_real(b - nu) * sf.sinpi((b - 1.5) - 0.5 * nu))
 
 
 def test_kappa_matches_plain_formula_bitwise():
@@ -292,7 +265,7 @@ def test_kappa_matches_plain_formula_bitwise():
 def _kappa_points():
     """(function, mpmath reference, exponent, nu): 250 seeded points each for
     kappa0 on (1, 2), kappa0 on the plane's half exponents (1/2, 1), kappa1 and
-    kappa2, nu across each domain (kappa2 outside its series band)."""
+    kappa2, nu across each domain."""
     g = mp.gamma
     k0 = lambda a, v: (1 - v) * g(a - v) * g(1 - a) / g(2 - v)
     k1 = lambda b, v: -(1 - b + v) * g(v + 1) * g(1 - b) / g(2 - b + v)
@@ -304,20 +277,15 @@ def _kappa_points():
         pts["kappa0"].append((sf.kappa0, k0, e, float(rng.uniform(-1.0, e))))
         pts["kappa0 half"].append((sf.kappa0, k0, e / 2.0, float(rng.uniform(-0.5, e / 2.0))))
         pts["kappa1"].append((sf.kappa1, k1, e, float(rng.uniform(-0.99, e))))
-        v = float(rng.uniform(-0.99, e))
-        if abs(v) > sf.KAPPA2_GUARD:
-            pts["kappa2"].append((sf.kappa2, k2, e, v))
+        pts["kappa2"].append((sf.kappa2, k2, e, float(rng.uniform(-0.99, e))))
     return pts
 
 
 def test_kappa_matches_mpmath():
     # relative error against 40-digit mpmath at the same (exact) inputs,
     # skipping |kappa| < 1e-3 near the zeros.  Measured maxima: kappa0 9.6e-16,
-    # kappa0 half 1.1e-15, kappa1 9.5e-16 and kappa2 5.8e-13.  kappa2's
-    # bracket cancels, to about 1e-16/|nu| as nu -> 0 and near its root
-    # 2b - 3, so its bound is 1e-12 (the largest error is at nu = 8.6e-4),
-    # not the Gamma values' 3e-15
-    bounds = {"kappa0": 3e-15, "kappa0 half": 3e-15, "kappa1": 3e-15, "kappa2": 1e-12}
+    # kappa0 half 1.1e-15, kappa1 9.5e-16 and kappa2 1.2e-15
+    bounds = {"kappa0": 3e-15, "kappa0 half": 3e-15, "kappa1": 3e-15, "kappa2": 3e-15}
     worst = {}
     with mp.workdps(40):
         for name, pts in _kappa_points().items():
@@ -332,23 +300,29 @@ def test_kappa_matches_mpmath():
 
 
 
-@pytest.mark.parametrize("b", [1.2, 1.3, 1.6, 1.8])
+@pytest.mark.parametrize("b", [1.2, 1.3, 1.5, 1.6, 1.8])
 def test_kappa2_near_zero_matches_mpmath(b):
-    # |nu| from 1e-7 to 1e-3 on both signs, the series band's edge and points
-    # just inside and outside it: within 2e-10 of 40-digit mpmath (measured
-    # 1.2e-10, at the edge; the earlier band, 1e-4 wide, was 3.2e-8 off at
-    # nu = 9.99e-5).  b = 1.5 is left out: kappa2(1.5, 0) = 0.
+    # |nu| from 1e-15 to 1e-3 on both signs, and nu within 1e-12 to 1e-3 of
+    # the root 2b - 3 (b = 1.5 puts the root at 0): within 2e-15 relative of
+    # 80-digit mpmath, as 40 digits cancel at nu = 1e-15 (measured 8.6e-16
+    # near 0 and near the root).  The root itself is an exact zero, and where
+    # the root is not 0 a subnormal nu gives kappa2(b, 0)'s bits.
     g = mp.gamma
-    g_ = sf.KAPPA2_GUARD
-    mags = [float(v) for v in np.geomspace(1e-7, 1e-3, 33)] + [
-        g_, 0.99 * g_, 1.01 * g_, 9.99e-5, 1.0001e-4]
+    root = 2.0 * b - 3.0
+    mags = [float(v) for v in np.geomspace(1e-15, 1e-3, 49)]
+    nus = [s * m for m in mags for s in (1.0, -1.0)]
+    nus += [root + s * m for m in mags if m >= 1e-12 for s in (1.0, -1.0)]
     worst = 0.0
-    with mp.workdps(40):
-        for v in (s * m for m in mags for s in (1.0, -1.0)):
+    with mp.workdps(80):
+        for v in nus:
             bm, vm = mp.mpf(b), mp.mpf(v)
             want = g(vm) * (g(bm - vm) / g(bm) - (1 - bm + vm) * g(1 - bm) / g(2 - bm + vm))
             worst = max(worst, float(abs((mp.mpf(sf.kappa2(b, v)) - want) / want)))
-    assert worst < 2e-10
+    assert worst < 2e-15
+    assert sf.kappa2(b, root) == 0.0
+    if root != 0.0:
+        assert sf.kappa2(b, 5e-324) == sf.kappa2(b, -1e-310) == sf.kappa2(b, 0.0)
+
 
 def test_kappa_domain_errors():
     with pytest.raises(DomainError):
