@@ -45,7 +45,6 @@ from .specialfn import (
 from .classify import Classification, NuStarResult, classify, nu_star
 from .lyapunov import (
     DriftReport,
-    criteria_check,
     drift_numeric,
     drift_predicted,
     lyapunov_f,
@@ -56,7 +55,6 @@ from .montecarlo import (
     SimConfig,
     SurvivalEstimate,
     estimate_passage_tail,
-    moment_diagnostic,
     phase_diagnostic,
     run_trajectories,
 )

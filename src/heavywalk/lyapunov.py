@@ -9,8 +9,7 @@ incomplete beta functions (`specialfn.pareto_tail_integral` outward,
 tail exponent is reached.  The light uniform's share is the mean of f over
 its support less f(x), from the antiderivative of f piece by piece between
 the kinks of f(x +- y).  No quadrature is left: the result is exact up to
-rounding, not sampling noise; a Monte Carlo oracle is provided for
-cross-checks.
+rounding, not sampling noise.
 """
 
 from __future__ import annotations
@@ -19,17 +18,13 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from .errors import DivergentError, DomainError
 from .increments import ChainSpec, IncrementLaw, build_law
 from .specialfn import (_pow_m1, _two_product, kappa0, kappa1, pareto_finite_integral,
                         pareto_tail_integral)
-from .classify import _regime_kappa, classify as _classify_phase
-from .rng import checked_seed, integer_in
+from .classify import _regime_kappa
 
 CONVERGED_REL_TOL = 0.05   # verify_expansion: converged iff |last error| < this * |K|
-MC_CHUNK = 1_000_000       # mc_drift: increments sampled per vectorized batch
 
 
 def lyapunov_f(i: int, nu: float, x: float) -> float:
@@ -43,13 +38,6 @@ def lyapunov_f(i: int, nu: float, x: float) -> float:
         raise DomainError("f0 is defined on the half line only")
     ax = abs(x) if i == 2 else x
     return ax ** nu if ax >= 1.0 else 1.0
-
-
-def _f_vec(i: int, nu: float, z: np.ndarray) -> np.ndarray:
-    if i in (0, 1):
-        return np.where(z >= 1.0, np.maximum(z, 1.0) ** nu, 1.0)
-    az = np.abs(z)
-    return np.where(az >= 1.0, np.maximum(az, 1.0) ** nu, 1.0)
 
 
 def _f_step(i: int, nu: float, x: float, dz: float) -> float:
@@ -274,70 +262,3 @@ def verify_expansion(spec: ChainSpec, i: int, nu: float, x_grid: Sequence[float]
     bound = CONVERGED_REL_TOL * abs(k_coef) if k_coef != 0.0 else 1e-12
     converged = abs(nerr[-1]) < bound
     return DriftReport(i, nu, xs, numeric, predicted, nerr, k_coef, converged)
-
-
-def mc_drift(spec: ChainSpec, i: int, nu: float, x: float, n: int,
-             seed: int = 0) -> tuple[float, float]:
-    """Monte Carlo oracle for drift_numeric: (mean, standard error) of
-    f_i(x + theta) - f_i(x) over n sampled increments."""
-    _check_regime_i(spec, i)
-    n = integer_in("sample count n", n, 1, math.inf)
-    # numpy's generator keeps its samples; the seed follows every stream's rule
-    rng = np.random.default_rng(checked_seed(seed))
-    law = build_law(spec, x)
-    fx = lyapunov_f(i, nu, x if spec.regime != "half_line" else max(x, 0.0))
-    total = 0.0
-    total_sq = 0.0
-    done = 0
-    while done < n:
-        m = min(MC_CHUNK, n - done)
-        th = law.quantile(rng.random(m), rng.random(m))
-        z = x + th
-        if spec.regime == "half_line":
-            z = np.maximum(z, 0.0)
-        vals = _f_vec(i, nu, z) - fx
-        total += float(vals.sum())
-        total_sq += float((vals * vals).sum())
-        done += m
-    mean = total / n
-    var = max(total_sq / n - mean * mean, 0.0)
-    return mean, math.sqrt(var / n)
-
-
-@dataclass
-class CriteriaReport:
-    """Finite-x shadow of the semimartingale drift-sign hypotheses."""
-
-    nu: float
-    probes: list[float]
-    phase: str
-    drifts: dict            # name -> list of drift values
-    all_nonpositive: dict   # name -> bool
-
-
-def criteria_check(spec: ChainSpec, nu: float, x_probe: Sequence[float]) -> CriteriaReport:
-    """Evaluate the relevant drift signs at the probe points.
-
-    half_line reports D0; line regimes report D2 on both sides and the
-    one-sided D1 in both orientations (the mirrored orientation drives the
-    directional/oscillatory criteria).  Purely diagnostic: the caller
-    compares the sign pattern against the classified phase.
-    """
-    probes = [float(x) for x in x_probe]
-    if not probes:
-        # all() of no drifts is True: every sign would read non-positive
-        raise DomainError("x_probe must not be empty")
-    if any(x <= 0.0 for x in probes):
-        raise DomainError("probe points are magnitudes; use positive values")
-    phase = _classify_phase(spec).phase
-    if spec.regime == "half_line":
-        drifts = {"d0": [drift_numeric(spec, 0, nu, x) for x in probes]}
-    else:
-        drifts = {"d2_pos": [drift_numeric(spec, 2, nu, x) for x in probes],
-                  "d2_neg": [drift_numeric(spec, 2, nu, -x) for x in probes],
-                  "d1_pos": [drift_numeric(spec, 1, nu, x) for x in probes],
-                  # mirrored orientation: f1 applied to -chain, i.e. the law at -x reflected
-                  "d1_neg": [drift_numeric_law(build_law(spec, -x).mirrored(), 1, nu, x)
-                             for x in probes]}
-    return CriteriaReport(nu, probes, phase, drifts,
-                          {name: all(v <= 0.0 for v in vals) for name, vals in drifts.items()})

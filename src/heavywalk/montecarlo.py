@@ -379,7 +379,7 @@ def estimate_passage_tail(cfg: SimConfig) -> SurvivalEstimate:
 
 
 # ---------------------------------------------------------------------------
-# phase and moment diagnostics
+# phase diagnostic
 # ---------------------------------------------------------------------------
 
 def phase_diagnostic(cfg: SimConfig, m_level: float) -> PhaseDiagnostic:
@@ -409,28 +409,3 @@ def phase_diagnostic(cfg: SimConfig, m_level: float) -> PhaseDiagnostic:
         directional_fraction=float(direc.mean()),
     )
 
-
-def moment_diagnostic(cfg: SimConfig, q_list: Sequence[float]) -> dict:
-    """Capped-moment growth E[min(tau, n)^q] at n = horizon/100, /10, /1.
-
-    flag: "bounded" if the last growth ratio < 1.1, "growing" if > 1.5,
-    otherwise "indeterminate".
-    """
-    if cfg.horizon < 100:
-        # the checkpoints horizon // 100, // 10 and horizon would coincide or run backwards
-        raise DomainError(f"moment_diagnostic needs horizon >= 100, got {cfg.horizon}")
-    for q in q_list:
-        # q = 0 makes every moment 1, and a negative q shrinks as tau grows
-        if not (_is_real(q) and _is_finite(q) and q > 0.0):
-            raise DomainError(f"moment order q must be finite and > 0, got {q!r}")
-    batch = _simulate_batch(cfg)
-    tau = batch["tau"].astype(float)
-    tau[tau < 0] = cfg.horizon
-    ns = [cfg.horizon // 100, cfg.horizon // 10, cfg.horizon]
-    out = {}
-    for q in q_list:
-        vals = [float((np.minimum(tau, n) ** q).mean()) for n in ns]
-        ratio = vals[-1] / vals[-2] if vals[-2] > 0 else math.inf
-        flag = "bounded" if ratio < 1.1 else ("growing" if ratio > 1.5 else "indeterminate")
-        out[q] = {"n": ns, "values": vals, "ratio": ratio, "flag": flag}
-    return out

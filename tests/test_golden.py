@@ -7,8 +7,8 @@ are exercised, plus two drift-free (b = 0) configs without an m_level, where
 the engine takes the light width from the sign of the state alone, and three
 configs that start beyond m_level.  `phase-diagram`: the CSV of one- and
 two-axis sweeps, on the lines and the plane, one with error rows.  The
-analytic path: the reprs of the closed-form drifts, criteria drifts,
-classification and nu* per scalar regime and test function.
+analytic path: the reprs of the closed-form drifts, the drift signs' probe
+drifts, classification and nu* per scalar regime and test function.
 """
 
 import hashlib
@@ -17,11 +17,11 @@ import math
 
 import pytest
 
-from heavywalk import specialfn as sf
+from heavywalk import build_law, specialfn as sf
 from heavywalk.classify import classify, nu_star
 from heavywalk.cli import main
 from heavywalk.errors import NoRootError
-from heavywalk.lyapunov import criteria_check, verify_expansion
+from heavywalk.lyapunov import drift_numeric, drift_numeric_law, verify_expansion
 
 from conftest import balanced, half_line, line_in, line_out, plane
 
@@ -163,6 +163,20 @@ ANALYTIC_DIGESTS = {
 }
 
 
+def probe_drifts(spec, nu: float) -> dict:
+    """The drifts at PROBES whose signs the phase criteria read: D0 on the half
+    line; on a line D2 on both sides and the one-sided D1 in both
+    orientations, the mirrored one f1 applied to -chain (the law at -x
+    reflected)."""
+    if spec.regime == "half_line":
+        return {"d0": [drift_numeric(spec, 0, nu, x) for x in PROBES]}
+    return {"d2_pos": [drift_numeric(spec, 2, nu, x) for x in PROBES],
+            "d2_neg": [drift_numeric(spec, 2, nu, -x) for x in PROBES],
+            "d1_pos": [drift_numeric(spec, 1, nu, x) for x in PROBES],
+            "d1_neg": [drift_numeric_law(build_law(spec, -x).mirrored(), 1, nu, x)
+                       for x in PROBES]}
+
+
 def analytic_digest(name: str) -> str:
     spec, cases = ANALYTIC[name]
     rows = [repr(classify(spec))]
@@ -173,8 +187,7 @@ def analytic_digest(name: str) -> str:
     for i, nu in cases:
         rep = verify_expansion(spec, i, nu, GRIDS[i])
         rows.append(repr((i, nu, rep.numeric, rep.predicted, rep.normalized_error)))
-        crit = criteria_check(spec, nu, PROBES)
-        rows.append(repr(sorted(crit.drifts.items())))
+        rows.append(repr(sorted(probe_drifts(spec, nu).items())))
     return hashlib.sha256("\n".join(rows).encode()).hexdigest()
 
 
@@ -184,7 +197,7 @@ def test_analytic_reprs_match_golden(name):
 
 
 def test_analytic_path_calls_no_quadrature_panel(monkeypatch):
-    # classify, nu_star, verify_expansion and criteria_check are closed forms:
+    # classify, nu_star, verify_expansion and drift_numeric are closed forms:
     # the GK15 panel serves only the selftest's quadrature oracles
     panels = []
     real = sf._gk15

@@ -6,8 +6,13 @@ statement carries `# noqa: F401` (a name kept for a caller outside the
 module); the package's `__init__.py`, which imports to re-export, and
 `from __future__` imports are skipped.  Every module-level private name
 (leading underscore) that src/heavywalk/*.py defines is read somewhere in
-those files.  Every parameter of a function or lambda in src/heavywalk/*.py is
-read in its body, unless its name starts with an underscore."""
+those files or the tests.  Every module-level function, class and constant
+of src/heavywalk/*.py is read in the package (its `__init__.py` re-exports
+included) or in perfbench/*.py: what only the tests read, such as a sampling
+oracle, lives under tests/.  No module of the package names np.random, so the
+library draws every random number from its counter streams.  Every parameter
+of a function or lambda in src/heavywalk/*.py is read in its body, unless its
+name starts with an underscore."""
 
 import ast
 from pathlib import Path
@@ -53,13 +58,11 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
-def orphaned_private_names(modules: dict[str, str], readers: list[str]) -> list[str]:
-    """The module-level private names (one leading underscore) that the sources
-    in modules (name -> source) define and that no source among them or in
-    readers reads: as a name, an attribute, an imported name, or a string
-    equal to it (monkeypatch.setattr's form)."""
+def read_names(sources: list[str]) -> set[str]:
+    """The names the sources read: as a name, an attribute, an imported name, or
+    a string equal to it (monkeypatch.setattr's and perfbench's wrap-target form)."""
     read = set()
-    for source in [*modules.values(), *readers]:
+    for source in sources:
         for n in ast.walk(ast.parse(source)):
             if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
                 read.add(n.id)
@@ -69,7 +72,17 @@ def orphaned_private_names(modules: dict[str, str], readers: list[str]) -> list[
                 read.add(n.name)
             elif isinstance(n, ast.Constant) and isinstance(n.value, str):
                 read.add(n.value)
-    orphans = []
+    return read
+
+
+def unread_definitions(modules: dict[str, str], readers: list[str],
+                       private_only: bool) -> list[str]:
+    """The module-level functions, classes and constants (only those with one
+    leading underscore if private_only; never dunders) that the sources in
+    modules (name -> source) define and that no source among them or in
+    readers reads."""
+    read = read_names([*modules.values(), *readers])
+    unread = []
     for module, source in modules.items():
         for node in ast.parse(source).body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
@@ -79,22 +92,66 @@ def orphaned_private_names(modules: dict[str, str], readers: list[str]) -> list[
                 names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
             else:
                 continue
-            orphans += [f"{module} line {node.lineno}: {name}" for name in names
-                        if name.startswith("_") and not name.startswith("__") and name not in read]
-    return orphans
+            unread += [f"{module} line {node.lineno}: {name}" for name in names
+                       if not name.startswith("__") and name not in read
+                       and (name.startswith("_") or not private_only)]
+    return unread
 
 
 def test_the_check_finds_an_orphaned_private_name():
     src = ("_A, _B = 1, 2\n_C: int = 3\n__version__ = '0'\ndef _f():\n    return _A\n"
-           "class _K:\n    pass\ndef _g():\n    pass\n")
+           "class _K:\n    pass\ndef _g():\n    pass\nD = 4\n")
     readers = ["from m import _g\n", "import m\nm._C = 4\n", "setattr(m, '_f', None)\n"]
-    assert orphaned_private_names({"m": src}, readers) == ["m line 1: _B", "m line 6: _K"]
+    assert unread_definitions({"m": src}, readers, private_only=True) \
+        == ["m line 1: _B", "m line 6: _K"]
 
 
 def test_no_orphaned_private_names():
     modules = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
-    assert orphaned_private_names(modules, [p.read_text() for p in CHECKED
-                                            if p.parent != PACKAGE]) == []
+    assert unread_definitions(modules, [p.read_text() for p in CHECKED
+                                        if p.parent != PACKAGE], private_only=True) == []
+
+
+def test_the_check_finds_a_name_only_tests_read():
+    # the library's own modules and perfbench are the readers; a test is not
+    src = "A = 1\n_B = A\ndef f():\n    return _B\ndef g():\n    pass\nclass K:\n    pass\n"
+    readers = ["from m import K\n", "wrap('m', 'g')\n"]
+    assert unread_definitions({"m": src}, readers, private_only=False) == ["m line 3: f"]
+
+
+def test_library_names_are_read_by_the_library_or_perfbench():
+    # a name only the tests read is test code: it lives under tests/
+    modules = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    init = modules.pop("__init__.py")
+    readers = [init, *(p.read_text() for p in sorted((ROOT / "perfbench").glob("*.py")))]
+    assert unread_definitions(modules, readers, private_only=False) == []
+
+
+def numpy_random_uses(source: str) -> list[str]:
+    """The lines of source that name numpy's generator module, np.random."""
+    uses = []
+    for n in ast.walk(ast.parse(source)):
+        if isinstance(n, ast.Attribute) and n.attr == "random" \
+                and isinstance(n.value, ast.Name) and n.value.id in ("np", "numpy"):
+            uses.append(n.lineno)
+        elif isinstance(n, (ast.Import, ast.ImportFrom)):
+            names = [n.module or ""] if isinstance(n, ast.ImportFrom) else []
+            names += [a.name if isinstance(n, ast.Import) else f"{n.module}.{a.name}"
+                      for a in n.names]
+            uses += [n.lineno for name in names if name.startswith("numpy.random")]
+    return [f"line {line}" for line in sorted(set(uses))]
+
+
+def test_the_check_finds_numpy_random():
+    src = ("import numpy as np\nimport numpy.random\nfrom numpy import random\n"
+           "from numpy.random import default_rng\nx = np.random.default_rng(0)\n"
+           "y = np.float64(1.0)\n")
+    assert numpy_random_uses(src) == ["line 2", "line 3", "line 4", "line 5"]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_library_draws_from_the_counter_streams_only(path):
+    assert numpy_random_uses(path.read_text()) == []
 
 
 def unread_parameters(source: str) -> list[str]:

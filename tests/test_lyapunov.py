@@ -6,12 +6,13 @@ import pytest
 
 from heavywalk import build_law
 from heavywalk.errors import DivergentError, DomainError
-from heavywalk.lyapunov import (_light_term, criteria_check, drift_numeric,
-                                drift_numeric_law, drift_predicted, expansion_coefficient,
-                                lyapunov_f, mc_drift, verify_expansion)
+from heavywalk.classify import classify
+from heavywalk.lyapunov import (_light_term, drift_numeric, drift_numeric_law, drift_predicted,
+                                expansion_coefficient, lyapunov_f, verify_expansion)
 from heavywalk import specialfn as sf
 
 from conftest import balanced, half_line, line_in, line_out, plane
+from oracles import mc_drift
 
 
 # ---------------------------------------------------------------------------
@@ -585,44 +586,34 @@ def test_big_drift_ratio_tends_to_one():
 
 
 # ---------------------------------------------------------------------------
-# criteria_check
+# drift signs at probe points: the finite-x shadow of the phase criteria
 # ---------------------------------------------------------------------------
+
+PROBES = [1e3, 1e4]
+
 
 def test_criteria_recurrent_half_line():
     spec = half_line()
-    rep = criteria_check(spec, 0.5, [1e3, 1e4])
-    assert rep.phase == "NullRecurrent"
-    assert rep.all_nonpositive["d0"]
+    assert classify(spec).phase == "NullRecurrent"
+    assert all(drift_numeric(spec, 0, 0.5, x) <= 0.0 for x in PROBES)
 
 
 def test_criteria_transient_half_line_negative_nu():
     spec = half_line(alpha=1.5, gamma=0.5, b=4.0, p_heavy=0.4, x0=25.0)
-    rep = criteria_check(spec, -0.3, [1e3, 1e4])
-    assert rep.phase == "Transient"
-    assert rep.all_nonpositive["d0"]
+    assert classify(spec).phase == "Transient"
+    assert all(drift_numeric(spec, 0, -0.3, x) <= 0.0 for x in PROBES)
 
 
 def test_criteria_oscillatory_pattern():
     spec = line_in(beta=1.3, gamma=1.0)
-    rep = criteria_check(spec, 0.2, [1e3, 1e4])
-    assert rep.phase == "TransientOscillatory"
+    assert classify(spec).phase == "TransientOscillatory"
     # the one-sided drift is negative in both orientations (Lyapunov pattern
-    # behind oscillation), while the two-sided one is not
-    assert rep.all_nonpositive["d1_pos"] and rep.all_nonpositive["d1_neg"]
-    assert not rep.all_nonpositive["d2_pos"]
-
-
-def test_criteria_rejects_nonpositive_probes():
-    with pytest.raises(DomainError):
-        criteria_check(half_line(), 0.5, [-10.0])
-
-
-@pytest.mark.parametrize("spec", [half_line(), line_in(beta=1.3, gamma=1.0)],
-                         ids=["half_line", "line_in"])
-def test_criteria_rejects_no_probes(spec):
-    # all() of no drifts read True: every sign non-positive, for any spec
-    with pytest.raises(DomainError, match="x_probe must not be empty"):
-        criteria_check(spec, 0.5, [])
+    # behind oscillation), while the two-sided one is not; the mirrored
+    # orientation is f1 applied to -chain, i.e. the law at -x reflected
+    assert all(drift_numeric(spec, 1, 0.2, x) <= 0.0 for x in PROBES)
+    assert all(drift_numeric_law(build_law(spec, -x).mirrored(), 1, 0.2, x) <= 0.0
+               for x in PROBES)
+    assert not all(drift_numeric(spec, 2, 0.2, x) <= 0.0 for x in PROBES)
 
 
 @pytest.mark.parametrize("n", [0, -3, 2.0, True, None],
@@ -660,10 +651,9 @@ def test_drift_numeric_law_matches_spec_path():
 @pytest.mark.parametrize("call", [
     lambda s: verify_expansion(s, 0, -200.0, [100.0]),
     lambda s: drift_numeric(s, 0, -200.0, 100.0),
-    lambda s: criteria_check(s, -200.0, [100.0]),
     lambda s: sf.kappa0(1.5, -200.0),
     lambda s: sf.kappa1(1.5, 500.0)],
-    ids=["verify_expansion", "drift_numeric", "criteria_check", "kappa0", "kappa1"])
+    ids=["verify_expansion", "drift_numeric", "kappa0", "kappa1"])
 def test_gamma_past_the_float_range_is_a_domain_error(call):
     # with no beta the lemma's nu-range has no lower end; Gamma(201.5) and
     # Gamma(501) raised a bare OverflowError from math.gamma

@@ -15,9 +15,8 @@ from heavywalk import build_law, plane_radial_law, plane_transverse_law, step
 from heavywalk.errors import DomainError, InsufficientDataError
 from heavywalk.increments import _U_MIN, _quantile
 from heavywalk.montecarlo import (TRAJECTORY_COLUMNS, SimConfig, _chunk, _law_constants,
-                                  _simulate_batch, estimate_passage_tail, moment_diagnostic,
-                                  phase_diagnostic, run_trajectories, survival_curve,
-                                  survival_grid)
+                                  _simulate_batch, estimate_passage_tail, phase_diagnostic,
+                                  run_trajectories, survival_curve, survival_grid)
 from heavywalk.rng import CounterStream, _const, seed_key, uniform_array, uniform_at
 
 from conftest import balanced, half_line, line_in, line_out, plane
@@ -664,38 +663,6 @@ def test_phase_diagnostic_outward_drift_is_directional():
     d = phase_diagnostic(cfg, m_level=200.0)
     assert d.escape_fraction > 0.5
     assert d.directional_fraction > d.oscillation_fraction
-
-
-def test_moment_diagnostic_flags():
-    spec = half_line()
-    cfg = SimConfig(spec, start=30.0, a=10.0, horizon=2 * 10 ** 4, n_traj=1500,
-                    master_seed=31)
-    q_crit = 1.0 / 1.5
-    diag = moment_diagnostic(cfg, [q_crit / 2.0, 2.0 * q_crit])
-    assert diag[q_crit / 2.0]["flag"] == "bounded"
-    assert diag[2.0 * q_crit]["flag"] == "growing"
-
-
-@pytest.mark.parametrize("q", [math.nan, math.inf, 0.0, -1.0, True, "1",
-                               pytest.param(10 ** 400, id="int_past_float")])
-def test_moment_diagnostic_rejects_bad_orders(q):
-    # a NaN order read "growing" with ratio inf, and q <= 0 read "bounded"
-    cfg = SimConfig(half_line(), start=30.0, a=10.0, horizon=100, n_traj=10, master_seed=1)
-    with pytest.raises(DomainError, match="moment order q"):
-        moment_diagnostic(cfg, [0.5, q])
-
-
-@pytest.mark.parametrize("horizon", [0, 5, 99])
-def test_moment_diagnostic_rejects_short_horizon(horizon):
-    # below 100 the checkpoints horizon // 100, // 10 and horizon coincide or run backwards
-    cfg = SimConfig(half_line(), start=30.0, a=10.0, horizon=horizon, n_traj=10, master_seed=1)
-    with pytest.raises(DomainError):
-        moment_diagnostic(cfg, [0.5])
-
-
-def test_moment_diagnostic_shortest_horizon():
-    cfg = SimConfig(half_line(), start=30.0, a=10.0, horizon=100, n_traj=10, master_seed=1)
-    assert moment_diagnostic(cfg, [0.5])[0.5]["n"] == [1, 10, 100]
 
 
 def test_plane_rotation_equivariance_exact():
