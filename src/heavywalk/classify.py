@@ -142,7 +142,9 @@ def nu_star(spec: ChainSpec) -> NuStarResult:
     stops at an exact zero of g or when the bracket's half-width is at most
     4 eps |nu|, the rounding limit of g.  `nu_star` is the best point found,
     `bracket` the final sign-change pair, `residual` |g(nu_star)| and
-    `iterations` the gap evaluations after the two bracket ends.
+    `iterations` the gap evaluations after the two bracket ends.  At an
+    exact zero of g, `bracket` is nu_star +- 4 eps |nu_star|, the half-width
+    at which the solve stops otherwise, and not a sign-change pair.
 
     Raises NoRootError when g(0) > 0 (the transient side of the phase
     boundary), and DomainError when g < 0 at both ends on a line: the root
@@ -158,7 +160,8 @@ def nu_star(spec: ChainSpec) -> NuStarResult:
     if g_lo >= 0.0 or g_hi <= 0.0:
         if g_lo == 0.0 or g_hi == 0.0:
             v = lo if g_lo == 0.0 else hi
-            return NuStarResult(v, (lo, hi), 0.0, 0)
+            tol = 4.0 * _EPS * abs(v)
+            return NuStarResult(v, (v - tol, v + tol), 0.0, 0)
         if g_lo > 0.0:
             raise NoRootError(
                 f"no sign change on [{lo:.2g}, {hi:.2g}] (g={g_lo:.4g}, {g_hi:.4g}); "
@@ -196,7 +199,8 @@ def nu_star(spec: ChainSpec) -> NuStarResult:
         b += d if abs(d) > tol else math.copysign(tol, m)
         fb = g(b)
         iters += 1
-    return NuStarResult(b, (min(b, c), max(b, c)), abs(fb), iters)
+    bracket = (b - tol, b + tol) if fb == 0.0 else (min(b, c), max(b, c))
+    return NuStarResult(b, bracket, abs(fb), iters)
 
 
 def _tagged(phase, tag, q=None, inclusive=None, nu=None) -> Classification:

@@ -219,6 +219,18 @@ def test_nu_star_residual_is_taken_at_nu_star(b):
     assert ns.residual == abs(g(ns.nu_star))
 
 
+def test_nu_star_bracket_at_an_exact_zero():
+    # the solve stops at g = 0.0 one ulp below the root 0.5; the bracket was
+    # the stale far end (nu*, 0.9788844597982629), 0.48 wide
+    ns = nu_star(balanced(alpha=1.5, b=0.0))
+    assert (ns.nu_star, ns.residual, ns.iterations) == (0.49999999999999994, 0.0, 8)
+    assert ns.bracket[0] < 0.5 < ns.bracket[1]
+    assert ns.bracket[1] - ns.bracket[0] <= 8.0 * 2.0 ** -52
+    # g(0) == 0.0 at b on the threshold: the early return, with nu* = 0
+    ns = nu_star(line_in(gamma=0.3, b=drift_threshold(line_in(gamma=0.3))))
+    assert (ns.nu_star, ns.bracket, ns.iterations) == (0.0, (0.0, 0.0), 0)
+
+
 MPMATH_ROOT_CASES = {
     "half_line": (half_line(alpha=1.5, gamma=0.5, b=-2.0), "half_line", 1.5, {"b": -2.0}),
     "half_line_b_pos": (half_line(alpha=1.3, gamma=0.3, b=0.5, x0=10.0), "half_line", 1.3,

@@ -155,7 +155,8 @@ PROBES = [50.0, 1e3]
 ANALYTIC_DIGESTS = {
     "half_line": "c9d8de4b94cbd70362e6896f4f2642cf9d726dd1c783792b6b0c816ae384737d",
     "line_balanced": "a5f62e1aba167e815b4bc3eb0b6c478a5d6ca48d7d0a057d6524e72fa262d52e",
-    "line_balanced_b0": "605e4f2b7ddabe3fab53f2c9e6d4a39fffd14dd93393822004f92a7e485f4d1f",
+    # re-pinned when nu_star's bracket at an exact zero of g became nu* +- 4 eps |nu*|
+    "line_balanced_b0": "3eb16eb5d138cf4f5a7b1874ebcdd457b0f6cf285e688288a2c193cd4ab7972a",
     "line_in": "fd6b6a416ed38230df2c88e08c92dc4cc84c034801dce8635d0fe61fb8fddf5b",
     "line_in_b0": "97f5c0b685fd0f9210bc84c723790278756ba26b239a12e338dd97bf6a42e389",
     "line_out": "c534203289227b3ccc435d5fed4c7fcc6d3b3229eeb18e927baec53e3228bc19",
