@@ -18,7 +18,6 @@ from .errors import (
     InfeasibleWeight,
     InsufficientDataError,
     NoRootError,
-    NotRecurrentError,
     PoleError,
 )
 from .increments import (

@@ -1,11 +1,16 @@
 """Phase classification and critical passage-time exponents.
 
-The classifier is exact arithmetic over the Gamma/trig threshold quantities;
-the only numerics is the root nu* of the gap function, solved by Brent's
-zeroin on a sign-change bracket until its half-width is at most 4 eps |nu|.
-The gap is monotone by construction (kappa0 is strictly increasing on
-[0, exponent), kappa2 non-decreasing on (0, exponent), and the plane
-combination inherits monotonicity from kappa0).
+On the plane and on the critical drift line (b != 0) one gap function
+decides the phase and gives nu*: g(nu) = b + c kappa(nu) on the lines and the
+weighted kappa0 sum on the plane.  The sign of g(0) (b minus the critical-drift
+threshold, or -pi |cosec pi alpha| times the plane quantity) is the phase,
+and nu*, the root of g, is solved by Brent's zeroin on a sign-change bracket
+until its half-width is at most 4 eps |nu|; the solve's first evaluation is
+the same g(0), so the two steps cannot disagree.  The other clauses compare
+b, gamma and beta with their thresholds exactly.  The gap is monotone by
+construction (kappa0 is strictly increasing on [0, exponent), kappa2
+non-decreasing on (0, exponent), and the plane combination inherits
+monotonicity from kappa0).
 """
 
 from __future__ import annotations
@@ -14,11 +19,11 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .errors import DomainError, NoRootError, NotRecurrentError
+from .errors import DomainError, NoRootError
 from .increments import ChainSpec
 # kappa2 is unused here, but perfbench/spans.py counts classify.kappa0/kappa2 calls
-from .specialfn import (cospi, cotpi, kappa0, kappa0_alt, kappa0_prepared, kappa2,  # noqa: F401
-                        kappa2_prepared, sinpi)
+from .specialfn import (kappa0, kappa0_alt, kappa0_prepared, kappa2,  # noqa: F401
+                        kappa2_prepared)
 
 TIE_TOL = 1e-9
 NU_MAX_ITER = 200         # guard on nu_star's gap evaluations
@@ -68,28 +73,10 @@ class Classification:
         return out
 
 
-def drift_threshold(spec: ChainSpec) -> float:
-    """Critical-drift b threshold: recurrent strictly below, transient above."""
-    t = spec.tail
-    if spec.regime in ("half_line", "line_out"):
-        return t.c * math.pi * abs(1.0 / sinpi(t.alpha))
-    if spec.regime == "line_in":
-        return -t.c * math.pi * cotpi(t.beta)
-    if spec.regime == "line_balanced":
-        return -t.c * math.pi * cotpi(t.alpha / 2.0)
-    raise NotRecurrentError("plane regime has no drift threshold (zero drift)")
-
-
 def _plane_weights(spec: ChainSpec) -> tuple[float, float]:
     """The plane's radial and transverse weights (p_R c_R, p_T c_T)."""
     pl = spec.plane
     return pl.p_radial * pl.c_radial, (1.0 - pl.p_radial) * pl.c_transverse
-
-
-def plane_quantity(spec: ChainSpec) -> float:
-    """Sign decides the plane phase: p_R c_R + 2 p_T c_T cos(pi alpha / 2)."""
-    w_r, w_t = _plane_weights(spec)
-    return w_r + 2.0 * w_t * cospi(spec.tail.alpha / 2.0)
 
 
 def _regime_kappa(spec: ChainSpec) -> Callable[[float], float]:
@@ -131,9 +118,8 @@ def nu_star(spec: ChainSpec) -> NuStarResult:
     """Solve the critical-exponent equation for the spec's regime by Brent's
     zeroin (Brent 1973, Algorithms for Minimization without Derivatives, ch. 4).
 
-    The bracket starts at [0, top - 1e-6]; at nu = 0 the gap is exactly the
-    threshold gap (b - thr on the lines, pi/sin(pi alpha) times the plane
-    quantity).  Where g(top - 1e-6) <= 0 < -g(0) the upper end moves up: on
+    The bracket starts at [0, top - 1e-6]; g(0) is the gap `classify` reads
+    the phase from.  Where g(top - 1e-6) <= 0 < -g(0) the upper end moves up: on
     the lines, where g has its pole at the top, to top - 1e-8, then to
     top - 1e-10; on the plane to top = 1 itself, where g = p_T c_T
     kappa0(alpha/2, 1/2) > 0 (kappa0(alpha, 1) = 0).
@@ -213,39 +199,30 @@ def classify(spec: ChainSpec) -> Classification:
 
     Deciding quantities within TIE_TOL of their thresholds give Critical with
     theorem_tag "uncovered...": boundary parameters the theory leaves open.
+    On the plane and the critical drift line the deciding quantity is g(0),
+    the nu* gap at nu = 0.
     """
-    if spec.regime == "plane":
-        q = plane_quantity(spec)
-        if abs(q) <= TIE_TOL:
-            return _tagged(CRITICAL, "uncovered: plane threshold quantity is zero")
-        if q < 0.0:
-            return _tagged(TRANSIENT, "plane.transient")
-        ns = nu_star(spec)
-        return _tagged(NULL_RECURRENT, "plane.null_recurrent",
-                       q=ns.nu_star / spec.tail.alpha, inclusive=INCLUSIVE_UNKNOWN,
-                       nu=ns.nu_star)
-
     t, d = spec.tail, spec.drift
     exp = spec.heavy_exponent
     crit_gamma = exp - 1.0
-    directional = TRANSIENT if spec.regime == "half_line" else TRANSIENT_DIRECTIONAL
-    oscillatory = TRANSIENT if spec.regime == "half_line" else TRANSIENT_OSCILLATORY
+    on_plane = spec.regime == "plane"
+    directional = TRANSIENT if spec.regime in ("half_line", "plane") else TRANSIENT_DIRECTIONAL
     tagbase = spec.regime
 
     drift_free = (d.b == 0.0)
-    if not drift_free and abs(d.gamma - crit_gamma) <= TIE_TOL:
-        # critical drift scale: compare b against the regime threshold
-        thr = drift_threshold(spec)
-        gap = d.b - thr
-        if abs(gap) <= TIE_TOL:
-            return _tagged(CRITICAL, "uncovered: b exactly at the critical-drift threshold")
-        if gap > 0.0:
-            tag = f"{tagbase}.transient.critical_drift"
+    if on_plane or (not drift_free and abs(d.gamma - crit_gamma) <= TIE_TOL):
+        # the nu* equation decides: g(0) > 0 is transient, g(0) < 0 has the root nu*
+        g0 = _gap_function(spec)[0](0.0)
+        if abs(g0) <= TIE_TOL:
+            return _tagged(CRITICAL, "uncovered: plane threshold quantity is zero" if on_plane
+                           else "uncovered: b exactly at the critical-drift threshold")
+        scale = "" if on_plane else ".critical_drift"
+        if g0 > 0.0:
             if spec.regime in ("line_in", "line_balanced"):
-                tag += _RATE_NOTE
-            return _tagged(oscillatory if spec.regime in ("line_in", "line_balanced") else directional, tag)
+                return _tagged(TRANSIENT_OSCILLATORY, f"{tagbase}.transient{scale}{_RATE_NOTE}")
+            return _tagged(directional, f"{tagbase}.transient{scale}")
         ns = nu_star(spec)
-        return _tagged(NULL_RECURRENT, f"{tagbase}.null_recurrent.critical_drift",
+        return _tagged(NULL_RECURRENT, f"{tagbase}.null_recurrent{scale}",
                        q=ns.nu_star / exp, inclusive=INCLUSIVE_UNKNOWN, nu=ns.nu_star)
 
     if drift_free or d.gamma > crit_gamma + TIE_TOL:

@@ -25,10 +25,6 @@ class NoRootError(HeavywalkError):
     """Root bracket has the same sign at both ends (transient side)."""
 
 
-class NotRecurrentError(HeavywalkError):
-    """Moment exponents exist only for recurrent phases."""
-
-
 class InfeasibleDrift(HeavywalkError):
     """No valid light-component mean reproduces the drift target."""
 

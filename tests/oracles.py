@@ -1,18 +1,22 @@
-"""Sampling oracles for the tests: the library's closed forms are checked
-against them, and they draw from numpy's generator, not the counter streams.
+"""Oracles for the tests: the library's numbers are checked against them.
+Import them as the tests import conftest: `from oracles import mc_drift`.
 
 `mc_drift` estimates the one-step drift E[f_i(x + theta) - f_i(x)] that
-`heavywalk.lyapunov.drift_numeric` gives in closed form.  Import it as the
-tests import conftest: `from oracles import mc_drift`.
+`heavywalk.lyapunov.drift_numeric` gives in closed form; it draws from numpy's
+generator, not the counter streams.  `closed_form_threshold` and
+`plane_quantity` are the paper's phase boundaries in closed form, which
+`classify` reads as g(0), the nu* gap at nu = 0.
 """
 
 import math
 
 import numpy as np
 
+from heavywalk.classify import _plane_weights
 from heavywalk.increments import ChainSpec, build_law
 from heavywalk.lyapunov import _check_regime_i, lyapunov_f
 from heavywalk.rng import checked_seed, integer_in
+from heavywalk.specialfn import cospi, cotpi, sinpi
 
 MC_CHUNK = 1_000_000       # mc_drift: increments sampled per vectorized batch
 
@@ -50,3 +54,23 @@ def mc_drift(spec: ChainSpec, i: int, nu: float, x: float, n: int,
     mean = total / n
     var = max(total_sq / n - mean * mean, 0.0)
     return mean, math.sqrt(var / n)
+
+
+def closed_form_threshold(spec: ChainSpec) -> float:
+    """The critical-drift b threshold on a line, recurrent below and transient
+    above: c pi |cosec pi alpha|, -c pi cot(pi beta) or -c pi cot(pi alpha / 2)."""
+    t = spec.tail
+    if spec.regime in ("half_line", "line_out"):
+        return t.c * math.pi * abs(1.0 / sinpi(t.alpha))
+    if spec.regime == "line_in":
+        return -t.c * math.pi * cotpi(t.beta)
+    if spec.regime == "line_balanced":
+        return -t.c * math.pi * cotpi(t.alpha / 2.0)
+    raise ValueError("the plane has no drift threshold (zero drift)")
+
+
+def plane_quantity(spec: ChainSpec) -> float:
+    """The plane's phase quantity p_R c_R + 2 p_T c_T cos(pi alpha / 2):
+    recurrent where positive, transient where negative."""
+    w_r, w_t = _plane_weights(spec)
+    return w_r + 2.0 * w_t * cospi(spec.tail.alpha / 2.0)

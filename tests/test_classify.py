@@ -6,13 +6,13 @@ import pytest
 
 from heavywalk.classify import (CRITICAL, NULL_RECURRENT, POSITIVE_RECURRENT,
                                 TRANSIENT, TRANSIENT_DIRECTIONAL, TRANSIENT_OSCILLATORY)
-from heavywalk.classify import (_gap_function, classify, drift_threshold, nu_star,
-                                plane_equation_forms, plane_quantity)
+from heavywalk.classify import TIE_TOL, _gap_function, classify, nu_star, plane_equation_forms
 from heavywalk import specialfn as sf
-from heavywalk.errors import DomainError, HeavywalkError, NoRootError, NotRecurrentError
+from heavywalk.errors import DomainError, HeavywalkError, NoRootError, PoleError
 from heavywalk.specialfn import kappa0, kappa2
 
 from conftest import balanced, half_line, line_in, line_out, plane
+from oracles import closed_form_threshold, plane_quantity
 
 
 # ---------------------------------------------------------------------------
@@ -62,7 +62,7 @@ def oracle_nu_star(kind, exponent, b=0.0, c=1.0, p_radial=None, c_radial=None,
 
 def test_half_line_critical_transient_example():
     spec = half_line(alpha=1.5, gamma=0.5, b=4.0, p_heavy=0.4, x0=25.0)
-    assert drift_threshold(spec) == pytest.approx(math.pi, abs=1e-14)
+    assert closed_form_threshold(spec) == pytest.approx(math.pi, abs=1e-14)
     assert classify(spec).phase == TRANSIENT
 
 
@@ -117,7 +117,7 @@ def test_directional_transient_clauses():
 
 
 def test_line_out_critical_clauses():
-    thr = drift_threshold(line_out(alpha=1.5))
+    thr = closed_form_threshold(line_out(alpha=1.5))
     assert classify(line_out(alpha=1.5, gamma=0.5, b=thr - 0.5, x0=10.0)).phase == NULL_RECURRENT
     assert classify(line_out(alpha=1.5, gamma=0.5, b=thr + 0.5, x0=200.0)).phase \
         == TRANSIENT_DIRECTIONAL
@@ -125,7 +125,7 @@ def test_line_out_critical_clauses():
 
 def test_balanced_critical_clauses():
     # threshold is -pi cot(pi alpha / 2) = +pi at alpha = 1.5
-    thr = drift_threshold(balanced(alpha=1.5))
+    thr = closed_form_threshold(balanced(alpha=1.5))
     assert thr == pytest.approx(math.pi, abs=1e-14)
     assert classify(balanced(alpha=1.5, gamma=0.5, b=1.0, x0=4.0)).phase == NULL_RECURRENT
     assert classify(balanced(alpha=1.5, gamma=0.5, b=3.5, x0=500.0)).phase \
@@ -147,7 +147,7 @@ def test_uncovered_corners_return_critical():
     assert c.phase == CRITICAL
     assert "uncovered" in c.theorem_tag
     # b exactly at the critical threshold
-    thr = drift_threshold(half_line(alpha=1.5))
+    thr = closed_form_threshold(half_line(alpha=1.5))
     c2 = classify(half_line(alpha=1.5, gamma=0.5, b=thr, x0=30.0))
     assert c2.phase == CRITICAL
     # a plane quantity of exactly zero: sqrt(2)/2 + 2 (1/2) cos(3 pi / 4)
@@ -158,13 +158,125 @@ def test_uncovered_corners_return_critical():
     # b within TIE_TOL of 0 where the drift scale dominates (gamma < alpha - 1)
     c4 = classify(half_line(alpha=1.5, gamma=0.1, b=1e-12))
     assert (c4.phase, c4.theorem_tag) == (CRITICAL, "uncovered: b at zero with dominant drift scale")
-    with pytest.raises(NotRecurrentError, match="no drift threshold"):
-        drift_threshold(pl)
 
 
 def test_rogozin_foss_split():
     assert classify(line_in(beta=1.49, gamma=1.0, alpha=2.5)).phase == TRANSIENT_OSCILLATORY
     assert classify(line_in(beta=1.51, gamma=1.0, alpha=2.5)).phase == NULL_RECURRENT
+
+
+# ---------------------------------------------------------------------------
+# the phase from the nu* gap: g(0) = b + c kappa(0) against the closed forms
+# ---------------------------------------------------------------------------
+
+LINE_MAKERS = {"half_line": half_line, "line_out": line_out, "line_in": line_in,
+               "line_balanced": balanced}
+EPS = 2.0 ** -52
+
+
+def _line_spec(regime, e, c, b, x0_max=1e7):
+    """The regime's spec on the critical drift scale at exponent e, tail constant
+    c and drift b, at the smallest feasible x0 of 1, 10, ..., x0_max (None if none)."""
+    for k in range(round(math.log10(x0_max)) + 1):
+        try:
+            if regime == "line_in":
+                return line_in(beta=e, gamma=e - 1.0, b=b, c=c, x0=10.0 ** k)
+            return LINE_MAKERS[regime](alpha=e, gamma=e - 1.0, b=b, c=c, x0=10.0 ** k)
+        except HeavywalkError:
+            continue
+    return None
+
+
+@pytest.mark.parametrize("regime", sorted(LINE_MAKERS))
+def test_gap_at_zero_is_b_minus_the_closed_form_threshold(regime):
+    for e in np.linspace(1.05, 1.95, 19):
+        for c in (1.0, 1e3, 1e6, 1e9, 1e12):
+            # at c = 1e12, b = thr is feasible from x0 = 1e8 to 1e12
+            thr = closed_form_threshold(_line_spec(regime, float(e), c, 0.0))
+            spec = _line_spec(regime, float(e), c, thr, x0_max=1e12)
+            g0 = _gap_function(spec)[0](0.0)
+            assert abs(g0 - (spec.drift.b - thr)) <= 32.0 * EPS * max(abs(thr), c), (e, c)
+
+
+def test_plane_gap_at_zero_is_the_plane_quantity():
+    # g(0) = p_R c_R pi cosec(pi alpha) + p_T c_T pi cosec(pi alpha / 2), which is
+    # pi cosec(pi alpha) times the plane quantity
+    for e in np.linspace(1.05, 1.95, 19):
+        for p_radial in (0.05, 0.3, 0.5, 0.7, 0.95):
+            spec = plane(alpha=float(e), p_radial=p_radial)
+            g0 = _gap_function(spec)[0](0.0)
+            assert abs(g0 * sf.sinpi(e) / math.pi - plane_quantity(spec)) <= 32.0 * EPS, (e, p_radial)
+
+
+def test_pinned_near_threshold_spec_decides_from_the_gap():
+    # g(0) = 1.16e-9 puts b just above the threshold; the closed form put it
+    # below, and classify's nu* solve then raised NoRootError
+    spec = balanced(alpha=1.2, gamma=0.2, b=1020765.3306919247, c=1e6, x0=1e5)
+    assert _gap_function(spec)[0](0.0) > TIE_TOL
+    c = classify(spec)
+    assert (c.phase, c.theorem_tag) == (TRANSIENT_OSCILLATORY,
+                                        "line_balanced.transient.critical_drift+rate_condition")
+    with pytest.raises(NoRootError):
+        nu_star(spec)
+
+
+def _near_threshold_specs(n, seed):
+    """n seeded specs within 1e-12 relative of the phase boundary: the four lines
+    on the critical drift scale with c = 10^U(0, 9) and b = thr (1 +- 10^U(-16, -12)),
+    each at its smallest feasible x0, and planes with c_T = 10^U(0, 9) and c_R
+    placed the same way about the plane quantity's zero."""
+    rng = np.random.default_rng(seed)
+    regimes = (*LINE_MAKERS, "plane")
+    out = []
+    while len(out) < n:
+        regime = regimes[len(out) % 5]
+        e, c = float(rng.uniform(1.05, 1.95)), float(10.0 ** rng.uniform(0.0, 9.0))
+        rel = float(rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-16.0, -12.0))
+        if regime == "plane":
+            p_r = float(rng.uniform(0.05, 0.95))
+            c_r = -2.0 * (1.0 - p_r) * c * sf.cospi(e / 2.0) / p_r * (1.0 + rel)
+            try:
+                out.append(plane(alpha=e, p_radial=p_r, c_radial=c_r, c_transverse=c))
+            except HeavywalkError:
+                pass
+            continue
+        proto = _line_spec(regime, e, c, 0.0)
+        spec = None if proto is None else _line_spec(regime, e, c,
+                                                     closed_form_threshold(proto) * (1.0 + rel))
+        if spec is not None:
+            out.append(spec)
+    return out
+
+
+def test_near_threshold_phase_agrees_with_the_nu_star_solve():
+    """classify raises no NoRootError at the boundary, and off the tie band it
+    calls a spec NullRecurrent exactly when nu_star finds a root."""
+    phases = []
+    for spec in _near_threshold_specs(400, seed=32):
+        cl = classify(spec)
+        try:
+            nu_star(spec)
+            solved = True
+        except NoRootError:
+            solved = False
+        if cl.phase == CRITICAL:
+            assert abs(_gap_function(spec)[0](0.0)) <= TIE_TOL, spec
+        else:
+            assert (cl.phase == NULL_RECURRENT) == solved, spec
+        phases.append(cl.phase)
+    assert min(phases.count(p) for p in (CRITICAL, NULL_RECURRENT)) >= 50
+    assert len(phases) - phases.count(CRITICAL) - phases.count(NULL_RECURRENT) >= 50
+
+
+def test_pole_corners_raise_on_both_sides():
+    # g(0) takes Gamma(1 - alpha) and kappa0(alpha, .), as the nu* solve does: within
+    # 1e-12 of alpha = 2 (plane) or alpha = 1 (line_balanced) classify raises
+    # PoleError on the transient side too
+    for spec in (plane(alpha=2.0 - 5e-13, p_radial=0.1), plane(alpha=2.0 - 5e-13, p_radial=0.9),
+                 balanced(alpha=1.0 + 5e-13, gamma=5e-13, b=1.0),
+                 balanced(alpha=1.0 + 5e-13, gamma=5e-13, b=-1.0)):
+        with pytest.raises(PoleError):
+            classify(spec)
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +339,7 @@ def test_nu_star_bracket_at_an_exact_zero():
     assert ns.bracket[0] < 0.5 < ns.bracket[1]
     assert ns.bracket[1] - ns.bracket[0] <= 8.0 * 2.0 ** -52
     # g(0) == 0.0 at b on the threshold: the early return, with nu* = 0
-    ns = nu_star(line_in(gamma=0.3, b=drift_threshold(line_in(gamma=0.3))))
+    ns = nu_star(line_in(gamma=0.3, b=closed_form_threshold(line_in(gamma=0.3))))
     assert (ns.nu_star, ns.bracket, ns.iterations) == (0.0, (0.0, 0.0), 0)
 
 
@@ -267,8 +379,8 @@ def test_nu_star_matches_mpmath_root(name):
 def test_nu_star_just_below_threshold(gap):
     # g(0) is the threshold gap itself, so the bracket's lower end at nu = 0
     # keeps its sign change however close to the threshold b sits
-    hl = half_line(alpha=1.5, gamma=0.5, b=drift_threshold(half_line(alpha=1.5)) - gap, x0=40.0)
-    li = line_in(beta=1.3, gamma=0.3, b=drift_threshold(line_in(beta=1.3)) - gap, x0=2.0)
+    hl = half_line(alpha=1.5, gamma=0.5, b=closed_form_threshold(half_line(alpha=1.5)) - gap, x0=40.0)
+    li = line_in(beta=1.3, gamma=0.3, b=closed_form_threshold(line_in(beta=1.3)) - gap, x0=2.0)
     # at alpha = 1.5 the plane quantity is p_R c_R - sqrt(2) p_T c_T
     pl = plane(alpha=1.5, p_radial=0.5, c_radial=2.0 * gap + math.sqrt(2.0))
     assert plane_quantity(pl) == pytest.approx(gap, rel=1e-6)
@@ -352,7 +464,7 @@ def _edge_specs(n, seed):
             make = {"half_line": half_line, "line_out": line_out,
                     "line_balanced": balanced}.get(regime)
             proto = line_in(beta=e, c=c) if make is None else make(alpha=e, c=c)
-            b = drift_threshold(proto) - float(10.0 ** rng.uniform(-8.0, 8.0))
+            b = closed_form_threshold(proto) - float(10.0 ** rng.uniform(-8.0, 8.0))
             out.append(line_in(beta=e, gamma=e - 1.0, b=b, c=c, x0=4.0) if make is None
                        else make(alpha=e, gamma=e - 1.0, b=b, c=c, x0=4.0))
         except HeavywalkError:

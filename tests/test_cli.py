@@ -57,6 +57,18 @@ def test_cmd_classify_tie_is_critical(tmp_path):
     assert json.loads((tmp_path / "classify.json").read_text())["phase"] == "Critical"
 
 
+def test_cmd_classify_decides_from_the_nu_star_gap(tmp_path):
+    # b sits 1.2e-9 above the line_balanced threshold by the gap g(0); the
+    # closed-form threshold put it below, and the nu* solve then found no root
+    cfg = {"regime": "line_balanced", "alpha": 1.2, "c": 1e6, "x0": 1e5, "gamma": 0.2,
+           "b": 1020765.3306919247, "p_heavy": 0.2}
+    rc = main(["classify", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path)])
+    assert rc == 0
+    assert json.loads((tmp_path / "classify.json").read_text()) == {
+        "phase": "TransientOscillatory",
+        "theorem_tag": "line_balanced.transient.critical_drift+rate_condition"}
+
+
 def test_cmd_classify_root_near_the_top(tmp_path):
     # nu* lies within 1e-6 of alpha: the bracket's upper end moves toward it
     cfg = {"regime": "half_line", "alpha": 1.5, "c": 1.0, "gamma": 0.5, "b": -1e6,

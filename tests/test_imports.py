@@ -12,7 +12,8 @@ included) or in perfbench/*.py: what only the tests read, such as a sampling
 oracle, lives under tests/.  No module of the package names np.random, so the
 library draws every random number from its counter streams.  Every parameter
 of a function or lambda in src/heavywalk/*.py is read in its body, unless its
-name starts with an underscore."""
+name starts with an underscore.  Every exception class of errors.py but the
+base HeavywalkError is raised somewhere in the package."""
 
 import ast
 from pathlib import Path
@@ -183,3 +184,30 @@ def test_the_check_finds_an_unread_parameter():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_no_unread_parameters(path):
     assert unread_parameters(path.read_text()) == []
+
+
+def unraised_errors(errors_source: str, sources: list[str]) -> list[str]:
+    """The exception classes errors_source defines, the base HeavywalkError
+    aside, that no raise statement in sources names, called or bare."""
+    raised = set()
+    for source in sources:
+        for n in ast.walk(ast.parse(source)):
+            if isinstance(n, ast.Raise) and n.exc is not None:
+                exc = n.exc.func if isinstance(n.exc, ast.Call) else n.exc
+                raised.add(exc.attr if isinstance(exc, ast.Attribute) else getattr(exc, "id", None))
+    return [n.name for n in ast.parse(errors_source).body if isinstance(n, ast.ClassDef)
+            and n.name != "HeavywalkError" and n.name not in raised]
+
+
+def test_the_check_finds_an_unraised_error():
+    src = ("class HeavywalkError(Exception):\n    pass\nclass A(HeavywalkError):\n    pass\n"
+           "class B(HeavywalkError):\n    pass\nclass C(B):\n    pass\n"
+           "class D(HeavywalkError):\n    pass\n")
+    sources = ["raise A('x')\n", "from m import errors\ndef f():\n    raise errors.B\n",
+               "try:\n    pass\nexcept D:\n    raise\n"]
+    assert unraised_errors(src, sources) == ["C", "D"]
+
+
+def test_every_error_class_is_raised():
+    assert unraised_errors((PACKAGE / "errors.py").read_text(),
+                           [p.read_text() for p in sorted(PACKAGE.glob("*.py"))]) == []
