@@ -1,7 +1,8 @@
 """Parallel trajectory simulation and empirical phase diagnostics.
 
 Trajectories are independent units of work: trajectory k draws its uniforms
-from the counter stream (master_seed, k), so any partition of the index
+from its own splitmix64 stream, which starts at the word
+`rng.stream_start(key, k)` of the seed's key, so any partition of the index
 range into chunks and over workers produces bit-identical results.  Every
 regime draws through `IncrementLaw.quantile`'s sampler,
 `increments._quantile`, fed with the fields of the laws `build_law`,
@@ -11,12 +12,12 @@ a chunk's columns stay in cache, and runs each chunk in vectorized lockstep
 on compacted live columns: each step touches only the trajectories still
 out, and draws exactly one uniform per draw counter for each of them, one
 uniform_array call per draw (draws_per_step * sum(min(tau, horizon))
-uniforms in all).  A return step compacts in O(returns), so the live set is in
-compaction order; draws and write-backs go by index.  A live trajectory
-carries the max and min of its level over steps >= 1; when it settles
-(returns, or reaches the horizon) the start level is folded into them and
-its crossings of +-m_level are read off them, so a start beyond m_level is
-no crossing.  The scalar step() path in `increments` consumes the same
+uniforms in all).  A return step compacts in O(returns), so the live set is
+in compaction order; draws go by start word and write-backs by index.  A
+live trajectory carries the max and min of its level over steps >= 1; when
+it settles (returns, or reaches the horizon) the start level is folded into
+them and its crossings of +-m_level are read off them, so a start beyond
+m_level is no crossing.  The scalar step() path in `increments` consumes the same
 streams and agrees with it: the same return times, and states equal to
 rounding (vectorized and scalar powers may differ in the last bit).
 """
@@ -35,7 +36,8 @@ import numpy as np
 from .errors import DomainError, InsufficientDataError
 from .increments import (_U_MIN, ChainSpec, IncrementLaw, _is_finite, _is_real, _quantile,
                          build_law, plane_radial_law, plane_transverse_law)
-from .rng import _COUNTER_SPAN, _const, checked_seed, integer_in, seed_key, uniform_array
+from .rng import (_COUNTER_SPAN, _const, checked_seed, integer_in, seed_key, stream_starts,
+                  uniform_array)
 
 SURVIVAL_POINTS = 60   # geometric survival grid points, before rounding and deduplication
 # a run is split into chunks of at most this many trajectories, so that a
@@ -57,9 +59,10 @@ class SimConfig:
     workers: int = 1
 
     def __post_init__(self):
-        # (field, low, high): a uniform's counter and a trajectory index each
-        # fill 32 bits of the stream word; numpy integers are stored as int,
-        # since seed_key's mixing needs Python ints
+        # (field, low, high): a uniform's counter and a trajectory index are
+        # each capped at 2^32, the stream length of rng's overlap bound;
+        # numpy integers are stored as int, since seed_key's mixing needs
+        # Python ints
         limits = (("horizon", 0, _COUNTER_SPAN // self.draws_per_step),
                   ("n_traj", 1, _COUNTER_SPAN), ("workers", 1, math.inf))
         for name, low, high in limits:
@@ -149,7 +152,8 @@ def _chunk(cfg: SimConfig, m_level: float, lo: int, hi: int) -> tuple[dict, dict
     columns, and the step settles and compacts from its return mask: with r
     of w returned, each returned row below w - r takes a kept row from w - r
     or above (swap-fill), and the columns become views of their first w - r
-    rows.  The live columns are the trajectory index, the state, the level's
+    rows.  The live columns are the trajectory index, its stream start word
+    (stream_starts, taken once per chunk), the state, the level's
     max and min over steps >= 1, and the first exit and the last sign change
     where they can fire; on the line the law pick and the flip test read the
     sign of the state at the start of the step.  Sign flips and crossings of
@@ -201,6 +205,7 @@ def _chunk(cfg: SimConfig, m_level: float, lo: int, hi: int) -> tuple[dict, dict
     names = ["index", *start] + [k for k, fires in (("first_exit", exits),
                                                      ("last_sign_change", signed)) if fires]
     live = {k: batch[k][:width].copy() for k in names}
+    live["start"] = stream_starts(key, live["index"])
     live["max"] = np.full(width, -np.inf)
     live["min"] = np.full(width, np.inf)
     if plane:
@@ -231,7 +236,7 @@ def _chunk(cfg: SimConfig, m_level: float, lo: int, hi: int) -> tuple[dict, dict
         steps += 1
         traj_steps += width
         base = dps * (nstep - 1)
-        u = [uniform_array(key, live["index"], base + j) for j in range(dps)]
+        u = [uniform_array(key, live["start"], base + j) for j in range(dps)]
         u1, u2 = u[-2], np.maximum(u[-1], u_min, out=u[-1])
         pw = u2 ** power
         x = live["final_x"]

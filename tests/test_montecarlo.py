@@ -17,7 +17,8 @@ from heavywalk.increments import _U_MIN, _quantile
 from heavywalk.montecarlo import (TRAJECTORY_COLUMNS, SimConfig, _chunk, _law_constants,
                                   _simulate_batch, estimate_passage_tail, phase_diagnostic,
                                   run_trajectories, survival_curve, survival_grid)
-from heavywalk.rng import CounterStream, _const, seed_key, uniform_array, uniform_at
+from heavywalk.rng import (CounterStream, _const, seed_key, stream_start, stream_starts,
+                           uniform_array, uniform_at)
 
 from conftest import balanced, half_line, line_in, line_out, plane
 
@@ -28,11 +29,48 @@ from conftest import balanced, half_line, line_in, line_out, plane
 
 def test_rng_scalar_vector_agreement():
     key = seed_key(42)
-    # up to the top of both 32-bit fields of the stream word
+    # up to the top of the index and counter caps
     idx = np.array([0, 1, 5, 1000, 2 ** 20, 2 ** 32 - 1], dtype=np.int64)
+    starts = stream_starts(key, idx)
+    assert starts.dtype == np.uint64
+    assert starts.tolist() == [stream_start(key, int(i)) for i in idx]
     for ctr in (0, 1, 77, 199_999, 2 ** 32 - 1):
-        vec = uniform_array(key, idx, ctr)
-        assert list(vec) == [uniform_at(key, int(i), ctr) for i in idx]
+        vec = uniform_array(key, starts, ctr)
+        assert list(vec) == [uniform_at(key, stream_start(key, int(i)), ctr) for i in idx]
+        streams = [CounterStream(42, int(i)) for i in idx]
+        for stream in streams:
+            stream.counter = ctr
+        assert [stream.random() for stream in streams] == list(vec)
+
+
+def test_uniform_at_pinned_values():
+    # literal values of the streams: a change of stream design fails here by name
+    key = seed_key(42)
+    assert [uniform_at(key, stream_start(key, t), c)
+            for t, c in ((0, 0), (1, 0), (0, 1), (2 ** 32 - 1, 2 ** 32 - 1))] \
+        == [0.9840842582986219, 0.6497955917482233, 0.6885268341329928, 0.13525905084579048]
+
+    def splitmix64(state):
+        """Textbook splitmix64 from its state before the first output."""
+        mask = 2 ** 64 - 1
+        while True:
+            state = (state + 0x9E3779B97F4A7C15) & mask
+            z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & mask
+            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+            yield z ^ (z >> 31)
+
+    # trajectory t's start word is output t (from 0) of the generator whose
+    # first output is at the key, and its uniforms the top 53 bits of the
+    # outputs of the generator whose first output is at start + key
+    phi = 0x9E3779B97F4A7C15
+    starts = splitmix64((key - phi) % 2 ** 64)
+    for t in range(3):
+        start = next(starts)
+        assert start == stream_start(key, t)
+        outputs = splitmix64((start + key - phi) % 2 ** 64)
+        stream = CounterStream(42, t)
+        assert [stream.random() for _ in range(5)] == [(next(outputs) >> 11) * 2.0 ** -53
+                                                       for _ in range(5)]
 
 
 def test_rng_stream_is_pure():
@@ -49,9 +87,9 @@ def test_rng_stream_is_pure():
                          ids=["seed_past_2_64", "seed_negative", "seed_bool", "seed_float",
                               "traj_past_2_32", "traj_negative", "traj_bool"])
 def test_counter_stream_refuses_what_would_alias(seed, traj):
-    # the seed is the stream's 64-bit key and the index the stream word's high
-    # 32 bits: 2^64 drew seed 0's uniforms, index 2^32 trajectory 0's and
-    # index -1 those of 2^32 - 1
+    # the seed is the stream's 64-bit key: 2^64 would draw seed 0's uniforms;
+    # an index is capped at 2^32 like the engine's n_traj, and -1 would fold
+    # onto 2^64 - 1
     with pytest.raises(DomainError, match="must be an integer in"):
         CounterStream(seed, traj)
 
@@ -60,24 +98,26 @@ def test_counter_stream_runs_at_its_edges():
     for seed, traj in ((0, 0), (2 ** 64 - 1, 2 ** 32 - 1), (np.uint64(2 ** 64 - 1), np.int64(7))):
         stream = CounterStream(seed, traj)
         assert type(stream.traj) is int
-        assert stream.random() == uniform_at(seed_key(int(seed)), int(traj), 0)
+        key = seed_key(int(seed))
+        assert stream.random() == uniform_at(key, stream_start(key, int(traj)), 0)
     with pytest.raises(DomainError):
         seed_key(2 ** 64)
 
 
 def test_counter_stream_refuses_a_spent_counter():
-    # the counter fills the stream word's low 32 bits: counter 2^32 of
-    # trajectory 0 is counter 0 of trajectory 1
+    # a stream is capped at 2^32 uniforms, the stream length of the bound on
+    # two trajectories' streams overlapping
     stream = CounterStream(5, 0)
     stream.counter = 2 ** 32 - 1
-    assert stream.random() == uniform_at(seed_key(5), 0, 2 ** 32 - 1)
+    key = seed_key(5)
+    assert stream.random() == uniform_at(key, stream_start(key, 0), 2 ** 32 - 1)
     with pytest.raises(DomainError, match="spent"):
         stream.random()
 
 
 def test_rng_rough_uniformity():
     key = seed_key(1)
-    u = uniform_array(key, np.arange(100_000, dtype=np.int64), 5)
+    u = uniform_array(key, stream_starts(key, np.arange(100_000, dtype=np.int64)), 5)
     assert abs(u.mean() - 0.5) < 0.005
     assert 0.0 <= u.min() and u.max() < 1.0
     counts, _ = np.histogram(u, bins=20, range=(0, 1))
@@ -151,6 +191,20 @@ def test_mixture_is_the_law_quantile(spec, x, law):
 # ---------------------------------------------------------------------------
 # trajectory mechanics
 # ---------------------------------------------------------------------------
+
+def _recording(calls: list, seed: int, n_traj: int):
+    """A uniform_array stand-in that appends (counter, the trajectory indices
+    drawn for, in call order) to calls: stream_starts is a bijection of the
+    index, so each start word names one of the run's trajectories."""
+    starts = stream_starts(seed_key(seed), np.arange(n_traj, dtype=np.int64))
+    index = {s: t for t, s in enumerate(starts.tolist())}
+
+    def counted(key, start, counter):
+        calls.append((counter, np.array([index[s] for s in start.tolist()], dtype=np.int64)))
+        return uniform_array(key, start, counter)
+
+    return counted
+
 
 def test_horizon_zero_all_censored():
     out = run_trajectories(SimConfig(half_line(), start=20.0, a=10.0, horizon=0,
@@ -268,10 +322,10 @@ def test_crossings_and_exits_follow_the_scalar_path(start):
 
 
 @pytest.mark.parametrize("spec, a, n_traj, seed, kinds, width", [
-    pytest.param(half_line(), 25.0, 16, 13, {"below", "above", "all"}, None,
+    pytest.param(half_line(), 25.0, 16, 381, {"below", "above", "all"}, None,
                  id="half_line-default_slice"),
-    pytest.param(half_line(), 25.0, 16, 1, {"below", "above", "all"}, 3, id="half_line-slice_3"),
-    pytest.param(balanced(), 10.0, 20, 0, {"below", "above"}, None,
+    pytest.param(half_line(), 25.0, 16, 3, {"below", "above", "all"}, 3, id="half_line-slice_3"),
+    pytest.param(balanced(), 10.0, 20, 1, {"below", "above"}, None,
                  id="line_balanced-default_slice"),
     pytest.param(balanced(), 10.0, 20, 0, {"below", "above"}, 3, id="line_balanced-slice_3")])
 def test_swap_fill_follows_the_scalar_path(monkeypatch, spec, a, n_traj, seed, kinds, width):
@@ -280,14 +334,11 @@ def test_swap_fill_follows_the_scalar_path(monkeypatch, spec, a, n_traj, seed, k
     # the run into chunks of at most 3.  The seeds give steps whose returns
     # lie only below w - r, steps whose returns lie only at or above it, and
     # on the half line a step where all w >= 2 live trajectories of a chunk
-    # return (at width 3 seed 13 has none, seed 1 does)
+    # return.  Each seed is the smallest, at or above the one it replaced
+    # when the streams last changed, that shows its case's kinds
     calls = []
 
-    def counted(key, traj, counter):
-        calls.append((counter, traj.copy()))
-        return uniform_array(key, traj, counter)
-
-    monkeypatch.setattr("heavywalk.montecarlo.uniform_array", counted)
+    monkeypatch.setattr("heavywalk.montecarlo.uniform_array", _recording(calls, seed, n_traj))
     if width is not None:
         monkeypatch.setattr("heavywalk.montecarlo._CHUNK", width)
     m = 60.0
@@ -377,11 +428,7 @@ def test_one_draw_per_live_trajectory_step(monkeypatch, spec, start, m_level):
     # draws_per_step * (n - 1) + j, on exactly the trajectories live at step n
     calls = []
 
-    def counted(key, traj, counter):
-        calls.append((counter, traj.copy()))
-        return uniform_array(key, traj, counter)
-
-    monkeypatch.setattr("heavywalk.montecarlo.uniform_array", counted)
+    monkeypatch.setattr("heavywalk.montecarlo.uniform_array", _recording(calls, 19, 40))
     cfg = SimConfig(spec, start=start, a=10.0, horizon=300, n_traj=40, master_seed=19)
     batch = _simulate_batch(cfg, m_level)
     dps = cfg.draws_per_step
@@ -451,11 +498,7 @@ def test_sliced_draws_keep_the_draw_contract(monkeypatch, spec, start, width):
     # of one chunk; a counter's calls together draw for exactly the live set
     calls = []
 
-    def counted(key, traj, counter):
-        calls.append((counter, traj.copy()))
-        return uniform_array(key, traj, counter)
-
-    monkeypatch.setattr("heavywalk.montecarlo.uniform_array", counted)
+    monkeypatch.setattr("heavywalk.montecarlo.uniform_array", _recording(calls, 19, 40))
     monkeypatch.setattr("heavywalk.montecarlo._CHUNK", width)
     cfg = SimConfig(spec, start=start, a=10.0, horizon=300, n_traj=40, master_seed=19)
     batch = _simulate_batch(cfg, 60.0)
@@ -481,10 +524,10 @@ def test_engine_steps_count_the_kernel_iterations(monkeypatch, spec, start, m_le
     # and the engine's steps count exactly those calls
     draws0 = []
 
-    def counted(key, traj, counter):
+    def counted(key, start, counter):
         if counter % dps == 0:
             draws0.append(counter)
-        return uniform_array(key, traj, counter)
+        return uniform_array(key, start, counter)
 
     monkeypatch.setattr("heavywalk.montecarlo.uniform_array", counted)
     monkeypatch.setattr("heavywalk.montecarlo._CHUNK", 6)
