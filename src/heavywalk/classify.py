@@ -22,8 +22,8 @@ from typing import Callable, Optional
 from .errors import DomainError, NoRootError
 from .increments import ChainSpec
 # kappa2 is unused here, but perfbench/spans.py counts classify.kappa0/kappa2 calls
-from .specialfn import (kappa0, kappa0_alt, kappa0_prepared, kappa2,  # noqa: F401
-                        kappa2_prepared)
+from .specialfn import (kappa0, kappa0_alt, kappa0_prepared, kappa02_prepared,  # noqa: F401
+                        kappa2, kappa2_prepared)
 
 TIE_TOL = 1e-9
 NU_MAX_ITER = 200         # guard on nu_star's gap evaluations
@@ -88,8 +88,7 @@ def _regime_kappa(spec: ChainSpec) -> Callable[[float], float]:
     if spec.regime == "line_in":
         return kappa2_prepared(t.beta)
     if spec.regime == "line_balanced":
-        k0, k2 = kappa0_prepared(t.alpha), kappa2_prepared(t.alpha)
-        return lambda v: k0(v) + k2(v)
+        return kappa02_prepared(t.alpha)
     w_r, w_t = _plane_weights(spec)
     k0, k0_half = kappa0_prepared(t.alpha), kappa0_prepared(t.alpha / 2.0)
     return lambda v: w_r * k0(v) + w_t * k0_half(v / 2.0)

@@ -8,7 +8,9 @@ regime draws through `IncrementLaw.quantile`'s sampler,
 `increments._quantile`, fed with the fields of the laws `build_law`,
 `plane_radial_law` and `plane_transverse_law` build.
 The engine splits a run into chunks of at most _CHUNK trajectories, so that
-a chunk's columns stay in cache, and runs each chunk in vectorized lockstep
+a chunk's columns stay in cache, and starts worker processes only for a run
+of more than one chunk (at most one per chunk, and never more than the
+cores).  It runs each chunk in vectorized lockstep
 on compacted live columns: each step touches only the trajectories still
 out, and draws exactly one uniform per draw counter for each of them, one
 uniform_array call per draw (draws_per_step * sum(min(tau, horizon))
@@ -306,14 +308,18 @@ def _simulate_batch(cfg: SimConfig, m_level: float = math.inf) -> dict:
     """Run all trajectories, merging per-chunk arrays in index order.
 
     Results do not depend on the partition.  The run is split into
-    k = max(w, ceil(n_traj / _CHUNK)) even chunks, w the worker processes:
-    never more than the cores, since more only add overhead.  The chunks run
-    in turn at w = 1 and over a pool of w processes otherwise.  "workers" is
-    w, and "engine" holds the chunks' counts summed (lockstep steps,
-    trajectory-steps, uniforms)."""
+    k = ceil(n_traj / _CHUNK) even chunks whatever the worker count, and
+    w = min(workers, k, cores) processes run them: a lockstep step costs
+    about as much at half the live trajectories, so splitting one chunk
+    further only pays each step's fixed cost again, and more processes than
+    cores only add overhead.  The chunks run in turn in the calling process
+    at w = 1, so a run of at most _CHUNK trajectories never starts a pool,
+    and over a pool of w processes otherwise.  "workers" is w, and "engine"
+    holds the chunks' counts summed (lockstep steps, trajectory-steps,
+    uniforms)."""
     _check_exit_level(cfg, m_level)
-    w = min(cfg.workers, cfg.n_traj, os.cpu_count() or 1)
-    chunks = max(w, -(-cfg.n_traj // _CHUNK))
+    chunks = -(-cfg.n_traj // _CHUNK)
+    w = min(cfg.workers, chunks, os.cpu_count() or 1)
     bounds = [cfg.n_traj * i // chunks for i in range(chunks + 1)]
     kernel = partial(_chunk, cfg, m_level)
     if w == 1:

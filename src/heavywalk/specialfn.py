@@ -2,8 +2,8 @@
 
 Everything here is pure, with no cache: gamma and its reciprocal, the three
 kappa coefficient functions that drive the drift expansions and the critical
-exponent equations, the closed-form tail integrals (the drift's whole Pareto
-term among them), and the Gauss-Kronrod integrator over finite intervals that
+exponent equations (and line_balanced's kappa0 + kappa2 as one product), the
+closed-form tail integrals (the drift's whole Pareto term among them), and the Gauss-Kronrod integrator over finite intervals that
 serves as their independent oracle in the selftest and the tests (classify,
 nu* and the drift never run it).  The extended incomplete beta
 `incomplete_beta_ext` is the drift's own hypergeometric series (DLMF 8.17.7),
@@ -25,7 +25,10 @@ _POLE_TOL = 1e-12
 
 
 def sinpi(z: float) -> float:
-    """sin(pi*z) with exact range reduction (exact zeros at integers)."""
+    """sin(pi*z) with exact range reduction (exact zeros at integers); on
+    [-1/2, 1/2] round(z) is 0 and z needs no reduction."""
+    if -0.5 <= z <= 0.5:
+        return math.sin(math.pi * z)
     n = round(z)
     r = z - n
     s = math.sin(math.pi * r)
@@ -132,6 +135,24 @@ def kappa2_prepared(b: float) -> Callable[[float], float]:
         half = sinpi(0.5 * nu) / nu if abs(nu) >= 2.0 ** -1021 else 0.5 * math.pi
         return scale * gamma_real(1.0 + nu) * half * gamma_real(b - nu) * sinpi(shift - 0.5 * nu)
     return k2
+
+
+def kappa02_prepared(a: float) -> Callable[[float], float]:
+    """nu -> kappa0(a, nu) + kappa2(a, nu), the line_balanced kappa, as the product
+    Gamma's reflection formula (DLMF 5.5.3) gives, which does not cancel where the two
+    terms do (each is ~1/(a - 1) near a = 1, and their sum is finite there),
+    2/(Gamma(a) sin(pi a/2)) Gamma(1+nu) [sin(pi nu/2)/nu] Gamma(a-nu) sin(pi((1-a) + nu)/2):
+    1 - a is exact, so nu = a - 1 is an exact zero, and sin(pi nu/2)/nu is pi/2 below
+    2^-1021, as in kappa2_prepared.  a is checked and 2/(Gamma(a) sin(pi a/2)) taken
+    once, nu left unchecked."""
+    if not (1.0 < a < 2.0):
+        raise DomainError(f"kappa0 + kappa2 exponent must be in (1,2), got {a}")
+    scale, shift = 2.0 / (gamma_real(a) * sinpi(0.5 * a)), 1.0 - a
+
+    def k02(nu: float) -> float:
+        half = sinpi(0.5 * nu) / nu if abs(nu) >= 2.0 ** -1021 else 0.5 * math.pi
+        return scale * gamma_real(1.0 + nu) * half * gamma_real(a - nu) * sinpi(0.5 * (shift + nu))
+    return k02
 
 
 def kappa2(b: float, nu: float) -> float:

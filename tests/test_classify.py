@@ -209,15 +209,23 @@ def test_plane_gap_at_zero_is_the_plane_quantity():
 
 
 def test_pinned_near_threshold_spec_decides_from_the_gap():
-    # g(0) = 1.16e-9 puts b just above the threshold; the closed form put it
-    # below, and classify's nu* solve then raised NoRootError
-    spec = balanced(alpha=1.2, gamma=0.2, b=1020765.3306919247, c=1e6, x0=1e5)
+    # g(0) = 2.79e-9 puts b just above the threshold (2.28e-9 in 50-digit
+    # mpmath); the closed form puts it 1.86e-9 below, and a nu* solve there
+    # raises NoRootError
+    spec = balanced(alpha=1.1, gamma=0.1, b=4975793.941664949, c=1e7, x0=1e3)
     assert _gap_function(spec)[0](0.0) > TIE_TOL
+    assert spec.drift.b < closed_form_threshold(spec)
     c = classify(spec)
     assert (c.phase, c.theorem_tag) == (TRANSIENT_OSCILLATORY,
                                         "line_balanced.transient.critical_drift+rate_condition")
     with pytest.raises(NoRootError):
         nu_star(spec)
+    # the float sum kappa0 + kappa2 put this b 1.16e-9 above the threshold; its
+    # gap is -8.21e-10 in 50-digit mpmath, inside the tie band, and the product
+    # reads it within 4 ulp of c kappa (4.7e-10; measured 1.05 ulp)
+    spec = balanced(alpha=1.2, gamma=0.2, b=1020765.3306919247, c=1e6, x0=1e5)
+    assert abs(_gap_function(spec)[0](0.0) - -8.2076737758767608e-10) <= 4.0 * math.ulp(spec.drift.b)
+    assert classify(spec).phase == CRITICAL
 
 
 def _near_threshold_specs(n, seed):
@@ -269,14 +277,28 @@ def test_near_threshold_phase_agrees_with_the_nu_star_solve():
 
 
 def test_pole_corners_raise_on_both_sides():
-    # g(0) takes Gamma(1 - alpha) and kappa0(alpha, .), as the nu* solve does: within
-    # 1e-12 of alpha = 2 (plane) or alpha = 1 (line_balanced) classify raises
-    # PoleError on the transient side too
-    for spec in (plane(alpha=2.0 - 5e-13, p_radial=0.1), plane(alpha=2.0 - 5e-13, p_radial=0.9),
-                 balanced(alpha=1.0 + 5e-13, gamma=5e-13, b=1.0),
-                 balanced(alpha=1.0 + 5e-13, gamma=5e-13, b=-1.0)):
+    # the plane's g(0) takes Gamma(1 - alpha) and kappa0(alpha, .), as the nu* solve
+    # does: within 1e-12 of alpha = 2 classify raises PoleError on the transient side too
+    for spec in (plane(alpha=2.0 - 5e-13, p_radial=0.1), plane(alpha=2.0 - 5e-13, p_radial=0.9)):
         with pytest.raises(PoleError):
             classify(spec)
+
+
+def test_balanced_gap_has_no_pole_at_alpha_one():
+    # the line_balanced kappa is one product, finite at alpha = 1 (kappa0 and kappa2
+    # each have a pole there): within 1e-12 of alpha = 1 g(0) = b + c pi cot(pi alpha/2)
+    # decides the phase, and nu* is the root of the 50-digit mpmath sum within 1e-12
+    a = 1.0 + 5e-13
+    assert classify(balanced(alpha=a, gamma=5e-13, b=1.0)).phase == TRANSIENT_OSCILLATORY
+    cl = classify(balanced(alpha=a, gamma=5e-13, b=-1.0))
+    assert cl.phase == NULL_RECURRENT
+    g = mp.gamma
+    with mp.workdps(50):
+        am = mp.mpf(a)
+        kappa = lambda v: ((1 - v) * g(am - v) * g(1 - am) / g(2 - v)
+                           + g(v) * (g(am - v) / g(am) - (1 - am + v) * g(1 - am) / g(2 - am + v)))
+        root = mp.findroot(lambda v: kappa(v) - 1, 0.2)
+    assert abs(cl.nu_star - float(root)) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -332,10 +354,11 @@ def test_nu_star_residual_is_taken_at_nu_star(b):
 
 
 def test_nu_star_bracket_at_an_exact_zero():
-    # the solve stops at g = 0.0 one ulp below the root 0.5; the bracket was
-    # the stale far end (nu*, 0.9788844597982629), 0.48 wide
+    # the solve stops at g = 0.0 at the root alpha - 1 = 0.5, an exact zero of
+    # the line_balanced product; the bracket was the stale far end
+    # (nu*, 0.9788844597982629), 0.48 wide
     ns = nu_star(balanced(alpha=1.5, b=0.0))
-    assert (ns.nu_star, ns.residual, ns.iterations) == (0.49999999999999994, 0.0, 8)
+    assert (ns.nu_star, ns.residual, ns.iterations) == (0.5, 0.0, 8)
     assert ns.bracket[0] < 0.5 < ns.bracket[1]
     assert ns.bracket[1] - ns.bracket[0] <= 8.0 * 2.0 ** -52
     # g(0) == 0.0 at b on the threshold: the early return, with nu* = 0
@@ -516,6 +539,13 @@ def _seeded_specs(regime, n, seed):
     return out
 
 
+def _kappa02_plain(a, nu):
+    """kappa0 + kappa2 as the displayed reflection product, per call."""
+    half = sf.sinpi(0.5 * nu) / nu if nu else 0.5 * math.pi
+    return (2.0 / (sf.gamma_real(a) * sf.sinpi(0.5 * a)) * sf.gamma_real(1.0 + nu) * half
+            * sf.gamma_real(a - nu) * sf.sinpi(0.5 * ((1.0 - a) + nu)))
+
+
 # nu = 0, where kappa2 takes sin(pi nu/2)/nu as pi/2, and small nu on both signs
 BAND_NUS = (0.0, 1e-7, -1e-7, 6e-6, -6e-6, 5.994e-6, 6.006e-6, 9.99e-5, -9.99e-5, 1e-4,
             1.0001e-4)
@@ -534,7 +564,7 @@ def test_prepared_gap_matches_per_call_form_bitwise(regime):
         elif regime == "line_in":
             want = lambda v: b + c * kappa2(t.beta, v)
         elif regime == "line_balanced":
-            want = lambda v: b + c * (kappa0(t.alpha, v) + kappa2(t.alpha, v))
+            want = lambda v: b + c * _kappa02_plain(t.alpha, v)
         else:
             pl = spec.plane
             want = lambda v: (pl.p_radial * pl.c_radial * kappa0(t.alpha, v)

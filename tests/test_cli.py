@@ -17,6 +17,7 @@ from heavywalk import ChainSpec, DriftParams, PlaneParams, TailParams
 from heavywalk.cli import (_CSV_BLOCK, _SWEEPABLE, _write_csv, main, sim_from_config,
                            spec_from_config)
 from heavywalk.lyapunov import verify_expansion
+from heavywalk import montecarlo
 from heavywalk.montecarlo import _simulate_batch, survival_curve, survival_grid
 from heavywalk.selftest import run_selftest
 from heavywalk import specialfn as sf
@@ -58,10 +59,10 @@ def test_cmd_classify_tie_is_critical(tmp_path):
 
 
 def test_cmd_classify_decides_from_the_nu_star_gap(tmp_path):
-    # b sits 1.2e-9 above the line_balanced threshold by the gap g(0); the
-    # closed-form threshold put it below, and the nu* solve then found no root
-    cfg = {"regime": "line_balanced", "alpha": 1.2, "c": 1e6, "x0": 1e5, "gamma": 0.2,
-           "b": 1020765.3306919247, "p_heavy": 0.2}
+    # b sits 2.8e-9 above the line_balanced threshold by the gap g(0); the
+    # closed-form threshold puts it below, where the nu* solve finds no root
+    cfg = {"regime": "line_balanced", "alpha": 1.1, "c": 1e7, "x0": 1e3, "gamma": 0.1,
+           "b": 4975793.941664949, "p_heavy": 0.2}
     rc = main(["classify", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path)])
     assert rc == 0
     assert json.loads((tmp_path / "classify.json").read_text()) == {
@@ -366,8 +367,10 @@ def test_simulate_outputs_and_manifest(tmp_path):
     assert rc == 0
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert manifest["master_seed"] == 5
-    # the processes that ran, never more than the cores; sim keeps the request
-    assert manifest["workers"] == min(3, HL["sim"]["n_traj"], os.cpu_count() or 1)
+    # the processes that ran, never more than the chunks (one of at most
+    # montecarlo._CHUNK trajectories here) or the cores; sim keeps the request
+    chunks = -(-HL["sim"]["n_traj"] // montecarlo._CHUNK)
+    assert manifest["workers"] == min(3, chunks, os.cpu_count() or 1) == 1
     assert manifest["sim"]["workers"] == 3
     assert manifest["spec"]["regime"] == "half_line"
     # the engine's counts: draws_per_step uniforms per trajectory-step
@@ -488,7 +491,10 @@ def test_integral_float_counts_accepted(tmp_path):
     assert (manifest["sim"]["horizon"], manifest["sim"]["n_traj"]) == (2000, 200)
 
 
-def test_simulate_byte_identical_across_workers(tmp_path):
+def test_simulate_byte_identical_across_workers(monkeypatch, tmp_path):
+    # 200 trajectories in chunks of at most 64 are 4 chunks, so the run at
+    # 4 workers forks a pool (the workers inherit the patched width)
+    monkeypatch.setattr("heavywalk.montecarlo._CHUNK", 64)
     out1 = tmp_path / "w1"
     out4 = tmp_path / "w4"
     cfgp = write_config(tmp_path, HL)
@@ -496,6 +502,8 @@ def test_simulate_byte_identical_across_workers(tmp_path):
                  "--out", str(out1)]) == 0
     assert main(["simulate", "--config", cfgp, "--seed", "9", "--workers", "4",
                  "--out", str(out4)]) == 0
+    ran = json.loads((out4 / "manifest.json").read_text())["workers"]
+    assert ran == min(4, os.cpu_count() or 1)
     for name in ("trajectories.csv", "survival.csv"):
         assert (out1 / name).read_bytes() == (out4 / name).read_bytes()
 

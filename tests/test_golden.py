@@ -130,13 +130,18 @@ def test_phase_diagram_bytes_match_golden(tmp_path, name):
 # at most 8e-15 of that scale: rounding-level noise, as a correctly rounded
 # light share would still leave 25 of its 50 changed values farther.
 # The nu* rows (the Classification and NuStarResult reprs), K, the predicted
-# drifts and the normalized errors of line_in, line_in_b0, line_balanced and
-# line_balanced_b0 were last re-pinned when kappa2 became the reflection
-# product (`specialfn.kappa2_prepared`); no drift value moved.  Against a
-# 40-digit mpmath root of the same gap the six nu* values are at most 1.5e-16
-# off; line_balanced_b0's, 0.49999999999999994, is an exact zero of the float
-# gap 5.6e-17 below the root 0.5.  line_in_b0 has no root; its row is the
-# NoRootError text.
+# drifts and the normalized errors of line_in and line_in_b0 were last
+# re-pinned when kappa2 became the reflection product
+# (`specialfn.kappa2_prepared`), and those of line_balanced and
+# line_balanced_b0 when kappa0 + kappa2 became one such product
+# (`specialfn.kappa02_prepared`): line_balanced's nu* kept its value and its
+# bracket moved by an ulp, line_balanced_b0's nu* is now the exact zero 0.5
+# (it was 0.49999999999999994, a zero of the float sum), and at nu = 0.5
+# = alpha - 1 both specs' i = 2 predicted drifts moved in the last bits
+# (line_balanced_b0's are now 0.0, as K is); no classification and no
+# numeric drift moved.  Against a 40-digit mpmath root of the same gap the
+# six nu* values are at most 1.5e-16 off.  line_in_b0 has no root; its row
+# is the NoRootError text.
 # ---------------------------------------------------------------------------
 
 ANALYTIC = {
@@ -155,9 +160,8 @@ PROBES = [50.0, 1e3]
 
 ANALYTIC_DIGESTS = {
     "half_line": "c9d8de4b94cbd70362e6896f4f2642cf9d726dd1c783792b6b0c816ae384737d",
-    "line_balanced": "a5f62e1aba167e815b4bc3eb0b6c478a5d6ca48d7d0a057d6524e72fa262d52e",
-    # re-pinned when nu_star's bracket at an exact zero of g became nu* +- 4 eps |nu*|
-    "line_balanced_b0": "3eb16eb5d138cf4f5a7b1874ebcdd457b0f6cf285e688288a2c193cd4ab7972a",
+    "line_balanced": "8e1410c58aaa32b892bf305717603b31497a80ac34b7eefa2483cb4fe7939e9b",
+    "line_balanced_b0": "c55339c6a7ed33cef8305e99cc4e19ca9529bd7478d897a00c16d80feec5e630",
     "line_in": "fd6b6a416ed38230df2c88e08c92dc4cc84c034801dce8635d0fe61fb8fddf5b",
     "line_in_b0": "97f5c0b685fd0f9210bc84c723790278756ba26b239a12e338dd97bf6a42e389",
     "line_out": "c534203289227b3ccc435d5fed4c7fcc6d3b3229eeb18e927baec53e3228bc19",

@@ -392,26 +392,38 @@ def test_chunk_partition_is_invisible(spec, start):
 
 
 @pytest.mark.parametrize("workers", [2, 4, 16])
-def test_worker_count_is_invisible(workers):
+def test_worker_count_is_invisible(monkeypatch, workers):
+    # 600 trajectories in chunks of at most 256 are 3 chunks, so the run at
+    # workers > 1 forks a pool (the workers inherit the patched width)
+    monkeypatch.setattr("heavywalk.montecarlo._CHUNK", 256)
     base = SimConfig(half_line(), start=20.0, a=10.0, horizon=2000, n_traj=600,
                      master_seed=11, workers=1)
     alt = SimConfig(half_line(), start=20.0, a=10.0, horizon=2000, n_traj=600,
                     master_seed=11, workers=workers)
     b1 = _simulate_batch(base)
     b2 = _simulate_batch(alt)
+    assert b1["workers"] == 1
+    assert b2["workers"] == min(workers, 3, os.cpu_count() or 1)
     for k in ("tau", "max_excursion", "min_excursion", "final_x", "first_exit", "last_sign_change"):
         assert np.array_equal(b1[k], b2[k])
 
 
 def test_import_leaves_the_process_pool_unloaded():
     # the pool, and multiprocessing with it, is imported only by a run that
-    # starts more than one worker
+    # starts more than one worker: neither the import nor a run of one chunk
+    # asked for 4 workers loads it
     src = str(Path(heavywalk.__file__).resolve().parent.parent)
     code = ("import sys, heavywalk, heavywalk.cli; "
-            "print('concurrent.futures.process' in sys.modules)")
+            "from heavywalk.montecarlo import SimConfig, _simulate_batch; "
+            "from heavywalk.increments import ChainSpec, DriftParams, TailParams; "
+            "pool = lambda: 'concurrent.futures.process' in sys.modules; "
+            "print(pool()); "
+            "spec = ChainSpec('half_line', TailParams(alpha=1.5, beta=2.5), DriftParams(0.0, 0.0), 0.25); "
+            "cfg = SimConfig(spec, start=30.0, a=10.0, horizon=50, n_traj=40, workers=4); "
+            "print(_simulate_batch(cfg)['workers'], pool())")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env=dict(os.environ, PYTHONPATH=src))
-    assert out.stdout.strip() == "False"
+    assert out.stdout.split() == ["False", "1", "False"]
 
 
 REGIME_STARTS = pytest.mark.parametrize(
@@ -443,8 +455,11 @@ def test_one_draw_per_live_trajectory_step(monkeypatch, spec, start, m_level):
 
 @pytest.mark.parametrize("workers", [1, 2])
 @REGIME_STARTS
-def test_engine_counts_match_tau(spec, start, workers):
-    # the counts the engine keeps agree with the return times it reports
+def test_engine_counts_match_tau(monkeypatch, spec, start, workers):
+    # the counts the engine keeps agree with the return times it reports; at
+    # 2 workers the 40 trajectories are 3 chunks of at most 16, run by a pool
+    if workers > 1:
+        monkeypatch.setattr("heavywalk.montecarlo._CHUNK", 16)
     cfg = SimConfig(spec, start=start, a=10.0, horizon=300, n_traj=40, master_seed=19,
                     workers=workers)
     batch = _simulate_batch(cfg, 60.0)
@@ -453,15 +468,15 @@ def test_engine_counts_match_tau(spec, start, workers):
     ran = np.where(batch["tau"] < 0, cfg.horizon, batch["tau"])
     assert counts["traj_steps"] == int(ran.sum())
     assert counts["uniforms"] == cfg.draws_per_step * counts["traj_steps"]
-    w = batch["workers"]
-    bounds = [cfg.n_traj * i // w for i in range(w + 1)]
+    bounds = _chunk_bounds(cfg.n_traj, heavywalk.montecarlo._CHUNK)
+    assert batch["workers"] == min(workers, len(bounds) - 1, os.cpu_count() or 1)
     assert counts["steps"] == sum(int(ran[lo:hi].max()) for lo, hi in zip(bounds, bounds[1:]))
 
 
-def _chunk_bounds(n_traj: int, workers: int, width: int) -> list[int]:
-    """The partition _simulate_batch makes: max(workers, ceil(n_traj / width))
-    even chunks."""
-    k = max(workers, -(-n_traj // width))
+def _chunk_bounds(n_traj: int, width: int) -> list[int]:
+    """The partition _simulate_batch makes at any worker count:
+    ceil(n_traj / width) even chunks."""
+    k = -(-n_traj // width)
     return [n_traj * i // k for i in range(k + 1)]
 
 
@@ -486,7 +501,7 @@ def test_sliced_steps_are_invisible(monkeypatch, spec, start, m_level, workers):
         counts = chunked["engine"]
         assert counts["traj_steps"] == whole["engine"]["traj_steps"]
         assert counts["uniforms"] == whole["engine"]["uniforms"]
-        bounds = _chunk_bounds(cfg.n_traj, chunked["workers"], width)
+        bounds = _chunk_bounds(cfg.n_traj, width)
         assert counts["steps"] == sum(int(ran[lo:hi].max()) for lo, hi in zip(bounds, bounds[1:]))
 
 
@@ -504,7 +519,7 @@ def test_sliced_draws_keep_the_draw_contract(monkeypatch, spec, start, width):
     batch = _simulate_batch(cfg, 60.0)
     dps = cfg.draws_per_step
     ran = np.where(batch["tau"] < 0, cfg.horizon, batch["tau"])
-    bounds = _chunk_bounds(cfg.n_traj, 1, width)
+    bounds = _chunk_bounds(cfg.n_traj, width)
     by_counter = collections.defaultdict(list)
     for counter, traj in calls:
         assert 0 < len(traj) <= width

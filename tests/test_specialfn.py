@@ -235,6 +235,38 @@ def test_balanced_cotangent_identity():
         assert lhs == pytest.approx(math.pi * sf.cotpi(a / 2.0), abs=1e-8)
 
 
+def test_kappa02_matches_mpmath():
+    # the product against kappa0 + kappa2 summed as defined in 50-digit mpmath at
+    # the same (exact) inputs: alpha from 1 + 1e-9 to 1.95 (the float sum of
+    # kappa0_prepared and kappa2_prepared cancels near alpha = 1), nu across
+    # (-1, alpha), within 1e-10 of alpha and next to the zero nu = alpha - 1;
+    # tolerance 4e-15 relative, set before the points were run
+    g, rg = mp.gamma, mp.rgamma
+    rng = np.random.default_rng(34)
+    alphas = [1.0 + 1e-9, 1.0 + 1e-6, 1.001, 1.01] + [float(a) for a in rng.uniform(1.01, 1.95, 10)]
+    worst, n = 0.0, 0
+    with mp.workdps(50):
+        for a in alphas:
+            k02 = sf.kappa02_prepared(a)
+            nus = [-0.999, -1e-3, 1e-8, 0.5, a - 1.0 + 1e-7, a - 1.0 - 1e-7, a - 1e-10]
+            nus += [float(v) for v in rng.uniform(-1.0, a, 4)]
+            for v in nus:
+                am, vm = mp.mpf(a), mp.mpf(v)
+                k0 = (1 - vm) * g(am - vm) * g(1 - am) / g(2 - vm)
+                k2 = g(vm) * (g(am - vm) / g(am) - (1 - am + vm) * g(1 - am) * rg(2 - am + vm))
+                want = k0 + k2
+                worst = max(worst, float(abs((mp.mpf(k02(v)) - want) / want)))
+                n += 1
+            # at nu = 0 the sum is pi cot(pi alpha/2); nu = alpha - 1 is an exact zero
+            want = mp.pi * mp.cot(mp.pi * mp.mpf(a) / 2)
+            worst = max(worst, float(abs((mp.mpf(k02(0.0)) - want) / want)))
+            assert k02(a - 1.0) == 0.0
+    assert n >= 140
+    assert worst < 4e-15
+    with pytest.raises(DomainError):
+        sf.kappa02_prepared(1.0)
+
+
 def kappa0_plain(a, nu):
     return (1.0 - nu) * sf.gamma_real(a - nu) * sf.gamma_real(1.0 - a) / sf.gamma_real(2.0 - nu)
 
@@ -617,6 +649,19 @@ def test_negative_to_near_one(x):
         if p == 1.0:
             assert quad == pytest.approx(sf.closed_form_integrals("negative_to", p, q, x) + 1.0 / x,
                                          abs=1e-6)
+
+
+def test_sinpi_fast_path_is_the_reduced_path():
+    # on [-1/2, 1/2] sinpi skips the range reduction; the reduced path gives
+    # the same float there, sign of zero included
+    def reduced(z):
+        n = round(z)
+        s = math.sin(math.pi * (z - n))
+        return s if n % 2 == 0 else -s
+
+    rng = np.random.default_rng(34)
+    zs = [0.5, -0.5, 0.0, -0.0, 5e-324, -5e-324] + [float(z) for z in rng.uniform(-1.0, 1.0, 10 ** 5)]
+    assert [repr(sf.sinpi(z)) for z in zs] == [repr(reduced(z)) for z in zs]
 
 
 def test_sinpi_cospi_exact_values():
